@@ -26,6 +26,12 @@ impl Matrix {
         }
     }
 
+    /// Wraps row-major `data` (`rows · cols` entries) without copying.
+    pub(super) fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        debug_assert_eq!(data.len(), rows * cols, "from_row_major: length mismatch");
+        Matrix { rows, cols, data }
+    }
+
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);

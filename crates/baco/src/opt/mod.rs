@@ -4,10 +4,11 @@
 //! L-BFGS").
 //!
 //! The multistart is the dominant cost of every GP refit (each objective
-//! evaluation pays an O(n³) kernel factorization), so the driver is built for
-//! the hot path: start ranking uses a *value-only* objective (no gradient —
-//! the gradient of a GP marginal likelihood costs an extra O(n³) on top of
-//! the factorization and is thrown away during ranking), and both the ranking
+//! evaluation pays an `n³/6` multiply–add kernel factorization, and each
+//! gradient also an explicit `K⁻¹` at ≈ `n³` multiply–adds, formed batched
+//! and exactly by `Cholesky::inverse`), so the driver is
+//! built for the hot path: start ranking uses a *value-only* objective (no
+//! gradient — it would be thrown away during ranking), and both the ranking
 //! sweep and the per-start L-BFGS refinements run across threads via
 //! [`crate::parallel::parallel_map`]. Results are deterministic for a fixed
 //! RNG seed and independent of the thread count: starting points are drawn

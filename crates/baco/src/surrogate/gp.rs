@@ -9,11 +9,19 @@
 //!   solve with reusable scratch buffers, instead of a per-candidate `O(n²)`
 //!   solve plus allocations.
 //! * **Cheap multistart** — raw hyperparameter draws are ranked with a
-//!   value-only negative log posterior (the gradient costs an extra `O(n³)`
-//!   and is discarded during ranking), draws and L-BFGS refinements run
-//!   across threads, and the factorization computed by the best objective
-//!   evaluation is memoized so [`GaussianProcess::fit`] never refactorizes
-//!   the kernel at the chosen hyperparameters.
+//!   value-only negative log posterior (the gradient is discarded during
+//!   ranking), draws and L-BFGS refinements run across threads, and the
+//!   factorization computed by the best objective evaluation is memoized so
+//!   [`GaussianProcess::fit`] never refactorizes the kernel at the chosen
+//!   hyperparameters.
+//! * **Exact batched gradient** — the gradient needs the explicit `K⁻¹`,
+//!   which costs ≈ `n³` multiply–adds (`2n³/3` once the structural zeros of
+//!   `L⁻¹` are skipped) against `n³/6` for the factorization, so `K⁻¹`, not
+//!   the factorization, dominates a gradient evaluation.
+//!   `Cholesky::inverse` forms it with one blocked sweep per triangle over
+//!   all right-hand sides, bit-identical to per-column solves, and the
+//!   gradient loop reuses the kernel build's Matérn terms instead of
+//!   recomputing a `sqrt` and an `exp` per pair.
 //! * **Incremental refits** — [`GaussianProcess::fit_with_cache`] reuses the
 //!   per-dimension squared-distance matrices across tuning iterations
 //!   (extending them by one row/column per new observation) and, when warm
@@ -60,6 +68,8 @@ const BASE_JITTER: f64 = 1e-8;
 /// Candidates per block in the batched posterior solve; sized so a block of
 /// intermediate solutions stays cache-resident next to the Cholesky factor.
 const PREDICT_BLOCK: usize = 64;
+/// Lengthscale gradient entries the NLL gradient accumulates side by side.
+const GRAD_CHAINS: usize = 5;
 
 /// Gamma prior on lengthscales: shape `alpha`, rate `beta` (Sec. 3.2:
 /// "gamma priors … chosen to be flexible while cutting out extreme
@@ -649,7 +659,9 @@ impl GaussianProcess {
             .all(|(l, t)| *l == t.exp())
             && outputscale == theta[d].exp()
             && noise == theta[d + 1].exp();
-        let memo = best_eval.into_inner().unwrap();
+        let memo = best_eval
+            .into_inner()
+            .expect("NLL memo poisoned: a multistart worker panicked mid-update");
         let (chol, alpha, final_nll) = match memo {
             Some(m) if clamps_free && m.theta == theta => {
                 let per_point = m.value / n as f64;
@@ -911,35 +923,78 @@ impl GaussianProcess {
 
 /// 5/2-Matérn kernel value at distance `dist` with amplitude `sigma`.
 fn matern52(dist: f64, sigma: f64) -> f64 {
+    matern52_terms(dist, sigma).0
+}
+
+/// The 5/2-Matérn value `k = σ(1 + √5·d + 5/3·d²)e^{−√5·d}` together with
+/// the gradient factor `C = 5/3·σ(1 + √5·d)e^{−√5·d}`, sharing one `exp`:
+/// `∂k/∂log ℓ_k = C·r²_k` for the lengthscale-scaled squared distance `r²_k`.
+fn matern52_terms(dist: f64, sigma: f64) -> (f64, f64) {
     let t = SQRT5 * dist;
-    sigma * (1.0 + t + 5.0 / 3.0 * dist * dist) * (-t).exp()
+    let e = (-t).exp();
+    (
+        sigma * (1.0 + t + 5.0 / 3.0 * dist * dist) * e,
+        5.0 / 3.0 * sigma * (1.0 + t) * e,
+    )
 }
 
 fn kernel_matrix(d2: &[Matrix], ls: &[f64], sigma: f64, noise: f64) -> Matrix {
+    kernel_terms(d2, ls, sigma, noise, false).0
+}
+
+/// The kernel matrix and, when `want_factor` is set, the symmetric matrix
+/// of Matérn gradient factors `C_ij` (see [`matern52_terms`]; zero diagonal).
+///
+/// Row `i`'s scaled distances to the later points accumulate one dimension
+/// at a time over a unit-stride row, so every `Σ_k d²_k/ℓ_k²` is still summed
+/// in ascending `k` from `0.0`. Only the upper triangle of each `d2` table is
+/// read; the tables are symmetric.
+fn kernel_terms(
+    d2: &[Matrix],
+    ls: &[f64],
+    sigma: f64,
+    noise: f64,
+    want_factor: bool,
+) -> (Matrix, Option<Matrix>) {
     let n = d2.first().map_or(0, Matrix::rows);
+    let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
     let mut k = Matrix::zeros(n, n);
+    let mut c = want_factor.then(|| Matrix::zeros(n, n));
+    let mut dist2 = vec![0.0; n];
     for i in 0..n {
         k[(i, i)] = sigma + noise + BASE_JITTER;
-        for j in (i + 1)..n {
-            let mut s = 0.0;
-            for (kk, m) in d2.iter().enumerate() {
-                s += m[(i, j)] / (ls[kk] * ls[kk]);
+        let s = &mut dist2[i + 1..];
+        s.fill(0.0);
+        for (m, &l2) in d2.iter().zip(&ls2) {
+            for (acc, &v) in s.iter_mut().zip(&m.row(i)[i + 1..]) {
+                *acc += v / l2;
             }
-            let v = matern52(s.sqrt(), sigma);
+        }
+        for (j, &sij) in (i + 1..n).zip(s.iter()) {
+            let (v, cij) = matern52_terms(sij.sqrt(), sigma);
             k[(i, j)] = v;
             k[(j, i)] = v;
+            if let Some(c) = c.as_mut() {
+                c[(i, j)] = cij;
+                c[(j, i)] = cij;
+            }
         }
     }
-    k
+    (k, c)
 }
 
 /// Negative log posterior (marginal likelihood + lengthscale priors) and its
 /// gradient w.r.t. θ = [log ℓ…, log σ, log σε²].
 ///
-/// Shared NLL implementation. With `want_grad == false` the `O(n³)` solve for
-/// `K⁻¹` (needed only by the gradient) is skipped — this is what makes
-/// multistart ranking cheap. When `memo` is given, the factorization computed
+/// Shared NLL implementation. With `want_grad == false` the explicit `K⁻¹`
+/// (needed only by the gradient) is skipped — this is what makes multistart
+/// ranking cheap: `Cholesky::inverse` costs about `n³` multiply–adds
+/// (`2n³/3` after skipping the structural zeros of `L⁻¹`), against `n³/6`
+/// for the factorization. When `memo` is given, the factorization computed
 /// for the best value seen so far is kept for reuse by the final fit.
+///
+/// The `d2` tables must be symmetric (as [`GpCache`] builds them): the
+/// gradient reads each pair's kernel terms from the one kernel build.
 fn neg_log_posterior_impl(
     theta: &[f64],
     d2: &[Matrix],
@@ -958,7 +1013,7 @@ fn neg_log_posterior_impl(
     let sigma = theta[d].exp();
     let noise = theta[d + 1].exp();
 
-    let kmat = kernel_matrix(d2, &ls, sigma, noise);
+    let (kmat, factors) = kernel_terms(d2, &ls, sigma, noise, want_grad);
     let Ok(chol) = Cholesky::new(&kmat) else {
         return bad(());
     };
@@ -975,7 +1030,9 @@ fn neg_log_posterior_impl(
 
     if let Some(memo) = memo {
         if nll.is_finite() {
-            let mut slot = memo.lock().unwrap();
+            let mut slot = memo
+                .lock()
+                .expect("NLL memo poisoned: a multistart worker panicked mid-update");
             if slot.as_ref().is_none_or(|b| nll < b.value) {
                 *slot = Some(BestEval {
                     value: nll,
@@ -987,56 +1044,61 @@ fn neg_log_posterior_impl(
         }
     }
 
-    if !want_grad {
+    let Some(factors) = factors else {
         return (nll, Vec::new());
-    }
+    };
 
-    // B = K⁻¹ − α αᵀ (only needed for gradients).
-    let mut kinv = Matrix::zeros(n, n);
-    for j in 0..n {
-        let mut e = vec![0.0; n];
-        e[j] = 1.0;
-        let col = chol.solve(&e);
-        for i in 0..n {
-            kinv[(i, j)] = col[i];
-        }
-    }
-    let mut b = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            b[(i, j)] = kinv[(i, j)] - alpha[i] * alpha[j];
-        }
-    }
-
-    // Recompute scaled distances and the Matérn pieces for the gradient.
+    // ∂NLL/∂θ = ½ Σ_ij B_ij ∂K_ij/∂θ with B = K⁻¹ − α αᵀ, formed one row at
+    // a time. Off the diagonal ∂k_ij/∂log σ = k_ij and ∂k_ij/∂log ℓ_k =
+    // C_ij r²_k; both k_ij and C_ij come from the kernel build, so only
+    // r²_k = d²_k/ℓ_k² is recomputed. Each grad entry is one chain of
+    // `weight · term` additions over the ordered pairs in row-major order.
+    let kinv = chol.inverse();
+    let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
     let mut grad = vec![0.0; d + 2];
-    // C_ij = (5/3) σ (1 + √5 d_ij) e^{−√5 d_ij}; ∂k/∂logℓ_k = C_ij r²_k/ℓ_k².
+    let mut r2 = vec![0.0; d * n];
+    let mut half_b = vec![0.0; n];
+    let mut weighted = vec![0.0; n];
+    let zeros = vec![0.0; n];
     for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
+        for ((m, &l2), row) in d2.iter().zip(&ls2).zip(r2.chunks_exact_mut(n)) {
+            for (r, &v) in row.iter_mut().zip(m.row(i)) {
+                *r = v / l2;
             }
-            let mut s = 0.0;
-            for (kk, m) in d2.iter().enumerate() {
-                s += m[(i, j)] / (ls[kk] * ls[kk]);
-            }
-            let dist = s.sqrt();
-            let e = (-SQRT5 * dist).exp();
-            let kval = sigma * (1.0 + SQRT5 * dist + 5.0 / 3.0 * dist * dist) * e;
-            let c = 5.0 / 3.0 * sigma * (1.0 + SQRT5 * dist) * e;
-            let bij = b[(i, j)];
-            // log σ gradient accumulates off-diagonal kernel part.
-            grad[d] += 0.5 * bij * kval;
-            for (kk, m) in d2.iter().enumerate() {
-                let r2 = m[(i, j)] / (ls[kk] * ls[kk]);
-                grad[kk] += 0.5 * bij * c * r2;
+        }
+        let ai = alpha[i];
+        let rows = kinv.row(i).iter().zip(&alpha).zip(factors.row(i));
+        for ((hb, w), ((&kinv_ij, &aj), &cij)) in half_b.iter_mut().zip(&mut weighted).zip(rows) {
+            *hb = 0.5 * (kinv_ij - ai * aj);
+            *w = *hb * cij;
+        }
+        let mut acc = [grad[d]];
+        accumulate_pairs(&mut acc, &half_b, [kmat.row(i)], i);
+        grad[d] = acc[0];
+        // The lengthscale chains share their weights and advance
+        // GRAD_CHAINS at a time, padded with discarded all-zero chains.
+        for k0 in (0..d).step_by(GRAD_CHAINS) {
+            let live = |r: usize| k0 + r < d;
+            let mut acc: [f64; GRAD_CHAINS] =
+                std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
+            let terms = std::array::from_fn(|r| {
+                if live(r) {
+                    &r2[(k0 + r) * n..(k0 + r + 1) * n]
+                } else {
+                    &zeros[..]
+                }
+            });
+            accumulate_pairs(&mut acc, &weighted, terms, i);
+            for (r, a) in acc.into_iter().enumerate().filter(|&(r, _)| live(r)) {
+                grad[k0 + r] = a;
             }
         }
     }
     // Diagonal contributions: k_ii = σ (+ noise); ∂/∂logσ = σ, ∂/∂logσε² = σε².
     for i in 0..n {
-        grad[d] += 0.5 * b[(i, i)] * sigma;
-        grad[d + 1] += 0.5 * b[(i, i)] * noise;
+        let bii = kinv[(i, i)] - alpha[i] * alpha[i];
+        grad[d] += 0.5 * bii * sigma;
+        grad[d + 1] += 0.5 * bii * noise;
     }
 
     if let Some(p) = prior {
@@ -1048,12 +1110,33 @@ fn neg_log_posterior_impl(
     (nll, grad)
 }
 
+/// `acc[r] += weights[j] · terms[r][j]` for every `j ≠ skip`, one term at a
+/// time in ascending `j`: `R` independent addition chains whose latencies
+/// overlap. All rows have the same length.
+#[inline(always)]
+fn accumulate_pairs<const R: usize>(
+    acc: &mut [f64; R],
+    weights: &[f64],
+    terms: [&[f64]; R],
+    skip: usize,
+) {
+    let n = weights.len();
+    for (lo, hi) in [(0, skip), (skip + 1, n)] {
+        let terms = terms.map(|t| &t[lo..hi]);
+        for (j, &w) in weights[lo..hi].iter().enumerate() {
+            for r in 0..R {
+                acc[r] += w * terms[r][j];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::{ParamValue, SearchSpace};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn space_1d() -> SearchSpace {
         SearchSpace::builder().integer("x", 0, 20).build().unwrap()
@@ -1106,6 +1189,216 @@ mod tests {
                 g[k]
             );
         }
+    }
+
+    /// The kernel build [`kernel_terms`] replaced, kept as a reference.
+    fn kernel_matrix_reference(d2: &[Matrix], ls: &[f64], sigma: f64, noise: f64) -> Matrix {
+        let n = d2.first().map_or(0, Matrix::rows);
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            k[(i, i)] = sigma + noise + BASE_JITTER;
+            for j in (i + 1)..n {
+                let mut s = 0.0;
+                for (kk, m) in d2.iter().enumerate() {
+                    s += m[(i, j)] / (ls[kk] * ls[kk]);
+                }
+                let dist = s.sqrt();
+                let t = SQRT5 * dist;
+                let v = sigma * (1.0 + t + 5.0 / 3.0 * dist * dist) * (-t).exp();
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+            }
+        }
+        k
+    }
+
+    /// The negative log posterior before the batched `K⁻¹` and the reused
+    /// kernel terms (per-column solves, an explicit `B` matrix, kernel
+    /// pieces recomputed per pair), kept as the bitwise reference.
+    fn neg_log_posterior_reference(
+        theta: &[f64],
+        d2: &[Matrix],
+        ys: &[f64],
+        prior: Option<&GammaPrior>,
+        want_grad: bool,
+    ) -> (f64, Vec<f64>) {
+        let d = d2.len();
+        let n = ys.len();
+        let bad = |_: ()| (f64::INFINITY, vec![0.0; theta.len()]);
+        if theta.iter().any(|t| !t.is_finite() || t.abs() > 40.0) {
+            return bad(());
+        }
+        let ls: Vec<f64> = theta[..d].iter().map(|t| t.exp()).collect();
+        let sigma = theta[d].exp();
+        let noise = theta[d + 1].exp();
+
+        let kmat = kernel_matrix_reference(d2, &ls, sigma, noise);
+        let Ok(chol) = Cholesky::new_row_oriented(&kmat) else {
+            return bad(());
+        };
+        let alpha = chol.solve(ys);
+        let data_fit: f64 = dot(ys, &alpha);
+        let mut nll = 0.5 * data_fit
+            + 0.5 * chol.log_det()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        if let Some(p) = prior {
+            for l in &ls {
+                nll -= p.log_pdf(*l);
+            }
+        }
+        if !want_grad {
+            return (nll, Vec::new());
+        }
+
+        let mut kinv = Matrix::zeros(n, n);
+        for j in 0..n {
+            let mut e = vec![0.0; n];
+            e[j] = 1.0;
+            let col = chol.solve(&e);
+            for i in 0..n {
+                kinv[(i, j)] = col[i];
+            }
+        }
+        let mut b = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                b[(i, j)] = kinv[(i, j)] - alpha[i] * alpha[j];
+            }
+        }
+        let mut grad = vec![0.0; d + 2];
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let mut s = 0.0;
+                for (kk, m) in d2.iter().enumerate() {
+                    s += m[(i, j)] / (ls[kk] * ls[kk]);
+                }
+                let dist = s.sqrt();
+                let e = (-SQRT5 * dist).exp();
+                let kval = sigma * (1.0 + SQRT5 * dist + 5.0 / 3.0 * dist * dist) * e;
+                let c = 5.0 / 3.0 * sigma * (1.0 + SQRT5 * dist) * e;
+                let bij = b[(i, j)];
+                grad[d] += 0.5 * bij * kval;
+                for (kk, m) in d2.iter().enumerate() {
+                    let r2 = m[(i, j)] / (ls[kk] * ls[kk]);
+                    grad[kk] += 0.5 * bij * c * r2;
+                }
+            }
+        }
+        for i in 0..n {
+            grad[d] += 0.5 * b[(i, i)] * sigma;
+            grad[d + 1] += 0.5 * b[(i, i)] * noise;
+        }
+        if let Some(p) = prior {
+            for (kk, l) in ls.iter().enumerate() {
+                grad[kk] -= p.dlog_pdf_dlogx(*l);
+            }
+        }
+        (nll, grad)
+    }
+
+    /// Symmetric per-dimension squared-distance tables over `n` random points
+    /// with numeric and categorical features and some duplicated points, as
+    /// [`GpCache`] builds them.
+    fn random_d2(n: usize, d: usize, rng: &mut StdRng) -> Vec<Matrix> {
+        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = if i > 1 && rng.gen_range(0.0..1.0) < 0.1 {
+                pts[rng.gen_range(0..i)].clone()
+            } else {
+                (0..d)
+                    .map(|k| {
+                        if k % 3 == 2 {
+                            rng.gen_range(0..3) as f64
+                        } else {
+                            rng.gen_range(0.0..1.0)
+                        }
+                    })
+                    .collect()
+            };
+            pts.push(p);
+        }
+        (0..d)
+            .map(|k| {
+                let mut m = Matrix::zeros(n, n);
+                for i in 0..n {
+                    for j in 0..i {
+                        let v = if k % 3 == 2 {
+                            f64::from(u8::from(pts[i][k] != pts[j][k]))
+                        } else {
+                            (pts[i][k] - pts[j][k]) * (pts[i][k] - pts[j][k])
+                        };
+                        m[(i, j)] = v;
+                        m[(j, i)] = v;
+                    }
+                }
+                m
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nll_and_gradient_match_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let prior = GammaPrior::default();
+        let mut failed_factorizations = 0;
+        let mut finite = 0;
+        for (n, d) in [
+            (1, 1),
+            (2, 2),
+            (5, 1),
+            (9, 3),
+            (17, 4),
+            (33, 10),
+            (70, 6),
+            (120, 10),
+        ] {
+            let d2 = random_d2(n, d, &mut rng);
+            let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            for trial in 0..12 {
+                let mut theta: Vec<f64> = (0..d).map(|_| rng.gen_range(-3.0..1.2)).collect();
+                theta.push(rng.gen_range(-1.6..0.7));
+                theta.push(rng.gen_range(-14.0..-4.0));
+                match trial {
+                    // Outside the trusted box, and non-finite.
+                    0 => theta[rng.gen_range(0..d + 2)] = 40.5,
+                    1 => theta[0] = f64::NAN,
+                    2 => theta[d] = f64::NEG_INFINITY,
+                    // A huge amplitude swamps the jitter: duplicated or very
+                    // close points make the kernel numerically singular.
+                    3 | 4 => {
+                        theta[d] = 40.0;
+                        theta[d + 1] = -40.0;
+                    }
+                    _ => {}
+                }
+                let p = (trial % 2 == 0).then_some(&prior);
+                for want_grad in [false, true] {
+                    let (v, g) = neg_log_posterior_impl(&theta, &d2, &ys, p, want_grad, None);
+                    let (rv, rg) = neg_log_posterior_reference(&theta, &d2, &ys, p, want_grad);
+                    let what = format!("n={n} d={d} trial {trial} grad={want_grad} θ={theta:?}");
+                    assert_eq!(v.to_bits(), rv.to_bits(), "value {v} vs {rv}: {what}");
+                    assert_eq!(g.len(), rg.len(), "{what}");
+                    for (k, (a, b)) in g.iter().zip(&rg).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "grad[{k}] {a} vs {b}: {what}");
+                    }
+                    if want_grad && trial >= 3 {
+                        if v.is_finite() {
+                            finite += 1;
+                        } else {
+                            failed_factorizations += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            failed_factorizations > 0,
+            "no failed-factorization case exercised"
+        );
+        assert!(finite > 50, "too few finite evaluations: {finite}");
     }
 
     #[test]

@@ -358,9 +358,13 @@ impl Conn {
         std::process::exit(1);
     }
 
-    /// Wraps an established stream; the backoff jitter is seeded from the
-    /// local port so concurrent clients desynchronize.
+    /// Wraps an established stream with Nagle's algorithm off (each request
+    /// is one small write answered by one reply); the backoff jitter is
+    /// seeded from the local port so concurrent clients desynchronize.
     fn over(s: TcpStream) -> Conn {
+        if let Err(e) = s.set_nodelay(true) {
+            eprintln!("warning: cannot set TCP_NODELAY: {e}");
+        }
         let seed = 0x5ca1ab1eu64 ^ s.local_addr().map(|a| u64::from(a.port())).unwrap_or(1) << 17;
         let reader = BufReader::new(s.try_clone().unwrap_or_else(|e| {
             eprintln!("cannot clone stream: {e}");
@@ -397,7 +401,11 @@ impl Conn {
 
     /// The raw write-line/read-line exchange behind [`Conn::request`].
     fn round_trip(&mut self, req: &Json) -> Json {
-        if writeln!(self.writer, "{}", req.to_line()).and_then(|()| self.writer.flush()).is_err() {
+        // One write per request: the line and its newline leave in a single
+        // segment, so no half-sent request waits on a delayed ACK.
+        let mut out = req.to_line();
+        out.push('\n');
+        if self.writer.write_all(out.as_bytes()).is_err() {
             eprintln!("server connection lost (is the server still running?)");
             std::process::exit(1);
         }
