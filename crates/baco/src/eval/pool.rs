@@ -1,57 +1,56 @@
-//! The scoped worker pool that evaluates one round of configurations
-//! concurrently.
+//! The evaluation pool every closed tuning loop runs on: submit
+//! configurations at any time, withdraw ones no longer wanted, and receive
+//! completions one at a time, **in completion order**.
 //!
-//! Built on the same primitives as [`crate::parallel`] — `std::thread::scope`
-//! plus an atomic work cursor, since `rayon` is unavailable in the offline
-//! build — but with one crucial difference: results are *streamed* through a
-//! channel in **completion order** instead of being collected in input order.
-//! A tuning loop driving [`evaluate_stream`] therefore observes evaluations
-//! exactly as a real build farm would deliver them: out of order, fastest
-//! first. Order-sensitive callers use [`evaluate_batch`], which re-sorts by
-//! submission index.
+//! [`with_pool`] keeps one pool of scoped worker threads alive for a whole
+//! run and exposes it as an [`EvalPool`]. Workers pull jobs from a
+//! condvar-fed queue and stream results back through a channel, so a tuning
+//! loop observes evaluations exactly as a real build farm would deliver
+//! them: out of order, fastest first. `rayon` is unavailable in the offline
+//! build, so the pool is built on `std::thread::scope` like
+//! [`crate::parallel`]. The closed-loop engine ([`crate::tuner::speculate`])
+//! drives it for [`Baco::run`](crate::tuner::Baco::run) and
+//! [`Baco::run_batched`](crate::tuner::Baco::run_batched) alike: at
+//! speculation depth 0 it submits one round and drains it before proposing
+//! the next; deeper pipelines keep submitting while earlier work is in
+//! flight.
 //!
-//! With one worker (or one configuration) both entry points degenerate to
-//! plain in-line evaluation in submission order — this is what keeps
-//! batch-size-1 runs of the batched engine bit-identical to the sequential
-//! loop.
+//! With one worker the pool is *inline* ([`EvalPool::inline`]): each
+//! [`EvalPool::recv`] evaluates the oldest queued submission on the caller's
+//! thread, so completion order is submission order and the black box need
+//! not be [`Sync`]. Run journaling ([`crate::journal`]) records trials in
+//! the order the pool *completes* them, so a resumed journal replays the run
+//! as it actually unfolded; with one worker that order is deterministic,
+//! which extends the resume-anywhere bitwise guarantee to any batch size.
 //!
 //! A **panicking** black box is contained: the panic is caught on the worker
 //! (or inline) path and surfaced as a hidden-constraint infeasible outcome —
-//! every submitted configuration still produces exactly one result, the
-//! collector never deadlocks, and the run continues (see BaCO's failed-run
-//! semantics, Sec. 4.2). The same containment philosophy covers the pool's
-//! own synchronization: a poisoned work-slot mutex is recovered via
-//! `into_inner` (like `server::registry` recovers tenant slots) and the
-//! stranded configuration is surfaced as a hidden-constraint infeasible
-//! outcome, and a collector slot a dead worker never filled is backfilled the
-//! same way instead of crashing the whole run. Run journaling
-//! ([`crate::journal`]) records trials in the order this pool *completes*
-//! them, so a resumed journal replays the round as it actually unfolded; with
-//! `threads <= 1` completion order is submission order, which extends the
-//! resume-anywhere bitwise guarantee to any batch size.
-//!
-//! Beyond per-round streaming, [`with_pool`] keeps one worker pool alive
-//! across *many* rounds and exposes it as an [`EvalPool`] — submit
-//! configurations at any time, cancel ones no longer wanted, and receive
-//! completions one at a time. This is the substrate of the speculative
-//! evaluation pipeline ([`crate::tuner::speculate`]), which has no round
-//! barrier to scope a per-round pool to.
+//! every submitted configuration still produces exactly one completion, the
+//! caller never deadlocks, and the run continues (see BaCO's failed-run
+//! semantics, Sec. 4.2). The queue's own mutex is recovered via
+//! `into_inner` when poisoned (like `server::registry` recovers tenant
+//! slots): it only ever holds owned jobs.
 //!
 //! ```
-//! use baco::eval::pool::evaluate_stream;
+//! use baco::eval::pool::with_pool;
 //! use baco::prelude::*;
 //!
 //! let space = SearchSpace::builder().integer("x", 0, 7).build()?;
 //! let bb = FnBlackBox::new(|c: &Configuration| {
 //!     Evaluation::feasible(c.value("x").as_f64() + 1.0)
 //! });
-//! let cfgs = vec![space.default_configuration(); 3];
-//! let mut best = f64::INFINITY;
-//! evaluate_stream(&bb, cfgs, 2, |outcome| {
-//!     // Results arrive as they complete; fold them in immediately.
-//!     if let Some(v) = outcome.evaluation.value() {
-//!         best = best.min(v);
+//! let best = with_pool(&bb, 2, 3, |pool| {
+//!     for ticket in 0..3 {
+//!         pool.submit(ticket, space.default_configuration());
 //!     }
+//!     let mut best = f64::INFINITY;
+//!     // Results arrive as they complete; fold them in immediately.
+//!     while let Some(done) = pool.recv() {
+//!         if let Some(v) = done.evaluation.value() {
+//!             best = best.min(v);
+//!         }
+//!     }
+//!     best
 //! });
 //! assert_eq!(best, 1.0);
 //! # Ok::<(), baco::Error>(())
@@ -62,179 +61,24 @@ use crate::space::Configuration;
 use crate::tuner::{BlackBox, Evaluation};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Evaluates one configuration with panic containment: a black box that
 /// panics is treated as a *hidden-constraint* failure (BaCO's semantics for
 /// failed runs — a crashed compiler and a panicking model function are the
-/// same observation), so one bad evaluation can neither deadlock the
-/// completion-order collector, lose its round slot, nor tear down the whole
+/// same observation), so one bad evaluation can neither deadlock the caller
+/// waiting on its completion, lose that completion, nor tear down the whole
 /// tuning run via the scope join.
 ///
 /// `AssertUnwindSafe` is sound here: on a caught panic the black box's
 /// partial state is never touched again by this crate — we only return the
 /// infeasibility verdict. A black box with interior mutability must tolerate
 /// its own panics, exactly as it must under any catch-and-continue driver.
-fn evaluate_contained(bb: &(dyn BlackBox + Sync), cfg: &Configuration) -> Evaluation {
+fn evaluate_contained(bb: &dyn BlackBox, cfg: &Configuration) -> Evaluation {
     catch_unwind(AssertUnwindSafe(|| bb.evaluate(cfg))).unwrap_or_else(|_| {
         Evaluation::infeasible()
     })
-}
-
-/// Takes the configuration out of a work slot, recovering a **poisoned**
-/// mutex via `into_inner` — the same recovery `server::registry` applies to
-/// tenant slots. Poisoning here means a sibling worker panicked while
-/// holding this lock; the slot's contents are still a plain `Option` move,
-/// so recovery is safe. Returns the configuration plus whether the slot was
-/// poisoned; `None` if the slot was already emptied.
-fn take_slot(slot: &Mutex<Option<Configuration>>) -> Option<(Configuration, bool)> {
-    match slot.lock() {
-        Ok(mut guard) => guard.take().map(|c| (c, false)),
-        Err(poisoned) => poisoned.into_inner().take().map(|c| (c, true)),
-    }
-}
-
-/// Claims one work slot and produces its evaluation. A poisoned slot is
-/// mapped to the hidden-constraint infeasible outcome *without* invoking the
-/// black box — the panic that poisoned it makes the shared state suspect, so
-/// it is treated like any other failed run instead of crashing the pool.
-/// `None` means the slot was already taken (nothing to report).
-fn evaluate_slot(
-    bb: &(dyn BlackBox + Sync),
-    slot: &Mutex<Option<Configuration>>,
-) -> Option<(Configuration, Evaluation)> {
-    let (config, poisoned) = take_slot(slot)?;
-    let evaluation = if poisoned {
-        Evaluation::infeasible()
-    } else {
-        evaluate_contained(bb, &config)
-    };
-    Some((config, evaluation))
-}
-
-/// One completed evaluation delivered by [`evaluate_stream`].
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Position of the configuration in the submitted round (submission
-    /// order, not completion order).
-    pub index: usize,
-    /// The evaluated configuration.
-    pub config: Configuration,
-    /// The black box's verdict.
-    pub evaluation: Evaluation,
-    /// Wall-clock time the black box took for this configuration.
-    pub eval_time: Duration,
-}
-
-/// Evaluates `cfgs` on a pool of `threads` scoped workers (`0` = one per
-/// configuration, capped at the available parallelism), invoking `on_result`
-/// on the **caller's** thread for each result *as it completes* — out of
-/// submission order whenever evaluations finish out of order.
-///
-/// The callback runs concurrently with the remaining evaluations, so the
-/// caller can refit models or update incumbents while the pool drains.
-/// Returns once every configuration has been evaluated and reported.
-///
-/// With `threads <= 1` (or a single configuration) this is a plain
-/// sequential loop in submission order with zero synchronization overhead.
-pub fn evaluate_stream<F>(
-    bb: &(dyn BlackBox + Sync),
-    cfgs: Vec<Configuration>,
-    threads: usize,
-    mut on_result: F,
-) where
-    F: FnMut(BatchOutcome),
-{
-    let n = cfgs.len();
-    if n == 0 {
-        return;
-    }
-    let threads = effective_threads(threads, n);
-    if threads <= 1 || n == 1 {
-        for (index, config) in cfgs.into_iter().enumerate() {
-            let t0 = Instant::now();
-            let evaluation = evaluate_contained(bb, &config);
-            on_result(BatchOutcome {
-                index,
-                config,
-                evaluation,
-                eval_time: t0.elapsed(),
-            });
-        }
-        return;
-    }
-
-    // Work-stealing by atomic cursor (identical scheme to
-    // `parallel::parallel_map`); completed outcomes stream back through an
-    // mpsc channel and are surfaced on the caller's thread.
-    let work: Vec<Mutex<Option<Configuration>>> =
-        cfgs.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<BatchOutcome>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let work = &work;
-            let cursor = &cursor;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let t0 = Instant::now();
-                let Some((config, evaluation)) = evaluate_slot(bb, &work[i]) else {
-                    continue;
-                };
-                // The receiver outlives the scope body; a send can only fail
-                // if the main thread panicked, which propagates anyway.
-                let _ = tx.send(BatchOutcome {
-                    index: i,
-                    config,
-                    evaluation,
-                    eval_time: t0.elapsed(),
-                });
-            });
-        }
-        drop(tx); // the iterator below ends when the last worker hangs up
-        for outcome in rx {
-            on_result(outcome);
-        }
-    });
-}
-
-/// Evaluates `cfgs` concurrently and returns the results in **submission
-/// order** — [`evaluate_stream`] with the completion-order shuffle undone,
-/// for callers that want parallelism without the streaming protocol.
-pub fn evaluate_batch(
-    bb: &(dyn BlackBox + Sync),
-    cfgs: Vec<Configuration>,
-    threads: usize,
-) -> Vec<(Configuration, Evaluation)> {
-    let n = cfgs.len();
-    let originals = cfgs.clone();
-    let mut slots: Vec<Option<(Configuration, Evaluation)>> = (0..n).map(|_| None).collect();
-    evaluate_stream(bb, cfgs, threads, |out| {
-        slots[out.index] = Some((out.config, out.evaluation));
-    });
-    backfill_lost_slots(&originals, slots)
-}
-
-/// Turns the collector's slot array into submission-order results. A slot
-/// its worker never filled — a worker killed mid-flight (e.g. an abort
-/// inside foreign code that unwinding cannot catch) leaves a hole — is
-/// backfilled with the hidden-constraint infeasible outcome for the original
-/// configuration instead of crashing the whole run's collector.
-fn backfill_lost_slots(
-    cfgs: &[Configuration],
-    slots: Vec<Option<(Configuration, Evaluation)>>,
-) -> Vec<(Configuration, Evaluation)> {
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| (cfgs[i].clone(), Evaluation::infeasible())))
-        .collect()
 }
 
 /// One completed evaluation delivered by [`EvalPool::recv`].
@@ -323,7 +167,7 @@ enum PoolImpl<'a> {
     /// order — the deterministic degenerate pool that anchors the journal's
     /// resume-bitwise guarantee.
     Inline {
-        bb: &'a (dyn BlackBox + Sync),
+        bb: &'a dyn BlackBox,
         queue: VecDeque<Job>,
     },
     /// Long-lived scoped workers fed through a condvar queue; completions
@@ -338,9 +182,8 @@ enum PoolImpl<'a> {
 /// A persistent evaluation pool whose workers outlive any single round:
 /// submissions and completions interleave freely, so a driver can keep
 /// proposing (and withdrawing) work while earlier evaluations are still in
-/// flight. Created by [`with_pool`]; this is the substrate of the
-/// speculative evaluation pipeline, which replaces the per-round barrier of
-/// [`evaluate_stream`] with reconciliation on completion order.
+/// flight. Created by [`with_pool`], or [`EvalPool::inline`] for a black box
+/// that is not [`Sync`].
 pub struct EvalPool<'a> {
     inner: PoolImpl<'a>,
 }
@@ -358,7 +201,21 @@ impl std::fmt::Debug for EvalPool<'_> {
     }
 }
 
-impl EvalPool<'_> {
+impl<'a> EvalPool<'a> {
+    /// A pool without worker threads: jobs queue up and each
+    /// [`EvalPool::recv`] evaluates the oldest one on the caller's thread,
+    /// so completions arrive in strict submission order. This is the pool
+    /// [`with_pool`] hands out at one effective thread; it needs no [`Sync`]
+    /// bound on the black box.
+    pub fn inline(bb: &'a dyn BlackBox) -> EvalPool<'a> {
+        EvalPool {
+            inner: PoolImpl::Inline {
+                bb,
+                queue: VecDeque::new(),
+            },
+        }
+    }
+
     /// Submits one configuration for evaluation under a caller-chosen
     /// ticket. Tickets are opaque to the pool and echoed back verbatim in
     /// the [`Completion`]; the caller is responsible for their uniqueness.
@@ -456,11 +313,11 @@ impl EvalPool<'_> {
 /// `capacity` is the expected number of simultaneously in-flight
 /// evaluations, used only for that sizing).
 ///
-/// With an effective thread count of one the pool is *inline*:
-/// [`EvalPool::recv`] evaluates the oldest queued submission on the caller's
-/// thread, making completion order equal submission order — the property the
-/// journal's resume-bitwise guarantee builds on. Worker threads are scoped:
-/// they are joined before `with_pool` returns, even if `f` panics.
+/// With an effective thread count of one — always the case for
+/// `capacity <= 1` — the pool is [`EvalPool::inline`]: completion order
+/// equals submission order, the property the journal's resume-bitwise
+/// guarantee builds on. Worker threads are scoped: they are joined before
+/// `with_pool` returns, even if `f` panics.
 ///
 /// ```
 /// use baco::eval::pool::with_pool;
@@ -491,13 +348,7 @@ pub fn with_pool<R>(
 ) -> R {
     let threads = effective_threads(threads, capacity.max(1));
     if threads <= 1 {
-        let mut pool = EvalPool {
-            inner: PoolImpl::Inline {
-                bb,
-                queue: VecDeque::new(),
-            },
-        };
-        return f(&mut pool);
+        return f(&mut EvalPool::inline(bb));
     }
     let shared = SharedQueue {
         state: Mutex::new(QueueState::default()),
@@ -537,6 +388,21 @@ mod tests {
         s.configuration(&[("x", ParamValue::Int(x))]).unwrap()
     }
 
+    /// Submits `cfgs` under their indices as tickets and receives every
+    /// completion, in completion order.
+    fn drain(
+        bb: &(dyn BlackBox + Sync),
+        cfgs: &[Configuration],
+        threads: usize,
+    ) -> Vec<Completion> {
+        with_pool(bb, threads, cfgs.len(), |pool| {
+            for (i, c) in cfgs.iter().enumerate() {
+                pool.submit(i as u64, c.clone());
+            }
+            std::iter::from_fn(|| pool.recv()).collect()
+        })
+    }
+
     #[test]
     fn batch_preserves_submission_order() {
         let s = space();
@@ -545,11 +411,14 @@ mod tests {
         });
         let cfgs: Vec<_> = (0..20).map(|i| cfg(&s, i)).collect();
         for threads in [1, 2, 4, 0] {
-            let out = evaluate_batch(&bb, cfgs.clone(), threads);
+            let mut out = drain(&bb, &cfgs, threads);
             assert_eq!(out.len(), 20);
-            for (i, (c, e)) in out.iter().enumerate() {
-                assert_eq!(c.value("x").as_i64(), i as i64, "threads={threads}");
-                assert_eq!(e.value(), Some(i as f64 * 2.0), "threads={threads}");
+            // Tickets restore submission order whatever the completion order.
+            out.sort_by_key(|done| done.ticket);
+            for (i, done) in out.iter().enumerate() {
+                assert_eq!(done.ticket, i as u64, "threads={threads}");
+                assert_eq!(done.config.value("x").as_i64(), i as i64, "threads={threads}");
+                assert_eq!(done.evaluation.value(), Some(i as f64 * 2.0), "threads={threads}");
             }
         }
     }
@@ -566,14 +435,11 @@ mod tests {
         });
         let cfgs: Vec<_> = (0..8).map(|i| cfg(&s, i)).collect();
         let mut seen = vec![0usize; 8];
-        let mut order = Vec::new();
-        evaluate_stream(&bb, cfgs, 4, |out| {
-            assert_eq!(out.config.value("x").as_i64() as usize, out.index);
-            seen[out.index] += 1;
-            order.push(out.index);
-        });
+        for done in drain(&bb, &cfgs, 4) {
+            assert_eq!(done.config.value("x").as_i64() as u64, done.ticket);
+            seen[done.ticket as usize] += 1;
+        }
         assert!(seen.iter().all(|&c| c == 1), "each outcome exactly once: {seen:?}");
-        assert_eq!(order.len(), 8);
     }
 
     #[test]
@@ -583,24 +449,24 @@ mod tests {
             Evaluation::feasible(c.value("x").as_f64())
         });
         let cfgs: Vec<_> = (0..6).map(|i| cfg(&s, i)).collect();
-        let mut order = Vec::new();
-        evaluate_stream(&bb, cfgs, 1, |out| order.push(out.index));
+        let order: Vec<u64> = drain(&bb, &cfgs, 1).iter().map(|done| done.ticket).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn empty_round_is_a_noop() {
-        let bb = FnBlackBox::new(|_: &Configuration| Evaluation::infeasible());
-        let mut called = false;
-        evaluate_stream(&bb, Vec::new(), 4, |_| called = true);
-        assert!(!called);
-        assert!(evaluate_batch(&bb, Vec::new(), 4).is_empty());
+        let bb = FnBlackBox::new(|_: &Configuration| -> Evaluation {
+            panic!("nothing was submitted")
+        });
+        for threads in [1, 4] {
+            assert!(drain(&bb, &[], threads).is_empty());
+            with_pool(&bb, threads, 4, |pool| {
+                assert_eq!(pool.outstanding(), 0);
+                assert!(pool.recv().is_none());
+            });
+        }
     }
 
-    /// Regression for the black-box panic audit: a panicking evaluation
-    /// must not deadlock the mpsc collector or lose its slot — it becomes a
-    /// hidden-constraint infeasible outcome, and every other slot still
-    /// completes normally, on both the threaded and the inline path.
     // Silence the default panic printout so the test log stays readable;
     // the drop guard restores it even if an assertion fails while it is
     // active, so a failure cannot swallow later panics' diagnostics.
@@ -619,6 +485,10 @@ mod tests {
         guard
     }
 
+    /// Regression for the black-box panic audit: a panicking evaluation
+    /// must not deadlock the caller or lose its completion — it becomes a
+    /// hidden-constraint infeasible outcome, and every other submission
+    /// still completes normally, on both the threaded and the inline path.
     #[test]
     fn panicking_blackbox_becomes_infeasible_without_losing_slots() {
         let s = space();
@@ -630,84 +500,25 @@ mod tests {
             }
             Evaluation::feasible(x as f64)
         });
+        let cfgs: Vec<_> = (0..12).map(|i| cfg(&s, i)).collect();
         for threads in [1usize, 4] {
-            let cfgs: Vec<_> = (0..12).map(|i| cfg(&s, i)).collect();
             let mut seen = vec![0usize; 12];
-            evaluate_stream(&bb, cfgs.clone(), threads, |out| {
-                seen[out.index] += 1;
-                let x = out.config.value("x").as_i64();
+            for done in drain(&bb, &cfgs, threads) {
+                seen[done.ticket as usize] += 1;
+                let x = done.config.value("x").as_i64();
                 if x % 3 == 0 {
                     assert!(
-                        !out.evaluation.is_feasible(),
+                        !done.evaluation.is_feasible(),
                         "panic must surface as infeasible (threads={threads})"
                     );
                 } else {
-                    assert_eq!(out.evaluation.value(), Some(x as f64));
+                    assert_eq!(done.evaluation.value(), Some(x as f64));
                 }
-            });
+            }
             assert!(
                 seen.iter().all(|&c| c == 1),
-                "every slot exactly once despite panics (threads={threads}): {seen:?}"
+                "every submission exactly once despite panics (threads={threads}): {seen:?}"
             );
-            // Order-preserving entry point survives too.
-            let out = evaluate_batch(&bb, cfgs, threads);
-            assert_eq!(out.len(), 12);
-            assert_eq!(out.iter().filter(|(_, e)| !e.is_feasible()).count(), 4);
-        }
-    }
-
-    /// Regression for the poisoned-slot panic path: a work-slot mutex
-    /// poisoned by a sibling worker's panic must be recovered via
-    /// `into_inner` (not propagated as a pool-wide panic), and its stranded
-    /// configuration mapped to the hidden-constraint infeasible outcome
-    /// without ever invoking the black box.
-    #[test]
-    fn poisoned_work_slot_recovers_to_infeasible() {
-        let s = space();
-        let _restore = silence_panics();
-        let slot = Mutex::new(Some(cfg(&s, 7)));
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = slot.lock().unwrap();
-            panic!("poison the slot");
-        }));
-        assert!(slot.is_poisoned());
-        // The black box would report feasible — proving the poisoned path
-        // never reaches it.
-        let bb = FnBlackBox::new(|_: &Configuration| Evaluation::feasible(1.0));
-        let (config, evaluation) = evaluate_slot(&bb, &slot).expect("config still present");
-        assert_eq!(config.value("x").as_i64(), 7);
-        assert!(
-            !evaluation.is_feasible(),
-            "poisoned slot must surface as a hidden-constraint failure"
-        );
-        // The slot is consumed by the recovery; a second claim is a no-op,
-        // not a crash.
-        assert!(evaluate_slot(&bb, &slot).is_none());
-    }
-
-    /// Regression for the killed-worker collector crash: a worker that dies
-    /// without ever filling its slot (an abort in foreign code that
-    /// unwinding cannot catch) leaves a hole the collector used to `expect`
-    /// on. The hole must instead surface as an infeasible outcome for the
-    /// original configuration.
-    #[test]
-    fn killed_worker_lost_slot_becomes_infeasible() {
-        let s = space();
-        let cfgs: Vec<_> = (0..4).map(|i| cfg(&s, i)).collect();
-        let mut slots: Vec<Option<(Configuration, Evaluation)>> = cfgs
-            .iter()
-            .map(|c| Some((c.clone(), Evaluation::feasible(c.value("x").as_f64()))))
-            .collect();
-        slots[2] = None; // the worker for slot 2 died before reporting
-        let out = backfill_lost_slots(&cfgs, slots);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[2].0.value("x").as_i64(), 2);
-        assert!(!out[2].1.is_feasible(), "lost slot must become infeasible");
-        for (i, (c, e)) in out.iter().enumerate() {
-            assert_eq!(c.value("x").as_i64(), i as i64);
-            if i != 2 {
-                assert!(e.is_feasible());
-            }
         }
     }
 
@@ -816,7 +627,7 @@ mod tests {
             }
             Evaluation::feasible(x as f64)
         });
-        for threads in [1usize, 3] {
+        for threads in [1usize, 4] {
             with_pool(&bb, threads, 6, |pool| {
                 for i in 0..6u64 {
                     pool.submit(i, cfg(&s, i as i64));
@@ -846,8 +657,8 @@ mod tests {
             }
         });
         let cfgs: Vec<_> = (0..10).map(|i| cfg(&s, i)).collect();
-        let out = evaluate_batch(&bb, cfgs, 3);
-        let infeasible = out.iter().filter(|(_, e)| !e.is_feasible()).count();
+        let out = drain(&bb, &cfgs, 3);
+        let infeasible = out.iter().filter(|done| !done.evaluation.is_feasible()).count();
         assert_eq!(infeasible, 5);
     }
 }

@@ -118,11 +118,12 @@ pub const FORMAT_NAME: &str = "baco-journal";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// The sequential closed loop ([`Baco::run`](crate::tuner::Baco::run)) —
-    /// also written by `run_batched` at `batch_size == 1`, which is
-    /// bit-identical.
+    /// also written by `run_batched` at `batch_size == 1` and speculation
+    /// depth 0, which is bit-identical.
     Run,
     /// The batched closed loop
-    /// ([`Baco::run_batched`](crate::tuner::Baco::run_batched), `q > 1`).
+    /// ([`Baco::run_batched`](crate::tuner::Baco::run_batched), `q > 1` or
+    /// speculation depth `> 0`).
     Batched,
     /// The open ask/report loop ([`Session`](crate::tuner::Session)).
     Session,
@@ -1450,72 +1451,6 @@ impl Journal {
             clean_len,
         })
     }
-
-    /// Total DoE configurations handed out across all proposal rounds.
-    pub fn doe_used(&self) -> usize {
-        self.proposes.iter().map(|p| p.doe_k).sum()
-    }
-
-    /// The closed-loop continuation point: the RNG state to continue from
-    /// (`None` when no round was ever proposed — continue from the seed) and
-    /// the still-unevaluated tail of the in-flight round, in pick order.
-    ///
-    /// # Errors
-    /// [`Error::JournalCorrupt`] if trials recorded after the last proposal
-    /// round do not belong to it.
-    pub fn closed_loop_continuation(&self) -> Result<Continuation> {
-        let Some(last) = self.proposes.last() else {
-            if self.trials.is_empty() {
-                return Ok(Continuation {
-                    rng_after: None,
-                    remaining_round: Vec::new(),
-                    round_tuner_ns: 0,
-                });
-            }
-            return Err(Error::JournalCorrupt {
-                line: 0,
-                msg: "journal has trials but no propose record".into(),
-            });
-        };
-        // The trials recorded after the last propose are the evaluated part
-        // of its round; match them off (multiset-aware) to find the rest.
-        let mut remaining: Vec<Option<&Configuration>> =
-            last.configs.iter().map(Some).collect();
-        for tr in &self.trials[last.len.min(self.trials.len())..] {
-            let Some(slot) = remaining
-                .iter_mut()
-                .find(|s| s.is_some_and(|c| c == &tr.config))
-            else {
-                return Err(Error::JournalCorrupt {
-                    line: 0,
-                    msg: format!(
-                        "trial {} does not belong to the in-flight round",
-                        tr.index
-                    ),
-                });
-            };
-            *slot = None;
-        }
-        let rest: Vec<Configuration> = remaining.into_iter().flatten().cloned().collect();
-        Ok(Continuation {
-            rng_after: Some(last.rng_after),
-            remaining_round: rest,
-            round_tuner_ns: last.tuner_ns,
-        })
-    }
-}
-
-/// Where a closed-loop resume picks the run back up; see
-/// [`Journal::closed_loop_continuation`].
-#[derive(Debug, Clone)]
-pub struct Continuation {
-    /// RNG state after the last proposal round, or `None` when nothing was
-    /// proposed yet (continue from the seed).
-    pub rng_after: Option<[u64; 4]>,
-    /// Configurations of the in-flight round still awaiting evaluation.
-    pub remaining_round: Vec<Configuration>,
-    /// The in-flight round's per-proposal think time, nanoseconds.
-    pub round_tuner_ns: u64,
 }
 
 #[cfg(test)]

@@ -58,16 +58,14 @@
 //! # Ok::<(), baco::Error>(())
 //! ```
 
-use super::{AcquisitionContext, Baco, BlackBox, FittedModel, Trial, TuningReport};
-use crate::eval::pool::evaluate_stream;
-use crate::search::{doe_sample, local_search_in, random_search_in};
+use super::speculate::Evaluator;
+use super::{AcquisitionContext, Baco, BlackBox, FittedModel, TuningReport};
+use crate::search::{local_search_in, random_search_in};
 use crate::space::Configuration;
 use crate::surrogate::GpCache;
 use crate::Result;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Which value a fantasy observation hallucinates for a just-picked
 /// configuration (see the [module docs](self)).
@@ -262,182 +260,59 @@ impl Baco {
         picked
     }
 
-    /// Runs the full loop with the asynchronous batched-evaluation engine:
-    /// rounds of [`BacoOptions::batch_size`](super::BacoOptions::batch_size)
+    /// Runs the full loop with rounds of
+    /// [`BacoOptions::batch_size`](super::BacoOptions::batch_size)
     /// fantasy-EI proposals, evaluated concurrently on an
-    /// [`eval::pool`](crate::eval::pool) worker pool, with results folded
-    /// into the model in whatever order they complete.
+    /// [`eval::pool`](crate::eval::pool) worker pool of
+    /// [`BacoOptions::eval_threads`](super::BacoOptions::eval_threads), with
+    /// results folded into the model in whatever order they complete.
     ///
-    /// With `batch_size == 1` the trajectory is bit-identical to
-    /// [`Baco::run`] for the same seed (and the pool degenerates to in-line
-    /// evaluation), so sequential paper-reproduction runs are unaffected by
-    /// routing through this entry point.
-    ///
-    /// With
-    /// [`BacoOptions::speculation_depth`](super::BacoOptions::speculation_depth)
-    /// `> 0` the per-round barrier is removed entirely: the run is driven by
-    /// the speculative pipeline ([`crate::tuner::speculate`]), which drafts
+    /// This is the closed-loop engine ([`crate::tuner::speculate`]) at the
+    /// configured batch size and
+    /// [`BacoOptions::speculation_depth`](super::BacoOptions::speculation_depth).
+    /// At depth 0 (the default) each round is proposed once the previous
+    /// one has fully landed; with `batch_size == 1` that is [`Baco::run`],
+    /// bit for bit, journal included. With depth `> 0` the engine drafts
     /// fantasy rounds while evaluations are in flight and reconciles them as
-    /// real values land. Depth 0 (the default) keeps this barriered loop,
-    /// byte-identical to before the pipeline existed.
+    /// real values land.
     ///
     /// With [`BacoOptions::journal_path`](super::BacoOptions::journal_path)
     /// set, rounds and evaluations are durably journaled exactly as in
     /// [`Baco::run`]; results are journaled in *completion* order, so a
     /// resumed journal replays the run as it actually unfolded. With
-    /// [`BacoOptions::eval_threads`](super::BacoOptions::eval_threads)
-    /// `<= 1` completion order equals submission order and the
+    /// `eval_threads <= 1` completion order equals submission order and the
     /// resume-anywhere bitwise guarantee of the sequential loop carries over
-    /// to any batch size.
+    /// to any batch size and depth.
     ///
     /// # Errors
     /// Propagates surrogate-fitting failures and journal errors. Black-box
-    /// failures are hidden-constraint observations, not errors.
+    /// failures (panics included) are hidden-constraint observations, not
+    /// errors.
     pub fn run_batched(&self, bb: &(dyn BlackBox + Sync)) -> Result<TuningReport> {
-        self.run_batched_impl(bb, self.opts.resume)
+        let (q, depth) = (self.opts.batch_size.max(1), self.opts.speculation_depth);
+        self.closed_loop(Evaluator::Shared(bb), q, depth, self.opts.resume)
     }
 
     /// Resumes a batched run from its journal; the batched analogue of
     /// [`Baco::resume`] (same reconstruction, same guarantees, including
-    /// re-dispatching the unevaluated part of the in-flight round).
+    /// re-dispatching whatever was proposed but had not landed).
     ///
     /// # Errors
     /// As [`Baco::resume`].
     pub fn resume_batched(&self, bb: &(dyn BlackBox + Sync)) -> Result<TuningReport> {
         self.require_journal()?;
-        self.run_batched_impl(bb, true)
-    }
-
-    pub(super) fn run_batched_impl(
-        &self,
-        bb: &(dyn BlackBox + Sync),
-        resume: bool,
-    ) -> Result<TuningReport> {
-        use super::{append_propose, ClosedLoopStart};
-        use crate::journal::{JournalWriter, Mode, Record, TrialRec};
-
-        // With a positive speculation depth the round barrier is gone: the
-        // speculative pipeline (`tuner::speculate`) drives the run instead.
-        // Depth 0 stays on this loop, byte-identical to before the pipeline
-        // existed.
-        if self.opts.speculation_depth > 0 {
-            return self.run_speculative(bb, resume);
-        }
-
-        let q = self.opts.batch_size.max(1);
-        // A q=1 batched run is bit-identical to the sequential loop, so its
-        // journal is interchangeable with `run`'s.
-        let mode = if q == 1 { Mode::Run } else { Mode::Batched };
-        let threads = self.opts.eval_threads;
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        let mut report = TuningReport::new("BaCO");
-        report.set_reference_point(self.opts.reference_point.clone());
-        let mut seen: HashSet<Configuration> = HashSet::new();
-        let mut cache = self.new_cache();
-        let ClosedLoopStart {
-            mut writer,
-            mut pending,
-            mut pending_tuner,
-            doe_done,
-        } = self.open_closed_loop_journal(mode, resume, &mut rng, &mut report, &mut seen)?;
-
-        // Streams one round through the pool, journaling each completion.
-        let run_round = |round: Vec<Configuration>,
-                             tuner_time: std::time::Duration,
-                             report: &mut TuningReport,
-                             seen: &mut HashSet<Configuration>,
-                             writer: &mut Option<JournalWriter>|
-         -> Result<()> {
-            seen.extend(round.iter().cloned());
-            let mut journal_err: Option<crate::Error> = None;
-            evaluate_stream(bb, round, threads, |out| {
-                let index = report.len();
-                // `push` demotes non-finite "measurements" to infeasible
-                // observations before they can reach the surrogate; a
-                // wrong-width vector is demoted here the same way.
-                let feasible = out.evaluation.is_feasible()
-                    && out.evaluation.n_objectives() == self.opts.objectives;
-                report.push(Trial {
-                    config: out.config,
-                    value: out.evaluation.value(),
-                    extra: out.evaluation.extra_objectives(),
-                    feasible,
-                    eval_time: out.eval_time,
-                    tuner_time,
-                });
-                if let (Some(w), None) = (writer.as_mut(), journal_err.as_ref()) {
-                    let rec =
-                        TrialRec::from_trial(index, report.trials().last().expect("just pushed"));
-                    if let Err(e) = w.append(&Record::Trial(rec)) {
-                        journal_err = Some(e);
-                    }
-                }
-            });
-            match journal_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        };
-
-        // ── Initial phase: DoE, evaluated q at a time ────────────────────
-        if !doe_done {
-            let doe_n = self.opts.doe_samples.min(self.opts.budget);
-            let t0 = Instant::now();
-            let rng_before = rng.state();
-            let initial = self.transfer_rerank(doe_sample(&self.sampler, &mut rng, doe_n, &seen));
-            let doe_pick_time = t0.elapsed() / doe_n.max(1) as u32;
-            append_propose(
-                &mut writer,
-                report.len(),
-                initial.len(),
-                rng_before,
-                rng.state(),
-                doe_pick_time,
-                &initial,
-            )?;
-            pending = initial;
-            pending_tuner = doe_pick_time;
-        }
-        for chunk in std::mem::take(&mut pending).chunks(q) {
-            let room = self.opts.budget.saturating_sub(report.len());
-            if room == 0 {
-                break;
-            }
-            let chunk = &chunk[..chunk.len().min(room)];
-            run_round(chunk.to_vec(), pending_tuner, &mut report, &mut seen, &mut writer)?;
-        }
-
-        // ── Learning phase: propose a round, evaluate concurrently ───────
-        while report.len() < self.opts.budget {
-            let q_eff = q.min(self.opts.budget - report.len());
-            let t0 = Instant::now();
-            let rng_before = rng.state();
-            let round = self.recommend_batch(&mut rng, &report, &seen, &mut cache, q_eff)?;
-            if round.is_empty() {
-                break; // feasible set exhausted
-            }
-            // Attribute the round's proposal cost evenly across its trials.
-            let tuner_time = t0.elapsed() / round.len() as u32;
-            append_propose(
-                &mut writer,
-                report.len(),
-                0,
-                rng_before,
-                rng.state(),
-                tuner_time,
-                &round,
-            )?;
-            run_round(round, tuner_time, &mut report, &mut seen, &mut writer)?;
-        }
-        Ok(report)
+        let (q, depth) = (self.opts.batch_size.max(1), self.opts.speculation_depth);
+        self.closed_loop(Evaluator::Shared(bb), q, depth, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::doe_sample;
     use crate::space::SearchSpace;
-    use crate::tuner::{Evaluation, FnBlackBox};
+    use crate::tuner::{Evaluation, FnBlackBox, Trial};
+    use rand::SeedableRng;
 
     fn space() -> SearchSpace {
         SearchSpace::builder()

@@ -15,9 +15,13 @@
 //!   [`batch`] module) — propose `q` configurations per round via
 //!   fantasy-model EI and evaluate them concurrently on an
 //!   [`eval::pool`](crate::eval::pool) worker pool, folding results back into
-//!   the model as they complete (in any order). With
-//!   [`BacoOptions::batch_size`] `== 1` the batched engine reproduces the
-//!   sequential trajectory bit for bit.
+//!   the model as they complete (in any order).
+//!
+//! The closed loops ([`Baco::run`], [`Baco::run_batched`] and their
+//! resumes) are one engine, [`speculate`]: `run` is its batch size 1 with no
+//! speculation, so with [`BacoOptions::batch_size`] `== 1` and the default
+//! [`BacoOptions::speculation_depth`] the batched loop reproduces the
+//! sequential trajectory bit for bit.
 //!
 //! ```
 //! use baco::prelude::*;
@@ -44,13 +48,13 @@ pub use report::{Trial, TuningReport};
 pub use session::Session;
 pub use transfer::{TransferOptions, DEFAULT_MAX_DONORS};
 
+use speculate::Evaluator;
+
 use crate::acquisition::{
     expected_improvement, feasibility_weighted_ei, inferred_reference, Ehvi, EpsilonSchedule,
     OptimumPrior, Scalarization,
 };
-use crate::search::{
-    doe_sample, local_search_in, random_search_in, FeasibleSampler, LocalSearchOptions,
-};
+use crate::search::{local_search_in, random_search_in, FeasibleSampler, LocalSearchOptions};
 use crate::space::{Configuration, SearchSpace};
 use crate::surrogate::{
     ActiveSet, GaussianProcess, GpCache, GpOptions, RandomForestClassifier,
@@ -58,9 +62,8 @@ use crate::surrogate::{
 };
 use crate::{Error, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Which value surrogate drives the acquisition (Fig. 8 compares them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -186,9 +189,9 @@ pub struct BacoOptions {
     /// See [`DEFAULT_SURROGATE_BUDGET`] for the recommended value.
     pub surrogate_budget: Option<usize>,
     /// How many *speculative* rounds [`Baco::run_batched`] may draft beyond
-    /// the round whose evaluations are in flight (`0`, the default, keeps
-    /// the classic per-round barrier — bitwise identical to the engine
-    /// before the pipeline existed). With depth `d > 0` the loop fantasizes
+    /// the round whose evaluations are in flight (`0`, the default, drafts
+    /// nothing: each round waits for the previous one to land, the classic
+    /// per-round barrier). With depth `d > 0` the loop fantasizes
     /// kriging-believer values for every in-flight configuration and
     /// dispatches up to `d` extra rounds immediately, reconciling each draft
     /// when its anchoring evaluations land; see [`crate::tuner::speculate`].
@@ -525,26 +528,34 @@ impl Baco {
     }
 
     /// Runs the full *sequential* recommendation/evaluation loop against
-    /// `bb`: one proposal per surrogate refit, evaluated in-line. For
-    /// concurrent evaluation, see [`Baco::run_batched`] — at
-    /// [`BacoOptions::batch_size`] `== 1` the two produce bit-identical
-    /// trajectories.
+    /// `bb`: one proposal per surrogate refit, evaluated in-line on the
+    /// calling thread. This is the closed-loop engine
+    /// ([`crate::tuner::speculate`]) at one proposal per round and no
+    /// speculation, whatever [`BacoOptions::batch_size`] and
+    /// [`BacoOptions::speculation_depth`] say; [`Baco::run_batched`] at
+    /// `batch_size == 1` and depth 0 produces the bit-identical trajectory.
     ///
     /// With [`BacoOptions::journal_path`] set, every round and evaluation is
     /// durably journaled; with [`BacoOptions::resume`] also set, an existing
     /// journal is continued instead of restarted (see [`Baco::resume`]).
+    ///
+    /// A black box that **panics** is contained: the panic is caught and
+    /// the configuration is recorded as an infeasible trial, exactly like a
+    /// failed compile or run (Sec. 4.2), and the loop continues to the
+    /// budget.
     ///
     /// # Errors
     /// Propagates surrogate-fitting failures and journal I/O or corruption
     /// errors. Black-box failures are not errors — they are
     /// hidden-constraint observations.
     pub fn run(&self, bb: &dyn BlackBox) -> Result<TuningReport> {
-        self.run_sequential(bb, self.opts.resume)
+        self.closed_loop(Evaluator::Inline(bb), 1, 0, self.opts.resume)
     }
 
     /// Resumes a sequential run from its journal, reconstructing the
     /// evaluation history, the RNG stream and any in-flight proposal, then
-    /// continues the loop to the budget. The continued trajectory is
+    /// continues the loop to the budget. The journal is replayed through the
+    /// same engine that wrote it, so the continued trajectory is
     /// bit-identical to what the uninterrupted run would have produced; on
     /// an already-finished journal this is a no-op that returns the final
     /// report without touching the black box.
@@ -556,7 +567,7 @@ impl Baco {
     /// or a determinism-envelope mismatch).
     pub fn resume(&self, bb: &dyn BlackBox) -> Result<TuningReport> {
         self.require_journal()?;
-        self.run_sequential(bb, true)
+        self.closed_loop(Evaluator::Inline(bb), 1, 0, true)
     }
 
     pub(crate) fn require_journal(&self) -> Result<&std::path::Path> {
@@ -572,117 +583,6 @@ impl Baco {
             )));
         }
         Ok(path)
-    }
-
-    /// Opens the run journal for a closed loop. When `resume` is set and a
-    /// journal exists, replays its trials into `report`/`seen`, restores
-    /// `rng` to the last round's post-proposal state, and returns the
-    /// in-flight round still awaiting evaluation (with its per-trial think
-    /// time) plus whether the DoE draw already happened; otherwise creates
-    /// the journal fresh (or does nothing without a configured path).
-    pub(crate) fn open_closed_loop_journal(
-        &self,
-        mode: crate::journal::Mode,
-        resume: bool,
-        rng: &mut StdRng,
-        report: &mut TuningReport,
-        seen: &mut HashSet<Configuration>,
-    ) -> Result<ClosedLoopStart> {
-        use crate::journal::{Header, Journal, JournalWriter};
-        let Some(path) = &self.opts.journal_path else {
-            self.prepare_transfer(None)?;
-            return Ok(ClosedLoopStart::default());
-        };
-        if resume && Journal::exists(path) {
-            let journal = Journal::load(path, &self.space)?;
-            journal.header.validate(mode, &self.opts, &self.space)?;
-            self.prepare_transfer(journal.header.transfer.as_ref())?;
-            for tr in &journal.trials {
-                seen.insert(tr.config.clone());
-                report.push(tr.to_trial());
-            }
-            let cont = journal.closed_loop_continuation()?;
-            if let Some(state) = cont.rng_after {
-                *rng = StdRng::from_state(state);
-            }
-            Ok(ClosedLoopStart {
-                writer: Some(JournalWriter::resume(path, &journal, report.len())?),
-                pending: cont.remaining_round,
-                pending_tuner: std::time::Duration::from_nanos(cont.round_tuner_ns),
-                doe_done: cont.rng_after.is_some(),
-            })
-        } else {
-            let mut header = Header::new(mode, &self.opts, &self.space);
-            header.transfer = self.prepare_transfer(None)?;
-            Ok(ClosedLoopStart {
-                writer: Some(JournalWriter::create(path, &header)?),
-                ..ClosedLoopStart::default()
-            })
-        }
-    }
-
-    fn run_sequential(&self, bb: &dyn BlackBox, resume: bool) -> Result<TuningReport> {
-        use crate::journal::Mode;
-
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        let mut report = TuningReport::new("BaCO");
-        report.set_reference_point(self.opts.reference_point.clone());
-        let mut seen: HashSet<Configuration> = HashSet::new();
-        let mut cache = self.new_cache();
-        let ClosedLoopStart {
-            mut writer,
-            mut pending,
-            mut pending_tuner,
-            doe_done,
-        } = self.open_closed_loop_journal(Mode::Run, resume, &mut rng, &mut report, &mut seen)?;
-
-        // ── Initial phase ────────────────────────────────────────────────
-        if !doe_done {
-            let doe_n = self.opts.doe_samples.min(self.opts.budget);
-            let t0 = Instant::now();
-            let rng_before = rng.state();
-            let initial = self.transfer_rerank(doe_sample(&self.sampler, &mut rng, doe_n, &seen));
-            let doe_pick_time = t0.elapsed() / doe_n.max(1) as u32;
-            append_propose(
-                &mut writer,
-                report.len(),
-                initial.len(),
-                rng_before,
-                rng.state(),
-                doe_pick_time,
-                &initial,
-            )?;
-            pending = initial;
-            pending_tuner = doe_pick_time;
-        }
-        for cfg in std::mem::take(&mut pending) {
-            if report.len() >= self.opts.budget {
-                break;
-            }
-            self.evaluate_journaled(bb, cfg, pending_tuner, &mut seen, &mut report, &mut writer)?;
-        }
-
-        // ── Learning phase ───────────────────────────────────────────────
-        while report.len() < self.opts.budget {
-            let t0 = Instant::now();
-            let rng_before = rng.state();
-            let next = self.recommend_with_cache(&mut rng, &report, &seen, &mut cache)?;
-            let tuner_time = t0.elapsed();
-            let Some(cfg) = next else {
-                break; // feasible set exhausted
-            };
-            append_propose(
-                &mut writer,
-                report.len(),
-                0,
-                rng_before,
-                rng.state(),
-                tuner_time,
-                std::slice::from_ref(&cfg),
-            )?;
-            self.evaluate_journaled(bb, cfg, tuner_time, &mut seen, &mut report, &mut writer)?;
-        }
-        Ok(report)
     }
 
     /// One recommendation step: fit models on the history in `report` and
@@ -1150,91 +1050,6 @@ impl Baco {
         }
         None
     }
-
-    /// [`Baco::evaluate_into`] plus the trial's durable journal append.
-    fn evaluate_journaled(
-        &self,
-        bb: &dyn BlackBox,
-        cfg: Configuration,
-        tuner_time: std::time::Duration,
-        seen: &mut HashSet<Configuration>,
-        report: &mut TuningReport,
-        writer: &mut Option<crate::journal::JournalWriter>,
-    ) -> Result<()> {
-        let index = report.len();
-        self.evaluate_into(bb, cfg, tuner_time, seen, report);
-        if let Some(w) = writer.as_mut() {
-            let rec = crate::journal::TrialRec::from_trial(
-                index,
-                report.trials().last().expect("just pushed"),
-            );
-            w.append(&crate::journal::Record::Trial(rec))?;
-        }
-        Ok(())
-    }
-
-    fn evaluate_into(
-        &self,
-        bb: &dyn BlackBox,
-        cfg: Configuration,
-        tuner_time: std::time::Duration,
-        seen: &mut HashSet<Configuration>,
-        report: &mut TuningReport,
-    ) {
-        let t0 = Instant::now();
-        let eval = bb.evaluate(&cfg);
-        let eval_time = t0.elapsed();
-        seen.insert(cfg.clone());
-        // `push` demotes a feasible-but-non-finite measurement to an
-        // infeasible (hidden-constraint) observation, so a black box
-        // returning NaN/±inf can never poison the surrogate. A vector of
-        // the wrong width is demoted here for the same reason — it would
-        // corrupt Pareto bookkeeping while being invisible to the models.
-        report.push(Trial {
-            config: cfg,
-            value: eval.value(),
-            extra: eval.extra_objectives(),
-            feasible: eval.is_feasible() && eval.n_objectives() == self.opts.objectives,
-            eval_time,
-            tuner_time,
-        });
-    }
-}
-
-/// How a closed loop starts: the journal writer (if journaling), the round
-/// proposed but not fully evaluated (a fresh DoE draw or the in-flight tail
-/// of a resumed journal) with its per-trial think time, and whether the DoE
-/// draw already happened. Produced by [`Baco::open_closed_loop_journal`].
-#[derive(Debug, Default)]
-pub(crate) struct ClosedLoopStart {
-    pub(crate) writer: Option<crate::journal::JournalWriter>,
-    pub(crate) pending: Vec<Configuration>,
-    pub(crate) pending_tuner: std::time::Duration,
-    pub(crate) doe_done: bool,
-}
-
-/// Durably journals one proposal round (no-op without a writer).
-pub(crate) fn append_propose(
-    writer: &mut Option<crate::journal::JournalWriter>,
-    len: usize,
-    doe_k: usize,
-    rng_before: [u64; 4],
-    rng_after: [u64; 4],
-    tuner_time: std::time::Duration,
-    configs: &[Configuration],
-) -> Result<()> {
-    if let Some(w) = writer.as_mut() {
-        w.append(&crate::journal::Record::Propose(crate::journal::ProposeRec {
-            len,
-            doe_k,
-            rng_before,
-            rng_after,
-            tuner_ns: tuner_time.as_nanos().min(u64::MAX as u128) as u64,
-            configs: configs.to_vec(),
-            anchors: Vec::new(),
-        }))?;
-    }
-    Ok(())
 }
 
 /// The fitted value surrogate of one acquisition round. Kept as an enum (not
@@ -1361,7 +1176,9 @@ impl AcquisitionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::doe_sample;
     use crate::space::ParamValue;
+    use rand::SeedableRng;
 
     fn quadratic_space() -> SearchSpace {
         SearchSpace::builder()
@@ -1545,15 +1362,28 @@ mod tests {
             let mut report = TuningReport::new("BaCO");
             let mut seen: HashSet<Configuration> = HashSet::new();
             let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
-            let initial = doe_sample(tuner.sampler(), &mut rng, doe_n, &seen);
-            for cfg in initial {
-                tuner.evaluate_into(&bb, cfg, Default::default(), &mut seen, &mut report);
+            let evaluate = |cfg: Configuration,
+                            report: &mut TuningReport,
+                            seen: &mut HashSet<Configuration>| {
+                let eval = bb.evaluate(&cfg);
+                seen.insert(cfg.clone());
+                report.push(Trial {
+                    config: cfg,
+                    value: eval.value(),
+                    extra: Vec::new(),
+                    feasible: eval.is_feasible(),
+                    eval_time: Default::default(),
+                    tuner_time: Default::default(),
+                });
+            };
+            for cfg in doe_sample(tuner.sampler(), &mut rng, doe_n, &seen) {
+                evaluate(cfg, &mut report, &mut seen);
             }
             while report.len() < tuner.options().budget {
                 let Some(cfg) = tuner.recommend(&mut rng, &report, &seen).unwrap() else {
                     break;
                 };
-                tuner.evaluate_into(&bb, cfg, Default::default(), &mut seen, &mut report);
+                evaluate(cfg, &mut report, &mut seen);
             }
 
             let a: Vec<_> = cached.trials().iter().map(|t| t.config.to_string()).collect();
@@ -1678,6 +1508,34 @@ mod tests {
             let best = report.best_value().unwrap();
             assert!(best.is_finite() && best >= 1.0, "batched={batched}: {best}");
         }
+    }
+
+    /// `run` contains black-box panics like every other closed loop: the
+    /// panicking configuration becomes an infeasible trial and the run
+    /// finishes its budget. The black box counts its calls in a `Cell`, so
+    /// it is not `Sync` — the inline pool must not need it to be.
+    #[test]
+    fn run_records_a_panicking_evaluation_as_infeasible() {
+        let calls = std::cell::Cell::new(0usize);
+        let bb = FnBlackBox::new(|cfg: &Configuration| {
+            calls.set(calls.get() + 1);
+            let x = cfg.value("x").as_i64();
+            if x == 5 {
+                panic!("deliberate black-box crash at x={x}");
+            }
+            Evaluation::feasible(1.0 + (x - 9) as f64 * (x - 9) as f64)
+        });
+        let space = SearchSpace::builder().integer("x", 0, 15).build().unwrap();
+        // The budget covers the whole space, so x = 5 is certainly proposed.
+        let tuner = Baco::builder(space).budget(16).doe_samples(4).seed(2).build().unwrap();
+        let report = tuner.run(&bb).unwrap();
+        assert_eq!(report.len(), 16);
+        assert_eq!(calls.get(), 16);
+        for t in report.trials() {
+            let x = t.config.value("x").as_i64();
+            assert_eq!(t.feasible, x != 5, "x={x}");
+        }
+        assert_eq!(report.best_value(), Some(1.0));
     }
 
     #[test]

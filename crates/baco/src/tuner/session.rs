@@ -482,12 +482,6 @@ impl Session {
         }
     }
 
-    /// Alias for [`Session::report`], completing the classic ask/tell idiom.
-    #[deprecated(note = "use report")]
-    pub fn tell(&mut self, cfg: Configuration, eval: Evaluation) {
-        self.report(cfg, eval);
-    }
-
     /// Consumes the session, returning the final report.
     pub fn into_report(self) -> TuningReport {
         self.report
@@ -570,17 +564,6 @@ mod tests {
         let r = s.into_report();
         assert_eq!(r.len(), 20);
         assert!(r.best_value().unwrap() <= 3.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_tell_alias_forwards_to_report() {
-        let tuner = Baco::builder(space()).budget(4).doe_samples(2).seed(0).build().unwrap();
-        let mut s = Session::new(tuner).unwrap();
-        let cfg = s.ask().unwrap().unwrap();
-        s.tell(cfg, Evaluation::feasible(2.5));
-        assert_eq!(s.history().len(), 1);
-        assert_eq!(s.history().best_value(), Some(2.5));
     }
 
     /// Regression for the objective-ingestion bugfix: a NaN/±inf "feasible"

@@ -1,19 +1,23 @@
-//! The speculative evaluation pipeline: [`Baco::run_batched`] without the
-//! per-round barrier.
+//! The closed-loop engine behind [`Baco::run`], [`Baco::resume`],
+//! [`Baco::run_batched`] and [`Baco::resume_batched`]: one driver that
+//! proposes rounds of `q` configurations, evaluates them on an
+//! [`EvalPool`], folds completions into the model in the order they land,
+//! and speculates up to [`BacoOptions::speculation_depth`] rounds ahead.
 //!
-//! The barriered batched engine proposes `q` configurations, waits for **all**
-//! of them, refits, and proposes again — so one straggler evaluation idles
-//! every other worker until its round closes. On heterogeneous-latency
-//! workloads (real compile+run variance) the q× concurrency win collapses
-//! toward 1×. This module removes the barrier with the draft/verify overlap
-//! of speculative decoding:
+//! The scheduling rule is one inequality: at most `q · (depth + 1)`
+//! evaluations are in flight, a round's entries are dispatched `q` at a
+//! time, and a new round is proposed only when a whole one fits. At depth 0
+//! that capacity is `q`, so a round is proposed only once the previous one
+//! has fully landed — the classic round barrier, and at `q = 1` the paper's
+//! sequential loop. Depth 0 is simply the engine with no drafts.
+//!
+//! With `depth > 0` the barrier goes away, with the draft/verify overlap of
+//! speculative decoding:
 //!
 //! * **Draft** — while evaluations are in flight, the surrogate is
 //!   conditioned on a kriging-believer fantasy for each in-flight
-//!   configuration (`AcquisitionContext::fantasize_anchored`) and up to
-//!   [`BacoOptions::speculation_depth`] extra rounds are proposed and
-//!   dispatched immediately on the persistent
-//!   [`eval::pool`](crate::eval::pool) ([`EvalPool`]). The posterior
+//!   configuration (`AcquisitionContext::fantasize_anchored`) and further
+//!   rounds are proposed and dispatched immediately. The posterior
 //!   (mean, variance) at every fantasized point is recorded as the round's
 //!   **anchors**.
 //! * **Verify** — when a real evaluation lands, every speculative round
@@ -31,21 +35,28 @@
 //!   broke, not the proposal itself), so a flush costs queued drafts and a
 //!   refit, never started work.
 //!
+//! Proposals made with nothing in flight (every round at depth 0) go
+//! through [`Baco::recommend_batch`], so the engine's depth-0 trajectories
+//! are those of the plain fit-then-propose loop.
+//!
 //! # Journal format and determinism
 //!
-//! Speculative runs journal in format v3 (see [`crate::journal`]): propose
-//! records carry their anchors, and reconciliation verdicts are recorded as
-//! `reconcile` markers. The markers are **informational** — resume replays
-//! the proposes and trials in write order through the same reconciliation
-//! engine and recomputes every verdict from the anchors and the landed
-//! values, so a crash *between* a trial record and its marker still resumes
-//! bitwise. All RNG consumption is bracketed by journaled propose records
-//! (failed proposal attempts restore the bracketed state), and with
+//! Every proposal round is journaled before it is dispatched and every
+//! landing as it happens. Depth-0 runs write format v2 (mode `run` at
+//! `q = 1`, `batched` above). Speculative runs write format v3 (see
+//! [`crate::journal`]): propose records carry their anchors, and
+//! reconciliation verdicts are recorded as `reconcile` markers. The markers
+//! are **informational** — resume replays the proposes and trials in write
+//! order through the same reconciliation engine and recomputes every
+//! verdict from the anchors and the landed values, so a crash *between* a
+//! trial record and its marker still resumes bitwise. The replay is the
+//! only closed-loop resume path: whatever a journal left proposed but not
+//! landed is dispatched again under the scheduling rule above. All RNG
+//! consumption is bracketed by journaled propose records (failed proposal
+//! attempts restore the bracketed state), and with
 //! [`BacoOptions::eval_threads`] `<= 1` the inline pool completes in
-//! submission order, so the resume-anywhere bitwise guarantee of the
-//! barriered engine carries over to every record boundary of a speculative
-//! journal. Depth 0 never enters this module and keeps writing format v2,
-//! byte-identical to the engine before the pipeline existed.
+//! submission order, so a run resumed from any record boundary continues
+//! bit for bit.
 //!
 //! [`BacoOptions::speculation_depth`]: super::BacoOptions::speculation_depth
 //! [`BacoOptions::eval_threads`]: super::BacoOptions::eval_threads
@@ -89,12 +100,23 @@ const TOLERANCE_SIGMAS: f64 = 3.0;
 /// Draft-time sanity bound: an anchor whose posterior mean sits more than
 /// this many observed spreads outside the landed objective range marks a
 /// numerically degenerate conditioned model, and the refill skips
-/// speculating on it (see [`Baco::spec_refill`]'s degeneracy guard).
+/// speculating on it (see [`Baco::refill`]'s degeneracy guard).
 const DEGENERACY_SPREADS: f64 = 5.0;
+
+/// The black box a closed loop evaluates, which decides the pool serving
+/// it: only a [`Sync`] black box can be shared with worker threads.
+pub(super) enum Evaluator<'a> {
+    /// Evaluated inline on the tuning thread ([`Baco::run`]).
+    Inline(&'a dyn BlackBox),
+    /// Evaluated on a [`with_pool`] pool of
+    /// [`BacoOptions::eval_threads`](super::BacoOptions::eval_threads)
+    /// workers ([`Baco::run_batched`]).
+    Shared(&'a (dyn BlackBox + Sync)),
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
-    /// Submitted (or, at resume, awaiting re-dispatch); no value yet.
+    /// Proposed; no value yet (in flight once it holds a ticket).
     Pending,
     /// Landed as a journaled trial.
     Done,
@@ -106,7 +128,8 @@ enum EntryState {
 #[derive(Debug)]
 struct Entry {
     config: Configuration,
-    /// The pool ticket while in flight (`None` during journal replay).
+    /// The pool ticket once dispatched (`None` before dispatch and during
+    /// journal replay).
     ticket: Option<u64>,
     state: EntryState,
 }
@@ -134,11 +157,12 @@ impl Anchor {
     }
 }
 
-/// One proposal round of the pipeline, in journal propose-record order.
+/// One proposal round of the engine, in journal propose-record order.
 #[derive(Debug)]
 struct Round {
     entries: Vec<Entry>,
-    /// Empty for non-speculative rounds (DoE, cold random, idle refits).
+    /// Empty for non-speculative rounds (DoE, rounds proposed with nothing
+    /// in flight).
     anchors: Vec<Anchor>,
     /// Per-trial think time attributed to this round's proposals.
     tuner: Duration,
@@ -147,14 +171,23 @@ struct Round {
     kept_marked: bool,
 }
 
-/// The pipeline's mutable state, shared verbatim between the live loop and
-/// the resume replay so both evolve it through identical transitions.
-#[derive(Debug, Default)]
-struct SpecState {
+/// The closed loop's mutable state, shared verbatim between the live loop
+/// and the resume replay so both evolve it through identical transitions.
+struct Engine {
+    /// Proposals per round.
+    q: usize,
+    /// In-flight evaluation bound, `q · (depth + 1)`.
+    capacity: usize,
+    rng: StdRng,
+    report: TuningReport,
+    seen: HashSet<Configuration>,
+    cache: GpCache,
+    /// `None` without a journal and during replay.
+    writer: Option<JournalWriter>,
     /// All rounds ever proposed, indexed by propose-record ordinal
     /// (flushed rounds stay, so ordinals match the journal).
     rounds: Vec<Round>,
-    /// In-flight pool tickets → (round, entry) indices.
+    /// Dispatched pool tickets → (round, entry) indices.
     tickets: HashMap<u64, (usize, usize)>,
     next_ticket: u64,
     doe_done: bool,
@@ -166,8 +199,9 @@ struct SpecState {
     draft_backoff: usize,
 }
 
-impl SpecState {
-    /// Unevaluated proposals currently in flight (or awaiting re-dispatch).
+impl Engine {
+    /// Proposed entries that have not landed (in flight or awaiting
+    /// dispatch).
     fn pending(&self) -> usize {
         self.rounds
             .iter()
@@ -176,74 +210,92 @@ impl SpecState {
             .count()
     }
 
-    /// Appends a round for `configs`, marking them seen; with a pool, each
-    /// entry is ticketed and submitted immediately.
-    fn push_round(
+    /// Durably journals one proposal round (when journaling), then appends
+    /// it to the engine. `anchors` is empty for every round but a
+    /// speculative draft.
+    fn append_propose(
         &mut self,
-        configs: &[Configuration],
+        doe_k: usize,
+        rng_before: [u64; 4],
         tuner: Duration,
-        anchors: Vec<Anchor>,
-        seen: &mut HashSet<Configuration>,
-        mut pool: Option<&mut EvalPool<'_>>,
-    ) {
-        let ri = self.rounds.len();
-        let mut entries = Vec::with_capacity(configs.len());
+        configs: &[Configuration],
+        anchors: Vec<AnchorRec>,
+    ) -> Result<()> {
+        let round_anchors = anchors.iter().map(Anchor::from_rec).collect();
+        if let Some(w) = self.writer.as_mut() {
+            w.append(&Record::Propose(ProposeRec {
+                len: self.report.len(),
+                doe_k,
+                rng_before,
+                rng_after: self.rng.state(),
+                tuner_ns: tuner.as_nanos().min(u64::MAX as u128) as u64,
+                configs: configs.to_vec(),
+                anchors,
+            }))?;
+        }
+        self.push_round(configs, tuner, round_anchors);
+        Ok(())
+    }
+
+    /// Appends a round for `configs`, marking them seen. Dispatch is
+    /// [`Engine::dispatch`]'s job.
+    fn push_round(&mut self, configs: &[Configuration], tuner: Duration, anchors: Vec<Anchor>) {
         for cfg in configs {
-            seen.insert(cfg.clone());
-            let mut entry = Entry {
-                config: cfg.clone(),
-                ticket: None,
-                state: EntryState::Pending,
-            };
-            if let Some(p) = pool.as_deref_mut() {
-                let t = self.next_ticket;
-                self.next_ticket += 1;
-                entry.ticket = Some(t);
-                self.tickets.insert(t, (ri, entries.len()));
-                p.submit(t, cfg.clone());
-            }
-            entries.push(entry);
+            self.seen.insert(cfg.clone());
         }
         self.rounds.push(Round {
-            entries,
+            entries: configs
+                .iter()
+                .map(|cfg| Entry {
+                    config: cfg.clone(),
+                    ticket: None,
+                    state: EntryState::Pending,
+                })
+                .collect(),
             anchors,
             tuner,
             flushed: false,
             kept_marked: false,
         });
     }
-}
 
-/// Durably journals one speculative-pipeline proposal round (no-op without
-/// a writer). Unlike the barriered engine's propose append, this one carries
-/// the round's anchors.
-#[allow(clippy::too_many_arguments)]
-fn append_spec_propose(
-    writer: &mut Option<JournalWriter>,
-    len: usize,
-    doe_k: usize,
-    rng_before: [u64; 4],
-    rng_after: [u64; 4],
-    tuner: Duration,
-    configs: &[Configuration],
-    anchors: Vec<AnchorRec>,
-) -> Result<()> {
-    if let Some(w) = writer.as_mut() {
-        w.append(&Record::Propose(ProposeRec {
-            len,
-            doe_k,
-            rng_before,
-            rng_after,
-            tuner_ns: tuner.as_nanos().min(u64::MAX as u128) as u64,
-            configs: configs.to_vec(),
-            anchors,
-        }))?;
+    /// Submits undispatched entries in proposal order, a round's entries
+    /// `q` at a time, while a whole chunk fits the in-flight capacity and
+    /// the budget. At depth 0 a chunk goes out only once the previous one
+    /// has fully landed, which is the barrier's DoE chunking and the
+    /// chunking of a resumed round's tail.
+    fn dispatch(&mut self, pool: &mut EvalPool<'_>, budget: usize) {
+        for ri in 0..self.rounds.len() {
+            if self.rounds[ri].flushed {
+                continue;
+            }
+            let waiting: Vec<usize> = (0..self.rounds[ri].entries.len())
+                .filter(|&ei| {
+                    let e = &self.rounds[ri].entries[ei];
+                    e.state == EntryState::Pending && e.ticket.is_none()
+                })
+                .collect();
+            for chunk in waiting.chunks(self.q) {
+                let in_flight = self.tickets.len();
+                let room = budget.saturating_sub(self.report.len() + in_flight);
+                if in_flight + self.q > self.capacity || room == 0 {
+                    return;
+                }
+                for &ei in chunk.iter().take(room) {
+                    let t = self.next_ticket;
+                    self.next_ticket += 1;
+                    let e = &mut self.rounds[ri].entries[ei];
+                    e.ticket = Some(t);
+                    self.tickets.insert(t, (ri, ei));
+                    pool.submit(t, e.config.clone());
+                }
+            }
+        }
     }
-    Ok(())
 }
 
 /// Journals one reconciliation verdict (no-op without a writer; replay
-/// passes none — markers are write-once, live-only).
+/// has none — markers are write-once, live-only).
 fn append_reconcile(
     writer: &mut Option<JournalWriter>,
     len: usize,
@@ -263,312 +315,237 @@ fn append_reconcile(
 }
 
 impl Baco {
-    /// The speculative-pipeline driver behind [`Baco::run_batched`] when
-    /// [`BacoOptions::speculation_depth`](super::BacoOptions::speculation_depth)
-    /// `> 0`: a persistent pool, completion-order landings, draft rounds
-    /// while work is in flight, and anchor reconciliation (see the
-    /// [module docs](self)).
-    pub(super) fn run_speculative(
+    /// The closed loop: proposes rounds of `q` with up to `depth`
+    /// speculative rounds beyond the one in flight, evaluates them on `bb`'s
+    /// pool, and journals (or, with `resume`, replays and continues) the run
+    /// (see the [module docs](self)).
+    pub(super) fn closed_loop(
         &self,
-        bb: &(dyn BlackBox + Sync),
+        bb: Evaluator<'_>,
+        q: usize,
+        depth: usize,
         resume: bool,
     ) -> Result<TuningReport> {
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
+        let mode = if q == 1 && depth == 0 {
+            Mode::Run
+        } else {
+            Mode::Batched
+        };
         let mut report = TuningReport::new("BaCO");
         report.set_reference_point(self.opts.reference_point.clone());
-        let mut seen: HashSet<Configuration> = HashSet::new();
-        let mut cache = self.new_cache();
-        let mut st = SpecState::default();
-        let mut writer: Option<JournalWriter> = None;
+        let mut e = Engine {
+            q,
+            capacity: q * (depth + 1),
+            rng: StdRng::seed_from_u64(self.opts.seed),
+            report,
+            seen: HashSet::new(),
+            cache: self.new_cache(),
+            writer: None,
+            rounds: Vec::new(),
+            tickets: HashMap::new(),
+            next_ticket: 0,
+            doe_done: false,
+            draft_backoff: 0,
+        };
 
         if let Some(path) = &self.opts.journal_path {
             if resume && Journal::exists(path) {
                 let journal = Journal::load(path, &self.space)?;
-                journal.header.validate(Mode::Batched, &self.opts, &self.space)?;
+                journal.header.validate(mode, &self.opts, &self.space)?;
                 self.prepare_transfer(journal.header.transfer.as_ref())?;
-                self.spec_replay(&journal, &mut st, &mut report, &mut seen)?;
+                self.replay(&journal, &mut e)?;
                 if let Some(p) = journal.proposes.last() {
-                    rng = StdRng::from_state(p.rng_after);
+                    e.rng = StdRng::from_state(p.rng_after);
                 }
-                st.doe_done = !journal.proposes.is_empty();
-                writer = Some(JournalWriter::resume(path, &journal, report.len())?);
+                e.doe_done = !journal.proposes.is_empty();
+                e.writer = Some(JournalWriter::resume(path, &journal, e.report.len())?);
             } else {
-                let mut header = Header::new(Mode::Batched, &self.opts, &self.space);
+                let mut header = Header::new(mode, &self.opts, &self.space);
                 header.transfer = self.prepare_transfer(None)?;
-                writer = Some(JournalWriter::create(path, &header)?);
+                e.writer = Some(JournalWriter::create(path, &header)?);
             }
         } else {
             self.prepare_transfer(None)?;
         }
 
-        let q = self.opts.batch_size.max(1);
-        let capacity = q * (self.opts.speculation_depth + 1);
-        with_pool(bb, self.opts.eval_threads, capacity, move |pool| {
-            // Re-dispatch what a resumed journal left in flight, in
-            // submission order — with the inline pool this reproduces the
-            // interrupted run's completion order exactly.
-            for ri in 0..st.rounds.len() {
-                if st.rounds[ri].flushed {
-                    continue;
-                }
-                for ei in 0..st.rounds[ri].entries.len() {
-                    if st.rounds[ri].entries[ei].state != EntryState::Pending {
-                        continue;
-                    }
-                    let t = st.next_ticket;
-                    st.next_ticket += 1;
-                    st.rounds[ri].entries[ei].ticket = Some(t);
-                    st.tickets.insert(t, (ri, ei));
-                    pool.submit(t, st.rounds[ri].entries[ei].config.clone());
-                }
+        match bb {
+            Evaluator::Inline(bb) => self.drive(e, &mut EvalPool::inline(bb)),
+            Evaluator::Shared(bb) => {
+                with_pool(bb, self.opts.eval_threads, e.capacity, |pool| {
+                    self.drive(e, pool)
+                })
             }
-
-            while report.len() < self.opts.budget {
-                self.spec_refill(
-                    &mut st,
-                    &mut rng,
-                    &report,
-                    &mut seen,
-                    &mut cache,
-                    pool,
-                    &mut writer,
-                )?;
-                let Some(done) = pool.recv() else {
-                    break; // nothing in flight and nothing proposable
-                };
-                self.spec_land(&mut st, done, &mut report, &mut seen, pool, &mut writer)?;
-            }
-            Ok(report)
-        })
+        }
     }
 
-    /// Keeps the pipeline full: proposes rounds until the budget is covered
-    /// by landed+in-flight work, the depth bound is reached, or proposing is
-    /// not currently possible (too little signal, or the feasible set is
-    /// exhausted). Every proposal is journaled before it is dispatched;
-    /// attempts that propose nothing restore the RNG to the state they
-    /// started from, so all RNG consumption stays bracketed by propose
-    /// records.
-    #[allow(clippy::too_many_arguments)]
-    fn spec_refill(
-        &self,
-        st: &mut SpecState,
-        rng: &mut StdRng,
-        report: &TuningReport,
-        seen: &mut HashSet<Configuration>,
-        cache: &mut GpCache,
-        pool: &mut EvalPool<'_>,
-        writer: &mut Option<JournalWriter>,
-    ) -> Result<()> {
-        let q = self.opts.batch_size.max(1);
+    /// Runs the loop to the budget: refill, then land one completion.
+    fn drive(&self, mut e: Engine, pool: &mut EvalPool<'_>) -> Result<TuningReport> {
+        while e.report.len() < self.opts.budget {
+            self.refill(&mut e, pool)?;
+            let Some(done) = pool.recv() else {
+                break; // nothing in flight and nothing proposable
+            };
+            self.land(&mut e, done, pool)?;
+        }
+        Ok(e.report)
+    }
+
+    /// Keeps the pipeline full: dispatches what fits, then proposes rounds
+    /// until the budget is covered by landed+pending work, the capacity
+    /// bound is reached, or proposing is not currently possible (too little
+    /// signal, or the feasible set is exhausted). Every proposal is
+    /// journaled, then dispatched before the next one is fitted; attempts
+    /// that propose nothing restore the RNG to the state they started from,
+    /// so all RNG consumption stays bracketed by propose records.
+    fn refill(&self, e: &mut Engine, pool: &mut EvalPool<'_>) -> Result<()> {
         loop {
-            let landed = report.len();
-            let inflight = st.pending();
-            if landed + inflight >= self.opts.budget {
-                return Ok(()); // in-flight work already covers the budget
+            e.dispatch(pool, self.opts.budget);
+            let landed = e.report.len();
+            let pending = e.pending();
+            if landed + pending >= self.opts.budget {
+                return Ok(()); // pending work already covers the budget
             }
-            // The depth knob bounds in-flight *evaluations* — the base
-            // round plus `depth` drafted rounds' worth (the pool's
-            // capacity) — and drafting waits until a full round fits.
-            // Counting rounds instead would let three nearly-drained
-            // rounds (one straggler each) starve the pool: the exact
-            // stall this pipeline exists to remove.
-            let capacity = q * (self.opts.speculation_depth + 1);
-            if inflight + q > capacity {
+            // The capacity bounds unlanded *evaluations* — the base round
+            // plus `depth` drafted rounds' worth — and a round is proposed
+            // only when a full one fits. Counting rounds instead would let
+            // three nearly-drained rounds (one straggler each) starve the
+            // pool: the exact stall speculation exists to remove.
+            if pending + e.q > e.capacity {
                 return Ok(());
             }
-            // Degeneracy-guard backoff (see `SpecState::draft_backoff`). An
-            // idle pool always drafts: progress must not hinge on model
+            // Degeneracy-guard backoff (see `Engine::draft_backoff`). An
+            // idle pool always proposes: progress must not hinge on model
             // health.
-            if inflight > 0 && landed < st.draft_backoff {
+            if pending > 0 && landed < e.draft_backoff {
                 return Ok(());
             }
 
-            // The DoE draw is one (unanchored) round, exactly as the
-            // barriered engine journals it.
-            if !st.doe_done {
+            let t0 = Instant::now();
+            let rng_before = e.rng.state();
+            // The DoE draw is one (unanchored) round.
+            if !e.doe_done {
                 let doe_n = self.opts.doe_samples.min(self.opts.budget);
-                let t0 = Instant::now();
-                let rng_before = rng.state();
-                let initial = self.transfer_rerank(doe_sample(&self.sampler, rng, doe_n, seen));
+                let initial =
+                    self.transfer_rerank(doe_sample(&self.sampler, &mut e.rng, doe_n, &e.seen));
                 let per = t0.elapsed() / doe_n.max(1) as u32;
-                append_spec_propose(
-                    writer,
-                    report.len(),
-                    initial.len(),
-                    rng_before,
-                    rng.state(),
-                    per,
-                    &initial,
-                    Vec::new(),
-                )?;
-                st.doe_done = true;
-                st.push_round(&initial, per, Vec::new(), seen, Some(pool));
+                e.append_propose(initial.len(), rng_before, per, &initial, Vec::new())?;
+                e.doe_done = true;
                 continue;
             }
 
-            let q_eff = q.min(self.opts.budget - landed - inflight);
-            let t0 = Instant::now();
-            let rng_before = rng.state();
-            let Some(mut ctx) = self.fit_acquisition(rng, report, cache)? else {
-                // Too little signal to fit (consumes no RNG). With work in
-                // flight, real data is coming — wait for it rather than
-                // burning budget on blind random rounds.
-                if inflight > 0 {
+            let q_eff = e.q.min(self.opts.budget - landed - pending);
+            let (picks, anchors) = if pending == 0 {
+                let picks =
+                    self.recommend_batch(&mut e.rng, &e.report, &e.seen, &mut e.cache, q_eff)?;
+                (picks, Vec::new())
+            } else {
+                // Too little signal to fit (consumes no RNG): real data is
+                // coming — wait for it rather than burning budget on blind
+                // random rounds.
+                let Some(mut ctx) = self.fit_acquisition(&mut e.rng, &e.report, &mut e.cache)?
+                else {
+                    return Ok(());
+                };
+                // Draft step: fantasize a kriging-believer value for every
+                // pending configuration, recording the posterior it was
+                // fantasized at as this round's anchors. Order is (round,
+                // entry) proposal order — the order the journal replays.
+                let mut anchors: Vec<AnchorRec> = Vec::new();
+                for r in e.rounds.iter().filter(|r| !r.flushed) {
+                    for en in r.entries.iter().filter(|en| en.state == EntryState::Pending) {
+                        let (means, vars) = ctx.fantasize_anchored(&self.space, &en.config);
+                        anchors.push(AnchorRec {
+                            config: en.config.clone(),
+                            means,
+                            vars,
+                        });
+                    }
+                }
+                // Degeneracy guard: long `condition_on` chains occasionally
+                // go numerically degenerate and hallucinate non-finite or
+                // absurd posteriors (means many spreads outside anything
+                // observed). A draft anchored on garbage is guaranteed to
+                // flush when its premise lands — wasted evaluations and,
+                // transitively, a flush storm. Skip speculating until fresh
+                // landings refresh the fit.
+                if !self.anchors_sane(&e.report, &anchors) {
+                    e.draft_backoff = landed + e.q;
+                    e.rng = StdRng::from_state(rng_before);
                     return Ok(());
                 }
-                let picks = self.sampler.sample_batch(rng, q_eff, seen);
-                if picks.is_empty() {
-                    *rng = StdRng::from_state(rng_before);
-                    return Ok(()); // feasible set exhausted
-                }
-                let per = t0.elapsed() / picks.len() as u32;
-                append_spec_propose(
-                    writer,
-                    report.len(),
-                    0,
-                    rng_before,
-                    rng.state(),
-                    per,
-                    &picks,
-                    Vec::new(),
-                )?;
-                st.push_round(&picks, per, Vec::new(), seen, Some(pool));
-                continue;
+                let mut excluded = e.seen.clone();
+                let picks = self.pick_round(&mut e.rng, &mut ctx, &mut excluded, q_eff);
+                (picks, anchors)
             };
-
-            // Draft step: fantasize a kriging-believer value for every
-            // in-flight configuration, recording the posterior it was
-            // fantasized at as this round's anchors. Order is (round,
-            // entry) submission order — the order the journal replays.
-            let mut anchors: Vec<AnchorRec> = Vec::new();
-            for r in st.rounds.iter().filter(|r| !r.flushed) {
-                for e in r.entries.iter().filter(|e| e.state == EntryState::Pending) {
-                    let (means, vars) = ctx.fantasize_anchored(&self.space, &e.config);
-                    anchors.push(AnchorRec {
-                        config: e.config.clone(),
-                        means,
-                        vars,
-                    });
-                }
-            }
-
-            // Degeneracy guard: long `condition_on` chains occasionally go
-            // numerically degenerate and hallucinate non-finite or absurd
-            // posteriors (means many spreads outside anything observed). A
-            // draft anchored on garbage is guaranteed to flush when its
-            // premise lands — wasted evaluations and, transitively, a flush
-            // storm. Skip speculating until the next real landing refreshes
-            // the fit. An idle pool still drafts: progress must not depend
-            // on model health, and with nothing in flight there is nothing
-            // to anchor on anyway.
-            if inflight > 0 && !self.anchors_sane(report, &anchors) {
-                st.draft_backoff = landed + q;
-                *rng = StdRng::from_state(rng_before);
-                return Ok(());
-            }
-
-            let mut excluded = seen.clone();
-            let picks = self.pick_round(rng, &mut ctx, &mut excluded, q_eff);
             if picks.is_empty() {
                 // Nothing proposable right now. The attempt must be
                 // RNG-pure: restore the bracketed state so the journal's
                 // propose records still account for every draw.
-                *rng = StdRng::from_state(rng_before);
+                e.rng = StdRng::from_state(rng_before);
                 return Ok(());
             }
             let per = t0.elapsed() / picks.len() as u32;
-            let round_anchors: Vec<Anchor> = anchors.iter().map(Anchor::from_rec).collect();
-            append_spec_propose(
-                writer,
-                report.len(),
-                0,
-                rng_before,
-                rng.state(),
-                per,
-                &picks,
-                anchors,
-            )?;
-            st.push_round(&picks, per, round_anchors, seen, Some(pool));
+            e.append_propose(0, rng_before, per, &picks, anchors)?;
         }
     }
 
     /// Lands one real completion: journals the trial and reconciles every
     /// draft anchored on it.
-    fn spec_land(
-        &self,
-        st: &mut SpecState,
-        done: Completion,
-        report: &mut TuningReport,
-        seen: &mut HashSet<Configuration>,
-        pool: &mut EvalPool<'_>,
-        writer: &mut Option<JournalWriter>,
-    ) -> Result<()> {
-        let Some((ri, ei)) = st.tickets.remove(&done.ticket) else {
+    fn land(&self, e: &mut Engine, done: Completion, pool: &mut EvalPool<'_>) -> Result<()> {
+        let Some((ri, ei)) = e.tickets.remove(&done.ticket) else {
             return Ok(()); // stale ticket (defensive; cancelled paths swallow)
         };
-        st.rounds[ri].entries[ei].state = EntryState::Done;
-        st.rounds[ri].entries[ei].ticket = None;
-        let tuner_time = st.rounds[ri].tuner;
-        let index = report.len();
-        // Same demotion as every other engine: a feasible claim with a
-        // wrong-width objective vector is a hidden-constraint observation.
+        e.rounds[ri].entries[ei].state = EntryState::Done;
+        e.rounds[ri].entries[ei].ticket = None;
+        let index = e.report.len();
+        // `push` demotes a feasible-but-non-finite measurement to an
+        // infeasible (hidden-constraint) observation, so a black box
+        // returning NaN/±inf can never poison the surrogate. A vector of the
+        // wrong width is demoted here for the same reason — it would corrupt
+        // Pareto bookkeeping while being invisible to the models.
         let feasible = done.evaluation.is_feasible()
             && done.evaluation.n_objectives() == self.opts.objectives;
-        report.push(Trial {
+        e.report.push(Trial {
             config: done.config,
             value: done.evaluation.value(),
             extra: done.evaluation.extra_objectives(),
             feasible,
             eval_time: done.eval_time,
-            tuner_time,
+            tuner_time: e.rounds[ri].tuner,
         });
-        if let Some(w) = writer.as_mut() {
-            let rec = TrialRec::from_trial(index, report.trials().last().expect("just pushed"));
+        if let Some(w) = e.writer.as_mut() {
+            let rec = TrialRec::from_trial(index, e.report.trials().last().expect("just pushed"));
             w.append(&Record::Trial(rec))?;
         }
-        self.spec_reconcile(st, report, seen, &mut Some(pool), writer)
+        self.reconcile(e, Some(pool))
     }
 
     /// Replays a journal prefix through the live state machine: proposes and
     /// trials are applied in write order, verdicts are recomputed (markers
     /// are informational), nothing is journaled and no pool exists.
-    fn spec_replay(
-        &self,
-        journal: &Journal,
-        st: &mut SpecState,
-        report: &mut TuningReport,
-        seen: &mut HashSet<Configuration>,
-    ) -> Result<()> {
+    fn replay(&self, journal: &Journal, e: &mut Engine) -> Result<()> {
         let mut pi = 0;
-        let mut apply_proposes =
-            |upto: usize, st: &mut SpecState, seen: &mut HashSet<Configuration>| {
-                while pi < journal.proposes.len() && journal.proposes[pi].len <= upto {
-                    let p = &journal.proposes[pi];
-                    let anchors = p.anchors.iter().map(Anchor::from_rec).collect();
-                    st.push_round(
-                        &p.configs,
-                        Duration::from_nanos(p.tuner_ns),
-                        anchors,
-                        seen,
-                        None,
-                    );
-                    pi += 1;
-                }
-            };
+        let mut apply_proposes = |upto: usize, e: &mut Engine| {
+            while pi < journal.proposes.len() && journal.proposes[pi].len <= upto {
+                let p = &journal.proposes[pi];
+                let anchors = p.anchors.iter().map(Anchor::from_rec).collect();
+                e.push_round(&p.configs, Duration::from_nanos(p.tuner_ns), anchors);
+                pi += 1;
+            }
+        };
         for (ti, tr) in journal.trials.iter().enumerate() {
-            apply_proposes(ti, st, seen);
-            // Match the landed trial to the in-flight entry it evaluated.
-            // At most one Pending entry per configuration exists across
+            apply_proposes(ti, e);
+            // Match the landed trial to the pending entry it evaluated. At
+            // most one Pending entry per configuration exists across
             // non-flushed rounds (flushes release configurations before they
             // can be re-proposed), so the first match is the only match.
-            let slot = st.rounds.iter().enumerate().find_map(|(ri, r)| {
+            let slot = e.rounds.iter().enumerate().find_map(|(ri, r)| {
                 if r.flushed {
                     return None;
                 }
                 r.entries
                     .iter()
-                    .position(|e| e.state == EntryState::Pending && e.config == tr.config)
+                    .position(|en| en.state == EntryState::Pending && en.config == tr.config)
                     .map(|ei| (ri, ei))
             });
             // Fallback for multi-threaded journals: a flush withdraws only
@@ -577,33 +554,30 @@ impl Baco {
             // cancelled everything) revives the entry the trial proves was
             // claimed: oldest unconsumed match first.
             let slot = slot.or_else(|| {
-                st.rounds.iter().enumerate().find_map(|(ri, r)| {
+                e.rounds.iter().enumerate().find_map(|(ri, r)| {
                     if !r.flushed {
                         return None;
                     }
                     r.entries
                         .iter()
-                        .position(|e| e.state == EntryState::Cancelled && e.config == tr.config)
+                        .position(|en| en.state == EntryState::Cancelled && en.config == tr.config)
                         .map(|ei| (ri, ei))
                 })
             });
             let Some((ri, ei)) = slot else {
                 return Err(Error::JournalCorrupt {
                     line: 0,
-                    msg: format!(
-                        "trial {} does not match any in-flight speculative proposal",
-                        tr.index
-                    ),
+                    msg: format!("trial {} does not match any pending proposal", tr.index),
                 });
             };
-            st.rounds[ri].entries[ei].state = EntryState::Done;
+            e.rounds[ri].entries[ei].state = EntryState::Done;
             // A revived entry's configuration was released when replay
             // flushed its round; the landed trial puts it back.
-            seen.insert(tr.config.clone());
-            report.push(tr.to_trial());
-            self.spec_reconcile(st, report, seen, &mut None, &mut None)?;
+            e.seen.insert(tr.config.clone());
+            e.report.push(tr.to_trial());
+            self.reconcile(e, None)?;
         }
-        apply_proposes(journal.trials.len(), st, seen);
+        apply_proposes(journal.trials.len(), e);
         Ok(())
     }
 
@@ -611,25 +585,22 @@ impl Baco {
     /// landed anchors, flushes every round whose premises broke (cascading
     /// through drafts speculated on withdrawn work), and records keep
     /// verdicts for rounds whose premises all held.
-    fn spec_reconcile(
-        &self,
-        st: &mut SpecState,
-        report: &TuningReport,
-        seen: &mut HashSet<Configuration>,
-        pool: &mut Option<&mut EvalPool<'_>>,
-        writer: &mut Option<JournalWriter>,
-    ) -> Result<()> {
-        let landed = report.trials().last().expect("reconcile after a landing");
+    fn reconcile(&self, e: &mut Engine, mut pool: Option<&mut EvalPool<'_>>) -> Result<()> {
+        let landed = e.report.trials().last().expect("reconcile after a landing");
+        let awaiting = |a: &Anchor| !a.landed && a.config == landed.config;
+        if !e
+            .rounds
+            .iter()
+            .any(|r| !r.flushed && r.anchors.iter().any(awaiting))
+        {
+            return Ok(()); // no draft rests on this landing
+        }
         let realized = self.realized_objectives(landed);
-        let floor = self.spread_floor(report);
+        let floor = self.spread_floor(&e.report);
 
         // Mark every anchor awaiting this configuration.
-        for r in st.rounds.iter_mut().filter(|r| !r.flushed) {
-            for a in r
-                .anchors
-                .iter_mut()
-                .filter(|a| !a.landed && a.config == landed.config)
-            {
+        for r in e.rounds.iter_mut().filter(|r| !r.flushed) {
+            for a in r.anchors.iter_mut().filter(|a| awaiting(a)) {
                 a.landed = true;
                 a.surprising = match &realized {
                     None => true, // the draft assumed a value; none exists
@@ -654,18 +625,18 @@ impl Baco {
         // marker sequence deterministic.
         let mut withdrawn: HashSet<Configuration> = HashSet::new();
         loop {
-            let next = st.rounds.iter().position(|r| {
+            let next = e.rounds.iter().position(|r| {
                 !r.flushed
                     && r.anchors.iter().any(|a| {
                         a.surprising || (!a.landed && withdrawn.contains(&a.config))
                     })
             });
             let Some(ri) = next else { break };
-            let round = &mut st.rounds[ri];
+            let round = &mut e.rounds[ri];
             round.flushed = true;
             let mut cancelled = 0;
-            for e in round.entries.iter_mut() {
-                if e.state != EntryState::Pending {
+            for en in round.entries.iter_mut() {
+                if en.state != EntryState::Pending {
                     continue;
                 }
                 // Withdraw only work that has not started. An evaluation a
@@ -673,30 +644,30 @@ impl Baco {
                 // ordinary trial: the configuration was legitimately
                 // proposed — only the speculative premise behind it broke —
                 // and discarding a started evaluation would waste exactly
-                // the wall-clock the pipeline exists to save. Replay has no
+                // the wall-clock speculation exists to save. Replay has no
                 // pool and cancels everything, which matches single-threaded
                 // live runs bit for bit (the inline pool evaluates only on
                 // recv, so a flush always beats the worker to the claim).
-                if let (Some(&t), Some(p)) = (e.ticket.as_ref(), pool.as_deref_mut()) {
+                if let (Some(&t), Some(p)) = (en.ticket.as_ref(), pool.as_deref_mut()) {
                     if !p.cancel(t) {
                         continue; // claimed: let it land
                     }
                 }
-                if let Some(t) = e.ticket.take() {
-                    st.tickets.remove(&t);
+                if let Some(t) = en.ticket.take() {
+                    e.tickets.remove(&t);
                 }
-                e.state = EntryState::Cancelled;
+                en.state = EntryState::Cancelled;
                 cancelled += 1;
-                seen.remove(&e.config);
-                withdrawn.insert(e.config.clone());
+                e.seen.remove(&en.config);
+                withdrawn.insert(en.config.clone());
             }
-            append_reconcile(writer, report.len(), ri, false, cancelled)?;
+            append_reconcile(&mut e.writer, e.report.len(), ri, false, cancelled)?;
         }
 
         // Keep verdicts: a speculative round whose anchors all landed inside
         // tolerance is confirmed (exactly once).
-        for ri in 0..st.rounds.len() {
-            let r = &st.rounds[ri];
+        for ri in 0..e.rounds.len() {
+            let r = &e.rounds[ri];
             if r.flushed
                 || r.kept_marked
                 || r.anchors.is_empty()
@@ -704,8 +675,8 @@ impl Baco {
             {
                 continue;
             }
-            st.rounds[ri].kept_marked = true;
-            append_reconcile(writer, report.len(), ri, true, 0)?;
+            e.rounds[ri].kept_marked = true;
+            append_reconcile(&mut e.writer, e.report.len(), ri, true, 0)?;
         }
         Ok(())
     }
@@ -716,24 +687,14 @@ impl Baco {
     /// (no opinion before a scale exists). Insane anchors mark a
     /// degenerate conditioned model, not a bold prediction.
     fn anchors_sane(&self, report: &TuningReport, anchors: &[AnchorRec]) -> bool {
-        let m = self.opts.objectives;
-        let mut lo = vec![f64::INFINITY; m];
-        let mut hi = vec![f64::NEG_INFINITY; m];
-        for t in report.trials() {
-            if let Some(v) = self.realized_objectives(t) {
-                for i in 0..m {
-                    lo[i] = lo[i].min(v[i]);
-                    hi[i] = hi[i].max(v[i]);
-                }
-            }
-        }
+        let (lo, hi) = self.landed_range(report);
         anchors.iter().all(|a| {
             a.vars.iter().all(|v| v.is_finite())
                 && a.means.iter().enumerate().all(|(i, &mean)| {
                     if !mean.is_finite() {
                         return false;
                     }
-                    if i >= m || lo[i] > hi[i] {
+                    if i >= lo.len() || lo[i] > hi[i] {
                         return true; // no observed scale to judge against
                     }
                     let slack = DEGENERACY_SPREADS * (hi[i] - lo[i]).max(1e-9);
@@ -747,6 +708,16 @@ impl Baco {
     /// values landed so far (0 until two distinct values exist). Pure
     /// function of the report, so replay recomputes identical verdicts.
     fn spread_floor(&self, report: &TuningReport) -> Vec<f64> {
+        let (lo, hi) = self.landed_range(report);
+        lo.iter()
+            .zip(&hi)
+            .map(|(&lo, &hi)| if hi > lo { SPREAD_TOLERANCE * (hi - lo) } else { 0.0 })
+            .collect()
+    }
+
+    /// Per-objective (min, max) of the transformed objective values landed
+    /// so far (min > max for an objective with no landed value).
+    fn landed_range(&self, report: &TuningReport) -> (Vec<f64>, Vec<f64>) {
         let m = self.opts.objectives;
         let mut lo = vec![f64::INFINITY; m];
         let mut hi = vec![f64::NEG_INFINITY; m];
@@ -758,15 +729,7 @@ impl Baco {
                 }
             }
         }
-        (0..m)
-            .map(|i| {
-                if hi[i] > lo[i] {
-                    SPREAD_TOLERANCE * (hi[i] - lo[i])
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+        (lo, hi)
     }
 
     /// The transformed objective vector reconciliation compares against an

@@ -3,7 +3,7 @@
 //! sequential fixed-seed trajectory bitwise, and out-of-order result
 //! reporting through the worker pool converges to the same incumbent set.
 
-use baco::eval::pool::{evaluate_batch, evaluate_stream};
+use baco::eval::pool::with_pool;
 use baco::prelude::*;
 use baco::search::doe_sample;
 use baco::surrogate::GpCache;
@@ -178,14 +178,21 @@ proptest! {
         let cfgs: Vec<Configuration> = (0..n)
             .map(|i| space.configuration(&[("x", ParamValue::Int(i as i64))]).unwrap())
             .collect();
-        let out = evaluate_batch(&bb, cfgs, threads);
+        let mut out = with_pool(&bb, threads, n, |pool| {
+            for (i, cfg) in cfgs.into_iter().enumerate() {
+                pool.submit(i as u64, cfg);
+            }
+            std::iter::from_fn(|| pool.recv()).collect::<Vec<_>>()
+        });
         prop_assert_eq!(out.len(), n);
-        for (i, (cfg, eval)) in out.iter().enumerate() {
-            prop_assert_eq!(cfg.value("x").as_i64(), i as i64);
+        out.sort_by_key(|done| done.ticket);
+        for (i, done) in out.iter().enumerate() {
+            prop_assert_eq!(done.ticket, i as u64);
+            prop_assert_eq!(done.config.value("x").as_i64(), i as i64);
             if i % 5 == 4 {
-                prop_assert!(!eval.is_feasible());
+                prop_assert!(!done.evaluation.is_feasible());
             } else {
-                prop_assert_eq!(eval.value(), Some(i as f64 * 3.0));
+                prop_assert_eq!(done.evaluation.value(), Some(i as f64 * 3.0));
             }
         }
     }
@@ -213,16 +220,19 @@ fn out_of_order_pool_reports_converge_to_same_incumbent() {
             .build()
             .unwrap();
         let mut session = Session::new(tuner).unwrap();
-        loop {
+        with_pool(&sleepy, threads.max(1), 6, |pool| loop {
             let round = session.suggest_batch(6).unwrap();
             if round.is_empty() {
                 break;
             }
             // Stream through the pool; report in completion order.
-            evaluate_stream(&sleepy, round, threads.max(1), |out| {
-                session.report(out.config, out.evaluation);
-            });
-        }
+            for (ticket, cfg) in round.into_iter().enumerate() {
+                pool.submit(ticket as u64, cfg);
+            }
+            while let Some(done) = pool.recv() {
+                session.report(done.config, done.evaluation);
+            }
+        });
         let best = session.history().best().unwrap().clone();
         (best.config, best.value)
     };

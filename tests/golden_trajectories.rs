@@ -14,6 +14,11 @@
 //!     --budget 20 --doe 6 --seed 3 --batch 4 --threads 1
 //! ```
 //!
+//! `tests/fixtures/mm_gpu_seed5_q3_budgeted.jsonl` needs a surrogate budget,
+//! which the CLI does not expose; it is the journal of `run_batched` on
+//! `gpu_sim::benchmarks::mm_gpu()` under the options of
+//! [`Golden::builder`] for `mm_gpu_budgeted()` plus `journal_path`.
+//!
 //! Each test replays a fixture: the tuner re-runs from the same seed with
 //! the black box *replaced* by the journal's recorded evaluations, and every
 //! proposal must reproduce the fixture bit for bit. Objective values feed
@@ -30,7 +35,7 @@
 
 use baco::benchmark::Benchmark;
 use baco::journal::{Journal, Mode};
-use baco::tuner::{Baco, BlackBox, Evaluation, MultiObjectiveStrategy};
+use baco::tuner::{Baco, BacoBuilder, BlackBox, Evaluation, MultiObjectiveStrategy};
 use baco::{Configuration, TuningReport};
 use std::collections::HashMap;
 use std::path::Path;
@@ -80,16 +85,17 @@ struct Golden {
     bench: Benchmark,
     seed: u64,
     batch: usize,
+    budget: usize,
+    doe: usize,
+    surrogate_budget: Option<usize>,
 }
 
 impl Golden {
-    fn load(&self) -> (Journal, Baco, ReplayBox) {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(self.fixture);
-        let journal = Journal::load(&path, &self.bench.space)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.fixture));
+    /// The tuner options the fixture was recorded under.
+    fn builder(&self) -> BacoBuilder {
         let mut builder = Baco::builder(self.bench.space.clone())
-            .budget(20)
-            .doe_samples(6)
+            .budget(self.budget)
+            .doe_samples(self.doe)
             .seed(self.seed)
             .batch_size(self.batch)
             .objectives(self.bench.n_objectives())
@@ -99,10 +105,20 @@ impl Golden {
             // for the single-objective fixtures).
             .mo_strategy(MultiObjectiveStrategy::ParEgo)
             .eval_threads(1);
+        if let Some(b) = self.surrogate_budget {
+            builder = builder.surrogate_budget(b);
+        }
         if let Some(r) = self.bench.reference_point.clone() {
             builder = builder.reference_point(r);
         }
-        let tuner = builder.build().unwrap();
+        builder
+    }
+
+    fn load(&self) -> (Journal, Baco, ReplayBox) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(self.fixture);
+        let journal = Journal::load(&path, &self.bench.space)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.fixture));
+        let tuner = self.builder().build().unwrap();
         // The fixture must have been generated under exactly the options the
         // test reconstructs — `validate` cross-checks the envelope.
         let mode = if self.batch > 1 { Mode::Batched } else { Mode::Run };
@@ -142,7 +158,7 @@ impl Golden {
     /// reproduce the fixture bitwise.
     fn assert_replay(&self) {
         let (journal, tuner, replay) = self.load();
-        assert_eq!(journal.trials.len(), 20, "{}: fixture incomplete", self.fixture);
+        assert_eq!(journal.trials.len(), self.budget, "{}: fixture incomplete", self.fixture);
         let report = if self.batch > 1 {
             tuner.run_batched(&replay).unwrap()
         } else {
@@ -171,19 +187,7 @@ impl Golden {
         let dir =
             std::env::temp_dir().join(format!("baco-golden-empty-{}-{stem}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut builder = Baco::builder(self.bench.space.clone())
-            .budget(20)
-            .doe_samples(6)
-            .seed(self.seed)
-            .batch_size(self.batch)
-            .objectives(self.bench.n_objectives())
-            .mo_strategy(MultiObjectiveStrategy::ParEgo)
-            .eval_threads(1)
-            .transfer(&dir);
-        if let Some(r) = self.bench.reference_point.clone() {
-            builder = builder.reference_point(r);
-        }
-        let tuner = builder.build().unwrap();
+        let tuner = self.builder().transfer(&dir).build().unwrap();
         let report = if self.batch > 1 {
             tuner.run_batched(&replay).unwrap()
         } else {
@@ -223,19 +227,7 @@ impl Golden {
         // mid-DoE, mid-round and late interruption points.
         for &cut in boundaries.iter().step_by(3) {
             std::fs::write(&crash, &bytes[..cut]).unwrap();
-            let mut builder = Baco::builder(self.bench.space.clone())
-                .budget(20)
-                .doe_samples(6)
-                .seed(self.seed)
-                .batch_size(self.batch)
-                .objectives(self.bench.n_objectives())
-                .mo_strategy(MultiObjectiveStrategy::ParEgo)
-                .eval_threads(1)
-                .journal_path(&crash);
-            if let Some(r) = self.bench.reference_point.clone() {
-                builder = builder.reference_point(r);
-            }
-            let tuner = builder.build().unwrap();
+            let tuner = self.builder().journal_path(&crash).build().unwrap();
             let report = if self.batch > 1 {
                 tuner.resume_batched(&replay).unwrap()
             } else {
@@ -261,6 +253,9 @@ fn spmm() -> Golden {
         ),
         seed: 7,
         batch: 1,
+        budget: 20,
+        doe: 6,
+        surrogate_budget: None,
     }
 }
 
@@ -270,6 +265,9 @@ fn mm_gpu() -> Golden {
         bench: gpu_sim::benchmarks::mm_gpu(),
         seed: 3,
         batch: 4,
+        budget: 20,
+        doe: 6,
+        surrogate_budget: None,
     }
 }
 
@@ -279,6 +277,26 @@ fn bfs_pareto() -> Golden {
         bench: fpga_sim::benchmarks::bfs_pareto(),
         seed: 7,
         batch: 1,
+        budget: 20,
+        doe: 6,
+        surrogate_budget: None,
+    }
+}
+
+/// The budgeted batched golden: `q = 3` with a DoE (7) and a budget (23)
+/// that are not multiples of `q`, so the DoE is dispatched in a partial
+/// final chunk and the last learning round is cut to the budget tail; a
+/// surrogate budget of 8 below the 12 feasible trials pins the active-set
+/// and trust-region path.
+fn mm_gpu_budgeted() -> Golden {
+    Golden {
+        fixture: "tests/fixtures/mm_gpu_seed5_q3_budgeted.jsonl",
+        bench: gpu_sim::benchmarks::mm_gpu(),
+        seed: 5,
+        batch: 3,
+        budget: 23,
+        doe: 7,
+        surrogate_budget: Some(8),
     }
 }
 
@@ -316,8 +334,19 @@ fn fpga_bfs_pareto_golden_trajectory_resumes_bitwise() {
 }
 
 #[test]
+fn gpu_mm_budgeted_golden_trajectory_replays_bitwise() {
+    mm_gpu_budgeted().assert_replay();
+}
+
+#[test]
+fn gpu_mm_budgeted_golden_trajectory_resumes_bitwise() {
+    mm_gpu_budgeted().assert_resume();
+}
+
+#[test]
 fn empty_corpus_transfer_replays_every_golden_bitwise() {
     spmm().assert_empty_corpus_replay();
     mm_gpu().assert_empty_corpus_replay();
     bfs_pareto().assert_empty_corpus_replay();
+    mm_gpu_budgeted().assert_empty_corpus_replay();
 }
