@@ -1099,7 +1099,10 @@ fn options_spec(opts: &BacoOptions) -> Json {
         ("local_search".into(), Json::Bool(opts.local_search)),
         ("log_objective".into(), Json::Bool(opts.log_objective)),
         ("optimum_prior".into(), Json::Bool(opts.optimum_prior.is_some())),
-        ("warm_start".into(), Json::Bool(opts.gp.warm_start.is_some())),
+        // A constant, kept because the pinned v1/v2/v3 envelope digests and
+        // the transfer-corpus keys hash it. An archived journal that says
+        // `true` matches no tuner and is refused on resume.
+        ("warm_start".into(), Json::Bool(false)),
     ];
     if opts.objectives > 1 {
         members.push(("objectives".into(), Json::Num(opts.objectives as f64)));

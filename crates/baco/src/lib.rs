@@ -96,7 +96,6 @@
 pub mod acquisition;
 pub mod baselines;
 pub mod benchmark;
-pub mod capabilities;
 pub mod constraints;
 pub mod cot;
 mod error;

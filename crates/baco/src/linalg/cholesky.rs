@@ -243,10 +243,11 @@ impl Cholesky {
     /// ```
     ///
     /// via one forward substitution: the new factor row is `l = L⁻¹ row` and
-    /// the new pivot is `√(diag − ‖l‖²)`. This is the hot primitive behind
-    /// warm-started incremental GP refits, where the kernel hyperparameters
-    /// (and therefore every existing entry of `A`) are unchanged and only one
-    /// observation arrives per tuning iteration.
+    /// the new pivot is `√(diag − ‖l‖²)`. This is the primitive behind GP
+    /// fantasy conditioning
+    /// ([`GaussianProcess::condition_on`](crate::surrogate::GaussianProcess::condition_on)),
+    /// where the kernel hyperparameters (and therefore every existing entry
+    /// of `A`) are unchanged and one hallucinated observation is appended.
     ///
     /// # Errors
     /// Returns [`Error::Numerical`] (leaving `self` untouched) if the

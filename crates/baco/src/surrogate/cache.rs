@@ -1,23 +1,16 @@
-//! Cross-iteration state for incremental GP refits.
+//! Cross-iteration distance tables for GP refits.
 //!
 //! The tuner refits its surrogate once per iteration on a history that grows
-//! by exactly one observation, so almost everything the fit computes was
-//! already computed the iteration before. [`GpCache`] persists the reusable
-//! parts:
-//!
-//! * the **per-dimension squared-distance matrices** (the `O(n²·d)`
-//!   featurized-distance tables that every NLL evaluation reads) — extended
-//!   by one row/column per new observation instead of rebuilt;
-//! * the previous fit's **hyperparameters** and **Cholesky factorization**,
-//!   which [`GaussianProcess::fit_with_cache`] can extend by a rank-one row
-//!   append ([`crate::linalg::Cholesky::extend`]) when warm starts are
-//!   enabled;
-//! * the previous fit's **per-point negative log posterior**, the reference
-//!   for the warm-fit regression guard.
+//! by exactly one observation. Every NLL evaluation of the hyperparameter
+//! multistart reads the **per-dimension squared-distance matrices** (the
+//! `O(n²·d)` featurized-distance tables), and those depend only on the
+//! inputs and the distance options, not on the targets or the fitted model.
+//! [`GpCache`] keeps them across iterations and extends them by one
+//! row/column per new observation instead of rebuilding them.
 //!
 //! The cache is defensive: if the data it sees is not an extension of what it
 //! remembers (restarted tuner, different options, shuffled history), it
-//! silently resets and the fit falls back to the full from-scratch path.
+//! silently resets and rebuilds the tables from scratch.
 //! This is what lets the batched engine report results *out of order*: new
 //! observations land as appended rows in whatever order they complete, and
 //! the distance tables extend accordingly.
@@ -26,7 +19,7 @@
 //! same history are bit-identical (guarded by
 //! `cached_batched_run_matches_uncached_reference`). Crash-safe resume
 //! ([`crate::journal`]) leans on exactly this property: a resumed run starts
-//! from an **empty** cache, the first refit warm-rebuilds the distance
+//! from an **empty** cache, the first refit rebuilds the distance
 //! tables from the replayed history, and the continued trajectory still
 //! matches the uninterrupted run to the last bit, so no surrogate state ever
 //! needs to be serialized.
@@ -41,8 +34,8 @@
 //! let all: Vec<_> = (0..8).map(|i| cfg(i * 2)).collect();
 //! let y: Vec<f64> = all.iter().map(|c| c.value("x").as_f64().sqrt()).collect();
 //!
-//! // Growing-history refits share one cache; without warm starts the
-//! // result is bit-identical to fitting from scratch each time.
+//! // Growing-history refits share one cache; the result is bit-identical
+//! // to fitting from scratch each time.
 //! let mut cache = GpCache::new();
 //! let opts = GpOptions::default();
 //! for n in 2..=all.len() {
@@ -57,7 +50,7 @@
 
 use super::features::ModelInput;
 use super::gp::PredictScratch;
-use crate::linalg::{Cholesky, Matrix};
+use crate::linalg::Matrix;
 use crate::space::PermMetric;
 use std::sync::{Arc, Mutex};
 
@@ -67,23 +60,12 @@ use std::sync::{Arc, Mutex};
 /// [`GaussianProcess::fit_with_cache`]: super::GaussianProcess::fit_with_cache
 #[derive(Debug, Clone)]
 pub struct GpCache {
-    /// Distance-table fingerprint: (dims, permutation metric, transforms,
-    /// prior-mean digest). A changed mean function changes the residual
-    /// targets, so cached hyperparameters/factorizations must not carry
-    /// over; the zero mean's digest is the constant `0`.
-    fingerprint: Option<(usize, PermMetric, bool, u64)>,
+    /// Distance-table fingerprint: (dims, permutation metric, transforms).
+    fingerprint: Option<(usize, PermMetric, bool)>,
     /// Featurized training inputs the tables were built from.
     inputs: Vec<ModelInput>,
     /// Per-dimension squared distances, each `n × n`.
     d2: Vec<Matrix>,
-    /// Last accepted hyperparameters: (lengthscales, outputscale, noise).
-    hyper: Option<(Vec<f64>, f64, f64)>,
-    /// Kernel factorization at `hyper` over the first `chol.dim()` inputs.
-    chol: Option<Cholesky>,
-    /// Per-point NLL of the last *full* fit (regression reference).
-    nll_per_point: f64,
-    /// Warm fits accepted since the last full refit.
-    fits_since_full: usize,
     /// Sub-caches for the value models of objectives 1… of a multi-objective
     /// run (this cache itself serves objective 0), created on demand by
     /// [`GpCache::for_objective`]. Always empty for single-objective runs.
@@ -106,7 +88,7 @@ impl Default for GpCache {
 }
 
 impl GpCache {
-    /// An empty cache; the first fit through it runs the full path.
+    /// An empty cache; the first fit through it builds the tables.
     pub fn new() -> Self {
         Self::with_budget(None)
     }
@@ -118,10 +100,6 @@ impl GpCache {
             fingerprint: None,
             inputs: Vec::new(),
             d2: Vec::new(),
-            hyper: None,
-            chol: None,
-            nll_per_point: f64::INFINITY,
-            fits_since_full: 0,
             extra: Vec::new(),
             max_points: budget,
             scratch: Arc::new(Mutex::new(PredictScratch::default())),
@@ -155,7 +133,7 @@ impl GpCache {
         &mut self.extra[k - 1]
     }
 
-    /// Drops all cached model state. The table cap and the (already-sized)
+    /// Drops the cached tables. The table cap and the (already-sized)
     /// prediction workspace survive — a reset must not reintroduce either
     /// unbounded growth or cold-start reallocations.
     pub fn reset(&mut self) {
@@ -170,31 +148,9 @@ impl GpCache {
         self.inputs.len()
     }
 
-    /// Whether the cache holds no state.
+    /// Whether the cache holds no tables.
     pub fn is_empty(&self) -> bool {
         self.inputs.is_empty()
-    }
-
-    /// Warm fits accepted since the last full multistart refit.
-    pub fn fits_since_full(&self) -> usize {
-        self.fits_since_full
-    }
-
-    /// Per-point NLL recorded by the last full fit.
-    pub(crate) fn nll_per_point(&self) -> f64 {
-        self.nll_per_point
-    }
-
-    /// Last accepted hyperparameters, if any.
-    pub(crate) fn hyperparams(&self) -> Option<(Vec<f64>, f64, f64)> {
-        self.hyper
-            .as_ref()
-            .map(|(ls, s, n)| (ls.clone(), *s, *n))
-    }
-
-    /// Last accepted kernel factorization, if any.
-    pub(crate) fn chol(&self) -> Option<&Cholesky> {
-        self.chol.as_ref()
     }
 
     /// The per-dimension squared-distance matrices.
@@ -212,9 +168,8 @@ impl GpCache {
         d: usize,
         metric: PermMetric,
         transforms: bool,
-        mean_digest: u64,
     ) {
-        let fp = (d, metric, transforms, mean_digest);
+        let fp = (d, metric, transforms);
         let prefix_ok = self.fingerprint == Some(fp)
             && self.inputs.len() <= inputs.len()
             && self.inputs.iter().zip(inputs).all(|(a, b)| a == b);
@@ -250,47 +205,25 @@ impl GpCache {
         self.inputs = inputs.to_vec();
     }
 
-    /// Records an accepted fit. `warm` marks incremental fits (which keep the
-    /// last full fit's NLL reference); full fits reset the warm counter and
-    /// the reference. `chol` carries the model state (θ + factorization) for
-    /// future warm starts — pass `None` when warm starts are disabled to skip
-    /// the O(n²) clone.
-    pub(crate) fn record_fit(
-        &mut self,
-        ls: &[f64],
-        sigma: f64,
-        noise: f64,
-        chol: Option<&Cholesky>,
-        nll_per_point: f64,
-        warm: bool,
-    ) {
-        self.hyper = chol.map(|_| (ls.to_vec(), sigma, noise));
-        self.chol = chol.cloned();
-        if warm {
-            self.fits_since_full += 1;
-        } else {
-            self.fits_since_full = 0;
-            self.nll_per_point = nll_per_point;
-        }
-        // Defensive memory clamp: the budgeted tuner never feeds more than
-        // `max_points` inputs (the active-set selector caps them), but a
-        // direct `fit_with_cache` caller might. The fit itself is allowed to
-        // run over-budget; the over-sized tables and factorization are just
-        // not retained, so steady-state memory stays bounded.
+    /// Drops over-budget tables after a fit. The budgeted tuner never feeds
+    /// more than `max_points` inputs (the active-set selector caps them), but
+    /// a direct `fit_with_cache` caller might. The fit itself is allowed to
+    /// run over-budget; the over-sized tables are just not retained, so
+    /// steady-state memory stays bounded.
+    pub(crate) fn clamp_to_budget(&mut self) {
         if self.max_points.is_some_and(|cap| self.inputs.len() > cap) {
             self.reset();
         }
     }
 
-    /// Rough heap footprint of the cached tables and factorizations (this
-    /// cache plus its per-objective sub-caches), for memory-bound tests and
-    /// diagnostics. Excludes the shared prediction workspace.
+    /// Rough heap footprint of the cached tables (this cache plus its
+    /// per-objective sub-caches), for memory-bound tests and diagnostics.
+    /// Excludes the shared prediction workspace.
     pub fn memory_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let n = self.inputs.len();
         let tables: usize = self.d2.iter().map(|_| n * n * f).sum();
-        let chol = self.chol.as_ref().map_or(0, |c| c.dim() * c.dim() * f);
-        tables + chol + self.extra.iter().map(GpCache::memory_bytes).sum::<usize>()
+        tables + self.extra.iter().map(GpCache::memory_bytes).sum::<usize>()
     }
 }
 
@@ -299,32 +232,39 @@ mod tests {
     use super::*;
     use crate::space::{ParamValue, SearchSpace};
 
-    fn inputs_for(xs: &[i64]) -> (SearchSpace, Vec<ModelInput>) {
+    /// Permutations the test points cycle through; Spearman and Kendall
+    /// distances between them differ, so a metric switch changes the tables.
+    const PERMS: [[u8; 4]; 4] = [[0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0], [0, 2, 3, 1]];
+
+    fn inputs_for(xs: &[i64]) -> Vec<ModelInput> {
         let s = SearchSpace::builder()
             .integer("x", 0, 30)
             .integer("y", 0, 30)
+            .permutation("p", 4)
             .build()
             .unwrap();
-        let inputs = xs
-            .iter()
+        xs.iter()
             .map(|&x| {
                 let c = s
-                    .configuration(&[("x", ParamValue::Int(x)), ("y", ParamValue::Int(30 - x))])
+                    .configuration(&[
+                        ("x", ParamValue::Int(x)),
+                        ("y", ParamValue::Int(30 - x)),
+                        ("p", ParamValue::Permutation(PERMS[x as usize % 4].to_vec())),
+                    ])
                     .unwrap();
                 ModelInput::from_config(&s, &c, true)
             })
-            .collect();
-        (s, inputs)
+            .collect()
     }
 
-    fn reference_d2(inputs: &[ModelInput], d: usize) -> Vec<Matrix> {
+    fn reference_d2(inputs: &[ModelInput], d: usize, metric: PermMetric) -> Vec<Matrix> {
         let n = inputs.len();
         let mut d2 = vec![Matrix::zeros(n, n); d];
         for (k, m) in d2.iter_mut().enumerate() {
             for i in 0..n {
                 for j in 0..n {
                     if i != j {
-                        m[(i, j)] = inputs[i].dim_dist2(&inputs[j], k, PermMetric::Spearman);
+                        m[(i, j)] = inputs[i].dim_dist2(&inputs[j], k, metric);
                     }
                 }
             }
@@ -332,94 +272,52 @@ mod tests {
         d2
     }
 
+    fn assert_tables(cache: &GpCache, want: &[Matrix]) {
+        assert_eq!(cache.d2().len(), want.len());
+        for (k, (got, want)) in cache.d2().iter().zip(want).enumerate() {
+            assert!(got.max_abs_diff(want) == 0.0, "table {k}");
+        }
+    }
+
     #[test]
     fn incremental_tables_match_rebuild() {
-        let (_, inputs) = inputs_for(&[0, 5, 9, 14, 20, 26, 30]);
+        let inputs = inputs_for(&[0, 5, 9, 14, 20, 26, 30]);
         let mut cache = GpCache::new();
         for n in 1..=inputs.len() {
-            cache.sync_distances(&inputs[..n], 2, PermMetric::Spearman, true, 0);
+            cache.sync_distances(&inputs[..n], 3, PermMetric::Spearman, true);
             assert_eq!(cache.len(), n);
-            let want = reference_d2(&inputs[..n], 2);
-            for (got, want) in cache.d2().iter().zip(&want) {
-                assert!(got.max_abs_diff(want) == 0.0, "n={n}");
-            }
+            assert_tables(&cache, &reference_d2(&inputs[..n], 3, PermMetric::Spearman));
         }
     }
 
     #[test]
     fn non_prefix_history_resets() {
-        let (_, inputs) = inputs_for(&[0, 5, 9, 14]);
+        let inputs = inputs_for(&[0, 5, 9, 14]);
         let mut cache = GpCache::new();
-        cache.sync_distances(&inputs, 2, PermMetric::Spearman, true, 0);
-        let chol = Cholesky::new(&Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]])).unwrap();
-        cache.record_fit(&[1.0, 1.0], 1.0, 1e-3, Some(&chol), 0.0, false);
-        assert!(cache.hyperparams().is_some());
+        cache.sync_distances(&inputs, 3, PermMetric::Spearman, true);
 
         // Same points, different order: not a prefix → reset.
-        let (_, shuffled) = inputs_for(&[5, 0, 9, 14]);
-        cache.sync_distances(&shuffled, 2, PermMetric::Spearman, true, 0);
-        assert!(cache.hyperparams().is_none());
+        let shuffled = inputs_for(&[5, 0, 9, 14]);
+        cache.sync_distances(&shuffled, 3, PermMetric::Spearman, true);
         assert_eq!(cache.len(), 4);
-        let want = reference_d2(&shuffled, 2);
-        for (got, want) in cache.d2().iter().zip(&want) {
-            assert!(got.max_abs_diff(want) == 0.0);
-        }
+        assert_tables(&cache, &reference_d2(&shuffled, 3, PermMetric::Spearman));
     }
 
     #[test]
     fn option_change_resets() {
-        let (_, inputs) = inputs_for(&[0, 5, 9]);
-        let mut cache = GpCache::new();
-        cache.sync_distances(&inputs, 2, PermMetric::Spearman, true, 0);
-        assert_eq!(cache.len(), 3);
-        cache.sync_distances(&inputs, 2, PermMetric::Kendall, true, 0);
-        assert_eq!(cache.len(), 3);
-        let want = reference_d2(&inputs, 2);
-        // Kendall == Spearman distances only for these collinear points if
-        // the reset actually recomputed; just check the tables are finite
-        // and symmetric.
-        for m in cache.d2() {
-            for i in 0..3 {
-                for j in 0..3 {
-                    assert!(m[(i, j)].is_finite());
-                    assert_eq!(m[(i, j)], m[(j, i)]);
-                }
-            }
-        }
-        let _ = want;
-    }
+        let inputs = inputs_for(&[0, 5, 9, 14]);
+        let spearman = reference_d2(&inputs, 3, PermMetric::Spearman);
+        let kendall = reference_d2(&inputs, 3, PermMetric::Kendall);
+        assert!(
+            spearman[2].max_abs_diff(&kendall[2]) > 0.0,
+            "the metrics must disagree on these permutations"
+        );
 
-    #[test]
-    fn mean_digest_change_resets_cached_model_state() {
-        let (_, inputs) = inputs_for(&[0, 5, 9, 14]);
         let mut cache = GpCache::new();
-        cache.sync_distances(&inputs, 2, PermMetric::Spearman, true, 0);
-        let chol = Cholesky::new(&Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]])).unwrap();
-        cache.record_fit(&[1.0, 1.0], 1.0, 1e-3, Some(&chol), 0.0, false);
-        assert!(cache.hyperparams().is_some());
-
-        // Same inputs, different prior mean: the residual targets changed,
-        // so hyperparameters and factorization must not be reused.
-        cache.sync_distances(&inputs, 2, PermMetric::Spearman, true, 0xfeed);
-        assert!(cache.hyperparams().is_none());
-        assert!(cache.chol().is_none());
-        assert_eq!(cache.len(), 4, "tables are rebuilt for the new fingerprint");
-    }
-
-    #[test]
-    fn warm_counter_tracks_fit_kinds() {
-        let chol = Cholesky::new(&Matrix::from_rows(&[&[2.0]])).unwrap();
-        let mut cache = GpCache::new();
-        cache.record_fit(&[1.0], 1.0, 1e-3, Some(&chol), 1.5, false);
-        assert_eq!(cache.fits_since_full(), 0);
-        assert_eq!(cache.nll_per_point(), 1.5);
-        cache.record_fit(&[1.0], 1.0, 1e-3, Some(&chol), 9.9, true);
-        cache.record_fit(&[1.0], 1.0, 1e-3, Some(&chol), 9.9, true);
-        assert_eq!(cache.fits_since_full(), 2);
-        // Warm fits must not move the full-fit NLL reference.
-        assert_eq!(cache.nll_per_point(), 1.5);
-        cache.record_fit(&[1.0], 1.0, 1e-3, Some(&chol), 0.7, false);
-        assert_eq!(cache.fits_since_full(), 0);
-        assert_eq!(cache.nll_per_point(), 0.7);
+        cache.sync_distances(&inputs, 3, PermMetric::Spearman, true);
+        assert_tables(&cache, &spearman);
+        cache.sync_distances(&inputs, 3, PermMetric::Kendall, true);
+        assert_eq!(cache.len(), 4);
+        assert_tables(&cache, &kendall);
     }
 }

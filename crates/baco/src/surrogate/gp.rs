@@ -22,11 +22,11 @@
 //!   all right-hand sides, bit-identical to per-column solves, and the
 //!   gradient loop reuses the kernel build's Matérn terms instead of
 //!   recomputing a `sqrt` and an `exp` per pair.
-//! * **Incremental refits** — [`GaussianProcess::fit_with_cache`] reuses the
-//!   per-dimension squared-distance matrices across tuning iterations
-//!   (extending them by one row/column per new observation) and, when warm
-//!   starts are enabled, reuses the previous iteration's hyperparameters
-//!   together with a rank-one [`Cholesky::extend`] instead of a full refit.
+//! * **Incremental distance tables** — [`GaussianProcess::fit_with_cache`]
+//!   reuses the per-dimension squared-distance matrices across tuning
+//!   iterations, extending them by one row/column per new observation. The
+//!   hyperparameters are refitted by the full multistart every time, so a
+//!   cached fit is bit-identical to a fresh one.
 //! * **Fantasy conditioning** — [`GaussianProcess::condition_on`] folds a
 //!   hallucinated observation into a fitted model in `O(n²)` (frozen
 //!   hyperparameters, extended factorization), the primitive behind the
@@ -54,7 +54,7 @@
 
 use super::cache::GpCache;
 use super::features::{accumulate_scaled_dist2, DimView, ModelInput};
-use super::mean::{MeanFn, ZERO_MEAN_DIGEST};
+use super::mean::MeanFn;
 use crate::linalg::{dot, mean, std_dev, Cholesky, Matrix};
 use crate::opt::{multistart_minimize, LbfgsOptions};
 use crate::space::{Configuration, PermMetric, SearchSpace};
@@ -101,34 +101,6 @@ impl GammaPrior {
     }
 }
 
-/// Incremental-refit policy for [`GaussianProcess::fit_with_cache`].
-///
-/// Between full refits, new observations are folded into the model by
-/// extending the cached Cholesky factor at the previous iteration's
-/// hyperparameters (`O(n²)` per observation instead of the `O(n³)` multistart
-/// refit). A full multistart refit still runs every
-/// [`WarmStartOptions::full_refit_every`] fits, or earlier if the warm
-/// model's per-point negative log posterior regresses by more than
-/// [`WarmStartOptions::nll_regress_tol`] against the last full fit —
-/// the signal that the frozen hyperparameters have stopped explaining the
-/// data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmStartOptions {
-    /// Run a full multistart refit after this many consecutive warm fits.
-    pub full_refit_every: usize,
-    /// Per-point NLL slack allowed before forcing a full refit.
-    pub nll_regress_tol: f64,
-}
-
-impl Default for WarmStartOptions {
-    fn default() -> Self {
-        WarmStartOptions {
-            full_refit_every: 5,
-            nll_regress_tol: 0.5,
-        }
-    }
-}
-
 /// Options controlling GP fitting. The defaults are BaCO's; the ablations of
 /// Fig. 8/9 toggle individual fields.
 #[derive(Debug, Clone)]
@@ -148,11 +120,6 @@ pub struct GpOptions {
     /// Threads for the multistart ranking/refinement (`0` = auto). The fitted
     /// model is bit-identical for every thread count.
     pub threads: usize,
-    /// Incremental warm-started refit policy for
-    /// [`GaussianProcess::fit_with_cache`], or `None` (default) to run a full
-    /// multistart refit every iteration. `None` keeps fixed-seed tuner
-    /// trajectories identical to the always-full-refit reference.
-    pub warm_start: Option<WarmStartOptions>,
     /// Prior mean function `m(x)`: the GP fits the residuals `y − m(x)` and
     /// adds `m(x)` back at prediction time. `None` (default) is the zero
     /// mean — byte-identical to a stack with no mean function at all.
@@ -172,7 +139,6 @@ impl Default for GpOptions {
                 ..Default::default()
             },
             threads: 0,
-            warm_start: None,
             mean_fn: None,
         }
     }
@@ -194,7 +160,6 @@ impl GpOptions {
                 ..Default::default()
             },
             threads: 0,
-            warm_start: None,
             mean_fn: None,
         }
     }
@@ -270,16 +235,6 @@ pub struct GaussianProcess {
     scratch: Arc<Mutex<PredictScratch>>,
 }
 
-/// Logs hot-path decisions when `BACO_GP_DEBUG` is set (diagnosing why a
-/// tuning run is not taking the incremental path).
-fn gp_debug(msg: impl FnOnce() -> String) {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    if *ON.get_or_init(|| std::env::var_os("BACO_GP_DEBUG").is_some()) {
-        eprintln!("[baco::gp] {}", msg());
-    }
-}
-
 /// The best (value, θ, factorization) seen while evaluating the negative log
 /// posterior, memoized so the final refit does not refactorize the kernel.
 struct BestEval {
@@ -308,18 +263,14 @@ impl GaussianProcess {
         Self::fit_with_cache(space, configs, y, opts, rng, &mut cache)
     }
 
-    /// Like [`GaussianProcess::fit`], but persisting per-fit state in `cache`
-    /// across tuning iterations.
+    /// Like [`GaussianProcess::fit`], but carrying the per-dimension
+    /// squared-distance matrices forward in `cache` across tuning
+    /// iterations: when the new `configs` extend the previous call's, only
+    /// the new rows/columns are computed instead of the full `O(n²·d)`
+    /// rebuild.
     ///
-    /// The cache always carries the per-dimension squared-distance matrices
-    /// forward (an exact optimization: when the new `configs` extend the
-    /// previous call's, only the new rows/columns are computed instead of the
-    /// full `O(n²·d)` rebuild). When [`GpOptions::warm_start`] is set, whole
-    /// refits are additionally replaced by incremental warm fits at the
-    /// previous hyperparameters (see [`WarmStartOptions`]).
-    ///
-    /// With `warm_start == None`, the result is bit-identical to
-    /// [`GaussianProcess::fit`] and consumes the same RNG stream.
+    /// The result is bit-identical to [`GaussianProcess::fit`] and consumes
+    /// the same RNG stream.
     ///
     /// # Errors
     /// As [`GaussianProcess::fit`].
@@ -375,18 +326,9 @@ impl GaussianProcess {
         // optimization): extend the cached matrices by the new rows/columns,
         // or rebuild from scratch if the history is not a prefix of the
         // current data (restarted tuner, changed options, …).
-        let mean_digest = opts.mean_fn.as_ref().map_or(ZERO_MEAN_DIGEST, |m| m.digest());
-        cache.sync_distances(&inputs, d, opts.perm_metric, opts.input_transforms, mean_digest);
-        let warm = Self::try_warm_fit(&inputs, &ys, opts, cache);
-        let is_warm = warm.is_some();
-        let (lengthscales, outputscale, noise, chol, alpha, nll_per_point) = match warm {
-            Some(state) => state,
-            None => Self::full_fit(&inputs, &ys, opts, rng, cache)?,
-        };
-        // The cached model state (θ + factorization) is only ever read by
-        // warm starts; skip the O(n²) clone when the policy is off.
-        let model_state = opts.warm_start.is_some().then_some(&chol);
-        cache.record_fit(&lengthscales, outputscale, noise, model_state, nll_per_point, is_warm);
+        cache.sync_distances(&inputs, d, opts.perm_metric, opts.input_transforms);
+        let (lengthscales, outputscale, noise, chol, alpha) = Self::full_fit(&ys, opts, rng, cache)?;
+        cache.clamp_to_budget();
         let train_views = (0..d).map(|k| ModelInput::dim_view(&inputs, k)).collect();
         Ok(GaussianProcess {
             space: space.clone(),
@@ -466,128 +408,17 @@ impl GaussianProcess {
         })
     }
 
-    /// Attempts the incremental warm fit: previous θ, cached factorization
-    /// extended by one row per new observation. Returns `None` when policy or
-    /// numerics demand a full refit.
-    #[allow(clippy::type_complexity)]
-    fn try_warm_fit(
-        inputs: &[ModelInput],
-        ys: &[f64],
-        opts: &GpOptions,
-        cache: &GpCache,
-    ) -> Option<(Vec<f64>, f64, f64, Cholesky, Vec<f64>, f64)> {
-        let ws = opts.warm_start?;
-        let (ls, sigma, noise) = cache.hyperparams()?;
-        let prev_chol = cache.chol()?;
-        let n = inputs.len();
-        if cache.fits_since_full() >= ws.full_refit_every.max(1) || prev_chol.dim() > n {
-            return None;
-        }
-
-        // Fast path: rank-one row appends. This is only numerically (and,
-        // for the not-guaranteed-PD semimetric kernel, mathematically) sound
-        // when the cached factor is well-conditioned, so guard on its pivot
-        // spread and verify every appended pivot. On failure, fall back to
-        // one O(n³/6) refactorization at the *frozen* hyperparameters — still
-        // orders of magnitude cheaper than the full multistart refit, which
-        // pays that factorization hundreds of times.
-        let chol = Self::extend_prev_factor(&ls, sigma, noise, prev_chol, cache, n)
-            .or_else(|| {
-                let kmat = kernel_matrix(cache.d2(), &ls, sigma, noise);
-                Cholesky::new_with_jitter(&kmat, 1e-10, 14).ok()
-            })?;
-
-        let alpha = chol.solve(ys);
-        // The extended factorization makes the NLL-regression guard nearly
-        // free: the data fit is ysᵀα and the log-determinant is a diagonal
-        // sum.
-        let mut nll = 0.5 * dot(ys, &alpha)
-            + 0.5 * chol.log_det()
-            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        if let Some(p) = &opts.lengthscale_prior {
-            for l in &ls {
-                nll -= p.log_pdf(*l);
-            }
-        }
-        let per_point = nll / n as f64;
-        if !per_point.is_finite() || per_point > cache.nll_per_point() + ws.nll_regress_tol {
-            gp_debug(|| {
-                format!(
-                    "warm fit declined: NLL regressed ({per_point:.4} per point vs reference {:.4})",
-                    cache.nll_per_point()
-                )
-            });
-            return None;
-        }
-        Some((ls, sigma, noise, chol, alpha, per_point))
-    }
-
-    /// The rank-one path of the warm fit: appends one kernel row per new
-    /// observation to the cached factorization. `None` when the factor is too
-    /// ill-conditioned to trust or an appended pivot goes non-positive (the
-    /// semimetric kernel can be genuinely indefinite).
-    fn extend_prev_factor(
-        ls: &[f64],
-        sigma: f64,
-        noise: f64,
-        prev_chol: &Cholesky,
-        cache: &GpCache,
-        n: usize,
-    ) -> Option<Cholesky> {
-        let (mut min_pivot, mut max_pivot) = (f64::INFINITY, 0.0f64);
-        for i in 0..prev_chol.dim() {
-            let p = prev_chol.factor()[(i, i)];
-            min_pivot = min_pivot.min(p);
-            max_pivot = max_pivot.max(p);
-        }
-        // Extension error grows with κ(L)²; beyond ~1e8 the Schur pivots are
-        // numerically meaningless.
-        if min_pivot <= 0.0 || (max_pivot / min_pivot).powi(2) > 1e8 {
-            gp_debug(|| {
-                format!(
-                    "warm fit: factor too ill-conditioned for row append (pivots {min_pivot:.3e}..{max_pivot:.3e}), refactorizing at frozen θ"
-                )
-            });
-            return None;
-        }
-
-        let inv_ls2: Vec<f64> = ls.iter().map(|l| 1.0 / (l * l)).collect();
-        let mut chol = prev_chol.clone();
-        let mut row = Vec::new();
-        for i in chol.dim()..n {
-            row.clear();
-            row.extend((0..i).map(|j| {
-                let s: f64 = cache
-                    .d2()
-                    .iter()
-                    .zip(&inv_ls2)
-                    .map(|(m, w)| m[(i, j)] * w)
-                    .sum();
-                matern52(s.sqrt(), sigma)
-            }));
-            if let Err(e) = chol.extend(&row, sigma + noise + BASE_JITTER) {
-                gp_debug(|| {
-                    format!("warm fit: row append failed at point {i} ({e}), refactorizing at frozen θ")
-                });
-                return None;
-            }
-        }
-        Some(chol)
-    }
-
-    /// The full multistart MAP fit (always used when no usable cache state
-    /// exists). The factorization computed by the best objective evaluation
-    /// is memoized and reused, so the chosen hyperparameters are not
-    /// refactorized afterwards.
+    /// The multistart MAP fit over the cached distance tables. The
+    /// factorization computed by the best objective evaluation is memoized
+    /// and reused, so the chosen hyperparameters are not refactorized
+    /// afterwards.
     #[allow(clippy::type_complexity)]
     fn full_fit<R: Rng + ?Sized>(
-        inputs: &[ModelInput],
         ys: &[f64],
         opts: &GpOptions,
         rng: &mut R,
         cache: &GpCache,
-    ) -> Result<(Vec<f64>, f64, f64, Cholesky, Vec<f64>, f64)> {
-        let n = inputs.len();
+    ) -> Result<(Vec<f64>, f64, f64, Cholesky, Vec<f64>)> {
         let d2 = cache.d2();
         let d = d2.len();
         let prior = opts.lengthscale_prior;
@@ -610,7 +441,7 @@ impl GaussianProcess {
             t
         };
 
-        let mut best = multistart_minimize(
+        let best = multistart_minimize(
             rng,
             opts.multistart_samples.max(1),
             opts.multistart_keep.max(1),
@@ -620,22 +451,6 @@ impl GaussianProcess {
             &opts.lbfgs,
             opts.threads,
         );
-        // Warm-start mode also seeds one refinement from the previous
-        // iteration's θ — frequently already near the optimum, and free of
-        // any RNG consumption (so disabled-warm-start runs are unaffected).
-        if opts.warm_start.is_some() {
-            if let Some((ls, sigma, noise)) = cache.hyperparams() {
-                let mut theta0: Vec<f64> = ls.iter().map(|l| l.ln()).collect();
-                theta0.push(sigma.ln());
-                theta0.push(noise.ln());
-                let mut f = |x: &[f64]| value_grad(x);
-                let r = crate::opt::minimize(&mut f, theta0, &opts.lbfgs);
-                if r.value < best.value {
-                    best = r;
-                }
-            }
-        }
-
         // Decode hyperparameters; fall back to a safe default if the
         // optimizer diverged.
         let theta = if best.value.is_finite() {
@@ -662,29 +477,18 @@ impl GaussianProcess {
         let memo = best_eval
             .into_inner()
             .expect("NLL memo poisoned: a multistart worker panicked mid-update");
-        let (chol, alpha, final_nll) = match memo {
-            Some(m) if clamps_free && m.theta == theta => {
-                let per_point = m.value / n as f64;
-                (m.chol, m.alpha, per_point)
-            }
+        let (chol, alpha) = match memo {
+            Some(m) if clamps_free && m.theta == theta => (m.chol, m.alpha),
             _ => {
                 let kmat = kernel_matrix(d2, &lengthscales, outputscale, noise);
                 let chol = Cholesky::new_with_jitter(&kmat, 1e-10, 14)
                     .map_err(|e| Error::Numerical(format!("GP final factorization failed: {e}")))?;
                 let alpha = chol.solve(ys);
-                let mut nll = 0.5 * dot(ys, &alpha)
-                    + 0.5 * chol.log_det()
-                    + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-                if let Some(p) = &prior {
-                    for l in &lengthscales {
-                        nll -= p.log_pdf(*l);
-                    }
-                }
-                (chol, alpha, nll / n as f64)
+                (chol, alpha)
             }
         };
 
-        Ok((lengthscales, outputscale, noise, chol, alpha, final_nll))
+        Ok((lengthscales, outputscale, noise, chol, alpha))
     }
 
     /// The cross-kernel row `k(x, xᵢ)` against every training input — shared
@@ -1577,7 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_fit_matches_fresh_fit_without_warm_start() {
+    fn cached_fit_matches_fresh_fit() {
         let s = space_1d();
         let opts = GpOptions::default();
         let all: Vec<_> = (0..=20).step_by(2).map(|x| cfg_x(&s, x)).collect();
@@ -1681,43 +1485,5 @@ mod tests {
         let (fmb, fvb) = fb.predict(&probe);
         assert_eq!(fma.to_bits(), (fmb + 9.0).to_bits());
         assert_eq!(fva.to_bits(), fvb.to_bits());
-    }
-
-    #[test]
-    fn warm_started_fits_track_fresh_quality() {
-        let s = space_1d();
-        let opts_warm = GpOptions {
-            warm_start: Some(WarmStartOptions::default()),
-            ..GpOptions::default()
-        };
-        let all: Vec<_> = (0..=20).map(|x| cfg_x(&s, x)).collect();
-        let y: Vec<f64> = all
-            .iter()
-            .map(|c| {
-                let x = c.value("x").as_f64();
-                (x - 9.0) * (x - 9.0) / 25.0
-            })
-            .collect();
-
-        let mut cache = GpCache::new();
-        let mut warm_fits = 0;
-        for n in 4..=all.len() {
-            let mut rng = StdRng::seed_from_u64(7);
-            let before = rng.clone();
-            let gp = GaussianProcess::fit_with_cache(
-                &s, &all[..n], &y[..n], &opts_warm, &mut rng, &mut cache,
-            )
-            .unwrap();
-            if rng == before && n > 4 {
-                warm_fits += 1; // warm fits consume no RNG
-            }
-            // Model quality must not collapse between full refits.
-            for (c, yi) in all[..n].iter().zip(&y[..n]) {
-                let (m, v) = gp.predict(c);
-                assert!((m - yi).abs() < 1.2, "n={n}: mean {m} vs {yi}");
-                assert!(v >= 0.0 && v.is_finite());
-            }
-        }
-        assert!(warm_fits >= 8, "expected mostly warm fits, got {warm_fits}");
     }
 }

@@ -21,9 +21,8 @@ use std::fmt::Debug;
 ///
 /// Implementations must be deterministic: the same configuration always maps
 /// to the same value, and [`MeanFn::digest`] must change whenever the
-/// function's predictions could — it fingerprints the mean inside
-/// [`GpCache`](super::GpCache) so cached factorizations are never reused
-/// across different mean functions.
+/// function's predictions could, so two means with equal digests can be
+/// treated as the same function.
 pub trait MeanFn: Debug + Send + Sync {
     /// The prior mean at `cfg`, on the same (transformed) scale as the
     /// targets the GP is fitted on.
@@ -39,7 +38,7 @@ pub trait MeanFn: Debug + Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZeroMean;
 
-/// The digest every zero-behaving mean reports; caches treat it as "no mean".
+/// The digest every zero-behaving mean reports ("no mean").
 pub const ZERO_MEAN_DIGEST: u64 = 0;
 
 impl MeanFn for ZeroMean {

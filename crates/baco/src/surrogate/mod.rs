@@ -3,8 +3,8 @@
 //! hidden-constraint feasibility classifier (Sec. 4.2).
 //!
 //! The GP is the tuner's hot path; see [`gp`] for the batched-posterior,
-//! incremental-refit and fantasy-conditioning machinery, and [`cache`] for
-//! the cross-iteration state that makes refits incremental.
+//! multistart-fit and fantasy-conditioning machinery, and [`cache`] for the
+//! distance tables that refits carry across iterations.
 //!
 //! ```
 //! use baco::space::{ParamValue, SearchSpace};
@@ -33,7 +33,7 @@ pub mod rf;
 pub use budget::{ActiveSet, TrustRegion};
 pub use cache::GpCache;
 pub use features::ModelInput;
-pub use gp::{GaussianProcess, GpOptions, PredictScratch, WarmStartOptions};
+pub use gp::{GaussianProcess, GpOptions, PredictScratch};
 pub use mean::{MeanFn, ZeroMean, ZERO_MEAN_DIGEST};
 pub use rf::{RandomForestClassifier, RandomForestRegressor, RfOptions};
 

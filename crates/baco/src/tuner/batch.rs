@@ -60,7 +60,6 @@
 
 use super::speculate::Evaluator;
 use super::{AcquisitionContext, Baco, BlackBox, FittedModel, TuningReport};
-use crate::search::{local_search_in, random_search_in};
 use crate::space::Configuration;
 use crate::surrogate::GpCache;
 use crate::Result;
@@ -228,26 +227,11 @@ impl Baco {
     ) -> Vec<Configuration> {
         let mut picked: Vec<Configuration> = Vec::with_capacity(q);
         for i in 0..q {
-            let next = {
-                let score_batch = ctx.score_batch(&self.space, self.opts.optimum_prior.as_ref());
-                let inside = self.region_predicate(ctx);
-                let region = inside.as_ref().map(|f| f as &dyn Fn(&Configuration) -> bool);
-                if self.opts.local_search {
-                    local_search_in(&self.sampler, rng, score_batch, &self.opts.ls, excluded, region)
-                } else {
-                    random_search_in(
-                        &self.sampler,
-                        rng,
-                        score_batch,
-                        self.opts.ls.n_candidates,
-                        excluded,
-                        region,
-                    )
-                }
-            };
             // Acquisition exhausted (e.g. ε_f gated everything unseen):
             // pad with a random unseen feasible configuration.
-            let next = next.or_else(|| self.sampler.sample_batch(rng, 1, excluded).pop());
+            let next = self
+                .search_acquisition(rng, ctx, excluded)
+                .or_else(|| self.sampler.sample_batch(rng, 1, excluded).pop());
             let Some(cfg) = next else {
                 break; // feasible set fully evaluated
             };

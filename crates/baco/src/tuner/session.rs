@@ -283,39 +283,7 @@ impl Session {
     /// Propagates surrogate-fitting failures, journal-append failures, and
     /// any journal failure deferred from an earlier [`Session::report`].
     pub fn ask(&mut self) -> Result<Option<Configuration>> {
-        self.surface_journal_error()?;
-        if self.remaining_budget() == 0 {
-            return Ok(None);
-        }
-        let t0 = Instant::now();
-        let rng_before = self.rng.state();
-        let mut doe_k = 0;
-        let next = if let Some(cfg) = self.doe_queue.pop() {
-            doe_k = 1;
-            Some(cfg)
-        } else {
-            // Exclude pending proposals as well as evaluated ones.
-            let mut excluded = self.seen.clone();
-            excluded.extend(self.pending.iter().cloned());
-            self.tuner
-                .recommend_with_cache(&mut self.rng, &self.report, &excluded, &mut self.cache)?
-        };
-        self.last_think = t0.elapsed();
-        self.think_end = Some(Instant::now());
-        self.last_report = None;
-        if let Some(cfg) = &next {
-            self.pending.push(cfg.clone());
-            self.journal_propose(ProposeRec {
-                len: self.report.len(),
-                doe_k,
-                rng_before,
-                rng_after: self.rng.state(),
-                tuner_ns: self.last_think.as_nanos().min(u64::MAX as u128) as u64,
-                configs: vec![cfg.clone()],
-                anchors: Vec::new(),
-            })?;
-        }
-        Ok(next)
+        Ok(self.suggest_batch(1)?.pop())
     }
 
     /// Recommends a round of up to `q` **distinct** configurations to
@@ -326,9 +294,8 @@ impl Session {
     ///
     /// Returns fewer than `q` when the budget or the feasible set is nearly
     /// exhausted, and an empty round when nothing is left.
-    /// `suggest_batch(1)` is equivalent to [`Session::ask`] — same proposals,
-    /// same RNG stream — so a q=1 driver reproduces the sequential loop
-    /// exactly.
+    /// [`Session::ask`] is `suggest_batch(1)`, so a q=1 driver reproduces
+    /// the sequential loop exactly.
     ///
     /// # Errors
     /// Propagates surrogate-fitting failures, journal-append failures, and

@@ -640,6 +640,20 @@ fn resume_rejects_envelope_mismatches() {
         .unwrap();
     assert!(matches!(t.resume(&Obj), Err(Error::JournalCorrupt { line: 1, .. })));
 
+    // An archived journal written with the (since removed) warm-start fit
+    // path enabled: no tuner writes that envelope any more.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (header, rest) = text.split_once('\n').unwrap();
+    assert_eq!(header.matches(r#""warm_start":false"#).count(), 1);
+    let header = header.replace(r#""warm_start":false"#, r#""warm_start":true"#);
+    std::fs::write(&path, format!("{header}\n{rest}")).unwrap();
+    match tuner(3, 1, Some(&path), false).resume(&Obj) {
+        Err(Error::JournalCorrupt { line: 1, msg }) => {
+            assert!(msg.contains("option mismatch"), "{msg}");
+        }
+        other => panic!("expected an option mismatch on line 1, got {other:?}"),
+    }
+
     // No journal on disk at all.
     let missing = dir.join("missing.jsonl");
     let t = tuner(3, 1, Some(&missing), false);

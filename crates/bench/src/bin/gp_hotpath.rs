@@ -1,16 +1,15 @@
 //! GP hot-path microbenchmark: batched vs scalar posterior prediction and
-//! incremental (warm-started) vs fresh surrogate refits, at training-set
-//! sizes n ∈ {20, 60, 150, 400}.
+//! the cost of one surrogate fit, at training-set sizes
+//! n ∈ {20, 60, 150, 400}.
 //!
 //! Writes a machine-readable summary to `BENCH_gp_hotpath.json` (override
-//! with `--out PATH`); the JSON carries per-size medians plus the two
-//! headline ratios the optimization targets: ≥5× batched candidate scoring
-//! at n = 150 and ≥2× incremental refit.
+//! with `--out PATH`); the JSON carries per-size medians plus the headline
+//! ratio the batched posterior targets: ≥5× candidate scoring at n = 150.
 //!
 //! Run with: `cargo run --release -p baco-bench --bin gp_hotpath`
 
 use baco::space::SearchSpace;
-use baco::surrogate::{GaussianProcess, GpCache, GpOptions, PredictScratch, WarmStartOptions};
+use baco::surrogate::{GaussianProcess, GpOptions, PredictScratch};
 use baco_bench::emit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +60,6 @@ struct PredictRow {
 struct FitRow {
     n: usize,
     fresh_ms: f64,
-    incremental_ms: f64,
 }
 
 fn bench_predict(sp: &SearchSpace) -> Vec<PredictRow> {
@@ -116,23 +114,11 @@ fn bench_predict(sp: &SearchSpace) -> Vec<PredictRow> {
 
 fn bench_fit(sp: &SearchSpace) -> Vec<FitRow> {
     let mut rows = Vec::new();
-    let fresh_opts = GpOptions::default();
-    let warm_opts = GpOptions {
-        // Hold the warm path open so the measurement isolates one
-        // incremental refit (the policy cadence is measured separately by
-        // the end-to-end tuner benches).
-        warm_start: Some(WarmStartOptions {
-            full_refit_every: usize::MAX,
-            nll_regress_tol: 10.0,
-        }),
-        ..GpOptions::default()
-    };
+    let opts = GpOptions::default();
     for &n in &SIZES {
         let mut rng = StdRng::seed_from_u64(1000 + n as u64);
         let configs: Vec<_> = (0..n).map(|_| sp.sample_dense(&mut rng)).collect();
-        // Multiplicative measurement noise, as real kernel timings carry:
-        // also keeps the MAP noise estimate — and with it the kernel's
-        // conditioning — in the regime the incremental path is built for.
+        // Multiplicative measurement noise, as real kernel timings carry.
         let y: Vec<f64> = configs
             .iter()
             .map(|c| objective(c) * (1.0 + rng.gen_range(-0.03..0.03)))
@@ -147,59 +133,14 @@ fn bench_fit(sp: &SearchSpace) -> Vec<FitRow> {
         };
         let fresh = median_secs(fit_reps, || {
             let mut rng = StdRng::seed_from_u64(7);
-            black_box(
-                GaussianProcess::fit(sp, &configs, &y, &fresh_opts, &mut rng).unwrap(),
-            );
+            black_box(GaussianProcess::fit(sp, &configs, &y, &opts, &mut rng).unwrap());
         });
-
-        // Prepare a cache holding the model state for the first n−1 points;
-        // the measured call folds in the n-th observation incrementally.
-        let mut prepared = GpCache::new();
-        {
-            let mut rng = StdRng::seed_from_u64(7);
-            GaussianProcess::fit_with_cache(
-                sp,
-                &configs[..n - 1],
-                &y[..n - 1],
-                &warm_opts,
-                &mut rng,
-                &mut prepared,
-            )
-            .unwrap();
-        }
-        // Time only the fit call itself — the cache clone restoring the
-        // "previous iteration" state is measurement scaffolding, not work a
-        // real tuning loop performs.
-        let incremental = {
-            let mut samples: Vec<f64> = (0..fit_reps.max(7))
-                .map(|_| {
-                    let mut cache = prepared.clone();
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let t = Instant::now();
-                    black_box(
-                        GaussianProcess::fit_with_cache(
-                            sp, &configs, &y, &warm_opts, &mut rng, &mut cache,
-                        )
-                        .unwrap(),
-                    );
-                    t.elapsed().as_secs_f64()
-                })
-                .collect();
-            samples.sort_by(f64::total_cmp);
-            samples[samples.len() / 2]
-        };
 
         let row = FitRow {
             n,
             fresh_ms: fresh * 1e3,
-            incremental_ms: incremental * 1e3,
         };
-        println!(
-            "fit      n={n:>3}  fresh {:>10.2} ms        warm {:>9.3} ms        speedup {:>5.1}x",
-            row.fresh_ms,
-            row.incremental_ms,
-            row.fresh_ms / row.incremental_ms
-        );
+        println!("fit      n={n:>3}  fresh {:>10.2} ms", row.fresh_ms);
         rows.push(row);
     }
     rows
@@ -222,10 +163,6 @@ fn main() {
 
     let p150 = predict.iter().find(|r| r.n == 150).unwrap();
     let predict_speedup_150 = p150.scalar_ns / p150.batch_ns;
-    let fit_speedup_min = fit
-        .iter()
-        .map(|r| r.fresh_ms / r.incremental_ms)
-        .fold(f64::INFINITY, f64::min);
 
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"gp_hotpath\",\n");
@@ -245,18 +182,17 @@ fn main() {
     json.push_str("  ],\n  \"fit\": [\n");
     for (i, r) in fit.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"fresh_ms\": {:.3}, \"incremental_ms\": {:.3}, \"speedup\": {:.1}}}{}\n",
+            "    {{\"n\": {}, \"fresh_ms\": {:.3}}}{}\n",
             r.n,
             r.fresh_ms,
-            r.incremental_ms,
-            r.fresh_ms / r.incremental_ms,
             if i + 1 < fit.len() { "," } else { "" }
         ));
     }
-    let checks = [
-        emit::Check::ge("batch_predict_speedup_at_n150", predict_speedup_150, 5.0),
-        emit::Check::ge("incremental_fit_speedup_min", fit_speedup_min, 2.0),
-    ];
+    let checks = [emit::Check::ge(
+        "batch_predict_speedup_at_n150",
+        predict_speedup_150,
+        5.0,
+    )];
     json.push_str("  ],\n");
     json.push_str(&emit::criteria_block(&checks));
     json.push_str("}\n");

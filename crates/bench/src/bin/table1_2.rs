@@ -1,8 +1,8 @@
 //! Tables 1 & 2: the framework-capability and compiler-requirement matrices
-//! (static facts, printed from `baco::capabilities` so the code and the
+//! (static facts, printed from `baco_bench::capabilities` so the code and the
 //! paper stay in sync).
 
-use baco::capabilities::{compiler_requirements, framework_capabilities};
+use baco_bench::capabilities::{compiler_requirements, framework_capabilities};
 use baco_bench::stats::render_table;
 
 fn main() {

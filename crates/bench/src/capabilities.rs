@@ -3,7 +3,7 @@
 //! compiler needs.
 //!
 //! ```
-//! use baco::capabilities::{framework_capabilities, Support};
+//! use baco_bench::capabilities::{framework_capabilities, Support};
 //!
 //! let rows = framework_capabilities();
 //! let baco = rows.iter().find(|r| r.name.starts_with("BaCO")).unwrap();

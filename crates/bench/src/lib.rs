@@ -35,6 +35,7 @@
 
 pub mod ablation;
 pub mod agg;
+pub mod capabilities;
 pub mod cli;
 pub mod emit;
 pub mod runner;
