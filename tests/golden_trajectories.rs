@@ -19,7 +19,18 @@
 //! `gpu_sim::benchmarks::mm_gpu()` under the options of
 //! [`Golden::builder`] for `mm_gpu_budgeted()` plus `journal_path`.
 //!
-//! Each test replays a fixture: the tuner re-runs from the same seed with
+//! `tests/fixtures/mm_gpu_session_seed11_q4.jsonl` is the journal of an
+//! open-loop [`Session`] on `gpu_sim::benchmarks::mm_gpu()` (seed 11, budget
+//! 20, DoE 6) driven by [`drive_session`]: `suggest_batch(4)` per round,
+//! each round reported in reverse proposal order. Its second round mixes two
+//! DoE and two model picks, and the sim's hidden constraints make some
+//! reports infeasible. Regenerate it with
+//!
+//! ```text
+//! cargo test --release --test golden_trajectories -- --ignored regenerate_session_golden
+//! ```
+//!
+//! Each closed-loop test replays a fixture: the tuner re-runs from the same seed with
 //! the black box *replaced* by the journal's recorded evaluations, and every
 //! proposal must reproduce the fixture bit for bit. Objective values feed
 //! the surrogate exactly as recorded, so the assertion isolates the tuner's
@@ -35,7 +46,7 @@
 
 use baco::benchmark::Benchmark;
 use baco::journal::{Journal, Mode};
-use baco::tuner::{Baco, BacoBuilder, BlackBox, Evaluation, MultiObjectiveStrategy};
+use baco::tuner::{Baco, BacoBuilder, BlackBox, Evaluation, MultiObjectiveStrategy, Session};
 use baco::{Configuration, TuningReport};
 use std::collections::HashMap;
 use std::path::Path;
@@ -349,4 +360,129 @@ fn empty_corpus_transfer_replays_every_golden_bitwise() {
     mm_gpu().assert_empty_corpus_replay();
     bfs_pareto().assert_empty_corpus_replay();
     mm_gpu_budgeted().assert_empty_corpus_replay();
+}
+
+/// The open-loop golden (see the module docs).
+const SESSION_FIXTURE: &str = "tests/fixtures/mm_gpu_session_seed11_q4.jsonl";
+
+/// The options the Session fixture was recorded under, journaling to `path`.
+fn session_tuner(path: &Path) -> Baco {
+    Baco::builder(gpu_sim::benchmarks::mm_gpu().space)
+        .budget(20)
+        .doe_samples(6)
+        .seed(11)
+        .journal_path(path)
+        .build()
+        .unwrap()
+}
+
+/// The recorded driver: `suggest_batch(4)` until the budget is spent, each
+/// round reported in reverse proposal order.
+fn drive_session(s: &mut Session, bb: &dyn BlackBox) {
+    loop {
+        let round = s.suggest_batch(4).unwrap();
+        if round.is_empty() {
+            break;
+        }
+        for cfg in round.into_iter().rev() {
+            let eval = bb.evaluate(&cfg);
+            s.report(cfg, eval);
+        }
+    }
+}
+
+/// A journal's lines with the wall-clock members (`eval_ns`, `tuner_ns`)
+/// blanked and resume markers dropped: what an uninterrupted and a resumed
+/// run must agree on byte for byte.
+fn masked_lines(bytes: &[u8]) -> Vec<String> {
+    String::from_utf8(bytes.to_vec())
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("{\"t\":\"resume\""))
+        .map(|l| {
+            let mut line = l.to_string();
+            for key in ["\"eval_ns\":\"", "\"tuner_ns\":\""] {
+                if let Some(at) = line.find(key) {
+                    let from = at + key.len();
+                    let to = from + line[from..].find('"').expect("quoted timing member");
+                    line.replace_range(from..to, "_");
+                }
+            }
+            line
+        })
+        .collect()
+}
+
+/// Archived `Session` journals keep their meaning: a fresh journaled session
+/// fed the fixture's recorded values writes the fixture's records (timing
+/// masked), and resuming from every cut that ends a fully reported round
+/// writes them too.
+#[test]
+fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
+    let bench = gpu_sim::benchmarks::mm_gpu();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join(SESSION_FIXTURE);
+    let bytes = std::fs::read(&fixture).unwrap();
+    let journal = Journal::load(&fixture, &bench.space).unwrap();
+    journal
+        .header
+        .validate(Mode::Session, session_tuner(&fixture).options(), &bench.space)
+        .unwrap_or_else(|e| panic!("{SESSION_FIXTURE}: fixture/test option drift: {e}"));
+    // The shape the fixture was chosen for.
+    assert_eq!(journal.trials.len(), 20, "fixture incomplete");
+    let second = &journal.proposes[1];
+    assert_eq!((second.doe_k, second.configs.len()), (2, 4), "round 2 mixes DoE and model picks");
+    assert!(journal.trials.iter().any(|t| !t.feasible), "no infeasible report");
+    let replay = ReplayBox {
+        name: SESSION_FIXTURE,
+        recorded: journal
+            .trials
+            .iter()
+            .map(|t| (t.config.clone(), (t.to_trial().objectives(), t.feasible)))
+            .collect(),
+    };
+    let expected = masked_lines(&bytes);
+
+    let dir = std::env::temp_dir().join(format!("baco-golden-{}-session", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fresh = dir.join("fresh.jsonl");
+    let mut session = Session::new(session_tuner(&fresh)).unwrap();
+    drive_session(&mut session, &replay);
+    assert_eq!(
+        masked_lines(&std::fs::read(&fresh).unwrap()),
+        expected,
+        "fresh session journal drifted from the committed fixture"
+    );
+
+    let crash = dir.join("crash.jsonl");
+    let mut cuts = 0;
+    for cut in bytes.iter().enumerate().filter_map(|(i, &b)| (b == b'\n').then_some(i + 1)) {
+        let prefix = Journal::from_bytes(&bytes[..cut], &bench.space).unwrap();
+        let reported: std::collections::HashSet<&Configuration> =
+            prefix.trials.iter().map(|t| &t.config).collect();
+        if !prefix.proposes.iter().flat_map(|p| &p.configs).all(|c| reported.contains(c)) {
+            continue; // a round is still out
+        }
+        std::fs::write(&crash, &bytes[..cut]).unwrap();
+        let mut resumed = Session::resume(session_tuner(&crash)).unwrap();
+        drive_session(&mut resumed, &replay);
+        assert_eq!(
+            masked_lines(&std::fs::read(&crash).unwrap()),
+            expected,
+            "session resume at byte {cut} drifted from the fixture"
+        );
+        cuts += 1;
+    }
+    assert_eq!(cuts, 6, "header plus five fully reported rounds");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the Session fixture from the live MM_GPU model (see the module
+/// docs); run only when a trajectory change is intended.
+#[test]
+#[ignore]
+fn regenerate_session_golden() {
+    let bench = gpu_sim::benchmarks::mm_gpu();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join(SESSION_FIXTURE);
+    let mut session = Session::new(session_tuner(&fixture)).unwrap();
+    drive_session(&mut session, bench.blackbox.as_ref());
 }
