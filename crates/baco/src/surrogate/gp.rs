@@ -1417,10 +1417,6 @@ mod tests {
         fn mean(&self, _space: &SearchSpace, cfg: &Configuration) -> f64 {
             cfg.value("x").as_f64()
         }
-
-        fn digest(&self) -> u64 {
-            0x1234
-        }
     }
 
     /// The residual-fit contract: fitting (y, mean m) must be the same model

@@ -34,7 +34,7 @@ pub use budget::{ActiveSet, TrustRegion};
 pub use cache::GpCache;
 pub use features::ModelInput;
 pub use gp::{GaussianProcess, GpOptions, PredictScratch};
-pub use mean::{MeanFn, ZeroMean, ZERO_MEAN_DIGEST};
+pub use mean::MeanFn;
 pub use rf::{RandomForestClassifier, RandomForestRegressor, RfOptions};
 
 use crate::space::{Configuration, SearchSpace};

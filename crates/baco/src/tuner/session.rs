@@ -42,14 +42,13 @@
 //! # Ok::<(), baco::Error>(())
 //! ```
 
+use super::speculate::Engine;
 use super::{Baco, Evaluation, Trial, TuningReport};
-use crate::journal::{Header, Journal, JournalWriter, Mode, ProposeRec, Record, TrialRec};
+use crate::journal::Mode;
 use crate::search::doe_sample;
 use crate::space::Configuration;
-use crate::surrogate::GpCache;
 use crate::{Error, Result};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -61,18 +60,19 @@ use std::time::{Duration, Instant};
 /// fully supported. `ask` returns `None` (and `suggest_batch` an empty
 /// round) once the budget is exhausted or the feasible set has been fully
 /// evaluated.
+///
+/// The session is an open-loop driver over the same engine state as the
+/// closed loops ([`crate::tuner::speculate`]): proposals are that engine's
+/// journaled rounds, and reports land through its one trial path. What is
+/// the session's own is the DoE, drawn up front and handed out per call,
+/// and the rollback resume ([`Session::resume`]).
 #[derive(Debug)]
 pub struct Session {
     tuner: Baco,
-    rng: StdRng,
-    report: TuningReport,
-    seen: HashSet<Configuration>,
-    /// Configurations asked but not yet told.
-    pending: Vec<Configuration>,
+    /// History, RNG stream, surrogate cache, pending rounds and journal.
+    engine: Engine,
     /// Pre-drawn DoE configurations still to hand out.
     doe_queue: Vec<Configuration>,
-    /// Surrogate state carried across `ask` calls (incremental GP refits).
-    cache: GpCache,
     /// Per-proposal share of the last ask/suggest round's think time
     /// (recorded as each trial's `tuner_time`).
     last_think: Duration,
@@ -83,8 +83,6 @@ pub struct Session {
     /// a batch reported sequentially starts each trial's `eval_time` at the
     /// previous report instead of double-counting earlier evaluations.
     last_report: Option<Instant>,
-    /// Crash-safe run journal, when configured.
-    journal: Option<JournalWriter>,
     /// A failure raised inside the infallible [`Session::report`] — a journal
     /// append error, or a rejected non-finite measurement; surfaced by the
     /// next fallible call.
@@ -104,44 +102,8 @@ impl Session {
     /// Journal creation/load failures ([`Error::Io`],
     /// [`Error::JournalCorrupt`]).
     pub fn new(tuner: Baco) -> Result<Self> {
-        if tuner.options().resume {
-            if let Some(path) = tuner.options().journal_path.clone() {
-                if Journal::exists(&path) {
-                    return Self::resume_from(tuner, &path);
-                }
-            }
-        }
-        let transfer = tuner.prepare_transfer(None)?;
-        let mut rng = StdRng::seed_from_u64(tuner.options().seed);
-        let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
-        let mut doe_queue =
-            tuner.transfer_rerank(doe_sample(tuner.sampler(), &mut rng, doe_n, &HashSet::new()));
-        doe_queue.reverse(); // pop() hands them out in draw order
-        let journal = match &tuner.options().journal_path {
-            Some(path) => {
-                let mut header = Header::new(Mode::Session, tuner.options(), tuner.space());
-                header.transfer = transfer;
-                Some(JournalWriter::create(path, &header)?)
-            }
-            None => None,
-        };
-        let mut report = TuningReport::new("BaCO");
-        report.set_reference_point(tuner.options().reference_point.clone());
-        let cache = tuner.new_cache();
-        Ok(Session {
-            tuner,
-            rng,
-            report,
-            seen: HashSet::new(),
-            pending: Vec::new(),
-            cache,
-            doe_queue,
-            last_think: Duration::ZERO,
-            think_end: None,
-            last_report: None,
-            journal,
-            journal_error: None,
-        })
+        let resume = tuner.options().resume;
+        Self::open(tuner, resume)
     }
 
     /// Resumes a session from its journal: the reported history, the RNG
@@ -162,85 +124,54 @@ impl Session {
     /// [`Error::JournalCorrupt`] on undecodable or envelope-mismatched
     /// journals.
     pub fn resume(tuner: Baco) -> Result<Self> {
-        let path = tuner.require_journal()?.to_path_buf();
-        Self::resume_from(tuner, &path)
+        tuner.require_journal()?;
+        Self::open(tuner, true)
     }
 
-    fn resume_from(tuner: Baco, path: &std::path::Path) -> Result<Self> {
-        let journal = Journal::load(path, tuner.space())?;
-        journal.header.validate(Mode::Session, tuner.options(), tuner.space())?;
-        tuner.prepare_transfer(journal.header.transfer.as_ref())?;
-
-        let mut report = TuningReport::new("BaCO");
-        report.set_reference_point(tuner.options().reference_point.clone());
-        let mut seen: HashSet<Configuration> = HashSet::new();
-        for tr in &journal.trials {
-            seen.insert(tr.config.clone());
-            report.push(tr.to_trial());
-        }
-
-        // Redraw the deterministic DoE queue, then replay the bookkeeping.
-        let mut rng = StdRng::seed_from_u64(tuner.options().seed);
-        let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
-        let initial =
-            tuner.transfer_rerank(doe_sample(tuner.sampler(), &mut rng, doe_n, &HashSet::new()));
-
-        // Roll back trailing rounds with no reported outcome at all.
-        let mut kept: &[ProposeRec] = &journal.proposes;
-        while let Some(last) = kept.last() {
-            if last.configs.is_empty() || last.configs.iter().any(|c| seen.contains(c)) {
-                break;
+    fn open(tuner: Baco, resume: bool) -> Result<Self> {
+        // The rollback: every reported trial lands, trailing rounds with no
+        // reported configuration are dropped, and the RNG continues from the
+        // last kept round.
+        let mut kept_rng = None;
+        let mut engine = tuner.start_engine(Mode::Session, resume, |journal, e| {
+            for tr in &journal.trials {
+                e.record(tr.to_trial())?;
             }
-            kept = &kept[..kept.len() - 1];
+            kept_rng = journal
+                .proposes
+                .iter()
+                .rfind(|p| p.configs.is_empty() || p.configs.iter().any(|c| e.seen.contains(c)))
+                .map(|p| p.rng_after);
+            Ok(())
+        })?;
+        // The DoE is drawn from the seed up front, and redrawn on resume;
+        // what has a reported outcome is left out, so in-flight DoE
+        // casualties return to the queue in draw order.
+        let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
+        let initial = doe_sample(tuner.sampler(), &mut engine.rng, doe_n, &HashSet::new());
+        let mut doe_queue: Vec<Configuration> = tuner
+            .transfer_rerank(initial)
+            .into_iter()
+            .filter(|c| !engine.seen.contains(c))
+            .collect();
+        doe_queue.reverse(); // pop() hands them out in draw order
+        if let Some(state) = kept_rng {
+            engine.rng = StdRng::from_state(state);
         }
-        let rng = match kept.last() {
-            Some(p) => StdRng::from_state(p.rng_after),
-            None => rng, // nothing proposed yet: continue after the DoE draw
-        };
-
-        // DoE queue: everything from the deterministic draw that has no
-        // reported outcome yet, in draw order. This re-queues in-flight DoE
-        // casualties (they sit earliest in draw order) and is stable across
-        // repeated crash/resume cycles.
-        let mut queue: Vec<Configuration> =
-            initial.into_iter().filter(|c| !seen.contains(c)).collect();
-        queue.reverse(); // pop() order
-
-        let writer = JournalWriter::resume(path, &journal, report.len())?;
-        let cache = tuner.new_cache();
         Ok(Session {
             tuner,
-            rng,
-            report,
-            seen,
-            pending: Vec::new(),
-            cache,
-            doe_queue: queue,
+            engine,
+            doe_queue,
             last_think: Duration::ZERO,
             think_end: None,
             last_report: None,
-            journal: Some(writer),
             journal_error: None,
         })
     }
 
-    fn surface_journal_error(&mut self) -> Result<()> {
-        match self.journal_error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn journal_propose(&mut self, rec: ProposeRec) -> Result<()> {
-        if let Some(w) = self.journal.as_mut() {
-            w.append(&Record::Propose(rec))?;
-        }
-        Ok(())
-    }
-
     /// The tuning history so far.
     pub fn history(&self) -> &TuningReport {
-        &self.report
+        &self.engine.report
     }
 
     /// The tuner this session drives (space, options, sampler).
@@ -250,9 +181,9 @@ impl Session {
 
     /// Configurations handed out by [`Session::ask`] /
     /// [`Session::suggest_batch`] whose results have not been reported yet,
-    /// in proposal order.
-    pub fn pending(&self) -> &[Configuration] {
-        &self.pending
+    /// in proposal order (a copy of the engine's pending round entries).
+    pub fn pending(&self) -> Vec<Configuration> {
+        self.engine.pending().cloned().collect()
     }
 
     /// Takes the failure deferred by an earlier (infallible)
@@ -270,10 +201,8 @@ impl Session {
     /// Evaluations still allowed by the budget (told + pending count
     /// against it).
     pub fn remaining_budget(&self) -> usize {
-        self.tuner
-            .options()
-            .budget
-            .saturating_sub(self.report.len() + self.pending.len())
+        let used = self.engine.report.len() + self.engine.pending().count();
+        self.tuner.options().budget.saturating_sub(used)
     }
 
     /// Recommends the next configuration, or `None` when the budget is
@@ -301,41 +230,31 @@ impl Session {
     /// Propagates surrogate-fitting failures, journal-append failures, and
     /// any journal failure deferred from an earlier [`Session::report`].
     pub fn suggest_batch(&mut self, q: usize) -> Result<Vec<Configuration>> {
-        self.surface_journal_error()?;
+        if let Some(e) = self.journal_error.take() {
+            return Err(e);
+        }
         let q = q.min(self.remaining_budget());
         if q == 0 {
             return Ok(Vec::new());
         }
         let t0 = Instant::now();
-        let rng_before = self.rng.state();
-        let mut round: Vec<Configuration> = Vec::with_capacity(q);
-        while round.len() < q {
-            let Some(cfg) = self.doe_queue.pop() else {
-                break;
-            };
-            round.push(cfg);
-        }
-        let doe_k = round.len();
+        let e = &mut self.engine;
+        let rng_before = e.rng.state();
+        let doe_k = q.min(self.doe_queue.len());
+        let mut round: Vec<Configuration> =
+            self.doe_queue.drain(self.doe_queue.len() - doe_k..).rev().collect();
         if round.len() < q {
-            let mut excluded = self.seen.clone();
-            excluded.extend(self.pending.iter().cloned());
+            let mut excluded = e.seen.clone();
             excluded.extend(round.iter().cloned());
-            match self.tuner.recommend_batch(
-                &mut self.rng,
-                &self.report,
-                &excluded,
-                &mut self.cache,
-                q - round.len(),
-            ) {
+            let want = q - round.len();
+            match self.tuner.recommend_batch(&mut e.rng, &e.report, &excluded, &mut e.cache, want) {
                 Ok(more) => round.extend(more),
-                Err(e) => {
-                    // Return any drawn DoE configurations to the queue (in
+                Err(err) => {
+                    // Return the drawn DoE configurations to the queue (in
                     // their original order) so a caller that recovers from
                     // the error does not silently lose designed samples.
-                    while let Some(cfg) = round.pop() {
-                        self.doe_queue.push(cfg);
-                    }
-                    return Err(e);
+                    self.doe_queue.extend(round.into_iter().rev());
+                    return Err(err);
                 }
             }
         }
@@ -344,17 +263,8 @@ impl Session {
         self.last_think = t0.elapsed() / round.len().max(1) as u32;
         self.think_end = Some(Instant::now());
         self.last_report = None;
-        self.pending.extend(round.iter().cloned());
         if !round.is_empty() {
-            self.journal_propose(ProposeRec {
-                len: self.report.len(),
-                doe_k,
-                rng_before,
-                rng_after: self.rng.state(),
-                tuner_ns: self.last_think.as_nanos().min(u64::MAX as u128) as u64,
-                configs: round.clone(),
-                anchors: Vec::new(),
-            })?;
+            e.append_propose(doe_k, rng_before, self.last_think, &round, Vec::new())?;
         }
         Ok(round)
     }
@@ -389,7 +299,24 @@ impl Session {
                 )));
             }
         }
-        self.report_unchecked(cfg, eval);
+        // Each trial's eval_time spans from the later of "thinking finished"
+        // and "previous result reported" to now, so a batch reported
+        // sequentially sums to the round's wall time instead of
+        // quadratically double-counting earlier evaluations.
+        let now = Instant::now();
+        let eval_start = self.think_end.max(self.last_report).unwrap_or(now);
+        self.last_report = Some(now);
+        let landed = self.engine.record(Trial {
+            config: cfg,
+            value: eval.value(),
+            extra: eval.extra_objectives(),
+            feasible: eval.is_feasible(),
+            eval_time: now.saturating_duration_since(eval_start),
+            tuner_time: self.last_think,
+        });
+        if let Err(e) = landed {
+            self.journal_error.get_or_insert(e);
+        }
         Ok(())
     }
 
@@ -402,62 +329,27 @@ impl Session {
     /// surrogate cache absorbs new observations in whatever order they land.
     ///
     /// When journaling is enabled the outcome is durably appended before
-    /// this returns. Because `report` is infallible by design, a journal
-    /// write failure — or a rejected non-finite measurement (see
-    /// [`Session::try_report`]) — is deferred and raised by the next
-    /// [`Session::ask`] / [`Session::suggest_batch`] call instead.
+    /// this returns — also while an earlier failure is still deferred.
+    /// Because `report` is infallible by design, a journal write failure —
+    /// or a rejected non-finite measurement (see [`Session::try_report`]) —
+    /// is deferred and raised by the next [`Session::ask`] /
+    /// [`Session::suggest_batch`] call instead.
     pub fn report(&mut self, cfg: Configuration, eval: Evaluation) {
         if let Err(e) = self.try_report(cfg, eval) {
-            if self.journal_error.is_none() {
-                self.journal_error = Some(e);
-            }
-        }
-    }
-
-    fn report_unchecked(&mut self, cfg: Configuration, eval: Evaluation) {
-        self.pending.retain(|c| c != &cfg);
-        self.seen.insert(cfg.clone());
-        // Each trial's eval_time spans from the later of "thinking finished"
-        // and "previous result reported" to now, so a batch reported
-        // sequentially sums to the round's wall time instead of
-        // quadratically double-counting earlier evaluations.
-        let now = Instant::now();
-        let eval_start = match (self.think_end, self.last_report) {
-            (Some(a), Some(r)) => a.max(r),
-            (Some(a), None) => a,
-            (None, Some(r)) => r,
-            (None, None) => now,
-        };
-        self.last_report = Some(now);
-        let index = self.report.len();
-        self.report.push(Trial {
-            config: cfg,
-            value: eval.value(),
-            extra: eval.extra_objectives(),
-            feasible: eval.is_feasible(),
-            eval_time: now.saturating_duration_since(eval_start),
-            tuner_time: self.last_think,
-        });
-        if let Some(w) = self.journal.as_mut() {
-            if self.journal_error.is_none() {
-                let rec =
-                    TrialRec::from_trial(index, self.report.trials().last().expect("just pushed"));
-                if let Err(e) = w.append(&Record::Trial(rec)) {
-                    self.journal_error = Some(e);
-                }
-            }
+            self.journal_error.get_or_insert(e);
         }
     }
 
     /// Consumes the session, returning the final report.
     pub fn into_report(self) -> TuningReport {
-        self.report
+        self.engine.report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
     use crate::space::{ParamValue, SearchSpace};
 
     fn space() -> SearchSpace {
@@ -535,11 +427,23 @@ mod tests {
 
     /// Regression for the objective-ingestion bugfix: a NaN/±inf "feasible"
     /// measurement injected through the in-process session must be rejected
-    /// with a typed error instead of entering the surrogate.
+    /// with a typed error instead of entering the surrogate — and a rejected
+    /// report must not keep the next valid one out of the journal.
     #[test]
     fn non_finite_reports_are_rejected_with_a_typed_error() {
-        let tuner = Baco::builder(space()).budget(10).doe_samples(3).seed(6).build().unwrap();
-        let mut s = Session::new(tuner).unwrap();
+        let dir = std::env::temp_dir().join(format!("baco-session-nan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.jsonl");
+        let tuner = || {
+            Baco::builder(space())
+                .budget(10)
+                .doe_samples(3)
+                .seed(6)
+                .journal_path(&path)
+                .build()
+                .unwrap()
+        };
+        let mut s = Session::new(tuner()).unwrap();
         let cfg = s.ask().unwrap().unwrap();
 
         // try_report: immediate typed rejection, nothing recorded, the
@@ -558,20 +462,36 @@ mod tests {
             crate::Error::ObjectiveCountMismatch { got: 2, expected: 1 }
         ));
         assert!(s.history().is_empty(), "rejected reports must not enter the history");
-        assert_eq!(s.pending(), std::slice::from_ref(&cfg));
+        assert_eq!(s.pending(), vec![cfg.clone()]);
 
         // The infallible report() defers the same typed error to the next
-        // fallible call.
+        // fallible call; a valid report in between still lands.
         s.report(cfg.clone(), Evaluation::feasible(f64::NAN));
         assert!(s.history().is_empty());
+        s.report(cfg, Evaluation::feasible(1.0));
+        assert_eq!(s.history().len(), 1);
         let err = s.ask().unwrap_err();
         assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{err}");
 
         // An explicitly infeasible NaN-free report is the sanctioned way to
-        // record the failure, and the loop continues.
-        s.report(cfg, Evaluation::infeasible());
-        assert_eq!(s.history().len(), 1);
+        // record a failure, and the loop continues.
+        let next = s.ask().unwrap().unwrap();
+        s.report(next, Evaluation::infeasible());
+        assert_eq!(s.history().len(), 2);
         assert!(s.ask().unwrap().is_some());
+
+        // Every landed report reached the journal, which loads and resumes.
+        let sig = |r: &TuningReport| {
+            r.trials()
+                .iter()
+                .map(|t| (t.config.to_string(), t.value.map(f64::to_bits), t.feasible))
+                .collect::<Vec<_>>()
+        };
+        let journal = Journal::load(&path, &space()).unwrap();
+        assert_eq!(journal.trials.len(), s.history().len());
+        let resumed = Session::resume(tuner()).unwrap();
+        assert_eq!(sig(resumed.history()), sig(s.history()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The width guard lives in the core too: reporting the wrong number of
@@ -605,7 +525,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{err}");
         assert!(s.history().is_empty());
-        assert_eq!(s.pending(), std::slice::from_ref(&cfg));
+        assert_eq!(s.pending(), vec![cfg.clone()]);
         // The right width goes through; infeasible reports carry no vector
         // and are always accepted.
         s.try_report(cfg, Evaluation::feasible_multi(vec![1.0, 2.0])).unwrap();

@@ -1,8 +1,19 @@
-//! The closed-loop engine behind [`Baco::run`], [`Baco::resume`],
-//! [`Baco::run_batched`] and [`Baco::resume_batched`]: one driver that
+//! The tuning engine behind every loop. Its state — history, RNG stream,
+//! surrogate cache, proposal rounds and journal writer — is opened by one
+//! path (`Baco::start_engine`: create the journal, or load, validate and
+//! replay it), grows by journaled propose records, and lands every trial
+//! through one path (`Engine::record`).
+//!
+//! Two drivers evolve it. The closed loop behind [`Baco::run`],
+//! [`Baco::resume`], [`Baco::run_batched`] and [`Baco::resume_batched`]
 //! proposes rounds of `q` configurations, evaluates them on an
 //! [`EvalPool`], folds completions into the model in the order they land,
 //! and speculates up to [`BacoOptions::speculation_depth`] rounds ahead.
+//! [`Session`](super::Session) is the open loop: its caller asks for rounds
+//! and reports their results, and it keeps only what is its own — the DoE
+//! handed out per call and the rollback resume (see its docs).
+//!
+//! The rest of this page describes the closed loop.
 //!
 //! The scheduling rule is one inequality: at most `q · (depth + 1)`
 //! evaluations are in flight, a round's entries are dispatched `q` at a
@@ -171,17 +182,20 @@ struct Round {
     kept_marked: bool,
 }
 
-/// The closed loop's mutable state, shared verbatim between the live loop
-/// and the resume replay so both evolve it through identical transitions.
-struct Engine {
-    /// Proposals per round.
+/// The tuning state every loop evolves: the closed loop live and in its
+/// resume replay, and [`Session`](super::Session) between `ask`/`report`
+/// calls, so all of them go through identical transitions.
+#[derive(Debug)]
+pub(super) struct Engine {
+    /// Proposals per round (closed loop only).
     q: usize,
-    /// In-flight evaluation bound, `q · (depth + 1)`.
+    /// In-flight evaluation bound, `q · (depth + 1)` (closed loop only).
     capacity: usize,
-    rng: StdRng,
-    report: TuningReport,
-    seen: HashSet<Configuration>,
-    cache: GpCache,
+    pub(super) rng: StdRng,
+    pub(super) report: TuningReport,
+    /// Landed and pending configurations: nothing in here is proposed again.
+    pub(super) seen: HashSet<Configuration>,
+    pub(super) cache: GpCache,
     /// `None` without a journal and during replay.
     writer: Option<JournalWriter>,
     /// All rounds ever proposed, indexed by propose-record ordinal
@@ -200,20 +214,20 @@ struct Engine {
 }
 
 impl Engine {
-    /// Proposed entries that have not landed (in flight or awaiting
-    /// dispatch).
-    fn pending(&self) -> usize {
+    /// Proposed configurations that have not landed (in flight or awaiting
+    /// dispatch), in proposal order.
+    pub(super) fn pending(&self) -> impl Iterator<Item = &Configuration> {
         self.rounds
             .iter()
             .flat_map(|r| &r.entries)
             .filter(|e| e.state == EntryState::Pending)
-            .count()
+            .map(|e| &e.config)
     }
 
     /// Durably journals one proposal round (when journaling), then appends
     /// it to the engine. `anchors` is empty for every round but a
     /// speculative draft.
-    fn append_propose(
+    pub(super) fn append_propose(
         &mut self,
         doe_k: usize,
         rng_before: [u64; 4],
@@ -234,6 +248,29 @@ impl Engine {
             }))?;
         }
         self.push_round(configs, tuner, round_anchors);
+        Ok(())
+    }
+
+    /// Lands one trial: marks the pending entry that proposed its
+    /// configuration (if any) done, adds it to the history and journals it
+    /// (when journaling). The trial stays in the history even when the
+    /// append fails.
+    pub(super) fn record(&mut self, trial: Trial) -> Result<()> {
+        let entry = self
+            .rounds
+            .iter_mut()
+            .flat_map(|r| &mut r.entries)
+            .find(|en| en.state == EntryState::Pending && en.config == trial.config);
+        if let Some(en) = entry {
+            en.state = EntryState::Done;
+        }
+        self.seen.insert(trial.config.clone());
+        let index = self.report.len();
+        self.report.push(trial);
+        if let Some(w) = self.writer.as_mut() {
+            let rec = TrialRec::from_trial(index, self.report.trials().last().expect("just pushed"));
+            w.append(&Record::Trial(rec))?;
+        }
         Ok(())
     }
 
@@ -315,6 +352,51 @@ fn append_reconcile(
 }
 
 impl Baco {
+    /// A fresh engine for a `mode` loop, with the run's transfer state
+    /// resolved. With a journal path it either creates the journal or, when
+    /// `resume` is set and one exists, loads and validates it, adopts its
+    /// transfer digest, rebuilds the state with `replay` and reopens it for
+    /// appending.
+    pub(super) fn start_engine(
+        &self,
+        mode: Mode,
+        resume: bool,
+        replay: impl FnOnce(&Journal, &mut Engine) -> Result<()>,
+    ) -> Result<Engine> {
+        let mut report = TuningReport::new("BaCO");
+        report.set_reference_point(self.opts.reference_point.clone());
+        let mut e = Engine {
+            q: 0,
+            capacity: 0,
+            rng: StdRng::seed_from_u64(self.opts.seed),
+            report,
+            seen: HashSet::new(),
+            cache: self.new_cache(),
+            writer: None,
+            rounds: Vec::new(),
+            tickets: HashMap::new(),
+            next_ticket: 0,
+            doe_done: false,
+            draft_backoff: 0,
+        };
+        let Some(path) = &self.opts.journal_path else {
+            self.prepare_transfer(None)?;
+            return Ok(e);
+        };
+        if resume && Journal::exists(path) {
+            let journal = Journal::load(path, &self.space)?;
+            journal.header.validate(mode, &self.opts, &self.space)?;
+            self.prepare_transfer(journal.header.transfer.as_ref())?;
+            replay(&journal, &mut e)?;
+            e.writer = Some(JournalWriter::resume(path, &journal, e.report.len())?);
+        } else {
+            let mut header = Header::new(mode, &self.opts, &self.space);
+            header.transfer = self.prepare_transfer(None)?;
+            e.writer = Some(JournalWriter::create(path, &header)?);
+        }
+        Ok(e)
+    }
+
     /// The closed loop: proposes rounds of `q` with up to `depth`
     /// speculative rounds beyond the one in flight, evaluates them on `bb`'s
     /// pool, and journals (or, with `resume`, replays and continues) the run
@@ -331,42 +413,16 @@ impl Baco {
         } else {
             Mode::Batched
         };
-        let mut report = TuningReport::new("BaCO");
-        report.set_reference_point(self.opts.reference_point.clone());
-        let mut e = Engine {
-            q,
-            capacity: q * (depth + 1),
-            rng: StdRng::seed_from_u64(self.opts.seed),
-            report,
-            seen: HashSet::new(),
-            cache: self.new_cache(),
-            writer: None,
-            rounds: Vec::new(),
-            tickets: HashMap::new(),
-            next_ticket: 0,
-            doe_done: false,
-            draft_backoff: 0,
-        };
-
-        if let Some(path) = &self.opts.journal_path {
-            if resume && Journal::exists(path) {
-                let journal = Journal::load(path, &self.space)?;
-                journal.header.validate(mode, &self.opts, &self.space)?;
-                self.prepare_transfer(journal.header.transfer.as_ref())?;
-                self.replay(&journal, &mut e)?;
-                if let Some(p) = journal.proposes.last() {
-                    e.rng = StdRng::from_state(p.rng_after);
-                }
-                e.doe_done = !journal.proposes.is_empty();
-                e.writer = Some(JournalWriter::resume(path, &journal, e.report.len())?);
-            } else {
-                let mut header = Header::new(mode, &self.opts, &self.space);
-                header.transfer = self.prepare_transfer(None)?;
-                e.writer = Some(JournalWriter::create(path, &header)?);
+        let mut e = self.start_engine(mode, resume, |journal, e| {
+            self.replay(journal, e)?;
+            if let Some(p) = journal.proposes.last() {
+                e.rng = StdRng::from_state(p.rng_after);
             }
-        } else {
-            self.prepare_transfer(None)?;
-        }
+            e.doe_done = !journal.proposes.is_empty();
+            Ok(())
+        })?;
+        e.q = q;
+        e.capacity = q * (depth + 1);
 
         match bb {
             Evaluator::Inline(bb) => self.drive(e, &mut EvalPool::inline(bb)),
@@ -401,7 +457,7 @@ impl Baco {
         loop {
             e.dispatch(pool, self.opts.budget);
             let landed = e.report.len();
-            let pending = e.pending();
+            let pending = e.pending().count();
             if landed + pending >= self.opts.budget {
                 return Ok(()); // pending work already covers the budget
             }
@@ -495,9 +551,7 @@ impl Baco {
         let Some((ri, ei)) = e.tickets.remove(&done.ticket) else {
             return Ok(()); // stale ticket (defensive; cancelled paths swallow)
         };
-        e.rounds[ri].entries[ei].state = EntryState::Done;
         e.rounds[ri].entries[ei].ticket = None;
-        let index = e.report.len();
         // `push` demotes a feasible-but-non-finite measurement to an
         // infeasible (hidden-constraint) observation, so a black box
         // returning NaN/±inf can never poison the surrogate. A vector of the
@@ -505,18 +559,14 @@ impl Baco {
         // Pareto bookkeeping while being invisible to the models.
         let feasible = done.evaluation.is_feasible()
             && done.evaluation.n_objectives() == self.opts.objectives;
-        e.report.push(Trial {
+        e.record(Trial {
             config: done.config,
             value: done.evaluation.value(),
             extra: done.evaluation.extra_objectives(),
             feasible,
             eval_time: done.eval_time,
             tuner_time: e.rounds[ri].tuner,
-        });
-        if let Some(w) = e.writer.as_mut() {
-            let rec = TrialRec::from_trial(index, e.report.trials().last().expect("just pushed"));
-            w.append(&Record::Trial(rec))?;
-        }
+        })?;
         self.reconcile(e, Some(pool))
     }
 
@@ -570,11 +620,10 @@ impl Baco {
                     msg: format!("trial {} does not match any pending proposal", tr.index),
                 });
             };
-            e.rounds[ri].entries[ei].state = EntryState::Done;
             // A revived entry's configuration was released when replay
-            // flushed its round; the landed trial puts it back.
-            e.seen.insert(tr.config.clone());
-            e.report.push(tr.to_trial());
+            // flushed its round; recording the trial puts it back.
+            e.rounds[ri].entries[ei].state = EntryState::Done;
+            e.record(tr.to_trial())?;
             self.reconcile(e, None)?;
         }
         apply_proposes(journal.trials.len(), e);

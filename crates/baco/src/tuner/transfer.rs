@@ -36,7 +36,7 @@ use super::{Baco, BacoOptions};
 use crate::journal::corpus;
 use crate::journal::{fnv1a, Journal, TransferDigest};
 use crate::space::{Configuration, SearchSpace};
-use crate::surrogate::{MeanFn, ModelInput, RandomForestRegressor, ZERO_MEAN_DIGEST};
+use crate::surrogate::{MeanFn, ModelInput, RandomForestRegressor};
 use crate::{Error, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,16 +90,11 @@ pub(crate) struct TransferContext {
 #[derive(Debug)]
 struct RfPriorMean {
     model: RandomForestRegressor,
-    digest: u64,
 }
 
 impl MeanFn for RfPriorMean {
     fn mean(&self, space: &SearchSpace, cfg: &Configuration) -> f64 {
         self.model.predict_config(space, cfg).0
-    }
-
-    fn digest(&self) -> u64 {
-        self.digest
     }
 }
 
@@ -230,16 +225,7 @@ impl TransferContext {
             let mut prior_rng = StdRng::seed_from_u64(digest.snapshot ^ digest.fingerprint);
             match RandomForestRegressor::fit(space, &pooled_cfgs, &pooled_y, &opts.rf, &mut prior_rng)
             {
-                Ok(model) => {
-                    let mut d = [0u8; 16];
-                    d[..8].copy_from_slice(&digest.fingerprint.to_le_bytes());
-                    d[8..].copy_from_slice(&digest.snapshot.to_le_bytes());
-                    let digest = match fnv1a(&d) {
-                        ZERO_MEAN_DIGEST => 1,
-                        other => other,
-                    };
-                    Some(Arc::new(RfPriorMean { model, digest }))
-                }
+                Ok(model) => Some(Arc::new(RfPriorMean { model })),
                 Err(_) => None,
             }
         } else {

@@ -19,18 +19,15 @@
 //! `gpu_sim::benchmarks::mm_gpu()` under the options of
 //! [`Golden::builder`] for `mm_gpu_budgeted()` plus `journal_path`.
 //!
-//! `tests/fixtures/mm_gpu_session_seed11_q4.jsonl` is the journal of an
-//! open-loop [`Session`] on `gpu_sim::benchmarks::mm_gpu()` (seed 11, budget
-//! 20, DoE 6) driven by [`drive_session`]: `suggest_batch(4)` per round,
-//! each round reported in reverse proposal order. Its second round mixes two
-//! DoE and two model picks, and the sim's hidden constraints make some
-//! reports infeasible. Regenerate it with
+//! `tests/fixtures/mm_gpu_session_seed11_q4.jsonl` pins open-loop
+//! [`Session`] journals. It is the journal of [`drive_session`]
+//! (`suggest_batch(4)` per round, each round reported in reverse proposal
+//! order) fed the sim's own black box, under the options of
+//! [`session_tuner`] (`gpu_sim::benchmarks::mm_gpu()`, seed 11, budget 20,
+//! DoE 6). Its second round mixes two DoE and two model picks, and the
+//! sim's hidden constraints make some reports infeasible.
 //!
-//! ```text
-//! cargo test --release --test golden_trajectories -- --ignored regenerate_session_golden
-//! ```
-//!
-//! Each closed-loop test replays a fixture: the tuner re-runs from the same seed with
+//! Each test replays a fixture: the tuner re-runs from the same seed with
 //! the black box *replaced* by the journal's recorded evaluations, and every
 //! proposal must reproduce the fixture bit for bit. Objective values feed
 //! the surrogate exactly as recorded, so the assertion isolates the tuner's
@@ -474,15 +471,4 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
     }
     assert_eq!(cuts, 6, "header plus five fully reported rounds");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Rewrites the Session fixture from the live MM_GPU model (see the module
-/// docs); run only when a trajectory change is intended.
-#[test]
-#[ignore]
-fn regenerate_session_golden() {
-    let bench = gpu_sim::benchmarks::mm_gpu();
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join(SESSION_FIXTURE);
-    let mut session = Session::new(session_tuner(&fixture)).unwrap();
-    drive_session(&mut session, bench.blackbox.as_ref());
 }
