@@ -1,6 +1,7 @@
-//! The event-driven TCP front end: one readiness loop multiplexing every
-//! connection over a hand-rolled epoll poller ([`super::sys`]), with request
-//! dispatch on a small worker pool.
+//! The event-driven TCP front end, the only one: one readiness loop
+//! multiplexing every connection over the platform's poller
+//! ([`super::sys::Poller`]: epoll on Linux, `poll(2)` elsewhere), with
+//! request dispatch on a small worker pool.
 //!
 //! ```text
 //!              ┌───────────────── readiness loop (1 thread) ─────────────────┐
@@ -9,7 +10,6 @@
 //!   writable ─► flush bounded write buffers  ◄── completions ◄── │ workers   │
 //!   waker ───► drain completions                                 │ (N threads│
 //!              └─────────────────────────────────────────────────┘  share the│
-//!                                                                   sharded  │
 //!                                                                   registry)┘
 //! ```
 //!
@@ -19,10 +19,9 @@
 //! accepts, reads, or writes. Per-connection order is preserved by
 //! dispatching at most one request per connection at a time
 //! ([`ConnState`]'s FIFO); cross-connection parallelism comes from the pool,
-//! and per-session serialization is the registry's per-slot mutex, exactly
-//! as under the thread-per-connection front end.
+//! and per-session serialization is the registry's per-slot mutex.
 //!
-//! Overload policy (replacing the old hard `busy` connection refusal):
+//! Overload policy:
 //!
 //! * more than [`ServerOptions::max_outstanding`] requests accepted but
 //!   unanswered server-wide, or more than
@@ -39,18 +38,25 @@
 
 use super::conn::{ConnState, Pending};
 use super::proto::{self, WireError};
-use super::sys::{self, Poller};
-use super::{ServerHandle, MAX_REQUEST_LINE};
+use super::sys::{self, Readiness};
+use super::{ServerHandle, TcpServer};
 use crate::journal::json;
 use crate::{Error, Result};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::os::unix::prelude::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// Longest request line the loop accepts. Past this cap, counted
+/// incrementally as bytes arrive, the connection gets one `bad_request`
+/// reply and is closed (there is no way to resynchronize mid-line), so one
+/// client streaming bytes with no newline cannot grow the daemon's memory
+/// without limit.
+pub(super) const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Token of the listening socket (never a valid slab index).
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -86,14 +92,14 @@ impl Shared {
     }
 }
 
-/// Wakes the loop out of `epoll_wait` (worker completions, stop requests).
+/// Wakes the loop out of its poller wait (worker completions, stop requests).
 /// Cheap to clone; writes are single bytes and a full pipe is itself a
 /// successful wake, so `WouldBlock` is ignored.
 #[derive(Debug)]
 pub(crate) struct Waker(UnixStream);
 
 impl Waker {
-    fn wake(&self) {
+    pub(super) fn wake(&self) {
         let _ = (&self.0).write(&[1u8]);
     }
 
@@ -102,36 +108,13 @@ impl Waker {
     }
 }
 
-/// Controller of a running event front end (wrapped by
-/// [`super::TcpServer`]).
-#[derive(Debug)]
-pub(crate) struct EventServer {
-    stop: Arc<AtomicBool>,
-    waker: Waker,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl EventServer {
-    pub(crate) fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    pub(crate) fn join(&mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Binds `addr` and spawns the readiness loop plus its worker pool.
-pub(crate) fn serve<A: ToSocketAddrs>(
+/// Binds `addr` and spawns the readiness loop on backend `P` (the
+/// platform's [`Poller`](super::sys::Poller) in production), plus its
+/// worker pool.
+pub(super) fn serve_on<P: Readiness, A: ToSocketAddrs>(
     handle: ServerHandle,
     addr: A,
-) -> Result<(SocketAddr, EventServer)> {
+) -> Result<TcpServer> {
     let listener = TcpListener::bind(addr).map_err(|e| Error::Io(format!("bind: {e}")))?;
     let local = listener.local_addr().map_err(|e| Error::Io(format!("local_addr: {e}")))?;
     listener
@@ -144,13 +127,11 @@ pub(crate) fn serve<A: ToSocketAddrs>(
     wake_tx.set_nonblocking(true).map_err(|e| Error::Io(format!("waker: {e}")))?;
     let waker = Waker(wake_tx);
 
-    let poller = Poller::new().map_err(|e| Error::Io(format!("epoll_create: {e}")))?;
-    poller
-        .add(listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)
-        .map_err(|e| Error::Io(format!("epoll_ctl(listener): {e}")))?;
-    poller
-        .add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKER)
-        .map_err(|e| Error::Io(format!("epoll_ctl(waker): {e}")))?;
+    let mut poller = P::new().map_err(|e| Error::Io(format!("poller: {e}")))?;
+    let watched = [(listener.as_raw_fd(), TOKEN_LISTENER), (wake_rx.as_raw_fd(), TOKEN_WAKER)];
+    for (fd, token) in watched {
+        poller.add(fd, sys::EPOLLIN, token).map_err(|e| Error::Io(format!("poller add: {e}")))?;
+    }
 
     let stop = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
@@ -170,7 +151,6 @@ pub(crate) fn serve<A: ToSocketAddrs>(
         .collect::<Result<_>>()?;
 
     let stop2 = Arc::clone(&stop);
-    let loop_waker = waker.try_clone().map_err(|e| Error::Io(format!("waker: {e}")))?;
     let thread = std::thread::spawn(move || {
         let mut lp = EventLoop {
             handle,
@@ -197,7 +177,7 @@ pub(crate) fn serve<A: ToSocketAddrs>(
         }
     });
 
-    Ok((local, EventServer { stop, waker: loop_waker, thread: Some(thread) }))
+    Ok(TcpServer { addr: local, stop, waker, thread: Some(thread) })
 }
 
 fn worker_loop(shared: &Shared, handle: &ServerHandle, waker: &Waker) {
@@ -247,9 +227,9 @@ struct Conn {
     interest: u32,
 }
 
-struct EventLoop {
+struct EventLoop<P> {
     handle: ServerHandle,
-    poller: Poller,
+    poller: P,
     listener: TcpListener,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
@@ -270,13 +250,13 @@ struct EventLoop {
 
 const READ_INTEREST: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
 
-impl EventLoop {
+impl<P: Readiness> EventLoop<P> {
     fn run(&mut self) {
         let mut events: Vec<(u32, u64)> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
             let timeout = if self.accept_throttled { 50 } else { -1 };
             if self.poller.wait(&mut events, timeout).is_err() {
-                break; // a broken epoll fd is unrecoverable
+                break; // a broken poller is unrecoverable
             }
             if self.accept_throttled {
                 // Retry the accept backlog even if no event fired.
@@ -544,5 +524,108 @@ impl EventLoop {
         self.outstanding -= conn.state.pending_requests() + usize::from(conn.state.in_flight());
         self.conns -= 1;
         self.free.push(idx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::json::Json;
+    use crate::server::ServerOptions;
+    use std::io::{BufRead, BufReader};
+    use std::net::Shutdown;
+
+    fn status_line(id: usize) -> String {
+        format!("{{\"op\":\"status\",\"id\":{id}}}\n")
+    }
+
+    fn read_reply(r: &mut BufReader<TcpStream>) -> Json {
+        let mut line = String::new();
+        r.read_line(&mut line).expect("read reply");
+        assert!(!line.is_empty(), "server closed instead of replying");
+        json::parse(line.trim_end()).expect("replies are valid JSON")
+    }
+
+    fn error_kind(reply: &Json) -> Option<&str> {
+        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str)
+    }
+
+    /// The whole loop on backend `P`: pipelining with shedding, half-close
+    /// drain, the request-line cap, and the connection guard.
+    fn loop_serves_pipelines_and_limits<P: Readiness>() {
+        let handle = ServerHandle::new(ServerOptions {
+            max_connections: 2,
+            max_outstanding: 4,
+            ..ServerOptions::default()
+        });
+        let tcp = serve_on::<P, _>(handle, "127.0.0.1:0").unwrap();
+
+        // A 64-request pipelined burst: answered in request order, the
+        // requests past 4 outstanding shed as `overloaded`.
+        let mut a = TcpStream::connect(tcp.addr()).unwrap();
+        let burst: String = (0..64).map(status_line).collect();
+        a.write_all(burst.as_bytes()).unwrap();
+        let mut ra = BufReader::new(a.try_clone().unwrap());
+        let mut shed = 0;
+        for i in 0..64 {
+            let reply = read_reply(&mut ra);
+            assert_eq!(reply.get("id").and_then(Json::as_f64), Some(i as f64), "in order");
+            if reply.get("ok") != Some(&Json::Bool(true)) {
+                assert_eq!(error_kind(&reply), Some("overloaded"), "{reply:?}");
+                shed += 1;
+            }
+        }
+        assert!((1..64).contains(&shed), "{shed} of 64 shed past max_outstanding = 4");
+
+        // Half-close after three requests: all three are answered, then
+        // the server closes.
+        let mut b = TcpStream::connect(tcp.addr()).unwrap();
+        let three: String = (0..3).map(status_line).collect();
+        b.write_all(three.as_bytes()).unwrap();
+        b.shutdown(Shutdown::Write).unwrap();
+        let mut rb = BufReader::new(b);
+        for i in 0..3 {
+            let reply = read_reply(&mut rb);
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+            assert_eq!(reply.get("id").and_then(Json::as_f64), Some(i as f64));
+        }
+        let mut rest = String::new();
+        assert_eq!(rb.read_line(&mut rest).unwrap(), 0, "then the server closes");
+
+        // A second live connection fills the guard; a third gets one
+        // `overloaded` line and is closed.
+        let mut c = TcpStream::connect(tcp.addr()).unwrap();
+        c.write_all(status_line(0).as_bytes()).unwrap();
+        let mut rc = BufReader::new(c.try_clone().unwrap());
+        assert_eq!(read_reply(&mut rc).get("ok"), Some(&Json::Bool(true)));
+        let mut rd = BufReader::new(TcpStream::connect(tcp.addr()).unwrap());
+        assert_eq!(error_kind(&read_reply(&mut rd)), Some("overloaded"));
+        assert_eq!(rd.read_line(&mut rest).unwrap_or(0), 0, "then closed");
+
+        // A 2 MiB line is cut at the 1 MiB cap: one `bad_request`, then the
+        // server closes (and the writer sees the reset).
+        let writer = std::thread::spawn(move || {
+            let chunk = vec![b'z'; 64 * 1024];
+            for _ in 0..32 {
+                if c.write_all(&chunk).is_err() {
+                    break; // already cut off
+                }
+            }
+        });
+        assert_eq!(error_kind(&read_reply(&mut rc)), Some("bad_request"));
+        assert_eq!(rc.read_line(&mut rest).unwrap_or(0), 0, "must close after the error");
+        writer.join().unwrap();
+        tcp.stop();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn loop_serves_pipelines_and_limits_on_epoll() {
+        loop_serves_pipelines_and_limits::<sys::epoll::Epoll>();
+    }
+
+    #[test]
+    fn loop_serves_pipelines_and_limits_on_poll() {
+        loop_serves_pipelines_and_limits::<sys::poll::Poll>();
     }
 }

@@ -8,11 +8,10 @@
 //! bitwise resume — but every run was still a single-process, single-client
 //! affair. This module adds the missing layer:
 //!
-//! * **Sharded registry** (`registry`) — sessions live in an N-way sharded
-//!   `RwLock<HashMap>` keyed by session id; requests against unrelated
-//!   sessions never contend on a shared lock, requests against the same
-//!   session serialize (so a concurrently-driven session stays
-//!   deterministic).
+//! * **Registry** (`registry`) — sessions live in one `RwLock<HashMap>`
+//!   keyed by session id, held only to clone a session's `Arc`; requests
+//!   against the same session serialize on its own mutex (so a
+//!   concurrently-driven session stays deterministic).
 //! * **Wire protocol** ([`proto`]) — `create_session` / `ask` /
 //!   `suggest_batch` / `report` / `best` / `status` / `close` as one JSON
 //!   object per line, reusing the journal's panic-free codec. Malformed
@@ -26,16 +25,14 @@
 //!   sequential driver's continued trajectory is bit-for-bit identical to an
 //!   uninterrupted run.
 //!
-//! Three front ends share the dispatch path: the in-process [`ServerHandle`]
-//! (deterministic; what the test suites drive), the TCP listener
-//! ([`ServerHandle::serve`] — on Linux an event-driven readiness loop
-//! multiplexing 10k+ connections over epoll with pipelining, write-side
-//! backpressure and typed `overloaded` load-shedding; elsewhere the
-//! thread-per-connection fallback, also reachable explicitly as
-//! [`ServerHandle::serve_blocking`]), and the `baco-cli serve` /
-//! `baco-cli client` pair for end-to-end use against the `*-sim`
-//! substrates. See `docs/ARCHITECTURE.md` for the connection state machine
-//! and the backpressure/shedding policy.
+//! Two faces share the dispatch path: the in-process [`ServerHandle`]
+//! (deterministic; what the test suites drive) and the TCP front end
+//! ([`ServerHandle::serve`]): one event-driven readiness loop multiplexing
+//! 10k+ connections over epoll on Linux and `poll(2)` on other Unix hosts,
+//! with pipelining, write-side backpressure and typed `overloaded`
+//! load-shedding. `baco-cli serve` / `baco-cli client` drive it end to end
+//! against the `*-sim` substrates. See `docs/ARCHITECTURE.md` for the
+//! connection state machine and the backpressure/shedding policy.
 //!
 //! ```
 //! use baco::server::{ServerHandle, ServerOptions};
@@ -63,24 +60,17 @@
 //! assert!(err.contains(r#""kind":"bad_request""#), "{err}");
 //! ```
 
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod conn;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod event;
 mod registry;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod sys;
 pub mod proto;
 
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub use sys::raise_nofile_limit;
-
-/// Portable stand-in for the Linux `RLIMIT_NOFILE` raiser: reports a
-/// conservative limit and changes nothing.
-#[cfg(not(target_os = "linux"))]
-pub fn raise_nofile_limit(_want: u64) -> u64 {
-    1024
-}
 
 use crate::journal::json::Json;
 use crate::journal::{self, Journal};
@@ -89,31 +79,25 @@ use crate::tuner::{Baco, Evaluation, Session, SurrogateKind};
 use crate::{Error, Result};
 use proto::{Envelope, ErrorKind, Request, SessionSpec, WireError};
 use registry::{lock_slot, Registry};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Configuration of a [`ServerHandle`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Registry shards (default 16). More shards, less cross-session
-    /// contention on the id → session map.
-    pub shards: usize,
     /// When set, every session is journaled to `<dir>/<session>.jsonl` and
     /// can be resumed across server restarts. `None` (default) keeps
     /// sessions in memory only.
     pub journal_dir: Option<PathBuf>,
-    /// Maximum concurrently served TCP connections (default 8192). For the
-    /// event-driven front end this is an fd-exhaustion guard: connections
-    /// past it get one `overloaded` error line and are closed (request-level
-    /// load is shed with [`ServerOptions::max_outstanding`] well before
-    /// this trips). The blocking fallback front end treats it as its thread
-    /// cap and answers `busy`, as before.
+    /// Maximum concurrently served TCP connections (default 8192): an
+    /// fd-exhaustion guard. Connections past it get one `overloaded` error
+    /// line and are closed (request-level load is shed with
+    /// [`ServerOptions::max_outstanding`] well before this trips).
     pub max_connections: usize,
-    /// Worker threads executing requests behind the event-driven front end
+    /// Worker threads executing requests behind the TCP front end
     /// (default 4). Per-connection order is independent of this: each
     /// connection has at most one request in flight at a time.
     pub workers: usize,
@@ -134,7 +118,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            shards: 16,
             journal_dir: None,
             max_connections: 8192,
             workers: 4,
@@ -172,7 +155,7 @@ impl ServerHandle {
     /// Creates an empty server.
     pub fn new(opts: ServerOptions) -> ServerHandle {
         ServerHandle {
-            inner: Arc::new(Inner { registry: Registry::new(opts.shards), opts }),
+            inner: Arc::new(Inner { registry: Registry::new(), opts }),
         }
     }
 
@@ -503,147 +486,38 @@ impl ServerHandle {
     /// line out, with pipelining (requests of one connection are answered
     /// strictly in request order; the optional `id` member correlates them).
     ///
-    /// On Linux this is the event-driven readiness core — one loop
-    /// multiplexing every connection over epoll, dispatch on
-    /// [`ServerOptions::workers`] worker threads, write-side backpressure
-    /// and `overloaded` load-shedding (see the module docs). Elsewhere it
-    /// falls back to [`ServerHandle::serve_blocking`].
+    /// One readiness loop multiplexes every connection over the platform's
+    /// poller (epoll on Linux, `poll(2)` on other Unix hosts), dispatching
+    /// on [`ServerOptions::workers`] worker threads with write-side
+    /// backpressure and `overloaded` load-shedding (see the module docs).
     ///
     /// # Errors
-    /// [`Error::Io`] when the listener cannot bind.
+    /// [`Error::Io`] when the listener cannot bind, or on a host without
+    /// Unix support.
     pub fn serve<A: ToSocketAddrs>(&self, addr: A) -> Result<TcpServer> {
-        #[cfg(target_os = "linux")]
+        #[cfg(unix)]
         {
-            let (local, ev) = event::serve(self.clone(), addr)?;
-            Ok(TcpServer { addr: local, inner: FrontEnd::Event(ev) })
+            event::serve_on::<sys::Poller, _>(self.clone(), addr)
         }
-        #[cfg(not(target_os = "linux"))]
+        #[cfg(not(unix))]
         {
-            self.serve_blocking(addr)
-        }
-    }
-
-    /// Starts the blocking thread-per-connection TCP front end on `addr` in
-    /// a background accept thread (bounded by
-    /// [`ServerOptions::max_connections`] concurrent handler threads;
-    /// further connections receive one `busy` error line and are closed).
-    /// Kept as the portable fallback and as the baseline the
-    /// `server_throughput` bench compares the event-driven core against.
-    ///
-    /// # Errors
-    /// [`Error::Io`] when the listener cannot bind.
-    pub fn serve_blocking<A: ToSocketAddrs>(&self, addr: A) -> Result<TcpServer> {
-        let listener = TcpListener::bind(addr).map_err(|e| Error::Io(format!("bind: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| Error::Io(format!("local_addr: {e}")))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let handle = self.clone();
-        let stop2 = Arc::clone(&stop);
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match conn {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // Persistent accept errors (fd exhaustion) must not
-                        // busy-spin the core that connection teardown needs.
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        continue;
-                    }
-                };
-                if active.fetch_add(1, Ordering::SeqCst) >= handle.inner.opts.max_connections {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    let busy = WireError {
-                        kind: ErrorKind::Busy,
-                        msg: "connection limit reached".into(),
-                    };
-                    let mut s = stream;
-                    let _ = writeln!(s, "{}", proto::err_line(None, &busy));
-                    continue; // dropped → closed
-                }
-                // The slot is released by a Drop guard so that even a panic
-                // inside a session operation cannot leak it — otherwise
-                // max_connections tenant panics would wedge the front end
-                // into answering only `busy`.
-                let guard = ConnGuard(Arc::clone(&active));
-                let handle = handle.clone();
-                std::thread::spawn(move || {
-                    let _guard = guard;
-                    serve_connection(&handle, stream);
-                });
-            }
-        });
-        Ok(TcpServer { addr: local, inner: FrontEnd::Blocking { stop, accept: Some(accept) } })
-    }
-}
-
-/// Releases one connection slot on drop — unwind-safe by construction.
-struct ConnGuard(Arc<AtomicUsize>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Longest request line the TCP front end accepts. An unbounded
-/// `read_line` would let one client grow the multi-tenant daemon's memory
-/// without limit by streaming bytes with no newline; past this cap the
-/// connection gets one `bad_request` reply and is closed (there is no way
-/// to resynchronize mid-line).
-const MAX_REQUEST_LINE: usize = 1 << 20;
-
-/// One connection: request line in, reply line out, until EOF, an I/O
-/// error, or an oversized line.
-fn serve_connection(handle: &ServerHandle, stream: TcpStream) {
-    use std::io::Read;
-    let Ok(mut writer) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        buf.clear();
-        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        if buf.len() > MAX_REQUEST_LINE {
-            let e = proto::WireError::bad_request(format!(
-                "request line exceeds {MAX_REQUEST_LINE} bytes"
-            ));
-            let _ = writeln!(writer, "{}", proto::err_line(None, &e));
-            break;
-        }
-        let line = String::from_utf8_lossy(&buf);
-        let reply = handle.handle_line(line.trim_end_matches(['\n', '\r']));
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
-            break;
+            let _ = addr;
+            Err(Error::Io("the TCP front end needs a Unix host (epoll or poll(2))".into()))
         }
     }
 }
 
-/// Controller of a running TCP front end (returned by
-/// [`ServerHandle::serve`] or [`ServerHandle::serve_blocking`]). Dropping it
-/// stops the serving loop; sessions and their journals live in the
-/// [`ServerHandle`], not here.
+/// Controller of the running TCP front end (returned by
+/// [`ServerHandle::serve`]). Dropping it stops the loop and drops its
+/// connections; sessions and their journals live in the [`ServerHandle`],
+/// not here.
 #[derive(Debug)]
 pub struct TcpServer {
     addr: SocketAddr,
-    inner: FrontEnd,
-}
-
-#[derive(Debug)]
-enum FrontEnd {
-    Blocking {
-        stop: Arc<AtomicBool>,
-        accept: Option<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event(event::EventServer),
+    stop: Arc<AtomicBool>,
+    #[cfg(unix)]
+    waker: event::Waker,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl TcpServer {
@@ -652,41 +526,24 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stops serving and joins the loop. For the blocking front end,
-    /// connections already being served run until their client disconnects;
-    /// the event-driven front end drops its connections with the loop.
+    /// Stops serving: drops every connection, joins the loop and workers.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
-    /// Blocks until the serving loop exits (it only exits on
-    /// [`TcpServer::stop`] or drop from another thread — for a daemon, this
-    /// parks forever).
+    /// Blocks until the serving loop exits; for a daemon, this parks forever.
     pub fn join(mut self) {
-        match &mut self.inner {
-            FrontEnd::Blocking { accept, .. } => {
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            FrontEnd::Event(ev) => ev.join(),
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 
     fn shutdown(&mut self) {
-        match &mut self.inner {
-            FrontEnd::Blocking { stop, accept } => {
-                if let Some(h) = accept.take() {
-                    stop.store(true, Ordering::SeqCst);
-                    // Poke the listener so the blocking accept observes the
-                    // flag.
-                    let _ = TcpStream::connect(self.addr);
-                    let _ = h.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            FrontEnd::Event(ev) => ev.stop(),
+        self.stop.store(true, Ordering::SeqCst);
+        #[cfg(unix)]
+        self.waker.wake();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 }
@@ -700,6 +557,8 @@ impl Drop for TcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn int_space_spec() -> &'static str {
         r#"{"params":[{"name":"a","kind":"int","lo":"0","hi":"15"},{"name":"b","kind":"int","lo":"0","hi":"15"}],"constraints":[]}"#
@@ -1028,46 +887,16 @@ mod tests {
         writeln!(b, r#"{{"op":"status"}}"#).unwrap();
         assert!(read_line(&mut b).contains(r#""sessions":1"#));
 
-        // Third concurrent connection: one typed refusal line, then closed
-        // (`overloaded` from the event core; `busy` from the blocking
-        // fallback on non-Linux hosts).
-        #[cfg(target_os = "linux")]
-        let refusal = r#""kind":"overloaded""#;
-        #[cfg(not(target_os = "linux"))]
-        let refusal = r#""kind":"busy""#;
+        // Third concurrent connection: one typed refusal line, then closed.
         let mut c = TcpStream::connect(addr).unwrap();
         let line = read_line(&mut c);
-        assert!(line.contains(refusal), "{line}");
+        assert!(line.contains(r#""kind":"overloaded""#), "{line}");
 
         drop(a);
         drop(b);
         drop(c);
         tcp.stop();
         assert_eq!(srv.session_count(), 1, "sessions outlive the TCP front end");
-    }
-
-    #[test]
-    fn blocking_front_end_still_answers_busy() {
-        let srv = ServerHandle::new(ServerOptions {
-            max_connections: 1,
-            ..ServerOptions::default()
-        });
-        let tcp = srv.serve_blocking("127.0.0.1:0").unwrap();
-        let addr = tcp.addr();
-        let mut a = TcpStream::connect(addr).unwrap();
-        writeln!(a, r#"{{"op":"status"}}"#).unwrap();
-        let mut r = BufReader::new(a.try_clone().unwrap());
-        let mut line = String::new();
-        r.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""sessions":0"#), "{line}");
-
-        let b = TcpStream::connect(addr).unwrap();
-        let mut rb = BufReader::new(b.try_clone().unwrap());
-        let mut busy = String::new();
-        rb.read_line(&mut busy).unwrap();
-        assert!(busy.contains(r#""kind":"busy""#), "{busy}");
-        drop((a, b));
-        tcp.stop();
     }
 
     #[test]
@@ -1080,7 +909,7 @@ mod tests {
         // buffer without bound.
         let chunk = vec![b'x'; 64 * 1024];
         let mut sent = 0usize;
-        while sent <= MAX_REQUEST_LINE + chunk.len() {
+        while sent <= event::MAX_REQUEST_LINE + chunk.len() {
             if s.write_all(&chunk).is_err() {
                 break; // server already closed on us — also acceptable
             }

@@ -54,12 +54,11 @@ pub enum ErrorKind {
     Io,
     /// The tuner itself failed (surrogate numerics, invalid options, …).
     Tuner,
-    /// The server refused the connection or request due to load limits.
-    Busy,
-    /// The request was shed by the event-driven core's load limiter: the
-    /// server is saturated and this request was answered without being
-    /// executed. Shed load is retryable load — clients should back off and
-    /// resend (the `baco-cli client` does so automatically).
+    /// The request (or, past `max_connections`, the connection) was shed by
+    /// the TCP front end's load limiter: the server is saturated and
+    /// answered without executing it. Shed load is retryable load — clients
+    /// should back off and resend (the `baco-cli client` does so
+    /// automatically).
     Overloaded,
 }
 
@@ -74,7 +73,6 @@ impl ErrorKind {
             ErrorKind::JournalCorrupt => "journal_corrupt",
             ErrorKind::Io => "io",
             ErrorKind::Tuner => "tuner",
-            ErrorKind::Busy => "busy",
             ErrorKind::Overloaded => "overloaded",
         }
     }

@@ -1,24 +1,20 @@
-//! The sharded session registry backing [`ServerHandle`](super::ServerHandle).
+//! The session registry backing [`ServerHandle`](super::ServerHandle).
 //!
-//! An N-way sharded `RwLock<HashMap>` keyed by session id: a request hashes
-//! its session id to one shard, takes that shard's lock just long enough to
-//! clone the session's `Arc`, and then operates on the per-session mutex —
-//! so requests against *unrelated* sessions never contend on a shared lock,
-//! and requests against the *same* session serialize (which is what makes a
-//! concurrently-driven session's trajectory deterministic).
+//! One `RwLock<HashMap>` keyed by session id: a request takes the lock just
+//! long enough to clone the session's `Arc`, and then operates on the
+//! per-session mutex — so requests against *unrelated* sessions only meet
+//! on that brief lookup, and requests against the *same* session serialize
+//! (which is what makes a concurrently-driven session's trajectory
+//! deterministic).
 //!
-//! Lock discipline (the registry's no-deadlock argument):
-//!
-//! 1. Shard locks are only ever held for a map lookup/insert/remove — never
-//!    while blocking on a slot mutex, never two shards at once (`len` and
-//!    `keys` visit shards strictly one at a time).
-//! 2. A thread may take a shard lock *while holding* a slot mutex (close
-//!    and failed-create cleanup do, via [`Registry::remove_if`]), but never
-//!    the reverse — and by rule 1 no shard-lock holder ever waits on a slot
-//!    mutex, so the slot → shard edge cannot complete a cycle.
+//! Lock discipline (the registry's no-deadlock argument): the map lock is
+//! only ever held for a lookup/insert/remove, never while blocking on a
+//! slot mutex. A thread may take the map lock *while holding* a slot mutex
+//! (close and failed-create cleanup do, via [`Registry::remove_if`]), but
+//! never the reverse — so the slot → map edge cannot complete a cycle.
 //!
 //! Poisoned locks are recovered rather than propagated: one tenant's panic
-//! must not wedge the daemon or any other tenant. Shard-lock poisoning is
+//! must not wedge the daemon or any other tenant. Map-lock poisoning is
 //! harmless (the map itself is only mutated by insert/remove, which don't
 //! panic mid-structure); a poisoned *slot* mutex, however, may guard a
 //! tenant whose in-memory state was torn mid-mutation, so [`lock_slot`]
@@ -26,35 +22,29 @@
 //! `unknown_session` and the client re-creates/resumes from the (durable,
 //! always-consistent) journal instead of silently driving corrupted state.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// One registry slot. `None` marks a slot whose tenant is gone — either a
 /// creation that failed after reserving the name, or a session that was
 /// closed while another thread still held the `Arc`.
 pub(crate) type Slot<T> = Arc<Mutex<Option<T>>>;
 
-/// An N-way sharded concurrent `String → T` map (see the module docs for the
-/// locking discipline).
+/// A concurrent `String → T` map (see the module docs for the locking
+/// discipline).
 #[derive(Debug)]
 pub(crate) struct Registry<T> {
-    shards: Vec<RwLock<HashMap<String, Slot<T>>>>,
+    map: RwLock<HashMap<String, Slot<T>>>,
 }
 
 impl<T> Registry<T> {
-    /// Creates a registry with `shards` shards (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        Registry {
-            shards: (0..shards.max(1)).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
+    /// Creates an empty registry.
+    pub fn new() -> Self {
+        Registry { map: RwLock::new(HashMap::new()) }
     }
 
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, Slot<T>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Slot<T>>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Reserves `key` with an empty slot, failing if the key is present.
@@ -64,7 +54,7 @@ impl<T> Registry<T> {
     /// racing close-and-recreate's fresh registration is never removed by
     /// a stale cleanup).
     pub fn reserve(&self, key: &str) -> Option<Slot<T>> {
-        let mut map = self.shard(key).write().unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(key) {
             return None;
         }
@@ -75,11 +65,7 @@ impl<T> Registry<T> {
 
     /// The slot registered under `key`, if any.
     pub fn get(&self, key: &str) -> Option<Slot<T>> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
+        self.read().get(key).cloned()
     }
 
     /// Unregisters `key`, but only while it still maps to `slot` — a caller
@@ -89,7 +75,7 @@ impl<T> Registry<T> {
     /// holding the `Arc` observe `None` instead of racing a half-dropped
     /// tenant.
     pub fn remove_if(&self, key: &str, slot: &Slot<T>) -> bool {
-        let mut map = self.shard(key).write().unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         if map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
             map.remove(key);
             true
@@ -100,18 +86,12 @@ impl<T> Registry<T> {
 
     /// Number of registered keys (reserved-but-unfilled ones included).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.read().len()
     }
 
-    /// All registered keys, sorted (shards are visited one at a time).
+    /// All registered keys, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.shards {
-            out.extend(s.read().unwrap_or_else(PoisonError::into_inner).keys().cloned());
-        }
+        let mut out: Vec<String> = self.read().keys().cloned().collect();
         out.sort();
         out
     }
@@ -140,7 +120,7 @@ mod tests {
 
     #[test]
     fn reserve_get_remove_roundtrip() {
-        let r: Registry<u32> = Registry::new(4);
+        let r: Registry<u32> = Registry::new();
         let slot = r.reserve("a").expect("fresh key");
         assert!(r.reserve("a").is_none(), "double reservation must fail");
         *lock_slot(&slot) = Some(7);
@@ -160,19 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn keys_spread_over_shards() {
-        let r: Registry<u32> = Registry::new(8);
-        for i in 0..64 {
-            *lock_slot(&r.reserve(&format!("s{i}")).unwrap()) = Some(i);
-        }
-        assert_eq!(r.len(), 64);
-        let used = r.shards.iter().filter(|s| !s.read().unwrap().is_empty()).count();
-        assert!(used >= 4, "64 keys landed in only {used}/8 shards");
-    }
-
-    #[test]
     fn poisoned_slot_is_emptied_not_served() {
-        let r: Registry<u32> = Registry::new(2);
+        let r: Registry<u32> = Registry::new();
         let slot = r.reserve("p").unwrap();
         *lock_slot(&slot) = Some(1);
         let s2 = Arc::clone(&slot);
@@ -186,7 +155,7 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_operations_do_not_deadlock() {
-        let r: Arc<Registry<u64>> = Arc::new(Registry::new(4));
+        let r: Arc<Registry<u64>> = Arc::new(Registry::new());
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let r = Arc::clone(&r);

@@ -46,7 +46,6 @@ pub use batch::{FantasyStrategy, LiarValue};
 pub use blackbox::{BlackBox, Evaluation, FnBlackBox};
 pub use report::{Trial, TuningReport};
 pub use session::Session;
-pub use transfer::{TransferOptions, DEFAULT_MAX_DONORS};
 
 use speculate::Evaluator;
 
@@ -197,7 +196,8 @@ pub struct BacoOptions {
     /// when its anchoring evaluations land; see [`crate::tuner::speculate`].
     /// Capped at [`MAX_SPECULATION_DEPTH`].
     pub speculation_depth: usize,
-    /// Fleet-scale transfer learning: mine a journal corpus directory for
+    /// Fleet-scale transfer learning: mine this journal corpus directory
+    /// (typically the fleet's shared `journal_dir`) for
     /// structurally-compatible archived sessions and seed this run from them
     /// — warm-started DoE ordering plus a random-forest prior mean for the
     /// live GP (see [`transfer`]). `None` (the default) keeps the cold-start
@@ -205,7 +205,7 @@ pub struct BacoOptions {
     /// a cold run. The chosen donors are journaled in a
     /// [`TransferDigest`](crate::journal::TransferDigest) so resumes stay
     /// bitwise even as the corpus grows.
-    pub transfer: Option<TransferOptions>,
+    pub transfer: Option<std::path::PathBuf>,
 }
 
 /// The recommended [`BacoOptions::surrogate_budget`] for long-lived
@@ -414,13 +414,7 @@ impl BacoBuilder {
     /// Enables fleet-scale transfer learning from the journal corpus at
     /// `corpus_dir` (see [`BacoOptions::transfer`] and [`transfer`]).
     pub fn transfer(mut self, corpus_dir: impl Into<std::path::PathBuf>) -> Self {
-        self.opts.transfer = Some(TransferOptions::new(corpus_dir));
-        self
-    }
-
-    /// Overrides the full transfer-learning configuration (donor cap etc.).
-    pub fn transfer_options(mut self, t: TransferOptions) -> Self {
-        self.opts.transfer = Some(t);
+        self.opts.transfer = Some(corpus_dir.into());
         self
     }
 
@@ -471,13 +465,6 @@ impl BacoBuilder {
                 "speculation_depth must be at most {MAX_SPECULATION_DEPTH} (got {})",
                 self.opts.speculation_depth
             )));
-        }
-        if let Some(t) = &self.opts.transfer {
-            if t.max_donors == 0 {
-                return Err(Error::InvalidConfig(
-                    "transfer max_donors must be positive".into(),
-                ));
-            }
         }
         let sampler = FeasibleSampler::new(&self.space)?;
         Ok(Baco {

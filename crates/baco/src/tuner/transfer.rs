@@ -40,35 +40,14 @@ use crate::surrogate::{MeanFn, ModelInput, RandomForestRegressor};
 use crate::{Error, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
-/// Default cap on how many donor sessions back one transfer run. More donors
-/// mean a richer prior but a costlier scan and a bigger pooled training set;
-/// past a handful of runs on the same space the prior stops improving.
-pub const DEFAULT_MAX_DONORS: usize = 8;
-
-/// Where and how a run sources its transfer-learning prior (see the
-/// [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct TransferOptions {
-    /// The journal corpus directory to mine (typically the fleet's shared
-    /// `journal_dir`).
-    pub corpus_dir: PathBuf,
-    /// Cap on donor sessions ([`DEFAULT_MAX_DONORS`]). Donors are selected
-    /// in session-id order, so the cap is deterministic.
-    pub max_donors: usize,
-}
-
-impl TransferOptions {
-    /// Transfer from the corpus at `dir` with the default donor cap.
-    pub fn new(dir: impl Into<PathBuf>) -> TransferOptions {
-        TransferOptions {
-            corpus_dir: dir.into(),
-            max_donors: DEFAULT_MAX_DONORS,
-        }
-    }
-}
+/// Cap on how many donor sessions back one transfer run. More donors mean a
+/// richer prior but a costlier scan and a bigger pooled training set; past a
+/// handful of runs on the same space the prior stops improving. Donors are
+/// selected in session-id order, so the cap is deterministic.
+const MAX_DONORS: usize = 8;
 
 /// The resolved per-run transfer state: the digest that went into (or came
 /// out of) the journal header, the fitted prior mean, and the donors' best
@@ -115,19 +94,18 @@ impl TransferContext {
     /// record the snapshot. Also refreshes the corpus's on-disk index (best
     /// effort — a read-only corpus is still usable).
     fn resolve(
-        topts: &TransferOptions,
+        corpus_dir: &Path,
         opts: &BacoOptions,
         space: &SearchSpace,
     ) -> Result<TransferContext> {
-        let scanned = corpus::scan(&topts.corpus_dir)?;
+        let scanned = corpus::scan(corpus_dir)?;
         let _ = scanned.write_index();
         let fingerprint = corpus::fingerprint_space(space);
         let mut loaded: Vec<(String, u64, Journal)> = Vec::new();
-        for entry in scanned.donors(fingerprint, opts.objectives, topts.max_donors) {
+        for entry in scanned.donors(fingerprint, opts.objectives, MAX_DONORS) {
             // A donor that mutated between the scan and the load would make
             // the snapshot unreproducible — take the load's content hash.
-            if let Ok((content, journal)) =
-                corpus::load_donor(&topts.corpus_dir, &entry.session, space)
+            if let Ok((content, journal)) = corpus::load_donor(corpus_dir, &entry.session, space)
             {
                 loaded.push((entry.session.clone(), content, journal));
             }
@@ -139,7 +117,7 @@ impl TransferContext {
     /// and require the snapshot to match, so the rebuilt prior is the one
     /// the interrupted run used — bitwise — however the corpus grew since.
     fn adopt(
-        topts: &TransferOptions,
+        corpus_dir: &Path,
         opts: &BacoOptions,
         space: &SearchSpace,
         digest: &TransferDigest,
@@ -154,7 +132,7 @@ impl TransferContext {
         }
         let mut loaded: Vec<(String, u64, Journal)> = Vec::new();
         for session in &digest.donors {
-            let (content, journal) = corpus::load_donor(&topts.corpus_dir, session, space)?;
+            let (content, journal) = corpus::load_donor(corpus_dir, session, space)?;
             loaded.push((session.clone(), content, journal));
         }
         let pairs: Vec<(String, u64)> =
@@ -254,12 +232,12 @@ impl Baco {
         &self,
         adopted: Option<&TransferDigest>,
     ) -> Result<Option<TransferDigest>> {
-        let Some(topts) = &self.opts.transfer else {
+        let Some(corpus_dir) = &self.opts.transfer else {
             return Ok(None);
         };
         let ctx = match adopted {
-            Some(digest) => TransferContext::adopt(topts, &self.opts, &self.space, digest)?,
-            None => TransferContext::resolve(topts, &self.opts, &self.space)?,
+            Some(digest) => TransferContext::adopt(corpus_dir, &self.opts, &self.space, digest)?,
+            None => TransferContext::resolve(corpus_dir, &self.opts, &self.space)?,
         };
         let digest = ctx.digest.clone();
         *self.transfer.lock().expect("transfer lock") = Some(Arc::new(ctx));

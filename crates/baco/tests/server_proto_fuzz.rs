@@ -53,7 +53,6 @@ fn feed(drv: &dyn Driver, line: &str) -> Json {
                     "journal_corrupt",
                     "io",
                     "tuner",
-                    "busy",
                     "overloaded"
                 ]
                 .contains(&kind),

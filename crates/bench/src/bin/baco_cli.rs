@@ -77,7 +77,6 @@ struct Opts {
     session: Option<String>,
     journal_dir: Option<PathBuf>,
     max_conn: usize,
-    shards: usize,
     evals: Option<usize>,
     transfer: bool,
     transfer_from: Option<PathBuf>,
@@ -85,7 +84,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  baco-cli list [--scale test|small|large] [--journal-dir DIR]\n  baco-cli tune --bench NAME --journal PATH [--resume] [--budget N] [--doe N]\n           [--seed S] [--batch Q] [--threads T] [--scale test|small|large]\n           [--crash-after K] [--transfer] [--transfer-from DIR]\n  baco-cli best --bench NAME --journal PATH [--scale test|small|large]\n  baco-cli serve --addr HOST:PORT [--journal-dir DIR] [--max-conn N] [--shards N]\n  baco-cli client --addr HOST:PORT --bench NAME --session ID [--budget N]\n           [--doe N] [--seed S] [--batch Q] [--evals K] [--resume] [--transfer]\n           [--scale test|small|large]"
+        "usage:\n  baco-cli list [--scale test|small|large] [--journal-dir DIR]\n  baco-cli tune --bench NAME --journal PATH [--resume] [--budget N] [--doe N]\n           [--seed S] [--batch Q] [--threads T] [--scale test|small|large]\n           [--crash-after K] [--transfer] [--transfer-from DIR]\n  baco-cli best --bench NAME --journal PATH [--scale test|small|large]\n  baco-cli serve --addr HOST:PORT [--journal-dir DIR] [--max-conn N]\n  baco-cli client --addr HOST:PORT --bench NAME --session ID [--budget N]\n           [--doe N] [--seed S] [--batch Q] [--evals K] [--resume] [--transfer]\n           [--scale test|small|large]"
     );
     std::process::exit(2);
 }
@@ -107,7 +106,6 @@ fn parse(mut args: std::env::Args) -> (String, Opts) {
         session: None,
         journal_dir: None,
         max_conn: 8192,
-        shards: 16,
         evals: None,
         transfer: false,
         transfer_from: None,
@@ -140,7 +138,6 @@ fn parse(mut args: std::env::Args) -> (String, Opts) {
             "--session" => o.session = Some(need("--session")),
             "--journal-dir" => o.journal_dir = Some(PathBuf::from(need("--journal-dir"))),
             "--max-conn" => o.max_conn = parse_num("--max-conn", need("--max-conn")).max(1),
-            "--shards" => o.shards = parse_num("--shards", need("--shards")).max(1),
             "--evals" => o.evals = Some(parse_num("--evals", need("--evals"))),
             "--transfer" => o.transfer = true,
             "--transfer-from" => {
@@ -450,7 +447,6 @@ fn run_serve(o: &Opts) {
         );
     }
     let handle = ServerHandle::new(ServerOptions {
-        shards: o.shards,
         journal_dir: o.journal_dir.clone(),
         max_connections,
         ..ServerOptions::default()
@@ -705,10 +701,10 @@ mod tests {
     #[test]
     fn overloaded_detection_is_kind_exact() {
         let shed = json::parse(r#"{"ok":false,"error":{"kind":"overloaded","msg":"x"}}"#).unwrap();
-        let busy = json::parse(r#"{"ok":false,"error":{"kind":"busy","msg":"x"}}"#).unwrap();
+        let tuner = json::parse(r#"{"ok":false,"error":{"kind":"tuner","msg":"x"}}"#).unwrap();
         let ok = json::parse(r#"{"ok":true}"#).unwrap();
         assert!(is_overloaded(&shed));
-        assert!(!is_overloaded(&busy), "hard refusal is not retryable");
+        assert!(!is_overloaded(&tuner), "other failures are not retryable");
         assert!(!is_overloaded(&ok));
     }
 

@@ -1,5 +1,5 @@
-//! Server front-end scaling benchmark: the event-driven readiness loop vs
-//! the thread-per-connection blocking baseline.
+//! Server front-end scaling benchmark: the library's event-driven readiness
+//! loop vs a thread-per-connection blocking baseline that lives only here.
 //!
 //! Simulates fleets of tuning clients as open TCP connections issuing
 //! `status` pings: per stage it reports sustained requests/s over pipelined
@@ -21,10 +21,85 @@
 use baco::server::{raise_nofile_limit, ServerHandle, ServerOptions};
 use baco_bench::emit;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 const REQUEST: &[u8] = b"{\"op\":\"status\",\"id\":1}\n";
+
+/// The thread-per-connection baseline: one accept thread, one handler
+/// thread per connection over [`ServerHandle::handle_line`], and past
+/// `max_connections` a hard `busy` refusal (one line, then close).
+struct BlockingServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: JoinHandle<()>,
+}
+
+impl BlockingServer {
+    fn start(handle: &ServerHandle, max_connections: usize) -> BlockingServer {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local_addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let active = Arc::new(AtomicUsize::new(0));
+        let (handle, stop2) = (handle.clone(), Arc::clone(&stop));
+        let accept = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                if stop2.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(mut stream) = conn else {
+                    // Persistent accept errors (fd exhaustion) must not
+                    // busy-spin the core that connection teardown needs.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    continue;
+                };
+                if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    let busy = r#"{"ok":false,"error":{"kind":"busy","msg":"connection limit reached"}}"#;
+                    let _ = writeln!(stream, "{busy}");
+                    continue; // dropped → closed
+                }
+                let (handle, active) = (handle.clone(), Arc::clone(&active));
+                std::thread::spawn(move || {
+                    serve_connection(&handle, stream);
+                    active.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        BlockingServer { addr, stop, accept }
+    }
+
+    /// Stops accepting; connections already served run until their client
+    /// disconnects.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Poke the listener so the blocking accept observes the flag.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.accept.join();
+    }
+}
+
+/// One baseline connection: request line in, reply line out, until EOF or
+/// an I/O error.
+fn serve_connection(handle: &ServerHandle, stream: TcpStream) {
+    let Ok(mut writer) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(stream);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        if matches!(reader.read_until(b'\n', &mut buf), Ok(0) | Err(_)) {
+            break;
+        }
+        let line = String::from_utf8_lossy(&buf);
+        let reply = handle.handle_line(line.trim_end_matches(['\n', '\r']));
+        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+            break;
+        }
+    }
+}
 
 struct Args {
     clients: Vec<usize>,
@@ -146,14 +221,16 @@ fn run_stage(core: &'static str, conns: usize, sweeps: usize) -> StageResult {
         max_outstanding: conns + 64,
         ..ServerOptions::default()
     });
-    let tcp = if core == "event" {
-        handle.serve("127.0.0.1:0").expect("serve")
+    let (addr, stop): (SocketAddr, Box<dyn FnOnce()>) = if core == "event" {
+        let tcp = handle.serve("127.0.0.1:0").expect("serve");
+        (tcp.addr(), Box::new(move || tcp.stop()))
     } else {
-        handle.serve_blocking("127.0.0.1:0").expect("serve_blocking")
+        let blocking = BlockingServer::start(&handle, conns + 64);
+        (blocking.addr, Box::new(move || blocking.stop()))
     };
 
     let rss_before = rss_bytes();
-    let mut fleet = Fleet::connect(tcp.addr(), conns);
+    let mut fleet = Fleet::connect(addr, conns);
     fleet.sweep(); // warm-up: faults in every buffer/thread before measuring
     let rss_open = rss_bytes();
 
@@ -180,7 +257,7 @@ fn run_stage(core: &'static str, conns: usize, sweeps: usize) -> StageResult {
         result.p50_ms, result.p95_ms, result.p99_ms, result.rss_per_conn
     );
     drop(fleet);
-    tcp.stop();
+    stop();
     result
 }
 
