@@ -325,8 +325,9 @@ mod tests {
     use std::os::unix::net::UnixStream;
     use std::os::unix::prelude::AsRawFd;
 
-    /// The contract the event loop relies on, whatever the backend.
-    fn readiness_contract<P: Readiness>() {
+    /// Readiness with tokens, the first half of the contract the event
+    /// loop relies on, whatever the backend.
+    fn reports_readability_with_tokens<P: Readiness>() {
         let mut poller = P::new().unwrap();
         let (mut a, mut b) = UnixStream::pair().unwrap();
         poller.add(b.as_raw_fd(), EPOLLIN, 42).unwrap();
@@ -352,11 +353,15 @@ mod tests {
         poller.delete(b.as_raw_fd()).unwrap();
         poller.wait(&mut events, 0).unwrap();
         assert!(events.is_empty(), "deleted fds report nothing");
+    }
 
-        // Peer hangup wakes the poller.
-        let (c, d) = UnixStream::pair().unwrap();
-        poller.add(d.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 1).unwrap();
-        drop(c);
+    /// Peer hangup wakes the poller, the second half of the contract.
+    fn sees_peer_hangup<P: Readiness>() {
+        let mut poller = P::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        poller.add(b.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 1).unwrap();
+        drop(a);
+        let mut events = Vec::new();
         poller.wait(&mut events, 1000).unwrap();
         assert!(
             events
@@ -366,15 +371,22 @@ mod tests {
         );
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn readiness_contract_holds_on_epoll() {
-        readiness_contract::<epoll::Epoll>();
+    fn poller_reports_readability_with_tokens() {
+        reports_readability_with_tokens::<Poller>();
     }
 
     #[test]
+    fn peer_hangup_is_visible() {
+        sees_peer_hangup::<Poller>();
+    }
+
+    /// The `poll(2)` fallback is the platform backend off Linux; on Linux
+    /// this keeps it honest against the same contract.
+    #[test]
     fn readiness_contract_holds_on_poll() {
-        readiness_contract::<poll::Poll>();
+        reports_readability_with_tokens::<poll::Poll>();
+        sees_peer_hangup::<poll::Poll>();
     }
 
     #[test]
