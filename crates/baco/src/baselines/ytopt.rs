@@ -111,8 +111,7 @@ impl super::Tuner for YtoptTuner {
         let mut seen: HashSet<Configuration> = HashSet::new();
 
         // DoE phase.
-        let doe = crate::search::doe_sample(
-            &self.sampler,
+        let doe = self.sampler.sample_batch(
             &mut rng,
             self.opts.doe_samples.min(self.opts.budget),
             &seen,

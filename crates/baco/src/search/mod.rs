@@ -10,7 +10,7 @@
 //! candidate is known-constraint-feasible by construction.
 //!
 //! ```
-//! use baco::search::{local_search, scalar_score, FeasibleSampler, LocalSearchOptions};
+//! use baco::search::{local_search_in, scalar_score, FeasibleSampler, LocalSearchOptions};
 //! use baco::space::SearchSpace;
 //! use rand::SeedableRng;
 //! use std::collections::HashSet;
@@ -22,12 +22,13 @@
 //!     .build()?;
 //! let sampler = FeasibleSampler::new(&space)?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-//! let best = local_search(
+//! let best = local_search_in(
 //!     &sampler,
 //!     &mut rng,
 //!     scalar_score(|c| -(c.value("a").as_f64() - 12.0).powi(2)),
 //!     &LocalSearchOptions::default(),
 //!     &HashSet::new(),
+//!     None, // no candidate region
 //! )
 //! .unwrap();
 //! assert_eq!(best.value("a").as_i64(), 12);
@@ -112,9 +113,10 @@ impl FeasibleSampler {
 
     /// Draws up to `n` **distinct** feasible configurations, excluding
     /// anything in `excluded` — the batch-aware de-duplicating sampler behind
-    /// the DoE phase and the batched proposer's random fills (a round of `q`
-    /// proposals must be `q` *different* feasible points). May return fewer
-    /// than `n` when the unexcluded feasible set is nearly exhausted.
+    /// the DoE phase and every proposal round's random fallback (a round of
+    /// `q` proposals must be `q` *different* feasible points). Gives up after
+    /// `200 · n` draws, so it may return fewer than `n` when the unexcluded
+    /// feasible set is nearly exhausted.
     pub fn sample_batch<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -137,20 +139,7 @@ impl FeasibleSampler {
     }
 }
 
-/// Draws `n` distinct feasible configurations for the initial phase,
-/// excluding anything in `seen`. May return fewer if the feasible set is
-/// nearly exhausted. (A thin alias for
-/// [`FeasibleSampler::sample_batch`], kept for the DoE call sites.)
-pub fn doe_sample<R: Rng + ?Sized>(
-    sampler: &FeasibleSampler,
-    rng: &mut R,
-    n: usize,
-    seen: &HashSet<Configuration>,
-) -> Vec<Configuration> {
-    sampler.sample_batch(rng, n, seen)
-}
-
-/// Options for [`local_search`].
+/// Options for [`local_search_in`].
 #[derive(Debug, Clone, Copy)]
 pub struct LocalSearchOptions {
     /// Random candidates scored before the climb.
@@ -171,8 +160,14 @@ impl Default for LocalSearchOptions {
     }
 }
 
+/// How many draws a region-restricted pool slot may spend looking for an
+/// in-region candidate before settling for the best out-of-region draw —
+/// bounded so a tiny or empty region can never starve proposal generation.
+const REGION_ATTEMPTS: usize = 8;
+
 /// Multi-start local search maximizing a *batched* score, excluding
-/// configurations in `seen`. Returns the best configuration found, or `None`
+/// configurations in `seen` and, when `region` is set, preferring
+/// candidates inside it. Returns the best configuration found, or `None`
 /// when every candidate was already evaluated or scored `-∞`.
 ///
 /// `score_batch` receives whole candidate slices — the initial random pool in
@@ -186,32 +181,12 @@ impl Default for LocalSearchOptions {
 /// climb accepts exactly the neighbor the sequential scan would accept, so
 /// the picked configuration is identical to the historical one-at-a-time
 /// implementation whenever `score_batch` agrees with the scalar score.
-pub fn local_search<R, F>(
-    sampler: &FeasibleSampler,
-    rng: &mut R,
-    score_batch: F,
-    opts: &LocalSearchOptions,
-    seen: &HashSet<Configuration>,
-) -> Option<Configuration>
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[Configuration]) -> Vec<f64>,
-{
-    local_search_in(sampler, rng, score_batch, opts, seen, None)
-}
-
-/// How many draws a region-restricted pool slot may spend looking for an
-/// in-region candidate before settling for the best out-of-region draw —
-/// bounded so a tiny or empty region can never starve proposal generation.
-const REGION_ATTEMPTS: usize = 8;
-
-/// [`local_search`] restricted to a candidate region: when `region` is set,
-/// pool sampling retries a few times per slot for a configuration inside the
-/// region (falling back to a global draw, so search never starves), and hill
-/// climbs only traverse in-region neighbors. `None` is exactly
-/// [`local_search`] — same candidates, same RNG consumption, bit for bit.
 ///
-/// This is the trust-region hook of the budget-bounded surrogate mode (see
+/// With a `region`, pool sampling retries a few times per slot for a
+/// configuration inside the region (falling back to a global draw, so
+/// search never starves), and hill climbs only traverse in-region
+/// neighbors. `None` searches the whole feasible set. This is the
+/// trust-region hook of the budget-bounded surrogate mode (see
 /// [`crate::surrogate::TrustRegion`]).
 pub fn local_search_in<R, F>(
     sampler: &FeasibleSampler,
@@ -326,25 +301,9 @@ fn sample_pool<R: Rng + ?Sized>(
     pool
 }
 
-/// Picks the best of `n` random feasible candidates, scored as one batch
-/// (the degraded acquisition optimizer used by the `BaCO--` ablation).
-pub fn random_search<R, F>(
-    sampler: &FeasibleSampler,
-    rng: &mut R,
-    score_batch: F,
-    n: usize,
-    seen: &HashSet<Configuration>,
-) -> Option<Configuration>
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[Configuration]) -> Vec<f64>,
-{
-    random_search_in(sampler, rng, score_batch, n, seen, None)
-}
-
-/// [`random_search`] with an optional candidate region; see
-/// [`local_search_in`] for the region semantics. `None` is exactly
-/// [`random_search`], bit for bit.
+/// Picks the best of `n` random feasible candidates outside `seen`, scored
+/// as one batch (the degraded acquisition optimizer of the `BaCO--`
+/// ablation). `region` biases the pool as in [`local_search_in`].
 pub fn random_search_in<R, F>(
     sampler: &FeasibleSampler,
     rng: &mut R,
@@ -369,7 +328,7 @@ where
 }
 
 /// Adapts a scalar scoring closure to the batched signature of
-/// [`local_search`] / [`random_search`] (tests and simple callers).
+/// [`local_search_in`] / [`random_search_in`] (tests and simple callers).
 pub fn scalar_score<F: FnMut(&Configuration) -> f64>(
     mut score: F,
 ) -> impl FnMut(&[Configuration]) -> Vec<f64> {
@@ -397,7 +356,7 @@ mod tests {
         let s = space();
         let sampler = FeasibleSampler::new(&s).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let got = doe_sample(&sampler, &mut rng, 20, &HashSet::new());
+        let got = sampler.sample_batch(&mut rng, 20, &HashSet::new());
         assert_eq!(got.len(), 20);
         let uniq: HashSet<_> = got.iter().cloned().collect();
         assert_eq!(uniq.len(), 20);
@@ -414,7 +373,7 @@ mod tests {
         let mut seen = HashSet::new();
         seen.insert(s.configuration(&[("a", ParamValue::Int(0))]).unwrap());
         seen.insert(s.configuration(&[("a", ParamValue::Int(1))]).unwrap());
-        let got = doe_sample(&sampler, &mut rng, 4, &seen);
+        let got = sampler.sample_batch(&mut rng, 4, &seen);
         assert_eq!(got.len(), 2, "only 2 configs remain unseen");
     }
 
@@ -434,7 +393,9 @@ mod tests {
             n_starts: 4,
             max_steps: 50,
         };
-        let best = local_search(&sampler, &mut rng, scalar_score(score), &opts, &HashSet::new()).unwrap();
+        let best =
+            local_search_in(&sampler, &mut rng, scalar_score(score), &opts, &HashSet::new(), None)
+                .unwrap();
         assert_eq!(best.value("a").as_i64(), 12);
         assert_eq!(best.value("b").as_i64(), 7);
     }
@@ -450,12 +411,13 @@ mod tests {
             let b = c.value("b").as_f64();
             -a + b
         };
-        let best = local_search(
+        let best = local_search_in(
             &sampler,
             &mut rng,
             scalar_score(score),
             &LocalSearchOptions::default(),
             &HashSet::new(),
+            None,
         )
         .unwrap();
         // Feasible optimum on a >= b is the diagonal a == b.
@@ -470,12 +432,13 @@ mod tests {
         let mut seen = HashSet::new();
         // The optimum a=2 is already evaluated.
         seen.insert(s.configuration(&[("a", ParamValue::Int(2))]).unwrap());
-        let best = local_search(
+        let best = local_search_in(
             &sampler,
             &mut rng,
             scalar_score(|c| c.value("a").as_f64()),
             &LocalSearchOptions::default(),
             &seen,
+            None,
         )
         .unwrap();
         assert_eq!(best.value("a").as_i64(), 1);

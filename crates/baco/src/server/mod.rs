@@ -415,9 +415,6 @@ impl ServerHandle {
         if let Some(b) = spec.surrogate_budget {
             builder = builder.surrogate_budget(b);
         }
-        if let Some(d) = spec.speculation_depth {
-            builder = builder.speculation_depth(d);
-        }
         let mut resumed = false;
         if let Some(dir) = &self.inner.opts.journal_dir {
             let path = dir.join(format!("{name}.jsonl"));
@@ -657,49 +654,6 @@ mod tests {
         // A sub-minimum budget is rejected at the wire with a typed error.
         let bad = format!(
             r#"{{"op":"create_session","session":"tiny","budget":4,"surrogate_budget":2,"space":{}}}"#,
-            int_space_spec()
-        );
-        let err = parse(&srv.handle_line(&bad));
-        assert_eq!(
-            err.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
-            Some("bad_request")
-        );
-    }
-
-    #[test]
-    fn speculative_session_over_the_wire() {
-        let srv = ServerHandle::new(ServerOptions::default());
-        // The knob wires through create and the session still serves the
-        // open loop (which keeps its explicit ask/report cadence — the
-        // pipeline drives closed `run_batched` loops).
-        let create = format!(
-            r#"{{"op":"create_session","session":"sp","budget":6,"doe_samples":3,"seed":4,"speculation_depth":2,"space":{}}}"#,
-            int_space_spec()
-        );
-        assert!(parse(&srv.handle_line(&create))
-            .get("ok")
-            .is_some_and(|j| *j == Json::Bool(true)));
-        let mut n = 0;
-        loop {
-            let reply = parse(&srv.handle_line(r#"{"op":"ask","session":"sp"}"#));
-            let cfg = reply.get("config").unwrap();
-            if *cfg == Json::Null {
-                break;
-            }
-            let a = cfg.get("a").and_then(Json::as_f64).unwrap();
-            let report = format!(
-                r#"{{"op":"report","session":"sp","config":{},"value":{}}}"#,
-                cfg.to_line(),
-                (a - 5.0).powi(2) + 1.0
-            );
-            assert!(srv.handle_line(&report).contains(r#""ok":true"#));
-            n += 1;
-        }
-        assert_eq!(n, 6);
-
-        // A depth above the cap is rejected at the wire with a typed error.
-        let bad = format!(
-            r#"{{"op":"create_session","session":"deep","budget":4,"speculation_depth":99,"space":{}}}"#,
             int_space_spec()
         );
         let err = parse(&srv.handle_line(&bad));

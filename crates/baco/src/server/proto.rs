@@ -11,7 +11,7 @@
 //!
 //! | op | request fields | reply fields |
 //! |---|---|---|
-//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives` (≥ 1), `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one finite entry per objective), `surrogate_budget` (≥ 8; budget-bounded surrogate mode), `speculation_depth` (≤ 8; speculative evaluation pipeline for the batched loop), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`) | `resumed`, `len`, `remaining` |
+//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives` (≥ 1), `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one finite entry per objective), `surrogate_budget` (≥ 8; budget-bounded surrogate mode), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`) | `resumed`, `len`, `remaining` |
 //! | `ask` | `session` | `config` (object or `null` when exhausted) |
 //! | `suggest_batch` | `session`, `q` | `configs` (array, possibly empty) |
 //! | `report` | `session`, `config`; `value` (number, `null`, `"NaN"`, `"inf"`, `"-inf"`) **or** `values` (array, one entry per objective of a multi-objective session), and/or `feasible` — only *all-finite* measurements count as feasible, anything else is recorded as a failed evaluation | `len` |
@@ -158,12 +158,6 @@ pub struct SessionSpec {
     /// points per round (default unset — exact GPs over the whole history).
     /// See [`BacoBuilder::surrogate_budget`](crate::tuner::BacoBuilder).
     pub surrogate_budget: Option<usize>,
-    /// Speculative evaluation pipeline: how many fantasy rounds the
-    /// session's batched loop may draft beyond the in-flight round
-    /// (default unset — the classic per-round barrier). At most
-    /// [`MAX_SPECULATION_DEPTH`](crate::tuner::MAX_SPECULATION_DEPTH); see
-    /// [`BacoBuilder::speculation_depth`](crate::tuner::BacoBuilder).
-    pub speculation_depth: Option<usize>,
     /// Transfer learning: seed the session from structurally-compatible
     /// archived journals in the server's journal directory (default false).
     /// Requires the server to have a `journal_dir` — requesting transfer on
@@ -353,15 +347,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                     }
                     b => b,
                 },
-                speculation_depth: match opt_usize(&j, "speculation_depth")? {
-                    Some(d) if d > crate::tuner::MAX_SPECULATION_DEPTH => {
-                        return Err(WireError::bad_request(format!(
-                            "`speculation_depth` must be at most {}",
-                            crate::tuner::MAX_SPECULATION_DEPTH
-                        )))
-                    }
-                    d => d,
-                },
                 transfer: opt_bool(&j, "transfer")?.unwrap_or(false),
             };
             if let Some(r) = &spec.reference_point {
@@ -517,34 +502,6 @@ mod tests {
         assert_eq!(spec.surrogate_budget, Some(64));
         // Below the floor (or malformed) → typed bad_request.
         for bad in [r#","surrogate_budget":4"#, r#","surrogate_budget":"lots""#] {
-            assert_eq!(parse(bad).unwrap_err().kind, ErrorKind::BadRequest, "{bad}");
-        }
-    }
-
-    #[test]
-    fn speculation_depth_parses_and_validates() {
-        let parse = |extra: &str| {
-            parse_request(&format!(
-                r#"{{"op":"create_session","session":"s","budget":5,"space":{{"params":[],"constraints":[]}}{extra}}}"#
-            ))
-        };
-        // Omitted → unset (the classic per-round barrier).
-        let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse("") else {
-            panic!("plain create must parse");
-        };
-        assert_eq!(spec.speculation_depth, None);
-        // Set (0 included — an explicit barrier) → plumbed through.
-        for (extra, want) in [
-            (r#","speculation_depth":0"#, Some(0)),
-            (r#","speculation_depth":2"#, Some(2)),
-        ] {
-            let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse(extra) else {
-                panic!("speculative create must parse: {extra}");
-            };
-            assert_eq!(spec.speculation_depth, want, "{extra}");
-        }
-        // Above the cap (or malformed) → typed bad_request.
-        for bad in [r#","speculation_depth":9"#, r#","speculation_depth":"deep""#] {
             assert_eq!(parse(bad).unwrap_err().kind, ErrorKind::BadRequest, "{bad}");
         }
     }

@@ -1,12 +1,14 @@
-//! Batched proposals: q-point Expected Improvement via *fantasy models*.
+//! Proposal rounds: the tuner's one pick loop, and q-point Expected
+//! Improvement via *fantasy models*.
 //!
-//! The sequential BaCO loop proposes one configuration per surrogate refit.
-//! When evaluations are slow (or several can run at once), it pays to
-//! propose `q` configurations per round instead and keep them all in flight.
-//! Greedily maximizing plain EI `q` times would return the same point `q`
-//! times, so between picks the surrogate is conditioned on a *hallucinated*
-//! outcome for each point already chosen — the classic fantasy-model
-//! construction of q-EI:
+//! [`Baco::recommend_batch`] makes every proposal the tuner makes. It fits
+//! the models once, then picks `q` configurations, each by maximizing the
+//! acquisition with the earlier picks excluded. A `q = 1` round is the
+//! paper's sequential step: one pick, nothing fantasized. Greedily
+//! maximizing plain EI `q` times would return the same point `q` times, so
+//! between picks the surrogate is conditioned on a *hallucinated* outcome
+//! for each point already chosen — the classic fantasy-model construction
+//! of q-EI:
 //!
 //! * **Kriging believer** ([`FantasyStrategy::KrigingBeliever`], the
 //!   default) — the lie is the GP's own posterior mean at the picked point.
@@ -22,19 +24,18 @@
 //!   `Min` (optimistic, spreads picks widest), `Mean`, or `Max`
 //!   (pessimistic, clusters picks near the incumbent).
 //!
-//! Proposals are de-duplicated against the evaluation history *and* against
-//! each other through the feasible sampler
-//! ([`FeasibleSampler::sample_batch`](crate::search::FeasibleSampler::sample_batch)),
-//! so a round always consists of `q` distinct, known-constraint-feasible
-//! configurations. With `q == 1` every entry point below degenerates to the
-//! sequential implementation — same code path, same RNG stream — which keeps
-//! fixed-seed paper-reproduction trajectories bit-identical.
+//! When there is too little signal to fit, or the acquisition finds nothing
+//! new for a pick, the feasible sampler fills in
+//! ([`FeasibleSampler::sample_batch`](crate::search::FeasibleSampler::sample_batch),
+//! which gives up after 200 draws per configuration that all hit excluded
+//! ones). Either way a round consists of distinct, known-constraint-feasible
+//! configurations outside the evaluation history.
 //!
 //! [`Baco::run_batched`] drives the full loop: propose a round, evaluate it
 //! on the [`eval::pool`](crate::eval::pool) worker pool, fold results into
 //! the report *in completion order* (out-of-order arrival is fine — the
-//! incremental [`GpCache`] extends its distance
-//! tables by whatever new rows appear), refit, repeat.
+//! [`GpCache`] extends its distance tables by whatever new rows appear),
+//! refit, repeat.
 //!
 //! ```
 //! use baco::prelude::*;
@@ -60,10 +61,11 @@
 
 use super::speculate::Evaluator;
 use super::{AcquisitionContext, Baco, BlackBox, FittedModel, TuningReport};
-use crate::space::Configuration;
-use crate::surrogate::GpCache;
+use crate::space::{Configuration, SearchSpace};
+use crate::surrogate::{GaussianProcess, GpCache};
 use crate::Result;
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Which value a fantasy observation hallucinates for a just-picked
@@ -89,46 +91,55 @@ pub enum LiarValue {
 }
 
 impl AcquisitionContext {
-    /// Folds the hallucinated outcome for `cfg` into the value model so the
-    /// next pick in this round sees reduced uncertainty there.
+    /// Conditions each objective's GP on a hallucinated outcome at `cfg`:
+    /// `lie(k, gp, ys)` is the value for objective `k`, given its model and
+    /// its observed (transformed) values.
     ///
     /// Only the GP surrogate supports conditioning; for the random-forest
     /// surrogate (and for the rare numerical failure of the rank-one row
-    /// append) this is a no-op and batch diversity rests on the seen-set
-    /// de-duplication alone.
-    fn fantasize(&mut self, cfg: &Configuration, strategy: FantasyStrategy) {
-        // An EHVI round hands the rest of the batch to ParEGO scalarized EI:
-        // the cell decomposition was built over the *observed* front, which a
-        // hallucinated outcome can't honestly update (the pick has no real
-        // objectives yet), whereas the scalarization remains exactly as
-        // meaningful on fantasy-conditioned posteriors. This is the
-        // "ParEGO as fantasy-batching fallback" composition — EHVI steers
-        // the round's first pick, scalarized EI diversifies the rest.
+    /// append) a model is left as it is, and batch diversity rests on the
+    /// seen-set de-duplication alone.
+    ///
+    /// An EHVI round hands the rest of the batch to ParEGO scalarized EI: the
+    /// cell decomposition was built over the *observed* front, which a
+    /// hallucinated outcome can't honestly update (the pick has no real
+    /// objectives yet), whereas the scalarization remains exactly as
+    /// meaningful on fantasy-conditioned posteriors. EHVI steers the round's
+    /// first pick, scalarized EI diversifies the rest.
+    fn condition(
+        &mut self,
+        cfg: &Configuration,
+        mut lie: impl FnMut(usize, &GaussianProcess, &[f64]) -> f64,
+    ) {
         self.ehvi = None;
-        // Each objective's model is conditioned independently: the kriging
-        // believer lies with that model's own posterior mean, the constant
-        // liar with a statistic of that objective's observed values — so a
-        // multi-objective round collapses uncertainty around the pick in
-        // every objective at once.
-        for (model, y) in self.models.iter_mut().zip(&self.ys) {
+        for (k, (model, y)) in self.models.iter_mut().zip(&self.ys).enumerate() {
             let FittedModel::Gp(gp) = model else {
                 continue;
             };
-            let lie = match strategy {
-                FantasyStrategy::KrigingBeliever => gp.predict(cfg).0,
-                FantasyStrategy::ConstantLiar(which) => {
-                    let n = y.len() as f64;
-                    match which {
-                        LiarValue::Min => y.iter().copied().fold(f64::INFINITY, f64::min),
-                        LiarValue::Max => y.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                        LiarValue::Mean => y.iter().sum::<f64>() / n.max(1.0),
-                    }
-                }
-            };
-            if let Ok(conditioned) = gp.condition_on(cfg, lie) {
+            if let Ok(conditioned) = gp.condition_on(cfg, lie(k, gp, y)) {
                 *model = FittedModel::Gp(Box::new(conditioned));
             }
         }
+    }
+
+    /// Folds the hallucinated outcome for the pick `cfg` into every
+    /// objective's model so the next pick in this round sees reduced
+    /// uncertainty there: the kriging believer lies with each model's own
+    /// posterior mean, the constant liar with a statistic of that
+    /// objective's observed values.
+    fn fantasize(&mut self, cfg: &Configuration, strategy: FantasyStrategy) {
+        self.condition(cfg, |_, gp, y| match strategy {
+            FantasyStrategy::KrigingBeliever => gp.predict(cfg).0,
+            FantasyStrategy::ConstantLiar(LiarValue::Min) => {
+                y.iter().copied().fold(f64::INFINITY, f64::min)
+            }
+            FantasyStrategy::ConstantLiar(LiarValue::Max) => {
+                y.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            }
+            FantasyStrategy::ConstantLiar(LiarValue::Mean) => {
+                y.iter().sum::<f64>() / (y.len() as f64).max(1.0)
+            }
+        });
     }
 
     /// The *draft* step of the speculative pipeline: records the
@@ -147,7 +158,7 @@ impl AcquisitionContext {
     /// `tuner::speculate` judges the unclamped prediction).
     pub(super) fn fantasize_anchored(
         &mut self,
-        space: &crate::space::SearchSpace,
+        space: &SearchSpace,
         cfg: &Configuration,
     ) -> (Vec<f64>, Vec<f64>) {
         let (means, vars): (Vec<f64>, Vec<f64>) = self
@@ -155,33 +166,35 @@ impl AcquisitionContext {
             .iter()
             .map(|m| m.as_value_model().predict(space, cfg))
             .unzip();
-        self.ehvi = None;
-        for ((model, y), &mean) in self.models.iter_mut().zip(&self.ys).zip(&means) {
-            let FittedModel::Gp(gp) = model else {
-                continue;
-            };
+        self.condition(cfg, |k, _, y| {
             let lo = y.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let lie = if lo <= hi { mean.clamp(lo, hi) } else { mean };
-            if let Ok(conditioned) = gp.condition_on(cfg, lie) {
-                *model = FittedModel::Gp(Box::new(conditioned));
+            if lo <= hi {
+                means[k].clamp(lo, hi)
+            } else {
+                means[k]
             }
-        }
+        });
         (means, vars)
     }
 }
 
 impl Baco {
     /// Proposes up to `q` *distinct*, known-constraint-feasible
-    /// configurations in one round: the surrogates are fitted once, then each
-    /// pick maximizes the acquisition with all earlier picks excluded and
-    /// (for `q > 1`) fantasized into the model per
+    /// configurations outside `seen` in one round: the surrogates are fitted
+    /// once on `report`, then each pick maximizes the acquisition with all
+    /// earlier picks excluded and fantasized into the models per
     /// [`BacoOptions::batch_strategy`](super::BacoOptions::batch_strategy).
+    /// With fewer than two feasible observations the round is drawn at
+    /// random from the feasible set.
     ///
-    /// `q <= 1` delegates to [`Baco::recommend_with_cache`] — bit-identical
-    /// picks and RNG consumption to the sequential loop. May return fewer
-    /// than `q` configurations when the unevaluated feasible set is nearly
-    /// exhausted, and an empty vector when it is fully exhausted.
+    /// This is the tuner's one proposer, and `q = 1` is the sequential
+    /// loop's step. Exposed for benchmarking the tuner's own overhead
+    /// (Table 10) and for custom loops, which should keep one cache from
+    /// [`Baco::new_cache`] across rounds. May return fewer than `q`
+    /// configurations when the unevaluated feasible set is nearly
+    /// exhausted, and an empty vector when it is fully exhausted or
+    /// `q == 0` (which touches neither the RNG nor the models).
     ///
     /// # Errors
     /// Propagates surrogate-fitting failures.
@@ -196,49 +209,43 @@ impl Baco {
         if q == 0 {
             return Ok(Vec::new());
         }
-        if q == 1 {
-            return Ok(self
-                .recommend_with_cache(rng, report, seen, cache)?
-                .into_iter()
-                .collect());
+        match self.fit_acquisition(rng, report, cache)? {
+            Some(mut ctx) => Ok(self.pick_round(rng, &mut ctx, seen, q)),
+            // Too little signal: fill the whole round with distinct random
+            // feasible configurations.
+            None => Ok(self.sampler.sample_batch(rng, q, seen)),
         }
-        // Too little signal: fill the whole round with distinct random
-        // feasible configurations.
-        let Some(mut ctx) = self.fit_acquisition(rng, report, cache)? else {
-            return Ok(self.sampler.sample_batch(rng, q, seen));
-        };
-
-        let mut excluded = seen.clone();
-        Ok(self.pick_round(rng, &mut ctx, &mut excluded, q))
     }
 
-    /// The intra-round pick loop shared by [`Baco::recommend_batch`] and the
-    /// speculative pipeline: up to `q` acquisition maximizations, each pick
-    /// excluded from (and, between picks, fantasized into) the next. The
-    /// picks are added to `excluded` as they are made. May return fewer than
-    /// `q` configurations when the unevaluated feasible set is nearly
-    /// exhausted.
+    /// The pick loop behind every proposal ([`Baco::recommend_batch`] and
+    /// the speculative drafts): up to `q` acquisition maximizations over the
+    /// configurations outside `seen`, each pick excluded from (and
+    /// fantasized into) the next. May return fewer than `q` configurations
+    /// when the unevaluated feasible set is nearly exhausted.
     pub(super) fn pick_round(
         &self,
         rng: &mut StdRng,
         ctx: &mut AcquisitionContext,
-        excluded: &mut HashSet<Configuration>,
+        seen: &HashSet<Configuration>,
         q: usize,
     ) -> Vec<Configuration> {
+        // Copied only once a later pick must exclude an earlier one, so a
+        // one-pick round never pays for a copy of a long history.
+        let mut excluded = Cow::Borrowed(seen);
         let mut picked: Vec<Configuration> = Vec::with_capacity(q);
         for i in 0..q {
             // Acquisition exhausted (e.g. ε_f gated everything unseen):
             // pad with a random unseen feasible configuration.
             let next = self
-                .search_acquisition(rng, ctx, excluded)
-                .or_else(|| self.sampler.sample_batch(rng, 1, excluded).pop());
+                .search_acquisition(rng, ctx, &excluded)
+                .or_else(|| self.sampler.sample_batch(rng, 1, &excluded).pop());
             let Some(cfg) = next else {
                 break; // feasible set fully evaluated
             };
             if i + 1 < q {
                 ctx.fantasize(&cfg, self.opts.batch_strategy);
+                excluded.to_mut().insert(cfg.clone());
             }
-            excluded.insert(cfg.clone());
             picked.push(cfg);
         }
         picked
@@ -293,7 +300,6 @@ impl Baco {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::doe_sample;
     use crate::space::SearchSpace;
     use crate::tuner::{Evaluation, FnBlackBox, Trial};
     use rand::SeedableRng;
@@ -384,7 +390,7 @@ mod tests {
         let mut report = TuningReport::new("t");
         let mut seen = HashSet::new();
         let the_bb = bb();
-        for cfg in doe_sample(tuner.sampler(), &mut rng, 8, &seen) {
+        for cfg in tuner.sampler().sample_batch(&mut rng, 8, &seen) {
             let eval = the_bb.evaluate(&cfg);
             seen.insert(cfg.clone());
             report.push(Trial {

@@ -3,25 +3,26 @@
 //! RF feasibility model, noise-free EI and multi-start local search, all over
 //! the Chain-of-Trees feasible set.
 //!
-//! Two execution modes share the same models and acquisition machinery:
+//! Every proposal round is made one way, [`Baco::recommend_batch`]: fit one
+//! value model per objective (a single-objective run is the `m = 1` case)
+//! and the feasibility classifier, then pick `q` configurations, each by
+//! maximizing the acquisition with the earlier picks excluded and
+//! fantasized into the models (see [`batch`]). A `q = 1` round is the
+//! paper's sequential step. Each round refits from scratch on the whole
+//! history; the [`GpCache`] carries only distance tables and prediction
+//! buffers between rounds, and candidates are scored through the
+//! surrogate's bulk posterior
+//! ([`crate::surrogate::ValueModel::predict_batch`]).
 //!
-//! * **Sequential** ([`Baco::run`], [`Session::ask`]/[`Session::report`]) —
-//!   propose one configuration, evaluate, refit. Candidate scoring flows
-//!   through the surrogate's bulk posterior
-//!   ([`crate::surrogate::ValueModel::predict_batch`]) and refits reuse the
-//!   incremental [`GpCache`] hot path, so even the sequential loop never
-//!   pays the historical per-candidate scalar costs.
-//! * **Batched** ([`Baco::run_batched`], [`Session::suggest_batch`], the
-//!   [`batch`] module) — propose `q` configurations per round via
-//!   fantasy-model EI and evaluate them concurrently on an
-//!   [`eval::pool`](crate::eval::pool) worker pool, folding results back into
-//!   the model as they complete (in any order).
-//!
-//! The closed loops ([`Baco::run`], [`Baco::run_batched`] and their
-//! resumes) are one engine, [`speculate`]: `run` is its batch size 1 with no
+//! Two drivers call it. The closed loops ([`Baco::run`],
+//! [`Baco::run_batched`] and their resumes) are one engine, [`speculate`],
+//! which evaluates rounds on an [`eval::pool`](crate::eval::pool) and folds
+//! results in as they complete: `run` is its batch size 1 with no
 //! speculation, so with [`BacoOptions::batch_size`] `== 1` and the default
 //! [`BacoOptions::speculation_depth`] the batched loop reproduces the
-//! sequential trajectory bit for bit.
+//! sequential trajectory bit for bit. [`Session`] is the open loop: its
+//! caller asks for rounds ([`Session::ask`], [`Session::suggest_batch`])
+//! and reports their results.
 //!
 //! ```
 //! use baco::prelude::*;
@@ -61,7 +62,6 @@ use crate::surrogate::{
 };
 use crate::{Error, Result};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::HashSet;
 
 /// Which value surrogate drives the acquisition (Fig. 8 compares them).
@@ -572,31 +572,13 @@ impl Baco {
         Ok(path)
     }
 
-    /// One recommendation step: fit models on the history in `report` and
-    /// optimize the acquisition. Exposed for benchmarking the tuner's own
-    /// overhead (Table 10) and for custom loops.
-    ///
-    /// Equivalent to [`Baco::recommend_with_cache`] with a throwaway cache;
-    /// loops calling this repeatedly should hold a [`GpCache`] and use the
-    /// cached variant, which reuses per-iteration surrogate state.
-    ///
-    /// # Errors
-    /// Propagates surrogate-fitting failures.
-    pub fn recommend(
-        &self,
-        rng: &mut StdRng,
-        report: &TuningReport,
-        seen: &HashSet<Configuration>,
-    ) -> Result<Option<Configuration>> {
-        self.recommend_with_cache(rng, report, seen, &mut self.new_cache())
-    }
-
     /// A fresh surrogate cache honoring this tuner's
     /// [`surrogate_budget`](BacoBuilder::surrogate_budget): budgeted tuners
     /// get a cache whose per-dimension distance tables are clamped to the
     /// active-set size, so long-lived loops hold O(budget²·d) of cache memory
-    /// instead of O(n²·d). Custom loops calling
-    /// [`Baco::recommend_with_cache`] should create their cache here.
+    /// instead of O(n²·d). Custom loops calling [`Baco::recommend_batch`]
+    /// should create their cache here and keep it across rounds; a fresh
+    /// cache per round proposes the same configurations, only slower.
     pub fn new_cache(&self) -> GpCache {
         GpCache::with_budget(self.opts.surrogate_budget)
     }
@@ -610,32 +592,6 @@ impl Baco {
         ctx.region
             .as_ref()
             .map(|r| move |c: &Configuration| r.contains(&self.space, c, self.opts.gp.input_transforms))
-    }
-
-    /// [`Baco::recommend`] with persistent surrogate state: the GP's
-    /// per-dimension distance tables carry over between iterations instead
-    /// of being recomputed from scratch. The recommendations are
-    /// bit-identical to [`Baco::recommend`] for the same RNG state.
-    ///
-    /// # Errors
-    /// Propagates surrogate-fitting failures.
-    pub fn recommend_with_cache(
-        &self,
-        rng: &mut StdRng,
-        report: &TuningReport,
-        seen: &HashSet<Configuration>,
-        cache: &mut GpCache,
-    ) -> Result<Option<Configuration>> {
-        // Too little signal: keep sampling randomly.
-        let Some(ctx) = self.fit_acquisition(rng, report, cache)? else {
-            return Ok(self.random_unseen(rng, seen));
-        };
-        match self.search_acquisition(rng, &ctx, seen) {
-            Some(c) => Ok(Some(c)),
-            // Acquisition found nothing new (e.g. ε_f gated everything):
-            // fall back to a random unseen feasible point.
-            None => Ok(self.random_unseen(rng, seen)),
-        }
     }
 
     /// One acquisition maximization over the configurations outside
@@ -665,50 +621,98 @@ impl Baco {
         }
     }
 
-    /// Fits the value model and (when warranted) the feasibility classifier
-    /// on the history in `report`, returning everything one acquisition round
-    /// needs. `None` when fewer than two feasible observations exist — the
-    /// caller should fall back to random sampling.
+    /// Fits one value model per objective and (when warranted) the
+    /// feasibility classifier on the history in `report`, returning
+    /// everything one proposal round needs. `None` when fewer than two
+    /// feasible observations exist — the caller falls back to random
+    /// sampling.
     ///
-    /// Both the sequential recommender and the batched proposer
-    /// ([`Baco::recommend_batch`]) are built on this, so they consume the RNG
-    /// identically up to the point where their search strategies diverge.
+    /// A single-objective run is the `m = 1` case: it draws no ParEGO
+    /// weights, builds no EHVI scorer, and the scalar of an observation is
+    /// its one transformed value. The RNG is consumed in a fixed order — the
+    /// weight draw (`m > 1` only), active-set selection (budgeted rounds
+    /// only), one model per objective, the classifier, ε_f — all bracketed
+    /// by the round's journal record, so resume replays it bitwise.
     pub(crate) fn fit_acquisition(
         &self,
         rng: &mut StdRng,
         report: &TuningReport,
         cache: &mut GpCache,
     ) -> Result<Option<AcquisitionContext>> {
-        if self.opts.objectives > 1 {
-            return self.fit_acquisition_multi(rng, report, cache);
-        }
-        let feas: Vec<(&Configuration, f64)> = report
+        let m = self.opts.objectives;
+        // Width-mismatched or non-finite vectors never reach the models
+        // (push already demotes non-finite ones).
+        let feas: Vec<&Trial> = report
             .trials()
             .iter()
-            .filter(|t| t.feasible && t.value.is_some_and(f64::is_finite))
-            .map(|t| (&t.config, t.value.unwrap()))
+            .filter(|t| t.measured() && 1 + t.extra.len() == m)
             .collect();
-
         if feas.len() < 2 {
             return Ok(None);
         }
+        // Objective-major transformed targets over the full feasible history.
+        let ys_full: Vec<Vec<f64>> = (0..m)
+            .map(|k| {
+                feas.iter()
+                    .map(|t| match k {
+                        0 => t.value.unwrap_or(f64::NAN), // `measured`: always set
+                        _ => t.extra[k - 1],
+                    })
+                    .map(|v| self.transform(v))
+                    .collect()
+            })
+            .collect();
 
-        let y_full: Vec<f64> = feas.iter().map(|&(_, v)| self.transform(v)).collect();
+        // This round's ParEGO weight draw — over the *full* history, so its
+        // normalization ranges do not depend on the active subset. It is
+        // drawn under **both** multi-objective strategies (EHVI still needs
+        // it for active-set selection, the incumbent and the batch
+        // fallback), so switching strategies never perturbs the RNG stream.
+        let scal = (m > 1).then(|| Scalarization::sample(rng, &ys_full));
+
+        // EHVI (the default multi-objective strategy): the cell decomposition
+        // over the current front, in the *transformed* objective space the
+        // GPs are trained in. RNG-free and a pure function of the replayed
+        // history (including the inferred reference, when none was
+        // configured), so resumed rounds rebuild the identical scorer.
+        // `None` — unsupported dimensionality (m > 3) — falls back to ParEGO
+        // scalarized EI.
+        let ehvi = if m > 1 && self.opts.mo_strategy == MultiObjectiveStrategy::Ehvi {
+            let front: Vec<Vec<f64>> = report
+                .pareto_front()
+                .iter()
+                .filter_map(|t| t.objectives())
+                .filter(|o| o.len() == m)
+                .map(|o| o.iter().map(|&v| self.transform(v)).collect())
+                .collect();
+            let reference: Vec<f64> = match &self.opts.reference_point {
+                Some(r) => r.iter().map(|&v| self.transform(v)).collect(),
+                None => inferred_reference(&ys_full),
+            };
+            Ehvi::new(&front, &reference)
+        } else {
+            None
+        };
 
         // Budget-bounded surrogate mode: when the feasible history outgrows
-        // `surrogate_budget`, fold the history into a trust region, pick an
-        // active subset of at most `budget` points and train on that instead.
-        // The unbudgeted (and under-budget) path below is byte-for-byte the
-        // historical one — same clones, same arithmetic, same RNG stream.
-        let (feas_cfgs, y, region) = match self.surrogate_cap(feas.len()) {
+        // `surrogate_budget`, fold the history into a trust region, pick one
+        // active subset of at most `budget` points on this round's scalars
+        // and train every objective's model on it, so the models stay
+        // aligned on the same training points (and distance tables). The
+        // under-budget path is byte-for-byte the exact one.
+        let mut buf = Vec::with_capacity(m);
+        let (feas_cfgs, ys, region) = match self.surrogate_cap(feas.len()) {
             Some(b) => {
                 let region = self.trust_region(report);
-                let cfg_refs: Vec<&Configuration> = feas.iter().map(|&(c, _)| c).collect();
+                let cfg_refs: Vec<&Configuration> = feas.iter().map(|t| &t.config).collect();
+                let scalars: Vec<f64> = (0..feas.len())
+                    .map(|j| scalar_at(scal.as_ref(), &ys_full, j, &mut buf))
+                    .collect();
                 let active = ActiveSet::select(
                     rng,
                     &self.space,
                     &cfg_refs,
-                    &y_full,
+                    &scalars,
                     b,
                     self.opts.gp.perm_metric,
                     self.opts.gp.input_transforms,
@@ -719,44 +723,50 @@ impl Baco {
                     .iter()
                     .map(|&i| cfg_refs[i].clone())
                     .collect();
-                let ay = active.gather(&y_full);
-                (cfgs, ay, region)
+                let ys: Vec<Vec<f64>> = ys_full.iter().map(|y| active.gather(y)).collect();
+                (cfgs, ys, region)
             }
-            None => (
-                feas.iter().map(|&(c, _)| c.clone()).collect(),
-                y_full,
-                None,
-            ),
+            None => (feas.iter().map(|t| t.config.clone()).collect(), ys_full, None),
         };
 
-        // Value model.
-        let model = self.fit_value_model(rng, &feas_cfgs, &y, cache)?;
+        let models = ys
+            .iter()
+            .enumerate()
+            .map(|(k, y)| self.fit_value_model(rng, &feas_cfgs, y, cache.for_objective(k)))
+            .collect::<Result<Vec<FittedModel>>>()?;
 
         // Feasibility model, once at least one failure has been observed.
         let classifier = self.fit_classifier(rng, report)?;
         let epsilon_f = self.draw_epsilon(rng, classifier.is_some());
 
-        // Noise-free incumbent (Sec. 3.3): the best *posterior mean* over
-        // the evaluated points, not the best raw observation — a noise-lucky
-        // observation would otherwise freeze EI everywhere.
-        let incumbent = model
-            .as_value_model()
-            .predict_batch(&self.space, &feas_cfgs)
-            .into_iter()
-            .map(|(m, _)| m)
-            .fold(f64::INFINITY, f64::min)
-            .min(y.iter().copied().fold(f64::INFINITY, f64::min) + 1.0); // sanity cap
+        // Noise-free incumbent (Sec. 3.3): the best (scalarized) *posterior
+        // mean* over the evaluated points, not the best raw observation — a
+        // noise-lucky observation would otherwise freeze EI everywhere —
+        // capped by the best (scalarized) observation plus one.
+        let means: Vec<Vec<f64>> = models
+            .iter()
+            .map(|mo| {
+                let preds = mo.as_value_model().predict_batch(&self.space, &feas_cfgs);
+                preds.into_iter().map(|(mean, _)| mean).collect()
+            })
+            .collect();
+        let best = |ys: &[Vec<f64>], buf: &mut Vec<f64>| {
+            (0..feas_cfgs.len())
+                .map(|j| scalar_at(scal.as_ref(), ys, j, buf))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let incumbent = best(&means, &mut buf).min(best(&ys, &mut buf) + 1.0);
 
         let guided_iter = report.len().saturating_sub(self.opts.doe_samples);
         Ok(Some(AcquisitionContext {
-            models: vec![model],
-            scalarization: None,
-            ehvi: None,
+            models,
+            scalarization: scal,
+            ehvi,
             classifier,
             epsilon_f,
             incumbent,
             guided_iter,
-            ys: vec![y],
+            ys,
             region,
         }))
     }
@@ -804,155 +814,6 @@ impl Baco {
             self.opts.gp.perm_metric,
             self.opts.gp.input_transforms,
         )
-    }
-
-    /// The multi-objective analogue of [`Baco::fit_acquisition`]: one value
-    /// model per objective over the feasible history, plus this round's
-    /// ParEGO weight draw. The weights come from the same seeded RNG stream
-    /// the journal brackets per round, so resumed runs replay them exactly.
-    fn fit_acquisition_multi(
-        &self,
-        rng: &mut StdRng,
-        report: &TuningReport,
-        cache: &mut GpCache,
-    ) -> Result<Option<AcquisitionContext>> {
-        let m = self.opts.objectives;
-        let feas: Vec<(&Configuration, Vec<f64>)> = report
-            .trials()
-            .iter()
-            .filter_map(|t| {
-                if !t.feasible {
-                    return None;
-                }
-                let objs = t.objectives()?;
-                // Width-mismatched or non-finite vectors never reach the
-                // models (push already demotes non-finite ones).
-                (objs.len() == m && objs.iter().all(|v| v.is_finite()))
-                    .then_some((&t.config, objs))
-            })
-            .collect();
-        if feas.len() < 2 {
-            return Ok(None);
-        }
-        // Objective-major transformed targets over the full feasible history.
-        let ys_full: Vec<Vec<f64>> = (0..m)
-            .map(|k| feas.iter().map(|(_, o)| self.transform(o[k])).collect())
-            .collect();
-
-        // This round's journaled weight draw — always over the *full* history
-        // (its normalization ranges must not depend on the active subset),
-        // then active-set selection (budgeted rounds only), then one model per
-        // objective: a fixed RNG consumption order, so resume replays it
-        // bitwise. The draw happens under **both** strategies — EHVI still
-        // needs it for active-set selection, the incumbent and the batch
-        // fallback — so switching strategies never perturbs the RNG stream.
-        let scal = Scalarization::sample(rng, &ys_full);
-
-        // EHVI (the default strategy): the cell decomposition over the
-        // current front, in the *transformed* objective space the GPs are
-        // trained in. RNG-free and a pure function of the replayed history
-        // (including the inferred reference, when none was configured), so
-        // resumed rounds rebuild the identical scorer. `None` — unsupported
-        // dimensionality (m > 3) — falls back to ParEGO scalarized EI below.
-        let ehvi = if self.opts.mo_strategy == MultiObjectiveStrategy::Ehvi {
-            let front: Vec<Vec<f64>> = report
-                .pareto_front()
-                .iter()
-                .filter_map(|t| t.objectives())
-                .filter(|o| o.len() == m)
-                .map(|o| o.iter().map(|&v| self.transform(v)).collect())
-                .collect();
-            let reference: Vec<f64> = match &self.opts.reference_point {
-                Some(r) => r.iter().map(|&v| self.transform(v)).collect(),
-                None => inferred_reference(&ys_full),
-            };
-            Ehvi::new(&front, &reference)
-        } else {
-            None
-        };
-
-        // Budgeted rounds share one active set across all objectives, chosen
-        // on this round's scalarized values, so the per-objective GPs stay
-        // aligned on the same training points (and the same distance tables).
-        let (feas_cfgs, ys, region) = match self.surrogate_cap(feas.len()) {
-            Some(b) => {
-                let region = self.trust_region(report);
-                let cfg_refs: Vec<&Configuration> = feas.iter().map(|(c, _)| *c).collect();
-                let scalarized: Vec<f64> = (0..feas.len())
-                    .map(|j| {
-                        let obs: Vec<f64> = ys_full.iter().map(|y| y[j]).collect();
-                        scal.scalarize(&obs)
-                    })
-                    .collect();
-                let active = ActiveSet::select(
-                    rng,
-                    &self.space,
-                    &cfg_refs,
-                    &scalarized,
-                    b,
-                    self.opts.gp.perm_metric,
-                    self.opts.gp.input_transforms,
-                    region.as_ref(),
-                );
-                let cfgs: Vec<Configuration> = active
-                    .indices()
-                    .iter()
-                    .map(|&i| cfg_refs[i].clone())
-                    .collect();
-                let ys: Vec<Vec<f64>> = ys_full.iter().map(|y| active.gather(y)).collect();
-                (cfgs, ys, region)
-            }
-            None => (
-                feas.iter().map(|(c, _)| (*c).clone()).collect(),
-                ys_full,
-                None,
-            ),
-        };
-
-        let models = ys
-            .iter()
-            .enumerate()
-            .map(|(k, y)| self.fit_value_model(rng, &feas_cfgs, y, cache.for_objective(k)))
-            .collect::<Result<Vec<FittedModel>>>()?;
-
-        let classifier = self.fit_classifier(rng, report)?;
-        let epsilon_f = self.draw_epsilon(rng, classifier.is_some());
-
-        // Scalarized noise-free incumbent: the best scalarized posterior
-        // mean over the evaluated points (capped by the best scalarized
-        // observation, as in the single-objective path).
-        let preds: Vec<Vec<(f64, f64)>> = models
-            .iter()
-            .map(|mo| mo.as_value_model().predict_batch(&self.space, &feas_cfgs))
-            .collect();
-        let mut means = vec![0.0; m];
-        let mut best_posterior = f64::INFINITY;
-        for j in 0..feas_cfgs.len() {
-            for (k, p) in preds.iter().enumerate() {
-                means[k] = p[j].0;
-            }
-            best_posterior = best_posterior.min(scal.scalarize(&means));
-        }
-        let best_observed = (0..feas_cfgs.len())
-            .map(|j| {
-                let obs: Vec<f64> = ys.iter().map(|y| y[j]).collect();
-                scal.scalarize(&obs)
-            })
-            .fold(f64::INFINITY, f64::min);
-        let incumbent = best_posterior.min(best_observed + 1.0);
-
-        let guided_iter = report.len().saturating_sub(self.opts.doe_samples);
-        Ok(Some(AcquisitionContext {
-            models,
-            scalarization: Some(scal),
-            ehvi,
-            classifier,
-            epsilon_f,
-            incumbent,
-            guided_iter,
-            ys,
-            region,
-        }))
     }
 
     /// The per-objective modelling transform (log for positive heavy-tailed
@@ -1032,18 +893,19 @@ impl Baco {
         }
     }
 
-    fn random_unseen<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        seen: &HashSet<Configuration>,
-    ) -> Option<Configuration> {
-        for _ in 0..2000 {
-            let cfg = self.sampler.sample(rng);
-            if !seen.contains(&cfg) {
-                return Some(cfg);
-            }
+}
+
+/// The scalar of observation `j` of the objective-major values `ys`: this
+/// round's ParEGO scalarization when there is one (`m > 1`), the one
+/// objective's value otherwise. `buf` is scratch for the column.
+fn scalar_at(scal: Option<&Scalarization>, ys: &[Vec<f64>], j: usize, buf: &mut Vec<f64>) -> f64 {
+    match scal {
+        None => ys[0][j],
+        Some(s) => {
+            buf.clear();
+            buf.extend(ys.iter().map(|y| y[j]));
+            s.scalarize(buf)
         }
-        None
     }
 }
 
@@ -1072,15 +934,16 @@ impl FittedModel {
 /// runs only), the optional feasibility classifier with its ε_f draw, the
 /// noise-free incumbent and the (transformed) observed objective values.
 ///
-/// Produced by [`Baco::fit_acquisition`]; consumed by the sequential
-/// recommender and, with fantasy conditioning between picks, by the batched
-/// proposer in [`batch`].
+/// Produced by [`Baco::fit_acquisition`]; consumed by the one pick loop
+/// (`Baco::pick_round` in [`batch`]), which fantasizes each pick into the
+/// models before the next, and conditioned on in-flight configurations by
+/// the speculative drafts.
 pub(crate) struct AcquisitionContext {
     /// One fitted value model per objective (a singleton for the classic
     /// single-objective loop).
     pub(crate) models: Vec<FittedModel>,
     /// This round's ParEGO weight draw; `None` on single-objective runs,
-    /// whose acquisition arithmetic stays exactly the historical scalar path.
+    /// which score by plain EI on the one objective.
     /// Drawn (and the RNG consumed) even when [`AcquisitionContext::ehvi`]
     /// does the scoring — it still powers active-set selection, the
     /// incumbent, and the fantasy-batch fallback.
@@ -1171,7 +1034,6 @@ impl AcquisitionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::doe_sample;
     use crate::space::ParamValue;
     use rand::SeedableRng;
 
@@ -1371,11 +1233,12 @@ mod tests {
                     tuner_time: Default::default(),
                 });
             };
-            for cfg in doe_sample(tuner.sampler(), &mut rng, doe_n, &seen) {
+            for cfg in tuner.sampler().sample_batch(&mut rng, doe_n, &seen) {
                 evaluate(cfg, &mut report, &mut seen);
             }
             while report.len() < tuner.options().budget {
-                let Some(cfg) = tuner.recommend(&mut rng, &report, &seen).unwrap() else {
+                let round = tuner.recommend_batch(&mut rng, &report, &seen, &mut tuner.new_cache(), 1);
+                let Some(cfg) = round.unwrap().pop() else {
                     break;
                 };
                 evaluate(cfg, &mut report, &mut seen);
@@ -1401,17 +1264,48 @@ mod tests {
         let bb = FnBlackBox::new(|c: &Configuration| {
             Evaluation::feasible(c.value("x").as_f64() + 1.0)
         });
-        let report = Baco::builder(space)
-            .budget(50)
-            .doe_samples(3)
-            .seed(0)
-            .build()
-            .unwrap()
-            .run(&bb)
-            .unwrap();
+        let tuner = || {
+            Baco::builder(space.clone())
+                .budget(50)
+                .doe_samples(3)
+                .seed(0)
+                .build()
+                .unwrap()
+        };
+        let report = tuner().run(&bb).unwrap();
         // Only 5 configs exist.
         assert_eq!(report.len(), 5);
         assert_eq!(report.best_value(), Some(1.0));
+
+        // The open loop stops the same way, whether it asks one at a time or
+        // in rounds of 4: every configuration is proposed exactly once, then
+        // nothing more is proposed although budget remains.
+        for q in [1usize, 4] {
+            let mut session = Session::new(tuner()).unwrap();
+            let mut proposed: Vec<i64> = Vec::new();
+            for _ in 0..20 {
+                let round = if q == 1 {
+                    session.ask().unwrap().into_iter().collect()
+                } else {
+                    session.suggest_batch(q).unwrap()
+                };
+                if round.is_empty() {
+                    break;
+                }
+                assert!(round.len() <= q);
+                for cfg in round {
+                    proposed.push(cfg.value("x").as_i64());
+                    let eval = bb.evaluate(&cfg);
+                    session.report(cfg, eval);
+                }
+            }
+            proposed.sort_unstable();
+            assert_eq!(proposed, [0, 1, 2, 3, 4], "q = {q}");
+            assert_eq!(session.ask().unwrap(), None, "q = {q}");
+            assert!(session.suggest_batch(4).unwrap().is_empty(), "q = {q}");
+            assert_eq!(session.remaining_budget(), 45, "q = {q}");
+            assert_eq!(session.history().best_value(), Some(1.0), "q = {q}");
+        }
     }
 
     #[test]

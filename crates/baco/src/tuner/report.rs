@@ -34,7 +34,7 @@ impl Trial {
 
     /// Whether this trial carries a usable measurement: feasible with every
     /// objective finite.
-    fn measured(&self) -> bool {
+    pub(super) fn measured(&self) -> bool {
         self.feasible
             && self.value.is_some_and(f64::is_finite)
             && self.extra.iter().all(|v| v.is_finite())

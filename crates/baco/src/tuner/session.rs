@@ -45,10 +45,10 @@
 use super::speculate::Engine;
 use super::{Baco, Evaluation, Trial, TuningReport};
 use crate::journal::Mode;
-use crate::search::doe_sample;
 use crate::space::Configuration;
 use crate::{Error, Result};
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -148,7 +148,7 @@ impl Session {
         // what has a reported outcome is left out, so in-flight DoE
         // casualties return to the queue in draw order.
         let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
-        let initial = doe_sample(tuner.sampler(), &mut engine.rng, doe_n, &HashSet::new());
+        let initial = tuner.sampler().sample_batch(&mut engine.rng, doe_n, &HashSet::new());
         let mut doe_queue: Vec<Configuration> = tuner
             .transfer_rerank(initial)
             .into_iter()
@@ -244,8 +244,12 @@ impl Session {
         let mut round: Vec<Configuration> =
             self.doe_queue.drain(self.doe_queue.len() - doe_k..).rev().collect();
         if round.len() < q {
-            let mut excluded = e.seen.clone();
-            excluded.extend(round.iter().cloned());
+            // DoE picks handed out in this same round are excluded too; an
+            // `ask` after the DoE borrows the seen set instead of copying it.
+            let mut excluded = Cow::Borrowed(&e.seen);
+            if !round.is_empty() {
+                excluded.to_mut().extend(round.iter().cloned());
+            }
             let want = q - round.len();
             match self.tuner.recommend_batch(&mut e.rng, &e.report, &excluded, &mut e.cache, want) {
                 Ok(more) => round.extend(more),

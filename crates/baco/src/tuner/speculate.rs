@@ -77,7 +77,6 @@ use crate::eval::pool::{with_pool, Completion, EvalPool};
 use crate::journal::{
     AnchorRec, Header, Journal, JournalWriter, Mode, ProposeRec, Record, ReconcileRec, TrialRec,
 };
-use crate::search::doe_sample;
 use crate::space::Configuration;
 use crate::surrogate::GpCache;
 use crate::{Error, Result};
@@ -482,7 +481,7 @@ impl Baco {
             if !e.doe_done {
                 let doe_n = self.opts.doe_samples.min(self.opts.budget);
                 let initial =
-                    self.transfer_rerank(doe_sample(&self.sampler, &mut e.rng, doe_n, &e.seen));
+                    self.transfer_rerank(self.sampler.sample_batch(&mut e.rng, doe_n, &e.seen));
                 let per = t0.elapsed() / doe_n.max(1) as u32;
                 e.append_propose(initial.len(), rng_before, per, &initial, Vec::new())?;
                 e.doe_done = true;
@@ -529,8 +528,7 @@ impl Baco {
                     e.rng = StdRng::from_state(rng_before);
                     return Ok(());
                 }
-                let mut excluded = e.seen.clone();
-                let picks = self.pick_round(&mut e.rng, &mut ctx, &mut excluded, q_eff);
+                let picks = self.pick_round(&mut e.rng, &mut ctx, &e.seen, q_eff);
                 (picks, anchors)
             };
             if picks.is_empty() {

@@ -5,7 +5,6 @@
 
 use baco::eval::pool::with_pool;
 use baco::prelude::*;
-use baco::search::doe_sample;
 use baco::surrogate::GpCache;
 use baco::tuner::{FantasyStrategy, LiarValue, Session, Trial, TuningReport};
 use proptest::prelude::*;
@@ -110,7 +109,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seen = HashSet::new();
         let mut report = TuningReport::new("prop");
-        for cfg in doe_sample(tuner.sampler(), &mut rng, 8, &seen) {
+        for cfg in tuner.sampler().sample_batch(&mut rng, 8, &seen) {
             seen.insert(cfg.clone());
             let v = objective(&cfg);
             report.push(Trial {

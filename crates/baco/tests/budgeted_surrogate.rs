@@ -270,8 +270,9 @@ fn budgeted_cache_memory_is_bounded() {
         let mut sizes = Vec::new();
         for n in 1..=120usize {
             let cfg = tuner
-                .recommend_with_cache(&mut rng, &report, &seen, &mut cache)
+                .recommend_batch(&mut rng, &report, &seen, &mut cache, 1)
                 .unwrap()
+                .pop()
                 .expect("space is large enough");
             let eval = objective(&cfg);
             seen.insert(cfg.clone());

@@ -184,7 +184,7 @@ proptest! {
     /// monotonically improves the acquisition score of its start.
     #[test]
     fn local_search_stays_feasible_and_improves(seed in 0u64..1000) {
-        use baco::search::{local_search, scalar_score, FeasibleSampler, LocalSearchOptions};
+        use baco::search::{local_search_in, scalar_score, FeasibleSampler, LocalSearchOptions};
         let space = SearchSpace::builder()
             .integer("a", 0, 20)
             .integer("b", 0, 20)
@@ -197,7 +197,8 @@ proptest! {
             -(c.value("a").as_f64() - 14.0).abs() - (c.value("b").as_f64() - 7.0).abs()
         };
         let opts = LocalSearchOptions { n_candidates: 20, n_starts: 3, max_steps: 40 };
-        let best = local_search(&sampler, &mut rng, scalar_score(score), &opts, &Default::default()).unwrap();
+        let best = local_search_in(&sampler, &mut rng, scalar_score(score), &opts, &Default::default(), None)
+            .unwrap();
         prop_assert!(space.satisfies_known(&best).unwrap());
         // (14,7) is the global feasible optimum (21 % 3 == 0) but the mod-3
         // lattice has single-parameter local optima at distance 2 (e.g.

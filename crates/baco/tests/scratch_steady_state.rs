@@ -38,8 +38,9 @@ fn budgeted_rounds_stop_growing_prediction_buffers() {
     let mut cache = tuner.new_cache();
     let mut round = |report: &mut TuningReport, seen: &mut HashSet<Configuration>, cache: &mut _| {
         let cfg = tuner
-            .recommend_with_cache(&mut rng, report, seen, cache)
+            .recommend_batch(&mut rng, report, seen, cache, 1)
             .unwrap()
+            .pop()
             .expect("space is large enough");
         let a = cfg.value("a").as_f64();
         let b = cfg.value("b").as_f64();

@@ -4,8 +4,9 @@
 //! Three arms, all over the gp_hotpath mixed search space or the paper's
 //! 25-benchmark suite:
 //!
-//! * **rounds** — one full budgeted `recommend` (active-set selection +
-//!   surrogate fit + acquisition search) on synthetic histories of
+//! * **rounds** — one full budgeted one-pick `recommend_batch` round
+//!   (active-set selection + surrogate fit + acquisition search; the seen
+//!   set is borrowed, never copied) on synthetic histories of
 //!   n ∈ {1000, 5000, 20000} observations at a fixed surrogate budget. The
 //!   criterion is that the round at the largest n costs at most 2× the round
 //!   at the smallest n: per-round work is bounded by the budget, not by the
@@ -115,7 +116,7 @@ fn budgeted_round_secs(
         let mut rng = StdRng::seed_from_u64(7);
         let mut cache = tuner.new_cache();
         let picked = tuner
-            .recommend_with_cache(&mut rng, &report, &seen, &mut cache)
+            .recommend_batch(&mut rng, &report, &seen, &mut cache, 1)
             .expect("budgeted round");
         black_box(picked);
     })
