@@ -6,23 +6,32 @@
 //! The multistart is the dominant cost of every GP refit (each objective
 //! evaluation pays an `n³/6` multiply–add kernel factorization, and each
 //! gradient also an explicit `K⁻¹` at ≈ `n³` multiply–adds, formed batched
-//! and exactly by `Cholesky::inverse`), so the driver is
-//! built for the hot path: start ranking uses a *value-only* objective (no
-//! gradient — it would be thrown away during ranking), and both the ranking
-//! sweep and the per-start L-BFGS refinements run across threads via
-//! [`crate::parallel::parallel_map`]. Results are deterministic for a fixed
-//! RNG seed and independent of the thread count: starting points are drawn
-//! sequentially from the caller's RNG before any parallel work begins, the
-//! objective is a pure function, and the best refined start is selected by
-//! `(value, start index)` order.
+//! and exactly by `Cholesky::inverse`), so the driver is built for the hot
+//! path:
+//!
+//! * start ranking uses a *value-only* objective (no gradient — it would be
+//!   thrown away during ranking);
+//! * the L-BFGS line search is *lazy*: the objective returns its value with
+//!   a gradient thunk, and [`minimize`] forces the thunk only at the start
+//!   point, at a trial that passes the Armijo test and at an accepted Wolfe
+//!   growth step. A rejected trial's gradient is never computed. For a pure
+//!   objective this is bit-identical to computing every gradient;
+//! * both the ranking sweep and the per-start L-BFGS refinements run across
+//!   threads via [`crate::parallel::parallel_map`].
+//!
+//! Results are deterministic for a fixed RNG seed and independent of the
+//! thread count: starting points are drawn sequentially from the caller's
+//! RNG before any parallel work begins, the objective is a pure function,
+//! and the best refined start is selected by `(value, start index)` order.
 //!
 //! ```
 //! use baco::opt::{minimize, LbfgsOptions};
 //!
-//! // Minimize (x₀ − 3)² + (x₁ + 1)² from the origin.
+//! // Minimize (x₀ − 3)² + (x₁ + 1)² from the origin. The gradient is
+//! // returned as a closure, run only where the line search needs it.
 //! let mut f = |x: &[f64]| {
-//!     let v = (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-//!     (v, vec![2.0 * (x[0] - 3.0), 2.0 * (x[1] + 1.0)])
+//!     let (a, b) = (x[0] - 3.0, x[1] + 1.0);
+//!     (a * a + b * b, move || vec![2.0 * a, 2.0 * b])
 //! };
 //! let r = minimize(&mut f, vec![0.0, 0.0], &LbfgsOptions::default());
 //! assert!((r.x[0] - 3.0).abs() < 1e-6 && (r.x[1] + 1.0).abs() < 1e-6);
@@ -40,14 +49,15 @@ use rand::Rng;
 /// and return the best refined point.
 ///
 /// `value` must return the objective value alone (used to rank raw starts);
-/// `value_grad` must return the value and gradient (used by the L-BFGS
-/// refinement). Both must agree on the value. `threads` follows the
+/// `value_grad` must return the value and a gradient thunk (used by the
+/// L-BFGS refinement, which forces the thunk only at accepted points; see
+/// [`minimize`]). Both must agree on the value. `threads` follows the
 /// [`crate::parallel::effective_threads`] convention (`0` = auto).
 ///
 /// # Panics
 /// Panics if `n_samples == 0` or `n_keep == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn multistart_minimize<R, FV, FG, S>(
+pub fn multistart_minimize<R, FV, FG, G, S>(
     rng: &mut R,
     n_samples: usize,
     n_keep: usize,
@@ -60,7 +70,8 @@ pub fn multistart_minimize<R, FV, FG, S>(
 where
     R: Rng + ?Sized,
     FV: Fn(&[f64]) -> f64 + Sync,
-    FG: Fn(&[f64]) -> (f64, Vec<f64>) + Sync,
+    FG: Fn(&[f64]) -> (f64, G) + Sync,
+    G: FnOnce() -> Vec<f64>,
     S: FnMut(&mut R) -> Vec<f64>,
 {
     assert!(n_samples > 0 && n_keep > 0, "multistart needs at least one sample");
@@ -78,13 +89,11 @@ where
     if starts.is_empty() {
         // All samples produced non-finite values; fall back to one raw draw.
         let x = sample(rng);
-        let mut f = |x: &[f64]| value_grad(x);
-        return minimize(&mut f, x, opts);
+        return minimize(&mut |x: &[f64]| value_grad(x), x, opts);
     }
 
     let refined = parallel_map(starts, threads, |_, (_, x0)| {
-        let mut f = |x: &[f64]| value_grad(x);
-        minimize(&mut f, x0, opts)
+        minimize(&mut |x: &[f64]| value_grad(x), x0, opts)
     });
     refined
         .into_iter()
@@ -100,14 +109,16 @@ mod tests {
 
     /// Multimodal function; multistart should find the global basin near the
     /// origin more reliably than a single descent.
-    fn bumpy(x: &[f64]) -> (f64, Vec<f64>) {
-        let mut v = 0.0;
-        let mut g = vec![0.0; x.len()];
-        for (i, &xi) in x.iter().enumerate() {
-            v += xi * xi + 2.0 * (1.0 - (3.0 * xi).cos());
-            g[i] = 2.0 * xi + 6.0 * (3.0 * xi).sin();
-        }
-        (v, g)
+    fn bumpy(x: &[f64]) -> f64 {
+        x.iter()
+            .map(|&xi| xi * xi + 2.0 * (1.0 - (3.0 * xi).cos()))
+            .sum()
+    }
+
+    fn bumpy_grad(x: &[f64]) -> Vec<f64> {
+        x.iter()
+            .map(|&xi| 2.0 * xi + 6.0 * (3.0 * xi).sin())
+            .collect()
     }
 
     fn run_multistart(seed: u64, threads: usize) -> LbfgsResult {
@@ -118,8 +129,11 @@ mod tests {
             200,
             24,
             |rng| (0..3).map(|_| rng.gen_range(-4.0..4.0)).collect(),
-            &|x: &[f64]| bumpy(x).0,
             &bumpy,
+            &|x: &[f64]| {
+                let x = x.to_vec();
+                (bumpy(&x), move || bumpy_grad(&x))
+            },
             &opts,
             threads,
         )

@@ -11,7 +11,7 @@
 //!
 //! | op | request fields | reply fields |
 //! |---|---|---|
-//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives` (≥ 1), `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one finite entry per objective), `surrogate_budget` (≥ 8; budget-bounded surrogate mode), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`) | `resumed`, `len`, `remaining` |
+//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives` (≥ 1), `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one finite entry per objective), `surrogate_budget` (≥ 8; budget-bounded surrogate mode), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`); any other member is a `bad_request` naming it | `resumed`, `len`, `remaining` |
 //! | `ask` | `session` | `config` (object or `null` when exhausted) |
 //! | `suggest_batch` | `session`, `q` | `configs` (array, possibly empty) |
 //! | `report` | `session`, `config`; `value` (number, `null`, `"NaN"`, `"inf"`, `"-inf"`) **or** `values` (array, one entry per objective of a multi-objective session), and/or `feasible` — only *all-finite* measurements count as feasible, anything else is recorded as a failed evaluation | `len` |
@@ -257,6 +257,30 @@ fn opt_bool(j: &Json, key: &str) -> Result<Option<bool>, WireError> {
     }
 }
 
+/// Every member a `create_session` request may carry. Anything else is a
+/// typed `bad_request`: a misspelled option must not silently fall back to
+/// its default.
+const CREATE_MEMBERS: [&str; 18] = [
+    "op",
+    "id",
+    "session",
+    "space",
+    "budget",
+    "doe_samples",
+    "seed",
+    "resume",
+    "surrogate",
+    "hidden_constraints",
+    "feasibility_limit",
+    "local_search",
+    "log_objective",
+    "objectives",
+    "mo_strategy",
+    "reference_point",
+    "surrogate_budget",
+    "transfer",
+];
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -271,6 +295,11 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
     let op = need_str(&j, "op")?;
     let req = match op.as_str() {
         "create_session" => {
+            let members = j.as_obj().unwrap_or_default();
+            if let Some((key, _)) = members.iter().find(|(k, _)| !CREATE_MEMBERS.contains(&&**k)) {
+                let msg = format!("unknown `create_session` member `{key}`");
+                return Err(WireError::bad_request(msg));
+            }
             let session = need_str(&j, "session")?;
             let space = j
                 .get("space")
@@ -479,6 +508,25 @@ mod tests {
         for line in lines {
             parse_request(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
         }
+    }
+
+    #[test]
+    fn unknown_create_members_are_named_bad_requests() {
+        let parse = |extra: &str| {
+            parse_request(&format!(
+                r#"{{"op":"create_session","session":"s","budget":5,"space":{{"params":[],"constraints":[]}}{extra}}}"#
+            ))
+        };
+        // A misspelled option and a removed one: both named, neither ignored.
+        for key in ["surogate_budget", "speculation_depth", "Seed", ""] {
+            let err = parse(&format!(r#","{key}":2"#)).expect_err(key);
+            assert_eq!(err.kind, ErrorKind::BadRequest, "{key}");
+            assert!(err.msg.contains(&format!("`{key}`")), "{key}: {}", err.msg);
+        }
+        // Every documented member parses, alongside the echoed `id`.
+        let all = r#","id":9,"doe_samples":3,"seed":"4","resume":false,"surrogate":"gp","hidden_constraints":true,"feasibility_limit":true,"local_search":true,"log_objective":true,"objectives":1,"mo_strategy":"ehvi","reference_point":[1.0],"surrogate_budget":8,"transfer":false"#;
+        let env = parse(all).unwrap_or_else(|e| panic!("{e:?}"));
+        assert!(matches!(env.req, Request::Create { .. }));
     }
 
     #[test]

@@ -26,27 +26,22 @@ impl ModelInput {
     /// With `use_transforms == false` (the `BaCO--` ablation of Fig. 8/9),
     /// log-scaled parameters are normalized linearly instead.
     pub fn from_config(space: &SearchSpace, cfg: &Configuration, use_transforms: bool) -> Self {
-        let feats = space
-            .params()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let scale = if use_transforms { p.scale() } else { Scale::Linear };
-                match p.kind() {
-                    ParamKind::Real { .. } => {
-                        Feature::Num(p.normalized_real_with(cfg.value_at(i).as_f64(), scale))
-                    }
-                    ParamKind::Integer { .. } | ParamKind::Ordinal { .. } => {
-                        Feature::Num(p.normalized_at_with(cfg.cval(i).idx(), scale))
-                    }
-                    ParamKind::Categorical { .. } => Feature::Cat(cfg.cval(i).idx() as u32),
-                    ParamKind::Permutation { len } => {
-                        Feature::Perm(crate::space::perm::unrank(cfg.cval(i).idx(), *len))
-                    }
-                }
-            })
-            .collect();
+        let feats = (0..space.len()).map(|i| Feature::of(space, cfg, i, use_transforms)).collect();
         ModelInput { feats }
+    }
+
+    /// Appends the [`ModelInput::flat_features`] of `cfg` to `out` without
+    /// building the intermediate input: the tree models' one encoder, for
+    /// fitting and for scoring candidate batches into a reused buffer.
+    pub(crate) fn encode_flat(
+        space: &SearchSpace,
+        cfg: &Configuration,
+        use_transforms: bool,
+        out: &mut Vec<f64>,
+    ) {
+        for i in 0..space.len() {
+            Feature::of(space, cfg, i, use_transforms).push_flat(out);
+        }
     }
 
     /// Number of parameters.
@@ -128,20 +123,46 @@ impl ModelInput {
     pub fn flat_features(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.feats.len());
         for f in &self.feats {
-            match f {
-                Feature::Num(v) => out.push(*v),
-                Feature::Cat(c) => out.push(*c as f64),
-                Feature::Perm(p) => {
-                    let m = p.len().max(1) as f64;
-                    let mut pos = vec![0.0; p.len()];
-                    for (i, &e) in p.iter().enumerate() {
-                        pos[e as usize] = i as f64 / m;
-                    }
-                    out.extend(pos);
+            f.push_flat(&mut out);
+        }
+        out
+    }
+}
+
+impl Feature {
+    /// Parameter `i` of `cfg` in its model representation.
+    fn of(space: &SearchSpace, cfg: &Configuration, i: usize, use_transforms: bool) -> Self {
+        let p = &space.params()[i];
+        let scale = if use_transforms { p.scale() } else { Scale::Linear };
+        match p.kind() {
+            ParamKind::Real { .. } => {
+                Feature::Num(p.normalized_real_with(cfg.value_at(i).as_f64(), scale))
+            }
+            ParamKind::Integer { .. } | ParamKind::Ordinal { .. } => {
+                Feature::Num(p.normalized_at_with(cfg.cval(i).idx(), scale))
+            }
+            ParamKind::Categorical { .. } => Feature::Cat(cfg.cval(i).idx() as u32),
+            ParamKind::Permutation { len } => {
+                Feature::Perm(crate::space::perm::unrank(cfg.cval(i).idx(), *len))
+            }
+        }
+    }
+
+    /// Appends the flat numeric form: the numeric value, the category index,
+    /// or one normalized position per permutation element.
+    fn push_flat(&self, out: &mut Vec<f64>) {
+        match self {
+            Feature::Num(v) => out.push(*v),
+            Feature::Cat(c) => out.push(*c as f64),
+            Feature::Perm(p) => {
+                let m = p.len().max(1) as f64;
+                let base = out.len();
+                out.resize(base + p.len(), 0.0);
+                for (i, &e) in p.iter().enumerate() {
+                    out[base + e as usize] = i as f64 / m;
                 }
             }
         }
-        out
     }
 }
 

@@ -22,6 +22,13 @@
 //!   all right-hand sides, bit-identical to per-column solves, and the
 //!   gradient loop reuses the kernel build's Matérn terms instead of
 //!   recomputing a `sqrt` and an `exp` per pair.
+//! * **Lazy line-search gradients** — an NLL evaluation is split in two.
+//!   The value step builds the kernel (with its Matérn gradient factors),
+//!   factorizes it, solves for α, scores the NLL and updates the memo; the
+//!   state it returns finishes `K⁻¹` and the gradient only when L-BFGS asks
+//!   for it, which it does at the start point and at accepted steps (see
+//!   [`crate::opt::minimize`]). Trial points the Armijo test rejects never
+//!   pay for `K⁻¹`, and every number is the same as computing it eagerly.
 //! * **Incremental distance tables** — [`GaussianProcess::fit_with_cache`]
 //!   reuses the per-dimension squared-distance matrices across tuning
 //!   iterations, extending them by one row/column per new observation. The
@@ -427,8 +434,13 @@ impl GaussianProcess {
         let value = |theta: &[f64]| -> f64 {
             neg_log_posterior_impl(theta, d2, ys, prior.as_ref(), false, Some(&best_eval)).0
         };
-        let value_grad = |theta: &[f64]| -> (f64, Vec<f64>) {
-            neg_log_posterior_impl(theta, d2, ys, prior.as_ref(), true, Some(&best_eval))
+        // The gradient thunk finishes `K⁻¹` and the gradient from the value
+        // step's state; L-BFGS runs it only at accepted points.
+        let value_grad = |theta: &[f64]| {
+            let len = theta.len();
+            let (nll, state) =
+                neg_log_posterior_impl(theta, d2, ys, prior.as_ref(), true, Some(&best_eval));
+            (nll, move || state.map_or_else(|| vec![0.0; len], NllState::gradient))
         };
 
         let sample_theta = |rng: &mut R| -> Vec<f64> {
@@ -787,31 +799,35 @@ fn kernel_terms(
     (k, c)
 }
 
-/// Negative log posterior (marginal likelihood + lengthscale priors) and its
-/// gradient w.r.t. θ = [log ℓ…, log σ, log σε²].
+/// Value step of the negative log posterior (marginal likelihood +
+/// lengthscale priors) over θ = [log ℓ…, log σ, log σε²].
 ///
-/// Shared NLL implementation. With `want_grad == false` the explicit `K⁻¹`
-/// (needed only by the gradient) is skipped — this is what makes multistart
-/// ranking cheap: `Cholesky::inverse` costs about `n³` multiply–adds
-/// (`2n³/3` after skipping the structural zeros of `L⁻¹`), against `n³/6`
-/// for the factorization. When `memo` is given, the factorization computed
-/// for the best value seen so far is kept for reuse by the final fit.
+/// Builds the kernel, factorizes it, solves for α and returns the NLL. With
+/// `want_grad` the kernel build also keeps the Matérn gradient factors and
+/// the returned [`NllState`] can finish the gradient later from the same
+/// kernel, factors and factorization — the L-BFGS line search forces it only
+/// at accepted points (see [`crate::opt::minimize`]). Without `want_grad`
+/// (multistart ranking) no state is kept. The state is also `None` when θ
+/// is outside the trusted box or the kernel does not factorize; the value is
+/// then `+∞` and the gradient, if asked for, is all zeros.
+///
+/// When `memo` is given, the factorization computed for the best value seen
+/// so far is kept for reuse by the final fit.
 ///
 /// The `d2` tables must be symmetric (as [`GpCache`] builds them): the
 /// gradient reads each pair's kernel terms from the one kernel build.
-fn neg_log_posterior_impl(
+fn neg_log_posterior_impl<'a>(
     theta: &[f64],
-    d2: &[Matrix],
+    d2: &'a [Matrix],
     ys: &[f64],
-    prior: Option<&GammaPrior>,
+    prior: Option<&'a GammaPrior>,
     want_grad: bool,
     memo: Option<&Mutex<Option<BestEval>>>,
-) -> (f64, Vec<f64>) {
+) -> (f64, Option<NllState<'a>>) {
     let d = d2.len();
     let n = ys.len();
-    let bad = |_: ()| (f64::INFINITY, vec![0.0; theta.len()]);
     if theta.iter().any(|t| !t.is_finite() || t.abs() > 40.0) {
-        return bad(());
+        return (f64::INFINITY, None);
     }
     let ls: Vec<f64> = theta[..d].iter().map(|t| t.exp()).collect();
     let sigma = theta[d].exp();
@@ -819,7 +835,7 @@ fn neg_log_posterior_impl(
 
     let (kmat, factors) = kernel_terms(d2, &ls, sigma, noise, want_grad);
     let Ok(chol) = Cholesky::new(&kmat) else {
-        return bad(());
+        return (f64::INFINITY, None);
     };
     let alpha = chol.solve(ys);
     let data_fit: f64 = dot(ys, &alpha);
@@ -848,70 +864,114 @@ fn neg_log_posterior_impl(
         }
     }
 
-    let Some(factors) = factors else {
-        return (nll, Vec::new());
-    };
+    let state = factors.map(|factors| NllState {
+        d2,
+        prior,
+        ls,
+        sigma,
+        noise,
+        kmat,
+        factors,
+        chol,
+        alpha,
+    });
+    (nll, state)
+}
 
-    // ∂NLL/∂θ = ½ Σ_ij B_ij ∂K_ij/∂θ with B = K⁻¹ − α αᵀ, formed one row at
-    // a time. Off the diagonal ∂k_ij/∂log σ = k_ij and ∂k_ij/∂log ℓ_k =
-    // C_ij r²_k; both k_ij and C_ij come from the kernel build, so only
-    // r²_k = d²_k/ℓ_k² is recomputed. Each grad entry is one chain of
-    // `weight · term` additions over the ordered pairs in row-major order.
-    let kinv = chol.inverse();
-    let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
-    let mut grad = vec![0.0; d + 2];
-    let mut r2 = vec![0.0; d * n];
-    let mut half_b = vec![0.0; n];
-    let mut weighted = vec![0.0; n];
-    let zeros = vec![0.0; n];
-    for i in 0..n {
-        for ((m, &l2), row) in d2.iter().zip(&ls2).zip(r2.chunks_exact_mut(n)) {
-            for (r, &v) in row.iter_mut().zip(m.row(i)) {
-                *r = v / l2;
-            }
-        }
-        let ai = alpha[i];
-        let rows = kinv.row(i).iter().zip(&alpha).zip(factors.row(i));
-        for ((hb, w), ((&kinv_ij, &aj), &cij)) in half_b.iter_mut().zip(&mut weighted).zip(rows) {
-            *hb = 0.5 * (kinv_ij - ai * aj);
-            *w = *hb * cij;
-        }
-        let mut acc = [grad[d]];
-        accumulate_pairs(&mut acc, &half_b, [kmat.row(i)], i);
-        grad[d] = acc[0];
-        // The lengthscale chains share their weights and advance
-        // GRAD_CHAINS at a time, padded with discarded all-zero chains.
-        for k0 in (0..d).step_by(GRAD_CHAINS) {
-            let live = |r: usize| k0 + r < d;
-            let mut acc: [f64; GRAD_CHAINS] =
-                std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
-            let terms = std::array::from_fn(|r| {
-                if live(r) {
-                    &r2[(k0 + r) * n..(k0 + r + 1) * n]
-                } else {
-                    &zeros[..]
+/// What the gradient of one NLL evaluation needs from its value step: the
+/// kernel with its Matérn gradient factors, the factorization and α.
+struct NllState<'a> {
+    d2: &'a [Matrix],
+    prior: Option<&'a GammaPrior>,
+    ls: Vec<f64>,
+    sigma: f64,
+    noise: f64,
+    kmat: Matrix,
+    factors: Matrix,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+}
+
+impl NllState<'_> {
+    /// The gradient of the NLL w.r.t. θ. Forming `K⁻¹` dominates: about
+    /// `n³` multiply–adds (`2n³/3` after skipping the structural zeros of
+    /// `L⁻¹`), against `n³/6` for the value step's factorization.
+    fn gradient(self) -> Vec<f64> {
+        let NllState {
+            d2,
+            prior,
+            ls,
+            sigma,
+            noise,
+            kmat,
+            factors,
+            chol,
+            alpha,
+        } = self;
+        let d = d2.len();
+        let n = alpha.len();
+        // ∂NLL/∂θ = ½ Σ_ij B_ij ∂K_ij/∂θ with B = K⁻¹ − α αᵀ, formed one row
+        // at a time. Off the diagonal ∂k_ij/∂log σ = k_ij and ∂k_ij/∂log ℓ_k
+        // = C_ij r²_k; both k_ij and C_ij come from the kernel build, so only
+        // r²_k = d²_k/ℓ_k² is recomputed. Each grad entry is one chain of
+        // `weight · term` additions over the ordered pairs in row-major order.
+        let kinv = chol.inverse();
+        let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
+        let mut grad = vec![0.0; d + 2];
+        let mut r2 = vec![0.0; d * n];
+        let mut half_b = vec![0.0; n];
+        let mut weighted = vec![0.0; n];
+        let zeros = vec![0.0; n];
+        for i in 0..n {
+            for ((m, &l2), row) in d2.iter().zip(&ls2).zip(r2.chunks_exact_mut(n)) {
+                for (r, &v) in row.iter_mut().zip(m.row(i)) {
+                    *r = v / l2;
                 }
-            });
-            accumulate_pairs(&mut acc, &weighted, terms, i);
-            for (r, a) in acc.into_iter().enumerate().filter(|&(r, _)| live(r)) {
-                grad[k0 + r] = a;
+            }
+            let ai = alpha[i];
+            let rows = kinv.row(i).iter().zip(&alpha).zip(factors.row(i));
+            for ((hb, w), ((&kinv_ij, &aj), &cij)) in half_b.iter_mut().zip(&mut weighted).zip(rows)
+            {
+                *hb = 0.5 * (kinv_ij - ai * aj);
+                *w = *hb * cij;
+            }
+            let mut acc = [grad[d]];
+            accumulate_pairs(&mut acc, &half_b, [kmat.row(i)], i);
+            grad[d] = acc[0];
+            // The lengthscale chains share their weights and advance
+            // GRAD_CHAINS at a time, padded with discarded all-zero chains.
+            for k0 in (0..d).step_by(GRAD_CHAINS) {
+                let live = |r: usize| k0 + r < d;
+                let mut acc: [f64; GRAD_CHAINS] =
+                    std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
+                let terms = std::array::from_fn(|r| {
+                    if live(r) {
+                        &r2[(k0 + r) * n..(k0 + r + 1) * n]
+                    } else {
+                        &zeros[..]
+                    }
+                });
+                accumulate_pairs(&mut acc, &weighted, terms, i);
+                for (r, a) in acc.into_iter().enumerate().filter(|&(r, _)| live(r)) {
+                    grad[k0 + r] = a;
+                }
             }
         }
-    }
-    // Diagonal contributions: k_ii = σ (+ noise); ∂/∂logσ = σ, ∂/∂logσε² = σε².
-    for i in 0..n {
-        let bii = kinv[(i, i)] - alpha[i] * alpha[i];
-        grad[d] += 0.5 * bii * sigma;
-        grad[d + 1] += 0.5 * bii * noise;
-    }
-
-    if let Some(p) = prior {
-        for (kk, l) in ls.iter().enumerate() {
-            grad[kk] -= p.dlog_pdf_dlogx(*l);
+        // Diagonal contributions: k_ii = σ (+ noise); ∂/∂logσ = σ,
+        // ∂/∂logσε² = σε².
+        for i in 0..n {
+            let bii = kinv[(i, i)] - alpha[i] * alpha[i];
+            grad[d] += 0.5 * bii * sigma;
+            grad[d + 1] += 0.5 * bii * noise;
         }
-    }
 
-    (nll, grad)
+        if let Some(p) = prior {
+            for (kk, l) in ls.iter().enumerate() {
+                grad[kk] -= p.dlog_pdf_dlogx(*l);
+            }
+        }
+        grad
+    }
 }
 
 /// `acc[r] += weights[j] · terms[r][j]` for every `j ≠ skip`, one term at a
@@ -974,7 +1034,7 @@ mod tests {
         let ys: Vec<f64> = y.iter().map(|v| (v - ym) / ysd).collect();
         let prior = GammaPrior::default();
 
-        let nll = |t: &[f64]| neg_log_posterior_impl(t, &d2, &ys, Some(&prior), true, None);
+        let nll = |t: &[f64]| nll_eager(t, &d2, &ys, Some(&prior), true);
         let theta = vec![(0.4f64).ln(), (0.9f64).ln(), (1e-3f64).ln()];
         let (f0, g) = nll(&theta);
         assert!(f0.is_finite());
@@ -993,6 +1053,29 @@ mod tests {
                 g[k]
             );
         }
+    }
+
+    /// One evaluation's value and, with `want_grad`, its gradient forced at
+    /// once — what the optimizer's thunk computes when it is run.
+    fn nll_eager(
+        theta: &[f64],
+        d2: &[Matrix],
+        ys: &[f64],
+        prior: Option<&GammaPrior>,
+        want_grad: bool,
+    ) -> (f64, Vec<f64>) {
+        let (v, state) = neg_log_posterior_impl(theta, d2, ys, prior, want_grad, None);
+        if !want_grad {
+            assert!(
+                state.is_none(),
+                "value-only evaluation kept a gradient state"
+            );
+            return (v, Vec::new());
+        }
+        (
+            v,
+            state.map_or_else(|| vec![0.0; theta.len()], NllState::gradient),
+        )
     }
 
     /// The kernel build [`kernel_terms`] replaced, kept as a reference.
@@ -1143,6 +1226,20 @@ mod tests {
             .collect()
     }
 
+    fn assert_same_bits(a: (f64, &[f64]), b: (f64, &[f64]), what: &str) {
+        assert_eq!(
+            a.0.to_bits(),
+            b.0.to_bits(),
+            "value {} vs {}: {what}",
+            a.0,
+            b.0
+        );
+        assert_eq!(a.1.len(), b.1.len(), "{what}");
+        for (k, (x, y)) in a.1.iter().zip(b.1).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "grad[{k}] {x} vs {y}: {what}");
+        }
+    }
+
     #[test]
     fn nll_and_gradient_match_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(77);
@@ -1161,6 +1258,7 @@ mod tests {
         ] {
             let d2 = random_d2(n, d, &mut rng);
             let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let mut states = Vec::new();
             for trial in 0..12 {
                 let mut theta: Vec<f64> = (0..d).map(|_| rng.gen_range(-3.0..1.2)).collect();
                 theta.push(rng.gen_range(-1.6..0.7));
@@ -1180,13 +1278,13 @@ mod tests {
                 }
                 let p = (trial % 2 == 0).then_some(&prior);
                 for want_grad in [false, true] {
-                    let (v, g) = neg_log_posterior_impl(&theta, &d2, &ys, p, want_grad, None);
+                    let (v, g) = nll_eager(&theta, &d2, &ys, p, want_grad);
                     let (rv, rg) = neg_log_posterior_reference(&theta, &d2, &ys, p, want_grad);
                     let what = format!("n={n} d={d} trial {trial} grad={want_grad} θ={theta:?}");
-                    assert_eq!(v.to_bits(), rv.to_bits(), "value {v} vs {rv}: {what}");
-                    assert_eq!(g.len(), rg.len(), "{what}");
-                    for (k, (a, b)) in g.iter().zip(&rg).enumerate() {
-                        assert_eq!(a.to_bits(), b.to_bits(), "grad[{k}] {a} vs {b}: {what}");
+                    if want_grad {
+                        assert_same_bits((v, &g), (rv, &rg), &what);
+                    } else {
+                        assert_eq!(v.to_bits(), rv.to_bits(), "value {v} vs {rv}: {what}");
                     }
                     if want_grad && trial >= 3 {
                         if v.is_finite() {
@@ -1196,6 +1294,19 @@ mod tests {
                         }
                     }
                 }
+                // The value step alone, its gradient deferred (below).
+                let (v, state) = neg_log_posterior_impl(&theta, &d2, &ys, p, true, None);
+                assert!(state.is_some() || v == f64::INFINITY, "trial {trial}");
+                states.push((theta, p, v, state));
+            }
+            // Finishing the held states later, in reverse order, gives the
+            // reference's numbers: each state owns everything its gradient
+            // reads.
+            for (theta, p, v, state) in states.into_iter().rev() {
+                let g = state.map_or_else(|| vec![0.0; theta.len()], NllState::gradient);
+                let (rv, rg) = neg_log_posterior_reference(&theta, &d2, &ys, p, true);
+                let what = format!("deferred n={n} d={d} θ={theta:?}");
+                assert_same_bits((v, &g), (rv, &rg), &what);
             }
         }
         assert!(
@@ -1222,11 +1333,42 @@ mod tests {
         }
         let ys = vec![-1.2, -0.3, 0.4, 0.6, 0.5];
         let prior = GammaPrior::default();
-        let theta = vec![(0.7f64).ln(), (1.1f64).ln(), (2e-3f64).ln()];
-        let (v_grad, g) = neg_log_posterior_impl(&theta, &d2, &ys, Some(&prior), true, None);
-        let (v_only, empty) = neg_log_posterior_impl(&theta, &d2, &ys, Some(&prior), false, None);
-        assert_eq!(v_grad.to_bits(), v_only.to_bits());
-        assert!(!g.is_empty() && empty.is_empty());
+        let thetas = [
+            vec![(0.7f64).ln(), (1.1f64).ln(), (2e-3f64).ln()],
+            vec![(0.3f64).ln(), (0.6f64).ln(), (1e-4f64).ln()],
+            vec![(1.9f64).ln(), (1.4f64).ln(), (5e-3f64).ln()],
+        ];
+        // The value step does the same work with or without a gradient to
+        // come: equal values, and the memo (the fit's reused factorization)
+        // ends up bit-identical whether or not any gradient was forced.
+        let memo_value = Mutex::new(None);
+        let memo_grad = Mutex::new(None);
+        for (k, theta) in thetas.iter().enumerate() {
+            let (v_only, none) =
+                neg_log_posterior_impl(theta, &d2, &ys, Some(&prior), false, Some(&memo_value));
+            let (v_grad, state) =
+                neg_log_posterior_impl(theta, &d2, &ys, Some(&prior), true, Some(&memo_grad));
+            assert_eq!(v_grad.to_bits(), v_only.to_bits());
+            assert!(none.is_none());
+            let state = state.expect("finite evaluation keeps its gradient state");
+            if k == 1 {
+                // Forced for one θ, dropped for the others.
+                let g = state.gradient();
+                let (rv, rg) = neg_log_posterior_reference(theta, &d2, &ys, Some(&prior), true);
+                assert_same_bits((v_grad, &g), (rv, &rg), "forced state");
+            }
+        }
+        let (a, b) = (
+            memo_value.into_inner().unwrap().unwrap(),
+            memo_grad.into_inner().unwrap().unwrap(),
+        );
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        assert_eq!(a.theta, b.theta);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..n {
+            assert_eq!(bits(a.chol.factor().row(i)), bits(b.chol.factor().row(i)));
+        }
+        assert_eq!(bits(&a.alpha), bits(&b.alpha));
     }
 
     #[test]

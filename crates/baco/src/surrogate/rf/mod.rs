@@ -83,6 +83,18 @@ fn fit_forest<R: Rng + ?Sized>(
     Ok(trees)
 }
 
+/// The rows of a forest's training matrix, from the one flat encoder.
+fn encode_rows(space: &SearchSpace, configs: &[Configuration]) -> Vec<Vec<f64>> {
+    configs
+        .iter()
+        .map(|c| {
+            let mut row = Vec::new();
+            ModelInput::encode_flat(space, c, true, &mut row);
+            row
+        })
+        .collect()
+}
+
 fn forest_predict(trees: &[DecisionTree], features: &[f64]) -> (f64, f64) {
     let preds: Vec<f64> = trees.iter().map(|t| t.predict(features)).collect();
     let mean = preds.iter().sum::<f64>() / preds.len() as f64;
@@ -110,10 +122,7 @@ impl RandomForestRegressor {
         opts: &RfOptions,
         rng: &mut R,
     ) -> Result<Self> {
-        let x: Vec<Vec<f64>> = configs
-            .iter()
-            .map(|c| ModelInput::from_config(space, c, true).flat_features())
-            .collect();
+        let x = encode_rows(space, configs);
         Ok(RandomForestRegressor {
             trees: fit_forest(&x, y, opts, rng)?,
             use_transforms: true,
@@ -122,7 +131,8 @@ impl RandomForestRegressor {
 
     /// Posterior mean and across-tree variance at `cfg`.
     pub fn predict_config(&self, space: &SearchSpace, cfg: &Configuration) -> (f64, f64) {
-        let f = ModelInput::from_config(space, cfg, self.use_transforms).flat_features();
+        let mut f = Vec::new();
+        ModelInput::encode_flat(space, cfg, self.use_transforms, &mut f);
         forest_predict(&self.trees, &f)
     }
 
@@ -157,10 +167,7 @@ impl RandomForestClassifier {
         opts: &RfOptions,
         rng: &mut R,
     ) -> Result<Self> {
-        let x: Vec<Vec<f64>> = configs
-            .iter()
-            .map(|c| ModelInput::from_config(space, c, true).flat_features())
-            .collect();
+        let x = encode_rows(space, configs);
         let y: Vec<f64> = feasible.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
         Ok(RandomForestClassifier {
             trees: fit_forest(&x, &y, opts, rng)?,
@@ -171,8 +178,23 @@ impl RandomForestClassifier {
     /// Probability of feasibility at `cfg` (mean leaf probability across
     /// trees).
     pub fn predict_proba(&self, space: &SearchSpace, cfg: &Configuration) -> f64 {
-        let f = ModelInput::from_config(space, cfg, self.use_transforms).flat_features();
-        forest_predict(&self.trees, &f).0.clamp(0.0, 1.0)
+        self.predict_proba_batch(space, std::slice::from_ref(cfg))[0]
+    }
+
+    /// [`RandomForestClassifier::predict_proba`] for a whole candidate
+    /// batch, bit for bit: each candidate is encoded into one reused feature
+    /// buffer and the tree mean is summed in tree order. The across-tree
+    /// variance, which a probability does not use, is not computed.
+    pub fn predict_proba_batch(&self, space: &SearchSpace, cfgs: &[Configuration]) -> Vec<f64> {
+        let mut f = Vec::new();
+        cfgs.iter()
+            .map(|cfg| {
+                f.clear();
+                ModelInput::encode_flat(space, cfg, self.use_transforms, &mut f);
+                let sum = self.trees.iter().map(|t| t.predict(&f)).sum::<f64>();
+                (sum / self.trees.len() as f64).clamp(0.0, 1.0)
+            })
+            .collect()
     }
 }
 
@@ -245,6 +267,47 @@ mod tests {
             .unwrap();
         assert!(rf.predict_proba(&s, &cfg(&s, 5, "a")) > 0.8);
         assert!(rf.predict_proba(&s, &cfg(&s, 29, "a")) < 0.2);
+    }
+
+    #[test]
+    fn batch_proba_and_flat_encoder_match_per_candidate_bitwise() {
+        let s = SearchSpace::builder()
+            .real_log("lr", 1e-4, 1.0)
+            .integer("x", 0, 31)
+            .ordinal_log("tile", vec![1.0, 2.0, 4.0, 8.0, 16.0])
+            .categorical("m", vec!["a", "b", "c"])
+            .permutation("p", 4)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let configs: Vec<_> = (0..60).map(|_| s.sample_dense(&mut rng)).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for use_transforms in [true, false] {
+            // Encoding appends after whatever the buffer already holds.
+            let mut f = vec![-1.0];
+            for c in &configs {
+                f.truncate(1);
+                ModelInput::encode_flat(&s, c, use_transforms, &mut f);
+                let reference = ModelInput::from_config(&s, c, use_transforms).flat_features();
+                assert_eq!(bits(&f[1..]), bits(&reference), "{c:?}");
+            }
+        }
+        let labels: Vec<bool> = configs.iter().map(|c| c.value("x").as_f64() < 12.0).collect();
+        let (train, cands) = configs.split_at(30);
+        let clf =
+            RandomForestClassifier::fit(&s, train, &labels[..30], &RfOptions::default(), &mut rng)
+                .unwrap();
+        let batch = clf.predict_proba_batch(&s, cands);
+        assert_eq!(batch.len(), cands.len());
+        for (c, p) in cands.iter().zip(&batch) {
+            assert_eq!(p.to_bits(), clf.predict_proba(&s, c).to_bits(), "{c:?}");
+            // The classic path: a fresh input, its flat features, and the
+            // forest's mean and variance.
+            let f = ModelInput::from_config(&s, c, true).flat_features();
+            let classic = forest_predict(&clf.trees, &f).0.clamp(0.0, 1.0);
+            assert_eq!(p.to_bits(), classic.to_bits(), "{c:?}");
+        }
+        assert!(batch.iter().any(|&p| p > 0.0 && p < 1.0), "{batch:?}");
     }
 
     #[test]

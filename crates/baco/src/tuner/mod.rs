@@ -973,8 +973,9 @@ pub(crate) struct AcquisitionContext {
 impl AcquisitionContext {
     /// The acquisition scorer over whole candidate slices. Candidate batches
     /// flow through each model's bulk posterior (one blocked triangular solve
-    /// for the whole slice per objective) and only then through the cheap
-    /// per-candidate acquisition arithmetic. Multi-objective posteriors are
+    /// for the whole slice per objective) and the feasibility classifier's
+    /// batch probability, and only then through the cheap per-candidate
+    /// acquisition arithmetic. Multi-objective posteriors are
     /// scored whole by EHVI when this round carries a cell decomposition,
     /// and otherwise collapsed per candidate by this round's
     /// augmented-Chebyshev scalarization before the same EI machinery runs.
@@ -989,6 +990,7 @@ impl AcquisitionContext {
                 .iter()
                 .map(|mo| mo.as_value_model().predict_batch(space, cfgs))
                 .collect();
+            let feasible = self.classifier.as_ref().map(|c| c.predict_proba_batch(space, cfgs));
             let m = self.models.len();
             let mut means = vec![0.0; m];
             let mut vars = vec![0.0; m];
@@ -1014,11 +1016,8 @@ impl AcquisitionContext {
                         };
                         expected_improvement(mean, var, self.incumbent)
                     };
-                    let acq = match &self.classifier {
-                        Some(c) => {
-                            let p = c.predict_proba(space, cfg);
-                            feasibility_weighted_ei(ei, p, self.epsilon_f)
-                        }
+                    let acq = match &feasible {
+                        Some(p) => feasibility_weighted_ei(ei, p[j], self.epsilon_f),
                         None => ei,
                     };
                     match prior {
