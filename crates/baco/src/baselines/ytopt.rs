@@ -8,7 +8,7 @@ use super::timed_trial;
 use crate::acquisition::expected_improvement;
 use crate::search::FeasibleSampler;
 use crate::space::{Configuration, SearchSpace};
-use crate::surrogate::{GaussianProcess, GpOptions, RandomForestRegressor, RfOptions};
+use crate::surrogate::{FittedModel, GaussianProcess, GpOptions, RandomForestRegressor, RfOptions};
 use crate::tuner::{BlackBox, TuningReport};
 use crate::Result;
 use rand::rngs::StdRng;
@@ -145,26 +145,24 @@ impl super::Tuner for YtoptTuner {
                 None
             } else {
                 let incumbent = labels.iter().copied().fold(f64::INFINITY, f64::min);
-                enum M {
-                    Rf(RandomForestRegressor),
-                    Gp(Box<GaussianProcess>),
-                }
                 let model = match self.opts.surrogate {
-                    YtoptSurrogate::RandomForest => M::Rf(RandomForestRegressor::fit(
+                    YtoptSurrogate::RandomForest => FittedModel::Rf(RandomForestRegressor::fit(
                         &self.space,
                         &configs,
                         &labels,
                         &self.opts.rf,
                         &mut rng,
                     )?),
-                    YtoptSurrogate::GaussianProcess => M::Gp(Box::new(GaussianProcess::fit(
-                        &self.space,
-                        &configs,
-                        &labels,
-                        // Off-the-shelf GP: none of BaCO's customizations.
-                        &GpOptions::baco_minus_minus(),
-                        &mut rng,
-                    )?)),
+                    YtoptSurrogate::GaussianProcess => {
+                        FittedModel::Gp(Box::new(GaussianProcess::fit(
+                            &self.space,
+                            &configs,
+                            &labels,
+                            // Off-the-shelf GP: none of BaCO's customizations.
+                            &GpOptions::baco_minus_minus(),
+                            &mut rng,
+                        )?))
+                    }
                 };
                 let mut best: Option<(f64, Configuration)> = None;
                 for _ in 0..self.opts.n_candidates {
@@ -172,10 +170,7 @@ impl super::Tuner for YtoptTuner {
                     if seen.contains(&cfg) {
                         continue;
                     }
-                    let (m, v) = match &model {
-                        M::Rf(rf) => rf.predict_config(&self.space, &cfg),
-                        M::Gp(gp) => gp.predict(&cfg),
-                    };
+                    let (m, v) = model.predict(&self.space, &cfg);
                     let ei = expected_improvement(m, v, incumbent);
                     if best.as_ref().is_none_or(|(b, _)| ei > *b) {
                         best = Some((ei, cfg));

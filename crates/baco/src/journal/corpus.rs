@@ -4,11 +4,10 @@
 //! A long-lived tuning fleet accumulates a directory of run journals — one
 //! crash-safe JSONL file per session (the tuning server's `journal_dir`
 //! layout). This module turns that directory into a *corpus*: every journal
-//! is summarized (structural space fingerprint, options-envelope digest,
-//! completed-trial count, best observed value, content hash) and the
-//! summaries are indexed on disk, so a new session can cheaply ask "which
-//! archived runs tuned a structurally identical space?" and seed itself from
-//! their trials (see `BacoOptions::transfer`).
+//! is summarized (structural space fingerprint, objective count,
+//! completed-trial count, best observed value, content hash), so a new
+//! session can ask "which archived runs tuned a structurally identical
+//! space?" and seed itself from their trials (see `BacoOptions::transfer`).
 //!
 //! # Fingerprint rules
 //!
@@ -33,15 +32,11 @@
 //! log, and the healthy remainder forms the corpus.
 
 use super::json::{self, Json};
-use super::{envelope_digest, fnv1a, space_from_spec, Journal, FORMAT_NAME, FORMAT_VERSION};
+use super::{fnv1a, space_from_spec, Journal, FORMAT_NAME, FORMAT_VERSION};
 use crate::space::SearchSpace;
 use crate::{Error, Result};
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// File name of the on-disk corpus index inside a journal directory. Not a
-/// `.jsonl` file, so [`scan`] never mistakes it for a journal.
-pub const INDEX_FILE: &str = "corpus-index.json";
 
 /// Structural fingerprint of a search space, computed from its canonical
 /// [`space_spec`](super::space_spec) JSON (so it can be taken from a live
@@ -125,22 +120,20 @@ impl fmt::Display for SkipReason {
     }
 }
 
-/// One archived session's summary: everything donor selection and the
-/// on-disk index need, without holding the trials themselves.
+/// One archived session's summary: everything donor selection needs,
+/// without holding the trials themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusEntry {
     /// Session id — the journal's file stem.
     pub session: String,
     /// Structural fingerprint of the session's search space.
     pub fingerprint: u64,
-    /// [`envelope_digest`] of the session's options envelope.
-    pub envelope: u64,
     /// How many objectives the session measured.
     pub objectives: usize,
     /// Completed trials on record.
     pub trials: usize,
     /// Best feasible finite primary-objective value observed (`None` when
-    /// no trial qualifies). Encoded NaN-safely in the index.
+    /// no trial qualifies).
     pub best: Option<f64>,
     /// FNV-1a over the journal's clean byte prefix — the per-file term of a
     /// transfer snapshot hash. Stable across crash/resume cycles that only
@@ -148,41 +141,9 @@ pub struct CorpusEntry {
     pub content: u64,
 }
 
-impl CorpusEntry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("session".into(), Json::Str(self.session.clone())),
-            ("fingerprint".into(), super::u64_str(self.fingerprint)),
-            ("envelope".into(), super::u64_str(self.envelope)),
-            ("objectives".into(), Json::Num(self.objectives as f64)),
-            ("trials".into(), Json::Num(self.trials as f64)),
-            ("best".into(), super::encode_value(self.best)),
-            ("content".into(), super::u64_str(self.content)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> std::result::Result<CorpusEntry, String> {
-        Ok(CorpusEntry {
-            session: j
-                .get("session")
-                .and_then(Json::as_str)
-                .ok_or("index entry missing `session`")?
-                .to_string(),
-            fingerprint: super::get_u64(j, "fingerprint")?,
-            envelope: super::get_u64(j, "envelope")?,
-            objectives: super::get_usize(j, "objectives")?,
-            trials: super::get_usize(j, "trials")?,
-            best: super::decode_value(j.get("best").ok_or("index entry missing `best`")?)?,
-            content: super::get_u64(j, "content")?,
-        })
-    }
-}
-
 /// The scanned corpus: healthy session summaries plus the typed skip list.
 #[derive(Debug, Clone)]
 pub struct Corpus {
-    /// The scanned directory.
-    pub dir: PathBuf,
     /// Healthy archived sessions, sorted by session id.
     pub entries: Vec<CorpusEntry>,
     /// Skipped files as `(file name, reason)` pairs, sorted by file name.
@@ -202,53 +163,6 @@ impl Corpus {
             })
             .take(max)
             .collect()
-    }
-
-    /// Serializes the index to its on-disk byte form (one canonical JSON
-    /// line). Round-trips bitwise through [`Corpus::index_from_bytes`],
-    /// including NaN-bearing best values.
-    pub fn index_to_bytes(&self) -> Vec<u8> {
-        let mut line = Json::Obj(vec![
-            ("format".into(), Json::Str("baco-corpus-index".into())),
-            ("version".into(), Json::Num(1.0)),
-            (
-                "entries".into(),
-                Json::Arr(self.entries.iter().map(CorpusEntry::to_json).collect()),
-            ),
-        ])
-        .to_line();
-        line.push('\n');
-        line.into_bytes()
-    }
-
-    /// Parses index bytes written by [`Corpus::index_to_bytes`].
-    ///
-    /// # Errors
-    /// A description of the malformation. Never panics.
-    pub fn index_from_bytes(bytes: &[u8]) -> std::result::Result<Vec<CorpusEntry>, String> {
-        let text = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_string())?;
-        let j = json::parse(text.trim_end_matches('\n'))?;
-        if j.get("format").and_then(Json::as_str) != Some("baco-corpus-index") {
-            return Err("not a baco-corpus-index".into());
-        }
-        j.get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("index missing `entries`")?
-            .iter()
-            .map(CorpusEntry::from_json)
-            .collect()
-    }
-
-    /// Writes the on-disk index (`corpus-index.json`) into the corpus
-    /// directory, so later scans and external tools can map fingerprints to
-    /// completed-trial summaries without re-parsing every journal.
-    ///
-    /// # Errors
-    /// [`Error::Io`] on any filesystem failure.
-    pub fn write_index(&self) -> Result<()> {
-        let path = self.dir.join(INDEX_FILE);
-        std::fs::write(&path, self.index_to_bytes())
-            .map_err(|e| Error::Io(format!("{}: {e}", path.display())))
     }
 
     /// The corpus snapshot hash over a chosen donor list: an FNV-1a fold of
@@ -310,7 +224,6 @@ pub fn classify_bytes(session: &str, bytes: &[u8]) -> std::result::Result<Corpus
     Ok(CorpusEntry {
         session: session.to_string(),
         fingerprint: space_fingerprint(&journal.header.space),
-        envelope: envelope_digest(&journal.header.options),
         objectives: journal
             .header
             .options
@@ -342,7 +255,6 @@ pub fn scan(dir: &Path) -> Result<Corpus> {
         .collect();
     files.sort();
     let mut corpus = Corpus {
-        dir: dir.to_path_buf(),
         entries: Vec::new(),
         skipped: Vec::new(),
     };
@@ -407,29 +319,6 @@ mod tests {
         ] {
             assert_ne!(space_fingerprint(&base), space_fingerprint(&changed));
         }
-    }
-
-    #[test]
-    fn index_roundtrips_nan_best() {
-        let corpus = Corpus {
-            dir: PathBuf::from("."),
-            entries: vec![CorpusEntry {
-                session: "s1".into(),
-                fingerprint: u64::MAX,
-                envelope: 7,
-                objectives: 2,
-                trials: 3,
-                best: Some(f64::NAN),
-                content: 0xfeed,
-            }],
-            skipped: Vec::new(),
-        };
-        let bytes = corpus.index_to_bytes();
-        let back = Corpus::index_from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), 1);
-        assert!(back[0].best.unwrap().is_nan());
-        assert_eq!(back[0].fingerprint, u64::MAX);
-        assert_eq!(back[0].session, "s1");
     }
 
     #[test]

@@ -361,10 +361,8 @@ impl Header {
 /// The journal's envelopes are produced by [`space_spec`]/`options_spec`
 /// with a fixed member order and shortest-form number rendering, so two
 /// envelopes are equal exactly when their serialized lines are — which makes
-/// this digest a faithful equality primitive. It is shared by
-/// [`Header::validate`]'s options comparison and the corpus index
-/// ([`corpus`]), so "same options envelope" means the same thing on the live
-/// resume path and in the archived-session index.
+/// this digest a faithful equality primitive: [`Header::validate`]
+/// compares options envelopes through it on resume.
 pub fn envelope_digest(envelope: &Json) -> u64 {
     fnv1a(envelope.to_line().as_bytes())
 }
@@ -1151,10 +1149,20 @@ fn options_spec(opts: &BacoOptions) -> Json {
 /// Appends records to a journal file with write-ahead durability: each
 /// record is one `write` of the full line followed by `fdatasync`, so a
 /// crash can tear at most the final line.
+///
+/// A failed append (a short write under ENOSPC, a failed `fdatasync`) cuts
+/// the file back to the last acknowledged record and closes the writer: it
+/// refuses every later append, because the caller's in-memory state has
+/// moved past what the file holds. The file stays loadable with no torn
+/// tail, and resuming from it continues at the acknowledged prefix.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     path: String,
+    /// Byte length of the acknowledged (written and synced) prefix.
+    len: u64,
+    /// Set once an append failed; every later append is refused.
+    closed: bool,
 }
 
 impl JournalWriter {
@@ -1172,6 +1180,8 @@ impl JournalWriter {
         let mut w = JournalWriter {
             file,
             path: path.display().to_string(),
+            len: 0,
+            closed: false,
         };
         w.write_line(header.to_json().to_line())?;
         // Make the new directory entry itself durable (best effort — some
@@ -1209,6 +1219,8 @@ impl JournalWriter {
         let mut w = JournalWriter {
             file,
             path: path.display().to_string(),
+            len: 0,
+            closed: false,
         };
         let io = |path: &str, e: std::io::Error| Error::Io(format!("{path}: {e}"));
         if journal.clean_len > 0 {
@@ -1222,7 +1234,8 @@ impl JournalWriter {
                 w.file.write_all(b"\n").map_err(|e| io(&w.path, e))?;
             }
         }
-        w.file
+        w.len = w
+            .file
             .seek(SeekFrom::End(0))
             .map_err(|e| io(&w.path, e))?;
         w.append(&Record::Resume { len: report_len })?;
@@ -1232,18 +1245,88 @@ impl JournalWriter {
     /// Durably appends one record.
     ///
     /// # Errors
-    /// [`Error::Io`] if the write or fsync fails; the journal must then be
-    /// considered unreliable and the run should stop.
+    /// [`Error::Io`] if the write or fsync fails: the file is then cut back
+    /// to the last acknowledged record, and this and every later append
+    /// fail until the run is resumed from the journal.
     pub fn append(&mut self, rec: &Record) -> Result<()> {
         self.write_line(rec.to_line())
     }
 
     fn write_line(&mut self, mut line: String) -> Result<()> {
+        if self.closed {
+            return Err(Error::Io(format!(
+                "{}: journal closed by an earlier failed append; resume the session from it",
+                self.path
+            )));
+        }
         line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| Error::Io(format!("{}: {e}", self.path)))
+        if let Err(e) = self.write_synced(line.as_bytes()) {
+            // Whatever part of the line reached the file is not
+            // acknowledged: cut it off, so no later crash or append can
+            // leave it inside the journal (best effort — if even this
+            // fails, the line is a torn tail the loader drops).
+            self.closed = true;
+            let _ = self.file.set_len(self.len).and_then(|()| self.file.sync_data());
+            return Err(Error::Io(format!(
+                "{}: {e}; journal cut back to its last acknowledged record and closed to \
+                 appends — resume the session from it",
+                self.path
+            )));
+        }
+        self.len += line.len() as u64;
+        Ok(())
+    }
+
+    fn write_synced(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(f) = fault::take() {
+            return f.inject(&mut self.file, bytes);
+        }
+        self.file.write_all(bytes)?;
+        self.file.sync_data()
+    }
+}
+
+/// Test-only fault injection for [`JournalWriter`] appends, armed per
+/// thread so concurrently running tests cannot trip each other.
+#[cfg(test)]
+pub(crate) mod fault {
+    use std::cell::Cell;
+    use std::fs::File;
+    use std::io::{self, Write};
+
+    /// How an armed append fails.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Fault {
+        /// Half the line reaches the file, then the write fails (ENOSPC).
+        ShortWrite,
+        /// The whole line reaches the file, then `fdatasync` fails.
+        FailedSync,
+    }
+
+    thread_local! {
+        static ARMED: Cell<Option<Fault>> = const { Cell::new(None) };
+    }
+
+    /// Makes this thread's next append fail.
+    pub(crate) fn arm(fault: Fault) {
+        ARMED.with(|a| a.set(Some(fault)));
+    }
+
+    /// The fault armed for this append, if any (disarming it).
+    pub(super) fn take() -> Option<Fault> {
+        ARMED.with(Cell::take)
+    }
+
+    impl Fault {
+        pub(super) fn inject(self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+            let (n, msg) = match self {
+                Fault::ShortWrite => (bytes.len() / 2, "injected short write"),
+                Fault::FailedSync => (bytes.len(), "injected fdatasync failure"),
+            };
+            file.write_all(&bytes[..n])?;
+            Err(io::Error::other(msg))
+        }
     }
 }
 
@@ -1596,8 +1679,7 @@ mod tests {
         // literal: this is the exact byte sequence v1-era binaries wrote and
         // today's binaries still write, so any drift in member order, number
         // rendering or only-when-set behavior fails here before it silently
-        // orphans every archived journal (resume *and* the corpus index key
-        // off this digest).
+        // orphans every archived journal (resume keys off this digest).
         const V1V2_ENVELOPE: &str = concat!(
             r#"{"surrogate":"gp","hidden_constraints":true,"feasibility_limit":true,"#,
             r#""local_search":true,"log_objective":true,"optimum_prior":false,"#,

@@ -175,7 +175,7 @@ const REGION_ATTEMPTS: usize = 8;
 /// call — and must return one score per candidate, in order. Surrogates with
 /// a bulk prediction path (the GP's blocked posterior solve) make this
 /// dramatically cheaper than per-candidate scoring; see
-/// [`crate::surrogate::ValueModel::predict_batch`].
+/// [`GaussianProcess::predict_batch_configs`](crate::surrogate::GaussianProcess::predict_batch_configs).
 ///
 /// Candidates are sampled from the RNG *before* any scoring happens, and the
 /// climb accepts exactly the neighbor the sequential scan would accept, so

@@ -24,14 +24,13 @@
 //! Overload policy:
 //!
 //! * more than [`ServerOptions::max_outstanding`] requests accepted but
-//!   unanswered server-wide, or more than
-//!   [`ServerOptions::max_pending_per_conn`] queued on one connection
+//!   unanswered server-wide, or more than [`MAX_PENDING_PER_CONN`] queued
+//!   on one connection
 //!   ⇒ the request is **shed**: a typed `overloaded` error reply (with the
 //!   request's `id` echoed) delivered in order, connection kept open —
 //!   shed load is retryable load;
-//! * a connection whose write buffer outgrows
-//!   [`ServerOptions::write_buf_limit`] stops being read until it drains
-//!   (backpressure via TCP flow control);
+//! * a connection whose write buffer outgrows [`WRITE_BUF_LIMIT`] stops
+//!   being read until it drains (backpressure via TCP flow control);
 //! * only above [`ServerOptions::max_connections`] — an fd-exhaustion
 //!   guard, not a throughput limit — is a fresh connection answered with
 //!   one `overloaded` line and closed.
@@ -57,6 +56,15 @@ use std::thread::JoinHandle;
 /// client streaming bytes with no newline cannot grow the daemon's memory
 /// without limit.
 pub(super) const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Per-connection cap on queued pipelined requests; past it further
+/// requests from that connection are shed as `overloaded`.
+const MAX_PENDING_PER_CONN: usize = 128;
+
+/// Write-buffer bound per connection in bytes. A connection buffering more
+/// replies than this stops being read until the buffer drains to half the
+/// bound (backpressure, not an error).
+const WRITE_BUF_LIMIT: usize = 256 * 1024;
 
 /// Token of the listening socket (never a valid slab index).
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -304,7 +312,7 @@ impl<P: Readiness> EventLoop<P> {
                     self.next_gen += 1;
                     let conn = Conn {
                         stream,
-                        state: ConnState::new(self.handle.inner.opts.write_buf_limit),
+                        state: ConnState::new(WRITE_BUF_LIMIT),
                         gen: self.next_gen,
                         interest: READ_INTEREST,
                     };
@@ -433,12 +441,10 @@ impl<P: Readiness> EventLoop<P> {
     }
 
     fn frame_request(&mut self, idx: usize, line: String) {
-        let opts = &self.handle.inner.opts;
-        let max_outstanding = opts.max_outstanding;
-        let max_pending = opts.max_pending_per_conn;
+        let max_outstanding = self.handle.inner.opts.max_outstanding;
         let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
         let overloaded = self.outstanding >= max_outstanding
-            || conn.state.pending_len() >= max_pending;
+            || conn.state.pending_len() >= MAX_PENDING_PER_CONN;
         if overloaded {
             // Shed: answer `overloaded` (id echoed) *in order* — the marker
             // rides the same FIFO as real requests.

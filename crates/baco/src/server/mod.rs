@@ -74,10 +74,9 @@ pub use sys::raise_nofile_limit;
 
 use crate::journal::json::Json;
 use crate::journal::{self, Journal};
-use crate::space::SearchSpace;
-use crate::tuner::{Baco, Evaluation, Session, SurrogateKind};
+use crate::tuner::{Baco, BacoOptions, Evaluation, Session};
 use crate::{Error, Result};
-use proto::{Envelope, ErrorKind, Request, SessionSpec, WireError};
+use proto::{Envelope, ErrorKind, Request, WireError};
 use registry::{lock_slot, Registry};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
@@ -106,13 +105,6 @@ pub struct ServerOptions {
     /// `overloaded` error — in request order, connection kept open — until
     /// the backlog drains. Shed load is retryable load.
     pub max_outstanding: usize,
-    /// Per-connection cap on queued pipelined requests (default 128); past
-    /// it further requests from that connection are shed as `overloaded`.
-    pub max_pending_per_conn: usize,
-    /// Write-buffer bound per connection in bytes (default 256 KiB). A
-    /// connection buffering more replies than this stops being read until
-    /// the buffer drains to half the bound (backpressure, not an error).
-    pub write_buf_limit: usize,
 }
 
 impl Default for ServerOptions {
@@ -122,23 +114,13 @@ impl Default for ServerOptions {
             max_connections: 8192,
             workers: 4,
             max_outstanding: 1024,
-            max_pending_per_conn: 128,
-            write_buf_limit: 256 * 1024,
         }
     }
 }
 
-/// One registered session: the [`Session`] plus the space its wire
-/// configurations decode against.
-#[derive(Debug)]
-struct Tenant {
-    session: Session,
-    space: SearchSpace,
-}
-
 #[derive(Debug)]
 struct Inner {
-    registry: Registry<Tenant>,
+    registry: Registry<Session>,
     opts: ServerOptions,
 }
 
@@ -179,26 +161,28 @@ impl ServerHandle {
 
     fn dispatch(&self, req: Request) -> std::result::Result<Vec<(String, Json)>, WireError> {
         match req {
-            Request::Create { session, spec } => self.create(&session, spec),
-            Request::Ask { session } => self.with_tenant(&session, |t| {
-                let cfg = t.session.ask().map_err(|e| WireError::from_error(&e))?;
+            Request::Create { session, space, opts, transfer } => {
+                self.create(&session, &space, *opts, transfer)
+            }
+            Request::Ask { session } => self.with_session(&session, |s| {
+                let cfg = s.ask().map_err(|e| WireError::from_error(&e))?;
                 Ok(vec![(
                     "config".into(),
                     cfg.as_ref().map(journal::encode_config).unwrap_or(Json::Null),
                 )])
             }),
-            Request::SuggestBatch { session, q } => self.with_tenant(&session, |t| {
-                let round = t.session.suggest_batch(q).map_err(|e| WireError::from_error(&e))?;
+            Request::SuggestBatch { session, q } => self.with_session(&session, |s| {
+                let round = s.suggest_batch(q).map_err(|e| WireError::from_error(&e))?;
                 Ok(vec![(
                     "configs".into(),
                     Json::Arr(round.iter().map(journal::encode_config).collect()),
                 )])
             }),
             Request::Report { session, config, values, feasible } => {
-                self.with_tenant(&session, |t| {
-                    let cfg = journal::decode_config(&t.space, &config)
+                self.with_session(&session, |s| {
+                    let cfg = journal::decode_config(s.tuner().space(), &config)
                         .map_err(|e| WireError::bad_request(format!("`config`: {e}")))?;
-                    let m = t.session.tuner().options().objectives;
+                    let m = s.tuner().options().objectives;
                     let eval = match (feasible, values) {
                         (true, Some(v)) => {
                             if v.len() != m {
@@ -214,22 +198,18 @@ impl ServerHandle {
                     // The fallible entry point: the core's own non-finite
                     // guard (`Error::NonFiniteObjective`) surfaces as a
                     // typed reply even for requests that slipped past the
-                    // protocol-boundary check.
-                    t.session.try_report(cfg, eval).map_err(|e| WireError::from_error(&e))?;
-                    // `ok` acknowledges durability: a failed journal append
-                    // must surface *here*, not on the next ask — the result
-                    // is in the in-memory history but would not survive a
-                    // restart. (Clients should not re-report it: that would
-                    // duplicate the trial.)
-                    if let Some(e) = t.session.take_journal_error() {
-                        return Err(WireError::from_error(&e));
-                    }
-                    Ok(vec![("len".into(), Json::Num(t.session.history().len() as f64))])
+                    // protocol-boundary check. `ok` acknowledges durability:
+                    // a failed journal append is an `io` reply here — the
+                    // result is in the in-memory history but would not
+                    // survive a restart, and the session refuses further
+                    // appends until it is closed and resumed.
+                    s.try_report(cfg, eval).map_err(|e| WireError::from_error(&e))?;
+                    Ok(vec![("len".into(), Json::Num(s.history().len() as f64))])
                 })
             }
-            Request::Best { session } => self.with_tenant(&session, |t| {
-                let history = t.session.history();
-                if t.session.tuner().options().objectives > 1 {
+            Request::Best { session } => self.with_session(&session, |s| {
+                let history = s.history();
+                if s.tuner().options().objectives > 1 {
                     // Multi-objective sessions have no single incumbent:
                     // `best` is the Pareto front, in evaluation order.
                     let front: Vec<Json> = history
@@ -272,25 +252,22 @@ impl ServerHandle {
                     None => vec![("config".into(), Json::Null), ("value".into(), Json::Null)],
                 })
             }),
-            Request::Status { session: Some(session) } => self.with_tenant(&session, |t| {
+            Request::Status { session: Some(session) } => self.with_session(&session, |s| {
                 let mut fields = vec![
-                    ("len".into(), Json::Num(t.session.history().len() as f64)),
-                    ("budget".into(), Json::Num(t.session.tuner().options().budget as f64)),
-                    ("remaining".into(), Json::Num(t.session.remaining_budget() as f64)),
-                    ("pending".into(), Json::Num(t.session.pending().len() as f64)),
-                    (
-                        "best_value".into(),
-                        journal::encode_value(t.session.history().best_value()),
-                    ),
+                    ("len".into(), Json::Num(s.history().len() as f64)),
+                    ("budget".into(), Json::Num(s.tuner().options().budget as f64)),
+                    ("remaining".into(), Json::Num(s.remaining_budget() as f64)),
+                    ("pending".into(), Json::Num(s.pending().len() as f64)),
+                    ("best_value".into(), journal::encode_value(s.history().best_value())),
                 ];
                 // Transfer-enabled sessions report where their prior came
                 // from; cold sessions omit the fields entirely.
-                if let Some((donors, donor_trials)) = t.session.tuner().transfer_donors() {
+                if let Some((donors, donor_trials)) = s.tuner().transfer_donors() {
                     fields.push(("transfer_donors".into(), Json::Num(donors as f64)));
                     fields.push(("donor_trials".into(), Json::Num(donor_trials as f64)));
                 }
-                if t.session.tuner().options().objectives > 1 {
-                    let history = t.session.history();
+                if s.tuner().options().objectives > 1 {
+                    let history = s.history();
                     fields.push((
                         "front_size".into(),
                         Json::Num(history.pareto_front().len() as f64),
@@ -332,7 +309,7 @@ impl ServerHandle {
                     return Err(unknown());
                 };
                 self.inner.registry.remove_if(&session, &slot);
-                let len = tenant.session.history().len();
+                let len = tenant.history().len();
                 // Free the tenant now, not at scope end: a long-lived session
                 // holds the surrogate cache's distance tables (O(budget²·d)
                 // budgeted, O(n²·d) exact), which must not outlive the close
@@ -346,18 +323,17 @@ impl ServerHandle {
         }
     }
 
-    /// Runs `f` on the named tenant under its slot mutex. No registry lock
+    /// Runs `f` on the named session under its slot mutex. No registry lock
     /// is held while `f` runs, so unrelated sessions proceed in parallel.
-    fn with_tenant<R>(
+    fn with_session<R>(
         &self,
         session: &str,
-        f: impl FnOnce(&mut Tenant) -> std::result::Result<R, WireError>,
+        f: impl FnOnce(&mut Session) -> std::result::Result<R, WireError>,
     ) -> std::result::Result<R, WireError> {
         let unknown = || WireError::from_error(&Error::UnknownSession(session.to_string()));
         let slot = self.inner.registry.get(session).ok_or_else(unknown)?;
         let mut guard = lock_slot(&slot);
-        let tenant = guard.as_mut().ok_or_else(unknown)?;
-        f(tenant)
+        f(guard.as_mut().ok_or_else(unknown)?)
     }
 
     /// Validates a session id for registry and journal-file use: 1–64
@@ -377,62 +353,36 @@ impl ServerHandle {
     fn create(
         &self,
         name: &str,
-        spec: SessionSpec,
+        space: &Json,
+        mut opts: BacoOptions,
+        transfer: bool,
     ) -> std::result::Result<Vec<(String, Json)>, WireError> {
         Self::validate_name(name)?;
-        let space = journal::space_from_spec(&spec.space)
+        // The tuner's own range checks, asked before the space is decoded:
+        // an option out of range is the request's fault whatever else is
+        // wrong with it.
+        opts.validate().map_err(|e| WireError::bad_request(e.to_string()))?;
+        let space = journal::space_from_spec(space)
             .map_err(|msg| WireError { kind: ErrorKind::InvalidSpace, msg })?;
 
-        let mut builder = Baco::builder(space.clone())
-            .budget(spec.budget)
-            .doe_samples(spec.doe_samples)
-            .seed(spec.seed);
-        if let Some(s) = &spec.surrogate {
-            builder = builder.surrogate(match s.as_str() {
-                "rf" => SurrogateKind::RandomForest,
-                _ => SurrogateKind::GaussianProcess,
-            });
-        }
-        if let Some(b) = spec.hidden_constraints {
-            builder = builder.hidden_constraints(b);
-        }
-        if let Some(b) = spec.feasibility_limit {
-            builder = builder.feasibility_limit(b);
-        }
-        if let Some(b) = spec.local_search {
-            builder = builder.local_search(b);
-        }
-        if let Some(b) = spec.log_objective {
-            builder = builder.log_objective(b);
-        }
-        builder = builder.objectives(spec.objectives);
-        if let Some(s) = spec.mo_strategy {
-            builder = builder.mo_strategy(s);
-        }
-        if let Some(r) = spec.reference_point.clone() {
-            builder = builder.reference_point(r);
-        }
-        if let Some(b) = spec.surrogate_budget {
-            builder = builder.surrogate_budget(b);
-        }
         let mut resumed = false;
         if let Some(dir) = &self.inner.opts.journal_dir {
             let path = dir.join(format!("{name}.jsonl"));
-            resumed = spec.resume && Journal::exists(&path);
-            builder = builder.journal_path(path).resume(spec.resume);
-            if spec.transfer {
+            resumed = opts.resume && Journal::exists(&path);
+            opts.journal_path = Some(path);
+            if transfer {
                 // The corpus *is* the journal directory: every archived
                 // session is a potential donor for this one.
-                builder = builder.transfer(dir.clone());
+                opts.transfer = Some(dir.clone());
             }
-        } else if spec.resume {
+        } else if opts.resume {
             // Honoring `resume` is impossible without journals; a silent
             // fresh volatile session would discard the client's expensive
             // prior evaluations while it believes it resumed durably.
             return Err(WireError::bad_request(
                 "this server has no journal directory; sessions cannot be resumed",
             ));
-        } else if spec.transfer {
+        } else if transfer {
             // Same contract as `resume`: a memory-only server has no journal
             // corpus, and silently starting cold would let the client believe
             // it is riding on fleet experience.
@@ -450,7 +400,7 @@ impl ServerHandle {
             .reserve(name)
             .ok_or_else(|| WireError::from_error(&Error::SessionExists(name.to_string())))?;
         let mut guard = lock_slot(&slot);
-        let built = builder.build().and_then(Session::new);
+        let built = Baco::builder(space).options(opts).build().and_then(Session::new);
         let session = match built {
             Ok(s) => s,
             Err(e) => {
@@ -464,7 +414,7 @@ impl ServerHandle {
         let len = session.history().len();
         let remaining = session.remaining_budget();
         let donors = session.tuner().transfer_donors();
-        *guard = Some(Tenant { session, space });
+        *guard = Some(session);
         let mut fields = vec![
             ("session".into(), Json::Str(name.to_string())),
             ("resumed".into(), Json::Bool(resumed)),
@@ -817,6 +767,92 @@ mod tests {
         let reply = srv.handle_line(&req);
         assert!(reply.contains(r#""kind":"bad_request""#), "{reply}");
         assert_eq!(srv.session_count(), 0);
+    }
+
+    fn error_kind(reply: &str) -> Option<String> {
+        parse(reply)
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    }
+
+    /// The options' ranges are the tuner's to check: the parser lets them
+    /// through, and create answers `bad_request` before it looks at the
+    /// space or the registry.
+    #[test]
+    fn options_out_of_range_are_bad_requests_at_create() {
+        let srv = ServerHandle::new(ServerOptions::default());
+        let create = |name: &str, opts: &str, space: &str| {
+            srv.handle_line(&format!(
+                r#"{{"op":"create_session","session":"{name}",{opts},"space":{space}}}"#
+            ))
+        };
+        let bad_space = r#"{"params":[{"name":"x","kind":"int","lo":"9","hi":"0"}],"constraints":[]}"#;
+        let ok = r#""budget":4"#;
+        assert!(create("taken", ok, int_space_spec()).contains(r#""ok":true"#));
+        for opts in [
+            r#""budget":0"#,
+            r#""budget":4,"objectives":0"#,
+            r#""budget":4,"surrogate_budget":4"#,
+            r#""budget":4,"objectives":2,"reference_point":[1.0]"#,
+            r#""budget":4,"reference_point":[1.0,2.0]"#,
+        ] {
+            // Alone, next to an invalid space, and under a taken name: the
+            // option is named first.
+            for (name, space) in
+                [("s", int_space_spec()), ("s", bad_space), ("taken", int_space_spec())]
+            {
+                let reply = create(name, opts, space);
+                assert_eq!(error_kind(&reply).as_deref(), Some("bad_request"), "{opts}: {reply}");
+            }
+        }
+        // A space without parameters is still the tuner's refusal.
+        let empty = create("s", ok, r#"{"params":[],"constraints":[]}"#);
+        assert_eq!(error_kind(&empty).as_deref(), Some("tuner"), "{empty}");
+        // No refusal leaked a reservation.
+        assert_eq!(srv.session_count(), 1);
+        assert!(create("s", ok, int_space_spec()).contains(r#""ok":true"#));
+    }
+
+    /// A failed journal append answers the `report` that caused it with
+    /// `io`; the session then fails typed until it is closed and resumed,
+    /// and the resume continues from the acknowledged records.
+    #[test]
+    fn failed_journal_append_answers_io_until_resumed() {
+        use crate::journal::fault::{self, Fault};
+        let dir = std::env::temp_dir().join(format!("baco-srv-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let srv = ServerHandle::new(ServerOptions {
+            journal_dir: Some(dir.clone()),
+            ..ServerOptions::default()
+        });
+        let ask = || parse(&srv.handle_line(r#"{"op":"ask","session":"f"}"#)).get("config").cloned();
+        let report = |cfg: &Json| {
+            srv.handle_line(&format!(
+                r#"{{"op":"report","session":"f","config":{},"value":2.5}}"#,
+                cfg.to_line()
+            ))
+        };
+        assert!(srv.handle_line(&create_line("f", 8, 5)).contains(r#""ok":true"#));
+        for _ in 0..4 {
+            let cfg = ask().unwrap();
+            assert!(report(&cfg).contains(r#""ok":true"#));
+        }
+        let cfg = ask().unwrap();
+        fault::arm(Fault::FailedSync);
+        assert_eq!(error_kind(&report(&cfg)).as_deref(), Some("io"));
+        let reply = srv.handle_line(r#"{"op":"ask","session":"f"}"#);
+        assert_eq!(error_kind(&reply).as_deref(), Some("io"), "{reply}");
+
+        assert!(srv.handle_line(r#"{"op":"close","session":"f"}"#).contains(r#""ok":true"#));
+        let resume = create_line("f", 8, 5).replace(r#""seed""#, r#""resume":true,"seed""#);
+        let created = parse(&srv.handle_line(&resume));
+        assert_eq!(created.get("resumed"), Some(&Json::Bool(true)));
+        assert_eq!(created.get("len").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(ask().as_ref(), Some(&cfg), "the lost trial's proposal is asked again");
+        assert!(report(&cfg).contains(r#""len":5"#));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

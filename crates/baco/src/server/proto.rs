@@ -11,13 +11,20 @@
 //!
 //! | op | request fields | reply fields |
 //! |---|---|---|
-//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives` (≥ 1), `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one finite entry per objective), `surrogate_budget` (≥ 8; budget-bounded surrogate mode), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`); any other member is a `bad_request` naming it | `resumed`, `len`, `remaining` |
+//! | `create_session` | `session`, `space` ([`space_spec`](crate::journal::space_spec) object), `budget`; optional `doe_samples`, `seed`, `resume`, `surrogate` (`"gp"`/`"rf"`), `hidden_constraints`, `feasibility_limit`, `local_search`, `log_objective`, `objectives`, `mo_strategy` (`"ehvi"` default / `"parego"`; multi-objective acquisition), `reference_point` (array, one entry per objective), `surrogate_budget` (budget-bounded surrogate mode), `transfer` (mine the server's journal directory for compatible archived sessions; requires a `journal_dir`); any other member is a `bad_request` naming it | `resumed`, `len`, `remaining` |
 //! | `ask` | `session` | `config` (object or `null` when exhausted) |
 //! | `suggest_batch` | `session`, `q` | `configs` (array, possibly empty) |
 //! | `report` | `session`, `config`; `value` (number, `null`, `"NaN"`, `"inf"`, `"-inf"`) **or** `values` (array, one entry per objective of a multi-objective session), and/or `feasible` — only *all-finite* measurements count as feasible, anything else is recorded as a failed evaluation | `len` |
 //! | `best` | `session` | single-objective: `config`+`value` (or both `null`); multi-objective: `front` (array of `{config, values}` in evaluation order) plus `hypervolume` — a number when the session has a reference point, otherwise `null` with a typed `note: "no_reference_point"` |
 //! | `status` | optional `session` | per-session: `len`, `budget`, `remaining`, `pending`, `best_value`, and for multi-objective sessions `front_size` + `hypervolume` (number, or `null` with `note: "no_reference_point"`); server-wide: `sessions`, `names` |
 //! | `close` | `session` | `closed`, `len` |
+//!
+//! The parser checks only what the JSON says: member names and types. The
+//! `create_session` members land in a [`BacoOptions`], and their ranges
+//! (`budget` and `objectives` ≥ 1, `surrogate_budget` ≥
+//! [`MIN_SURROGATE_BUDGET`](crate::tuner::MIN_SURROGATE_BUDGET), a
+//! reference point of one entry per objective) are validated by the tuner
+//! at create; a refusal there is a `bad_request` too.
 //!
 //! Configurations use the run journal's codec
 //! ([`encode_config`](crate::journal::encode_config) /
@@ -35,6 +42,7 @@
 //! ```
 
 use crate::journal::json::{self, Json};
+use crate::tuner::{BacoOptions, MultiObjectiveStrategy, SurrogateKind};
 use crate::Error;
 
 /// The typed failure classes a reply's `error.kind` can carry.
@@ -119,62 +127,25 @@ impl WireError {
     }
 }
 
-/// The options of a `create_session` request (everything not in
-/// [`crate::tuner::BacoOptions`]' default besides the scalar knobs the wire
-/// exposes stays at its default).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSpec {
-    /// The search space, as a raw [`space_spec`](crate::journal::space_spec)
-    /// object (decoded by the server so failures stay typed).
-    pub space: Json,
-    /// Total evaluation budget (required, must be positive).
-    pub budget: usize,
-    /// Initial-phase sample count (default 10).
-    pub doe_samples: usize,
-    /// RNG seed (default 0).
-    pub seed: u64,
-    /// Resume from this session's journal when one exists (default false).
-    pub resume: bool,
-    /// Value surrogate: `"gp"` (default) or `"rf"`.
-    pub surrogate: Option<String>,
-    /// Learn hidden constraints (default true).
-    pub hidden_constraints: Option<bool>,
-    /// Apply the ε_f minimum-feasibility threshold (default true).
-    pub feasibility_limit: Option<bool>,
-    /// Optimize the acquisition with local search (default true).
-    pub local_search: Option<bool>,
-    /// Log-transform the objective (default true).
-    pub log_objective: Option<bool>,
-    /// Number of objectives the session tunes (default 1).
-    pub objectives: usize,
-    /// Multi-objective acquisition strategy: `"ehvi"` (the default) or
-    /// `"parego"`. Ignored by single-objective sessions. Omit it when
-    /// resuming a journal created before the knob existed — those journals
-    /// ran ParEGO and must be resumed with `"parego"`.
-    pub mo_strategy: Option<crate::tuner::MultiObjectiveStrategy>,
-    /// Hypervolume reference point (one finite entry per objective).
-    pub reference_point: Option<Vec<f64>>,
-    /// Budget-bounded surrogate mode: cap the GP training set at this many
-    /// points per round (default unset — exact GPs over the whole history).
-    /// See [`BacoBuilder::surrogate_budget`](crate::tuner::BacoBuilder).
-    pub surrogate_budget: Option<usize>,
-    /// Transfer learning: seed the session from structurally-compatible
-    /// archived journals in the server's journal directory (default false).
-    /// Requires the server to have a `journal_dir` — requesting transfer on
-    /// a memory-only server is a typed `bad_request`. See
-    /// [`BacoBuilder::transfer`](crate::tuner::BacoBuilder).
-    pub transfer: bool,
-}
-
 /// One parsed request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Request {
     /// `create_session`: register (or resume) a named session.
     Create {
         /// Session id.
         session: String,
-        /// Everything needed to build the tuner.
-        spec: SessionSpec,
+        /// The search space, as a raw [`space_spec`](crate::journal::space_spec)
+        /// object (decoded by the server so failures stay typed).
+        space: Json,
+        /// The tuner's options: the defaults plus every wire member,
+        /// `resume` included. Ranges are the tuner's to check, at create.
+        /// (Boxed: far larger than every other request.)
+        opts: Box<BacoOptions>,
+        /// Seed the session from the archived journals in the server's
+        /// journal directory (see
+        /// [`BacoBuilder::transfer`](crate::tuner::BacoBuilder::transfer));
+        /// a server without one answers `bad_request`.
+        transfer: bool,
     },
     /// `ask`: one proposal.
     Ask {
@@ -219,7 +190,7 @@ pub enum Request {
 }
 
 /// A parsed request plus its optional `id` correlation value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Envelope {
     /// The `id` member, echoed verbatim in the reply.
     pub id: Option<Json>,
@@ -305,42 +276,35 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                 .get("space")
                 .cloned()
                 .ok_or_else(|| WireError::bad_request("missing `space`"))?;
-            let spec = SessionSpec {
-                space,
+            let d = BacoOptions::default();
+            let opts = Box::new(BacoOptions {
                 budget: need_usize(&j, "budget")?,
-                doe_samples: opt_usize(&j, "doe_samples")?.unwrap_or(10),
+                doe_samples: opt_usize(&j, "doe_samples")?.unwrap_or(d.doe_samples),
                 seed: match j.get("seed") {
-                    None => 0,
+                    None => d.seed,
                     Some(v) => crate::journal::parse_u64_json(v)
                         .map_err(|e| WireError::bad_request(format!("`seed`: {e}")))?,
                 },
-                resume: opt_bool(&j, "resume")?.unwrap_or(false),
+                resume: opt_bool(&j, "resume")?.unwrap_or(d.resume),
                 surrogate: match j.get("surrogate") {
-                    None => None,
-                    Some(Json::Str(s)) if s == "gp" || s == "rf" => Some(s.clone()),
+                    None => d.surrogate,
+                    Some(Json::Str(s)) if s == "gp" => SurrogateKind::GaussianProcess,
+                    Some(Json::Str(s)) if s == "rf" => SurrogateKind::RandomForest,
                     Some(_) => {
                         return Err(WireError::bad_request("`surrogate` must be \"gp\" or \"rf\""))
                     }
                 },
-                hidden_constraints: opt_bool(&j, "hidden_constraints")?,
-                feasibility_limit: opt_bool(&j, "feasibility_limit")?,
-                local_search: opt_bool(&j, "local_search")?,
-                log_objective: opt_bool(&j, "log_objective")?,
-                objectives: match opt_usize(&j, "objectives")? {
-                    None => 1,
-                    Some(0) => {
-                        return Err(WireError::bad_request("`objectives` must be at least 1"))
-                    }
-                    Some(m) => m,
-                },
+                hidden_constraints: opt_bool(&j, "hidden_constraints")?
+                    .unwrap_or(d.hidden_constraints),
+                feasibility_limit: opt_bool(&j, "feasibility_limit")?
+                    .unwrap_or(d.feasibility_limit),
+                local_search: opt_bool(&j, "local_search")?.unwrap_or(d.local_search),
+                log_objective: opt_bool(&j, "log_objective")?.unwrap_or(d.log_objective),
+                objectives: opt_usize(&j, "objectives")?.unwrap_or(d.objectives),
                 mo_strategy: match j.get("mo_strategy") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Str(s)) if s == "ehvi" => {
-                        Some(crate::tuner::MultiObjectiveStrategy::Ehvi)
-                    }
-                    Some(Json::Str(s)) if s == "parego" => {
-                        Some(crate::tuner::MultiObjectiveStrategy::ParEgo)
-                    }
+                    None | Some(Json::Null) => d.mo_strategy,
+                    Some(Json::Str(s)) if s == "ehvi" => MultiObjectiveStrategy::Ehvi,
+                    Some(Json::Str(s)) if s == "parego" => MultiObjectiveStrategy::ParEgo,
                     Some(_) => {
                         return Err(WireError::bad_request(
                             "`mo_strategy` must be \"ehvi\" or \"parego\"",
@@ -349,45 +313,25 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                 },
                 reference_point: match j.get("reference_point") {
                     None | Some(Json::Null) => None,
-                    Some(Json::Arr(items)) => {
-                        let mut r = Vec::with_capacity(items.len());
-                        for it in items {
-                            match it.as_f64() {
-                                Some(v) if v.is_finite() => r.push(v),
-                                _ => {
-                                    return Err(WireError::bad_request(
-                                        "`reference_point` entries must be finite numbers",
-                                    ))
-                                }
-                            }
-                        }
-                        Some(r)
-                    }
+                    Some(Json::Arr(items)) => Some(
+                        items
+                            .iter()
+                            .map(|it| {
+                                it.as_f64().ok_or_else(|| {
+                                    WireError::bad_request("`reference_point` entries must be numbers")
+                                })
+                            })
+                            .collect::<Result<_, _>>()?,
+                    ),
                     Some(_) => {
                         return Err(WireError::bad_request("`reference_point` must be an array"))
                     }
                 },
-                surrogate_budget: match opt_usize(&j, "surrogate_budget")? {
-                    Some(b) if b < crate::tuner::MIN_SURROGATE_BUDGET => {
-                        return Err(WireError::bad_request(format!(
-                            "`surrogate_budget` must be at least {}",
-                            crate::tuner::MIN_SURROGATE_BUDGET
-                        )))
-                    }
-                    b => b,
-                },
-                transfer: opt_bool(&j, "transfer")?.unwrap_or(false),
-            };
-            if let Some(r) = &spec.reference_point {
-                if r.len() != spec.objectives {
-                    return Err(WireError::bad_request(format!(
-                        "`reference_point` has {} entries for {} objectives",
-                        r.len(),
-                        spec.objectives
-                    )));
-                }
-            }
-            Request::Create { session, spec }
+                surrogate_budget: opt_usize(&j, "surrogate_budget")?,
+                ..d
+            });
+            let transfer = opt_bool(&j, "transfer")?.unwrap_or(false);
+            Request::Create { session, space, opts, transfer }
         }
         "ask" => Request::Ask { session: need_str(&j, "session")? },
         "suggest_batch" => Request::SuggestBatch {
@@ -537,19 +481,20 @@ mod tests {
             ))
         };
         // Omitted → unset (exact surrogates).
-        let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse("") else {
+        let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse("") else {
             panic!("plain create must parse");
         };
-        assert_eq!(spec.surrogate_budget, None);
-        // Set → plumbed through.
-        let Ok(Envelope { req: Request::Create { spec, .. }, .. }) =
-            parse(r#","surrogate_budget":64"#)
-        else {
-            panic!("budgeted create must parse");
-        };
-        assert_eq!(spec.surrogate_budget, Some(64));
-        // Below the floor (or malformed) → typed bad_request.
-        for bad in [r#","surrogate_budget":4"#, r#","surrogate_budget":"lots""#] {
+        assert_eq!(opts.surrogate_budget, None);
+        // Set → plumbed through; the floor is the tuner's to check at create
+        // (see the server's `options_out_of_range_are_bad_requests_at_create`).
+        for (extra, want) in [(r#","surrogate_budget":64"#, 64), (r#","surrogate_budget":4"#, 4)] {
+            let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse(extra) else {
+                panic!("budgeted create must parse: {extra}");
+            };
+            assert_eq!(opts.surrogate_budget, Some(want));
+        }
+        // Malformed → typed bad_request.
+        for bad in [r#","surrogate_budget":"lots""#, r#","surrogate_budget":-8"#] {
             assert_eq!(parse(bad).unwrap_err().kind, ErrorKind::BadRequest, "{bad}");
         }
     }
@@ -562,21 +507,21 @@ mod tests {
                 r#"{{"op":"create_session","session":"s","budget":5,"space":{{"params":[],"constraints":[]}}{extra}}}"#
             ))
         };
-        // Omitted → None (the server applies the library default, EHVI).
-        let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse("") else {
+        // Omitted → the library default, EHVI.
+        let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse("") else {
             panic!("plain create must parse");
         };
-        assert_eq!(spec.mo_strategy, None);
+        assert_eq!(opts.mo_strategy, MultiObjectiveStrategy::Ehvi);
         for (tag, want) in [
             ("ehvi", MultiObjectiveStrategy::Ehvi),
             ("parego", MultiObjectiveStrategy::ParEgo),
         ] {
-            let Ok(Envelope { req: Request::Create { spec, .. }, .. }) =
+            let Ok(Envelope { req: Request::Create { opts, .. }, .. }) =
                 parse(&format!(r#","objectives":2,"mo_strategy":"{tag}""#))
             else {
                 panic!("{tag} create must parse");
             };
-            assert_eq!(spec.mo_strategy, Some(want));
+            assert_eq!(opts.mo_strategy, want);
         }
         for bad in [r#","mo_strategy":"nsga2""#, r#","mo_strategy":7"#] {
             assert_eq!(parse(bad).unwrap_err().kind, ErrorKind::BadRequest, "{bad}");
@@ -591,15 +536,15 @@ mod tests {
             ))
         };
         // Omitted → off (cold start, the historical behavior).
-        let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse("") else {
+        let Ok(Envelope { req: Request::Create { transfer, .. }, .. }) = parse("") else {
             panic!("plain create must parse");
         };
-        assert!(!spec.transfer);
+        assert!(!transfer);
         for (extra, want) in [(r#","transfer":true"#, true), (r#","transfer":false"#, false)] {
-            let Ok(Envelope { req: Request::Create { spec, .. }, .. }) = parse(extra) else {
+            let Ok(Envelope { req: Request::Create { transfer, .. }, .. }) = parse(extra) else {
                 panic!("transfer create must parse: {extra}");
             };
-            assert_eq!(spec.transfer, want, "{extra}");
+            assert_eq!(transfer, want, "{extra}");
         }
         // Non-boolean → typed bad_request.
         for bad in [r#","transfer":1"#, r#","transfer":"yes""#] {

@@ -50,13 +50,6 @@ impl SearchSpaceBuilder {
         self.push(name, ParamKind::Real { lo, hi }, Scale::Linear, None)
     }
 
-    /// Adds a log-scaled continuous parameter on `[lo, hi]`, `lo > 0`. Test
-    /// spaces only: journal space specs do not carry log-scaled reals.
-    #[cfg(test)]
-    pub(crate) fn real_log(self, name: &str, lo: f64, hi: f64) -> Self {
-        self.push(name, ParamKind::Real { lo, hi }, Scale::Log, None)
-    }
-
     /// Adds an integer parameter on `lo..=hi`.
     pub fn integer(self, name: &str, lo: i64, hi: i64) -> Self {
         self.push(name, ParamKind::Integer { lo, hi }, Scale::Linear, None)
@@ -202,9 +195,6 @@ fn validate_param(p: &Parameter) -> Result<()> {
         ParamKind::Real { lo, hi } => {
             if !(lo.is_finite() && hi.is_finite() && lo < hi) {
                 return bad(format!("invalid real bounds [{lo}, {hi}]"));
-            }
-            if p.scale == Scale::Log && *lo <= 0.0 {
-                return bad("log scale requires lo > 0".into());
             }
         }
         ParamKind::Integer { lo, hi } => {

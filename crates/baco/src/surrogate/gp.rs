@@ -235,8 +235,8 @@ pub struct GaussianProcess {
     /// Dimension-major training columns for the batched cross-kernel,
     /// built once per fit instead of once per `predict_batch` call.
     train_views: Vec<DimView>,
-    /// Shared scratch so trait-object callers ([`super::ValueModel`]) reuse
-    /// the batch buffers across calls; uncontended in practice. When fitted
+    /// Shared scratch so callers holding a shared reference reuse the batch
+    /// buffers across calls; uncontended in practice. When fitted
     /// through a [`GpCache`] the `Arc` is the cache's, so the buffers also
     /// survive across *rounds* (and across refits) of a tuning session.
     scratch: Arc<Mutex<PredictScratch>>,
@@ -574,7 +574,7 @@ impl GaussianProcess {
     /// bit-identical to `predict_batch(&featurize(cfgs))`; with a
     /// [`GpOptions::mean_fn`] set, each candidate's prior mean is added to
     /// its posterior mean (this is the full-posterior batch entry point —
-    /// [`super::ValueModel`] routes through it).
+    /// the tuner's acquisition scoring routes through it).
     pub fn predict_batch_configs(&self, cfgs: &[Configuration]) -> Vec<(f64, f64)> {
         let mut out = Vec::with_capacity(cfgs.len());
         match self.scratch.try_lock() {

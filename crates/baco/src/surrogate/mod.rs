@@ -39,37 +39,39 @@ pub use rf::{RandomForestClassifier, RandomForestRegressor, RfOptions};
 
 use crate::space::{Configuration, SearchSpace};
 
-/// A fitted value model: posterior mean and variance at a configuration.
-///
-/// Implemented by [`GaussianProcess`] and [`RandomForestRegressor`] so the
-/// tuner can swap surrogates (the paper's Fig. 8 comparison).
-pub trait ValueModel: std::fmt::Debug {
-    /// Posterior mean and (latent, noise-free) variance at `cfg`.
-    fn predict(&self, space: &SearchSpace, cfg: &Configuration) -> (f64, f64);
-
-    /// Posterior mean and variance for a whole candidate batch.
-    ///
-    /// The default maps [`ValueModel::predict`]; models with a faster bulk
-    /// path (the GP's blocked triangular solve) override it. Acquisition
-    /// scoring always goes through this entry point, so a model only has to
-    /// override one method to accelerate the whole search.
-    fn predict_batch(&self, space: &SearchSpace, cfgs: &[Configuration]) -> Vec<(f64, f64)> {
-        cfgs.iter().map(|c| self.predict(space, c)).collect()
-    }
+/// A fitted value surrogate: posterior mean and (latent, noise-free)
+/// variance at a configuration. An enum rather than a trait object because
+/// the batched proposer needs the concrete [`GaussianProcess`] to condition
+/// it on fantasy observations (the paper's Fig. 8 swaps the two models).
+#[derive(Debug)]
+pub(crate) enum FittedModel {
+    /// Gaussian-process surrogate (boxed: far larger than the RF handle).
+    Gp(Box<GaussianProcess>),
+    /// Random-forest surrogate (cannot be fantasy-conditioned; batched
+    /// proposals fall back to pure de-duplication).
+    Rf(RandomForestRegressor),
 }
 
-impl ValueModel for GaussianProcess {
-    fn predict(&self, _space: &SearchSpace, cfg: &Configuration) -> (f64, f64) {
-        self.predict(cfg)
+impl FittedModel {
+    /// Posterior mean and variance at `cfg`.
+    pub(crate) fn predict(&self, space: &SearchSpace, cfg: &Configuration) -> (f64, f64) {
+        match self {
+            FittedModel::Gp(gp) => gp.predict(cfg),
+            FittedModel::Rf(rf) => rf.predict_config(space, cfg),
+        }
     }
 
-    fn predict_batch(&self, _space: &SearchSpace, cfgs: &[Configuration]) -> Vec<(f64, f64)> {
-        self.predict_batch_configs(cfgs)
-    }
-}
-
-impl ValueModel for RandomForestRegressor {
-    fn predict(&self, space: &SearchSpace, cfg: &Configuration) -> (f64, f64) {
-        self.predict_config(space, cfg)
+    /// Posterior mean and variance for a whole candidate batch. Acquisition
+    /// scoring always goes through this entry point: the GP answers it with
+    /// one blocked triangular solve, the forest per candidate.
+    pub(crate) fn predict_batch(
+        &self,
+        space: &SearchSpace,
+        cfgs: &[Configuration],
+    ) -> Vec<(f64, f64)> {
+        match self {
+            FittedModel::Gp(gp) => gp.predict_batch_configs(cfgs),
+            FittedModel::Rf(rf) => cfgs.iter().map(|c| rf.predict_config(space, c)).collect(),
+        }
     }
 }

@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn batch_proba_and_flat_encoder_match_per_candidate_bitwise() {
         let s = SearchSpace::builder()
-            .real_log("lr", 1e-4, 1.0)
+            .real("lr", 1e-4, 1.0)
             .integer("x", 0, 31)
             .ordinal_log("tile", vec![1.0, 2.0, 4.0, 8.0, 16.0])
             .categorical("m", vec!["a", "b", "c"])

@@ -60,9 +60,9 @@
 //! ```
 
 use super::speculate::Evaluator;
-use super::{AcquisitionContext, Baco, BlackBox, FittedModel, TuningReport};
+use super::{AcquisitionContext, Baco, BlackBox, TuningReport};
 use crate::space::{Configuration, SearchSpace};
-use crate::surrogate::{GaussianProcess, GpCache};
+use crate::surrogate::{FittedModel, GaussianProcess, GpCache};
 use crate::Result;
 use rand::rngs::StdRng;
 use std::borrow::Cow;
@@ -164,7 +164,7 @@ impl AcquisitionContext {
         let (means, vars): (Vec<f64>, Vec<f64>) = self
             .models
             .iter()
-            .map(|m| m.as_value_model().predict(space, cfg))
+            .map(|m| m.predict(space, cfg))
             .unzip();
         self.condition(cfg, |k, _, y| {
             let lo = y.iter().copied().fold(f64::INFINITY, f64::min);

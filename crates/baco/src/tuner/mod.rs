@@ -12,7 +12,7 @@
 //! history; the [`GpCache`] carries only distance tables and prediction
 //! buffers between rounds, and candidates are scored through the
 //! surrogate's bulk posterior
-//! ([`crate::surrogate::ValueModel::predict_batch`]).
+//! (`FittedModel::predict_batch` in [`crate::surrogate`]).
 //!
 //! Two drivers call it. The closed loops ([`Baco::run`],
 //! [`Baco::run_batched`] and their resumes) are one engine, [`speculate`],
@@ -57,8 +57,8 @@ use crate::acquisition::{
 use crate::search::{local_search_in, random_search_in, FeasibleSampler, LocalSearchOptions};
 use crate::space::{Configuration, SearchSpace};
 use crate::surrogate::{
-    ActiveSet, GaussianProcess, GpCache, GpOptions, RandomForestClassifier,
-    RandomForestRegressor, RfOptions, TrustRegion, ValueModel,
+    ActiveSet, FittedModel, GaussianProcess, GpCache, GpOptions, RandomForestClassifier,
+    RandomForestRegressor, RfOptions, TrustRegion,
 };
 use crate::{Error, Result};
 use rand::rngs::StdRng;
@@ -258,6 +258,54 @@ impl Default for BacoOptions {
     }
 }
 
+impl BacoOptions {
+    /// The range checks [`BacoBuilder::build`] makes on the options alone:
+    /// a positive budget and objective count, a finite reference point of
+    /// one entry per objective, a surrogate budget of at least
+    /// [`MIN_SURROGATE_BUDGET`] and a speculation depth of at most
+    /// [`MAX_SPECULATION_DEPTH`]. The tuning server asks them before it
+    /// decodes a session's space, so a refused option is named first.
+    ///
+    /// # Errors
+    /// [`Error::InvalidConfig`] naming the first option out of range.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.budget == 0 {
+            return Err(Error::InvalidConfig("budget must be positive".into()));
+        }
+        if self.objectives == 0 {
+            return Err(Error::InvalidConfig("objectives must be positive".into()));
+        }
+        if let Some(r) = &self.reference_point {
+            if r.len() != self.objectives {
+                return Err(Error::InvalidConfig(format!(
+                    "reference point has {} entries for {} objectives",
+                    r.len(),
+                    self.objectives
+                )));
+            }
+            if r.iter().any(|v| !v.is_finite()) {
+                return Err(Error::InvalidConfig(
+                    "reference point entries must be finite".into(),
+                ));
+            }
+        }
+        if let Some(b) = self.surrogate_budget {
+            if b < MIN_SURROGATE_BUDGET {
+                return Err(Error::InvalidConfig(format!(
+                    "surrogate_budget must be at least {MIN_SURROGATE_BUDGET} (got {b})"
+                )));
+            }
+        }
+        if self.speculation_depth > MAX_SPECULATION_DEPTH {
+            return Err(Error::InvalidConfig(format!(
+                "speculation_depth must be at most {MAX_SPECULATION_DEPTH} (got {})",
+                self.speculation_depth
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Builder for [`Baco`]; see the [crate docs](crate) for an example.
 #[derive(Debug)]
 pub struct BacoBuilder {
@@ -427,44 +475,16 @@ impl BacoBuilder {
     /// Validates options and precomputes the Chain-of-Trees.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] for a zero budget; CoT construction errors
-    /// for unsatisfiable or oversized known constraints.
+    /// [`Error::InvalidConfig`] for an option out of range (a zero budget
+    /// or objective count, a reference point of the wrong length or with a
+    /// non-finite entry, a surrogate budget below [`MIN_SURROGATE_BUDGET`],
+    /// a speculation depth above [`MAX_SPECULATION_DEPTH`]) or a space
+    /// without parameters; CoT construction errors for unsatisfiable or
+    /// oversized known constraints.
     pub fn build(self) -> Result<Baco> {
-        if self.opts.budget == 0 {
-            return Err(Error::InvalidConfig("budget must be positive".into()));
-        }
+        self.opts.validate()?;
         if self.space.is_empty() {
             return Err(Error::InvalidConfig("search space has no parameters".into()));
-        }
-        if self.opts.objectives == 0 {
-            return Err(Error::InvalidConfig("objectives must be positive".into()));
-        }
-        if let Some(r) = &self.opts.reference_point {
-            if r.len() != self.opts.objectives {
-                return Err(Error::InvalidConfig(format!(
-                    "reference point has {} entries for {} objectives",
-                    r.len(),
-                    self.opts.objectives
-                )));
-            }
-            if r.iter().any(|v| !v.is_finite()) {
-                return Err(Error::InvalidConfig(
-                    "reference point entries must be finite".into(),
-                ));
-            }
-        }
-        if let Some(b) = self.opts.surrogate_budget {
-            if b < MIN_SURROGATE_BUDGET {
-                return Err(Error::InvalidConfig(format!(
-                    "surrogate_budget must be at least {MIN_SURROGATE_BUDGET} (got {b})"
-                )));
-            }
-        }
-        if self.opts.speculation_depth > MAX_SPECULATION_DEPTH {
-            return Err(Error::InvalidConfig(format!(
-                "speculation_depth must be at most {MAX_SPECULATION_DEPTH} (got {})",
-                self.opts.speculation_depth
-            )));
         }
         let sampler = FeasibleSampler::new(&self.space)?;
         Ok(Baco {
@@ -746,7 +766,7 @@ impl Baco {
         let means: Vec<Vec<f64>> = models
             .iter()
             .map(|mo| {
-                let preds = mo.as_value_model().predict_batch(&self.space, &feas_cfgs);
+                let preds = mo.predict_batch(&self.space, &feas_cfgs);
                 preds.into_iter().map(|(mean, _)| mean).collect()
             })
             .collect();
@@ -909,26 +929,6 @@ fn scalar_at(scal: Option<&Scalarization>, ys: &[Vec<f64>], j: usize, buf: &mut 
     }
 }
 
-/// The fitted value surrogate of one acquisition round. Kept as an enum (not
-/// a trait object) because the batched proposer needs the concrete
-/// [`GaussianProcess`] to condition it on fantasy observations.
-pub(crate) enum FittedModel {
-    /// Gaussian-process surrogate (boxed: far larger than the RF handle).
-    Gp(Box<GaussianProcess>),
-    /// Random-forest surrogate (cannot be fantasy-conditioned; batched
-    /// proposals fall back to pure de-duplication).
-    Rf(RandomForestRegressor),
-}
-
-impl FittedModel {
-    fn as_value_model(&self) -> &dyn ValueModel {
-        match self {
-            FittedModel::Gp(g) => &**g,
-            FittedModel::Rf(r) => r,
-        }
-    }
-}
-
 /// Everything one acquisition round needs to score candidates: the fitted
 /// value model **per objective**, this round's scalarization (multi-objective
 /// runs only), the optional feasibility classifier with its ε_f draw, the
@@ -988,7 +988,7 @@ impl AcquisitionContext {
             let preds: Vec<Vec<(f64, f64)>> = self
                 .models
                 .iter()
-                .map(|mo| mo.as_value_model().predict_batch(space, cfgs))
+                .map(|mo| mo.predict_batch(space, cfgs))
                 .collect();
             let feasible = self.classifier.as_ref().map(|c| c.predict_proba_batch(space, cfgs));
             let m = self.models.len();

@@ -84,9 +84,9 @@ pub struct Session {
     /// previous report instead of double-counting earlier evaluations.
     last_report: Option<Instant>,
     /// A failure raised inside the infallible [`Session::report`] — a journal
-    /// append error, or a rejected non-finite measurement; surfaced by the
-    /// next fallible call.
-    journal_error: Option<Error>,
+    /// append error, or a rejected measurement; surfaced by the next
+    /// fallible call.
+    deferred: Option<Error>,
 }
 
 impl Session {
@@ -165,7 +165,7 @@ impl Session {
             last_think: Duration::ZERO,
             think_end: None,
             last_report: None,
-            journal_error: None,
+            deferred: None,
         })
     }
 
@@ -184,18 +184,6 @@ impl Session {
     /// in proposal order (a copy of the engine's pending round entries).
     pub fn pending(&self) -> Vec<Configuration> {
         self.engine.pending().cloned().collect()
-    }
-
-    /// Takes the failure deferred by an earlier (infallible)
-    /// [`Session::report`], if any: a journal append error (the reported
-    /// trial is still in [`Session::history`]; only its durable append
-    /// failed) or a rejected non-finite measurement (nothing was recorded).
-    /// Callers that must acknowledge each report — the tuning server's
-    /// `report` op does — check this right after reporting instead of
-    /// waiting for the next [`Session::ask`] / [`Session::suggest_batch`]
-    /// to surface it.
-    pub fn take_journal_error(&mut self) -> Option<Error> {
-        self.journal_error.take()
     }
 
     /// Evaluations still allowed by the budget (told + pending count
@@ -230,7 +218,7 @@ impl Session {
     /// Propagates surrogate-fitting failures, journal-append failures, and
     /// any journal failure deferred from an earlier [`Session::report`].
     pub fn suggest_batch(&mut self, q: usize) -> Result<Vec<Configuration>> {
-        if let Some(e) = self.journal_error.take() {
+        if let Some(e) = self.deferred.take() {
             return Err(e);
         }
         let q = q.min(self.remaining_budget());
@@ -284,9 +272,17 @@ impl Session {
     /// per-objective models). Callers that measured a failure should report
     /// [`Evaluation::infeasible`].
     ///
+    /// With journaling enabled, an accepted trial is durably appended before
+    /// this returns. When that append fails the trial **stays** in
+    /// [`Session::history`] — only its durable record is missing — and the
+    /// failure is returned here; the journal then refuses every later
+    /// append, so the session fails typed until it is resumed from the
+    /// acknowledged prefix ([`Session::resume`]).
+    ///
     /// # Errors
     /// [`Error::NonFiniteObjective`] / [`Error::ObjectiveCountMismatch`] as
-    /// above; everything else is the infallible [`Session::report`] path.
+    /// above (nothing recorded); [`Error::Io`] when the journal append
+    /// failed (trial recorded in memory only).
     pub fn try_report(&mut self, cfg: Configuration, eval: Evaluation) -> Result<()> {
         if eval.is_feasible() {
             let expected = self.tuner.options().objectives;
@@ -310,18 +306,14 @@ impl Session {
         let now = Instant::now();
         let eval_start = self.think_end.max(self.last_report).unwrap_or(now);
         self.last_report = Some(now);
-        let landed = self.engine.record(Trial {
+        self.engine.record(Trial {
             config: cfg,
             value: eval.value(),
             extra: eval.extra_objectives(),
             feasible: eval.is_feasible(),
             eval_time: now.saturating_duration_since(eval_start),
             tuner_time: self.last_think,
-        });
-        if let Err(e) = landed {
-            self.journal_error.get_or_insert(e);
-        }
-        Ok(())
+        })
     }
 
     /// Reports the outcome of evaluating `cfg` (which should have come from
@@ -334,13 +326,13 @@ impl Session {
     ///
     /// When journaling is enabled the outcome is durably appended before
     /// this returns — also while an earlier failure is still deferred.
-    /// Because `report` is infallible by design, a journal write failure —
-    /// or a rejected non-finite measurement (see [`Session::try_report`]) —
-    /// is deferred and raised by the next [`Session::ask`] /
+    /// Because `report` is infallible by design, whatever
+    /// [`Session::try_report`] returns — a rejected measurement or a journal
+    /// write failure — is deferred and raised by the next [`Session::ask`] /
     /// [`Session::suggest_batch`] call instead.
     pub fn report(&mut self, cfg: Configuration, eval: Evaluation) {
         if let Err(e) = self.try_report(cfg, eval) {
-            self.journal_error.get_or_insert(e);
+            self.deferred.get_or_insert(e);
         }
     }
 
@@ -536,6 +528,88 @@ mod tests {
         let cfg2 = s.ask().unwrap().unwrap();
         s.try_report(cfg2, Evaluation::infeasible()).unwrap();
         assert_eq!(s.history().len(), 2);
+    }
+
+    /// A journal append that fails (a short write or a failed fdatasync)
+    /// is returned by the `try_report` that caused it; the file is cut back
+    /// to the acknowledged records, every later append fails typed, and a
+    /// resume continues from the acknowledged prefix exactly as an
+    /// uninterrupted session would.
+    #[test]
+    fn failed_journal_append_fails_typed_until_resumed() {
+        use crate::journal::fault::{self, Fault};
+        let obj = |c: &Configuration| {
+            let a = c.value("a").as_f64();
+            let b = c.value("b").as_f64();
+            1.0 + (a - 5.0).powi(2) + (b - 9.0).powi(2)
+        };
+        let tuner = |path: &std::path::Path| {
+            Baco::builder(space())
+                .budget(10)
+                .doe_samples(4)
+                .seed(8)
+                .journal_path(path)
+                .build()
+                .unwrap()
+        };
+        let sig = |r: &TuningReport| {
+            r.trials()
+                .iter()
+                .map(|t| (t.config.to_string(), t.value.map(f64::to_bits), t.feasible))
+                .collect::<Vec<_>>()
+        };
+        let drive = |s: &mut Session| {
+            while let Some(c) = s.ask().unwrap() {
+                let v = obj(&c);
+                s.try_report(c, Evaluation::feasible(v)).unwrap();
+            }
+        };
+        let dir = std::env::temp_dir().join(format!("baco-session-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut reference = Session::new(tuner(&dir.join("ref.jsonl"))).unwrap();
+        drive(&mut reference);
+
+        for (k, f) in [Fault::ShortWrite, Fault::FailedSync].into_iter().enumerate() {
+            let path = dir.join(format!("s{k}.jsonl"));
+            let mut s = Session::new(tuner(&path)).unwrap();
+            for _ in 0..5 {
+                let c = s.ask().unwrap().unwrap();
+                let v = obj(&c);
+                s.try_report(c, Evaluation::feasible(v)).unwrap();
+            }
+            let cfg = s.ask().unwrap().unwrap();
+            let acknowledged = std::fs::read(&path).unwrap();
+            fault::arm(f);
+            let err = s.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{f:?}: {err}");
+            assert_eq!(s.history().len(), 6, "the trial stays in memory");
+
+            // The file holds exactly the acknowledged records, no torn tail.
+            assert_eq!(std::fs::read(&path).unwrap(), acknowledged, "{f:?}");
+            let loaded = Journal::load(&path, &space()).unwrap();
+            assert!(!loaded.torn_tail);
+            assert_eq!(loaded.trials.len(), 5);
+
+            // Closed to appends: later proposals and reports fail typed and
+            // leave the file alone.
+            for _ in 0..2 {
+                assert!(matches!(s.suggest_batch(2).unwrap_err(), Error::Io(_)), "{f:?}");
+            }
+            let err = s.try_report(cfg.clone(), Evaluation::infeasible()).unwrap_err();
+            assert!(err.to_string().contains("resume"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), acknowledged);
+
+            // Resume continues from the acknowledged prefix: the lost trial's
+            // proposal is rolled back and asked again, and the finished
+            // session matches the uninterrupted one bit for bit.
+            let mut resumed = Session::resume(tuner(&path)).unwrap();
+            assert_eq!(resumed.history().len(), 5);
+            assert_eq!(resumed.ask().unwrap(), Some(cfg.clone()));
+            resumed.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap();
+            drive(&mut resumed);
+            assert_eq!(sig(resumed.history()), sig(reference.history()), "{f:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

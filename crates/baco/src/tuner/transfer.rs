@@ -91,15 +91,13 @@ fn snapshot_of(pairs: &[(String, u64)]) -> u64 {
 
 impl TransferContext {
     /// Fresh resolution: scan the corpus, pick donors deterministically,
-    /// record the snapshot. Also refreshes the corpus's on-disk index (best
-    /// effort — a read-only corpus is still usable).
+    /// record the snapshot.
     fn resolve(
         corpus_dir: &Path,
         opts: &BacoOptions,
         space: &SearchSpace,
     ) -> Result<TransferContext> {
         let scanned = corpus::scan(corpus_dir)?;
-        let _ = scanned.write_index();
         let fingerprint = corpus::fingerprint_space(space);
         let mut loaded: Vec<(String, u64, Journal)> = Vec::new();
         for entry in scanned.donors(fingerprint, opts.objectives, MAX_DONORS) {

@@ -187,13 +187,13 @@ fn pipelined_bursts_with_shuffled_ids_answer_in_request_order() {
 
 #[test]
 fn reply_flood_triggers_backpressure_then_shedding_without_loss() {
-    // Tiny budgets: more than 4 outstanding requests shed, and more than
-    // 16 KiB of undelivered replies pauses reading. The flood: requests
-    // whose echoed `id` is ~64 KiB, written far faster than they are read.
+    // A tiny budget: more than 4 outstanding requests shed. The flood:
+    // requests whose echoed `id` is ~64 KiB, written far faster than they
+    // are read — 100 such replies far exceed the 256 KiB per-connection
+    // write-buffer bound, so undelivered replies pause reading.
     let (_srv, tcp) = serve(ServerOptions {
         workers: 2,
         max_outstanding: 4,
-        write_buf_limit: 16 * 1024,
         ..ServerOptions::default()
     });
     const N: usize = 100;

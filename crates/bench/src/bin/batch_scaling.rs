@@ -17,36 +17,16 @@
 //! Run with: `cargo run --release -p baco-bench --bin batch_scaling`
 
 use baco::benchmark::Benchmark;
-use baco::tuner::{BlackBox, Evaluation, TuningReport};
-use baco::{Baco, Configuration};
+use baco::tuner::TuningReport;
+use baco::Baco;
+use baco_bench::cli::flag;
 use baco_bench::emit;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use baco_bench::runner::MemoBlackBox;
 use std::time::Instant;
 
 /// Memoizes the (noisy, timing-based) black box so repeated evaluations of
 /// the same configuration return identical values — the precondition for
 /// comparing fixed-seed trajectories across two runs of a real workload.
-struct MemoBlackBox<'a> {
-    inner: &'a (dyn BlackBox + Sync),
-    cache: Mutex<HashMap<String, Evaluation>>,
-}
-
-impl BlackBox for MemoBlackBox<'_> {
-    fn evaluate(&self, cfg: &Configuration) -> Evaluation {
-        let key = cfg.to_string();
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let eval = self.inner.evaluate(cfg);
-        self.cache.lock().unwrap().insert(key, eval.clone());
-        eval
-    }
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 const BATCH_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 struct Arm {
@@ -54,10 +34,6 @@ struct Arm {
     wall_s: f64,
     best: f64,
     mean_best: f64,
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn build(bench: &Benchmark, q: usize, seed: u64, budget: usize) -> Baco {
@@ -90,7 +66,7 @@ fn main() {
     // identical values for identical configurations, and any divergence is
     // the tuner's fault.
     let identical = {
-        let memo = MemoBlackBox { inner: bb, cache: Mutex::new(HashMap::new()) };
+        let memo = MemoBlackBox::new(bb);
         let tuner = build(&bench, 1, 7, budget.min(20));
         let cfgs = |r: &TuningReport| {
             r.trials().iter().map(|t| t.config.to_string()).collect::<Vec<_>>()

@@ -11,10 +11,10 @@
 use baco::space::SearchSpace;
 use baco::surrogate::{GaussianProcess, GpOptions, PredictScratch};
 use baco_bench::emit;
+use baco_bench::stats::median_secs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 const SIZES: [usize; 4] = [20, 60, 150, 400];
 const N_PROBES: usize = 512;
@@ -39,18 +39,6 @@ fn objective(c: &baco::Configuration) -> f64 {
 }
 
 /// Median seconds of `reps` timed runs of `f`.
-fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 struct PredictRow {
     n: usize,
     scalar_ns: f64,

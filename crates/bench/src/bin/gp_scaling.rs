@@ -31,13 +31,14 @@
 use baco::prelude::*;
 use baco::surrogate::{GaussianProcess, GpOptions};
 use baco::tuner::{Trial, DEFAULT_SURROGATE_BUDGET};
+use baco_bench::cli::flag;
 use baco_bench::emit;
+use baco_bench::runner::MemoBlackBox;
+use baco_bench::stats::median_secs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hint::black_box;
-use std::sync::Mutex;
-use std::time::Instant;
 
 fn space() -> SearchSpace {
     SearchSpace::builder()
@@ -82,18 +83,6 @@ fn synthetic_history(sp: &SearchSpace, n: usize) -> (TuningReport, HashSet<Confi
 }
 
 /// Median seconds of `reps` timed runs of `f`.
-fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// One full budgeted round — active-set selection, surrogate fit and the
 /// acquisition search — on an n-point history, median over `reps`.
 fn budgeted_round_secs(
@@ -122,10 +111,6 @@ fn budgeted_round_secs(
     })
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
 struct SweepOutcome {
     runs: usize,
     bitwise_identical: bool,
@@ -151,16 +136,7 @@ fn quality_sweep(budget: usize, seeds: u64) -> SweepOutcome {
     let mut regressions: Vec<f64> = Vec::new();
     for bench in &benches {
         for seed in 0..seeds {
-            let memo: Mutex<HashMap<String, Evaluation>> = Mutex::new(HashMap::new());
-            let bb = FnBlackBox::new(|cfg: &Configuration| {
-                let key = cfg.to_string();
-                if let Some(hit) = memo.lock().unwrap().get(&key) {
-                    return hit.clone();
-                }
-                let eval = bench.blackbox.evaluate(cfg);
-                memo.lock().unwrap().insert(key, eval.clone());
-                eval
-            });
+            let bb = MemoBlackBox::new(&*bench.blackbox);
             let run = |surrogate_budget: Option<usize>| {
                 let mut b = Baco::builder(bench.space.clone())
                     .budget(budget)

@@ -38,6 +38,7 @@
 use baco::acquisition::inferred_reference;
 use baco::tuner::Trial;
 use baco::{Baco, MultiObjectiveStrategy, TuningReport};
+use baco_bench::cli::flag;
 use baco_bench::emit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,10 +64,6 @@ fn front_points(report: &TuningReport) -> Vec<Vec<f64>> {
         .iter()
         .filter_map(|t| t.objectives())
         .collect()
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn strategy_name(s: MultiObjectiveStrategy) -> &'static str {

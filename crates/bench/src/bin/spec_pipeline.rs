@@ -27,37 +27,17 @@
 //! Run with: `cargo run --release -p baco-bench --bin spec_pipeline`
 
 use baco::benchmark::SimLatency;
-use baco::tuner::{BlackBox, Evaluation, TuningReport};
-use baco::{Baco, Configuration, SearchSpace};
+use baco::tuner::TuningReport;
+use baco::{Baco, SearchSpace};
+use baco_bench::cli::flag;
 use baco_bench::emit;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use baco_bench::runner::MemoBlackBox;
 use std::time::Instant;
 
 /// Memoizes the (noisy, timing-based) black box so every arm sees identical
 /// values for identical configurations — the precondition for comparing
 /// fixed-seed trajectories and best-so-far across engines on a real
 /// workload. Owns its inner so it can sit under [`SimLatency`].
-struct MemoBlackBox {
-    inner: Box<dyn BlackBox + Send + Sync>,
-    cache: Mutex<HashMap<String, Evaluation>>,
-}
-
-impl BlackBox for MemoBlackBox {
-    fn evaluate(&self, cfg: &Configuration) -> Evaluation {
-        let key = cfg.to_string();
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let eval = self.inner.evaluate(cfg);
-        self.cache.lock().unwrap().insert(key, eval.clone());
-        eval
-    }
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 const Q: usize = 4;
 const EVAL_THREADS: usize = 4;
 const DEPTH: usize = 2;
@@ -69,10 +49,6 @@ struct Arm {
     best: f64,
     mean_best: f64,
     median_best: f64,
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 fn build(space: &SearchSpace, depth: usize, threads: usize, seed: u64, budget: usize) -> Baco {
@@ -105,7 +81,7 @@ fn main() {
     // identical configurations across arms), then charge the deterministic
     // mixed-latency profile on top.
     let bb = SimLatency::with_profile(
-        Box::new(MemoBlackBox { inner: bench.blackbox, cache: Mutex::new(HashMap::new()) }),
+        Box::new(MemoBlackBox::new(bench.blackbox)),
         (40_000, 80_000),
         (320_000, 640_000),
         20,

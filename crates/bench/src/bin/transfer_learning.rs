@@ -28,42 +28,18 @@
 //!
 //! Run with: `cargo run --release -p baco-bench --bin transfer_learning`
 
-use baco::tuner::{BlackBox, Evaluation, TuningReport};
-use baco::{Baco, Configuration, SearchSpace};
+use baco::tuner::{BlackBox, TuningReport};
+use baco::{Baco, SearchSpace};
+use baco_bench::cli::flag;
 use baco_bench::emit;
-use std::collections::HashMap;
+use baco_bench::runner::MemoBlackBox;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Memoizes the (noisy, timing-based) black box so donors, the cold arm and
 /// the transfer arm all see identical values for identical configurations —
 /// the precondition for comparing fixed-seed trajectories and for the
 /// determinism guard on a real workload.
-struct MemoBlackBox {
-    inner: Box<dyn BlackBox + Send + Sync>,
-    cache: Mutex<HashMap<String, Evaluation>>,
-}
-
-impl BlackBox for MemoBlackBox {
-    fn evaluate(&self, cfg: &Configuration) -> Evaluation {
-        let key = cfg.to_string();
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let eval = self.inner.evaluate(cfg);
-        self.cache.lock().unwrap().insert(key, eval.clone());
-        eval
-    }
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 const DOE: usize = 10;
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
 
 fn build(space: &SearchSpace, seed: u64, budget: usize, corpus: Option<&Path>) -> Baco {
     let mut b = Baco::builder(space.clone()).budget(budget).doe_samples(DOE).seed(seed);
@@ -103,7 +79,7 @@ fn main() {
         baco_bench::benchmark_by_name("SpMM scircuit", taco_sim::benchmarks::TacoScale::Test);
     let space = bench.space.clone();
     let workload = bench.name.clone();
-    let memo = MemoBlackBox { inner: bench.blackbox, cache: Mutex::new(HashMap::new()) };
+    let memo = MemoBlackBox::new(bench.blackbox);
     let bb: &dyn BlackBox = &memo;
     println!(
         "transfer-learning benchmark: {workload} | budget {budget} | {seeds} seed(s) | \

@@ -83,6 +83,12 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Args {
     out
 }
 
+/// The value after `name` in `args` (`--budget 48` → `"48"`), if present:
+/// the one-flag lookup of the bench binaries that take their own flags.
+pub fn flag(args: &[String], name: &str) -> Option<String> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,10 @@
 
 use baco::baselines::{AtfTuner, CotSampler, Tuner, UniformSampler, YtoptTuner};
 use baco::benchmark::Benchmark;
-use baco::tuner::Baco;
-use baco::Result;
+use baco::tuner::{Baco, BlackBox, Evaluation};
+use baco::{Configuration, Result};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// The five tuners of the paper's main comparison (Sec. 5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,6 +155,37 @@ pub fn run_one(bench: &Benchmark, kind: TunerKind, seed: u64) -> Result<RunResul
         eval_secs: report.total_eval_time().as_secs_f64(),
         tuner_secs: report.total_tuner_time().as_secs_f64(),
     })
+}
+
+/// A black box that evaluates each configuration once and replays the
+/// result afterwards, so arms compared on a timing-based black box see
+/// identical values for identical configurations — any divergence between
+/// them is then the tuner's doing.
+pub struct MemoBlackBox<B> {
+    inner: B,
+    cache: Mutex<HashMap<String, Evaluation>>,
+}
+
+impl<B: BlackBox> MemoBlackBox<B> {
+    /// Memoizes `inner`.
+    pub fn new(inner: B) -> Self {
+        MemoBlackBox { inner, cache: Mutex::new(HashMap::new()) }
+    }
+}
+
+impl<B: BlackBox> BlackBox for MemoBlackBox<B> {
+    fn evaluate(&self, cfg: &Configuration) -> Evaluation {
+        let key = cfg.to_string();
+        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
+            return hit.clone();
+        }
+        let eval = self.inner.evaluate(cfg);
+        self.cache.lock().unwrap().insert(key, eval.clone());
+        eval
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
 }
 
 #[cfg(test)]

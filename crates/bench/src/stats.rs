@@ -67,6 +67,19 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Median wall-clock seconds of `reps` (at least one) timed calls of `f`.
+pub fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
