@@ -1252,12 +1252,23 @@ impl JournalWriter {
         self.write_line(rec.to_line())
     }
 
+    /// Whether an earlier append failed: the writer then refuses every
+    /// append until the run is resumed from the journal.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// The [`Error::Io`] a closed writer answers every append with.
+    pub(crate) fn closed_error(&self) -> Error {
+        Error::Io(format!(
+            "{}: journal closed by an earlier failed append; resume the session from it",
+            self.path
+        ))
+    }
+
     fn write_line(&mut self, mut line: String) -> Result<()> {
         if self.closed {
-            return Err(Error::Io(format!(
-                "{}: journal closed by an earlier failed append; resume the session from it",
-                self.path
-            )));
+            return Err(self.closed_error());
         }
         line.push('\n');
         if let Err(e) = self.write_synced(line.as_bytes()) {

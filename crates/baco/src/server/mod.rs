@@ -23,7 +23,8 @@
 //!   via [`Session::resume`] semantics: `create_session` with
 //!   `"resume": true` reconstructs history, RNG stream and DoE queue, so a
 //!   sequential driver's continued trajectory is bit-for-bit identical to an
-//!   uninterrupted run.
+//!   uninterrupted run. A live session whose journal closed after a failed
+//!   append answers `io` until such a create replaces it the same way.
 //!
 //! Two faces share the dispatch path: the in-process [`ServerHandle`]
 //! (deterministic; what the test suites drive) and the TCP front end
@@ -202,7 +203,8 @@ impl ServerHandle {
                     // a failed journal append is an `io` reply here — the
                     // result is in the in-memory history but would not
                     // survive a restart, and the session refuses further
-                    // appends until it is closed and resumed.
+                    // appends until a `create_session` with `resume: true`
+                    // replaces it from the journal.
                     s.try_report(cfg, eval).map_err(|e| WireError::from_error(&e))?;
                     Ok(vec![("len".into(), Json::Num(s.history().len() as f64))])
                 })
@@ -260,6 +262,11 @@ impl ServerHandle {
                     ("pending".into(), Json::Num(s.pending().len() as f64)),
                     ("best_value".into(), journal::encode_value(s.history().best_value())),
                 ];
+                // A session that fails `io` until it is resumed says so;
+                // healthy sessions omit the field.
+                if s.journal_closed() {
+                    fields.push(("journal_closed".into(), Json::Bool(true)));
+                }
                 // Transfer-enabled sessions report where their prior came
                 // from; cold sessions omit the fields entirely.
                 if let Some((donors, donor_trials)) = s.tuner().transfer_donors() {
@@ -394,15 +401,24 @@ impl ServerHandle {
         // Reserve the name first: a second create (or any op) under this id
         // now fails fast instead of racing the construction below — two
         // concurrent creates must not both truncate/replay the journal.
-        let slot = self
-            .inner
-            .registry
-            .reserve(name)
-            .ok_or_else(|| WireError::from_error(&Error::SessionExists(name.to_string())))?;
+        let exists = || WireError::from_error(&Error::SessionExists(name.to_string()));
+        let (slot, replacing) = match self.inner.registry.reserve(name) {
+            Some(slot) => (slot, false),
+            None if resumed => (self.inner.registry.get(name).ok_or_else(exists)?, true),
+            None => return Err(exists()),
+        };
         let mut guard = lock_slot(&slot);
+        // A registered session is replaced only when its journal closed
+        // after a failed append: it can answer nothing but `io` until it is
+        // resumed from the acknowledged prefix. A healthy one stays.
+        if replacing && !guard.as_ref().is_some_and(Session::journal_closed) {
+            return Err(exists());
+        }
         let built = Baco::builder(space).options(opts).build().and_then(Session::new);
         let session = match built {
             Ok(s) => s,
+            // A failed replacement leaves the closed session in place.
+            Err(e) if replacing => return Err(WireError::from_error(&e)),
             Err(e) => {
                 drop(guard);
                 // Remove only *this* create's reservation: a racing
@@ -816,8 +832,9 @@ mod tests {
     }
 
     /// A failed journal append answers the `report` that caused it with
-    /// `io`; the session then fails typed until it is closed and resumed,
-    /// and the resume continues from the acknowledged records.
+    /// `io`; the session then fails typed until a resuming create replaces
+    /// it, without a `close`, and continues from the acknowledged records.
+    /// A healthy session is never replaced.
     #[test]
     fn failed_journal_append_answers_io_until_resumed() {
         use crate::journal::fault::{self, Fault};
@@ -834,7 +851,11 @@ mod tests {
                 cfg.to_line()
             ))
         };
+        let resume = create_line("f", 8, 5).replace(r#""seed""#, r#""resume":true,"seed""#);
         assert!(srv.handle_line(&create_line("f", 8, 5)).contains(r#""ok":true"#));
+        // A healthy live session is not replaced by a resuming create.
+        let dup = srv.handle_line(&resume);
+        assert_eq!(error_kind(&dup).as_deref(), Some("session_exists"), "{dup}");
         for _ in 0..4 {
             let cfg = ask().unwrap();
             assert!(report(&cfg).contains(r#""ok":true"#));
@@ -844,14 +865,23 @@ mod tests {
         assert_eq!(error_kind(&report(&cfg)).as_deref(), Some("io"));
         let reply = srv.handle_line(r#"{"op":"ask","session":"f"}"#);
         assert_eq!(error_kind(&reply).as_deref(), Some("io"), "{reply}");
+        let status = || srv.handle_line(r#"{"op":"status","session":"f"}"#);
+        assert!(status().contains(r#""journal_closed":true"#), "{}", status());
 
-        assert!(srv.handle_line(r#"{"op":"close","session":"f"}"#).contains(r#""ok":true"#));
-        let resume = create_line("f", 8, 5).replace(r#""seed""#, r#""resume":true,"seed""#);
+        // Only a resuming create replaces the closed session.
+        let dup = srv.handle_line(&create_line("f", 8, 5));
+        assert_eq!(error_kind(&dup).as_deref(), Some("session_exists"), "{dup}");
         let created = parse(&srv.handle_line(&resume));
         assert_eq!(created.get("resumed"), Some(&Json::Bool(true)));
         assert_eq!(created.get("len").and_then(Json::as_f64), Some(4.0));
         assert_eq!(ask().as_ref(), Some(&cfg), "the lost trial's proposal is asked again");
         assert!(report(&cfg).contains(r#""len":5"#));
+        assert!(!status().contains("journal_closed"), "{}", status());
+        assert_eq!(srv.session_count(), 1);
+        // The replacement is healthy again: a second resuming create is a
+        // duplicate.
+        let dup = srv.handle_line(&resume);
+        assert_eq!(error_kind(&dup).as_deref(), Some("session_exists"), "{dup}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

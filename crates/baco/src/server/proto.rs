@@ -16,7 +16,7 @@
 //! | `suggest_batch` | `session`, `q` | `configs` (array, possibly empty) |
 //! | `report` | `session`, `config`; `value` (number, `null`, `"NaN"`, `"inf"`, `"-inf"`) **or** `values` (array, one entry per objective of a multi-objective session), and/or `feasible` — only *all-finite* measurements count as feasible, anything else is recorded as a failed evaluation | `len` |
 //! | `best` | `session` | single-objective: `config`+`value` (or both `null`); multi-objective: `front` (array of `{config, values}` in evaluation order) plus `hypervolume` — a number when the session has a reference point, otherwise `null` with a typed `note: "no_reference_point"` |
-//! | `status` | optional `session` | per-session: `len`, `budget`, `remaining`, `pending`, `best_value`, and for multi-objective sessions `front_size` + `hypervolume` (number, or `null` with `note: "no_reference_point"`); server-wide: `sessions`, `names` |
+//! | `status` | optional `session` | per-session: `len`, `budget`, `remaining`, `pending`, `best_value`, `journal_closed: true` once a failed append closed the session's journal, and for multi-objective sessions `front_size` + `hypervolume` (number, or `null` with `note: "no_reference_point"`); server-wide: `sessions`, `names` |
 //! | `close` | `session` | `closed`, `len` |
 //!
 //! The parser checks only what the JSON says: member names and types. The

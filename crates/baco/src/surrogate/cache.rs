@@ -6,7 +6,8 @@
 //! `O(n²·d)` featurized-distance tables), and those depend only on the
 //! inputs and the distance options, not on the targets or the fitted model.
 //! [`GpCache`] keeps them across iterations and extends them by one
-//! row/column per new observation instead of rebuilding them.
+//! row/column per new observation instead of rebuilding them. It holds
+//! nothing else: fitted models share no prediction buffers through it.
 //!
 //! The cache is defensive: if the data it sees is not an extension of what it
 //! remembers (restarted tuner, different options, shuffled history), it
@@ -49,10 +50,8 @@
 //! [`GaussianProcess::fit_with_cache`]: super::GaussianProcess::fit_with_cache
 
 use super::features::ModelInput;
-use super::gp::PredictScratch;
 use crate::linalg::Matrix;
 use crate::space::PermMetric;
-use std::sync::{Arc, Mutex};
 
 /// Persistent state for [`GaussianProcess::fit_with_cache`]; see the module
 /// docs.
@@ -74,11 +73,6 @@ pub struct GpCache {
     /// the tuner sets it to its `surrogate_budget` so a long-lived session
     /// can never accumulate O(n²·d) table memory. `None` = unbounded.
     max_points: Option<usize>,
-    /// Cross-round prediction workspace, installed into every GP fitted
-    /// through this cache so the n×m cross-kernel buffers are allocated once
-    /// per session instead of once per round. Shared (not cloned) between
-    /// sub-caches and cache clones; never serialized.
-    scratch: Arc<Mutex<PredictScratch>>,
 }
 
 impl Default for GpCache {
@@ -102,7 +96,6 @@ impl GpCache {
             d2: Vec::new(),
             extra: Vec::new(),
             max_points: budget,
-            scratch: Arc::new(Mutex::new(PredictScratch::default())),
         }
     }
 
@@ -111,36 +104,25 @@ impl GpCache {
         self.max_points
     }
 
-    /// The shared prediction workspace fitted GPs borrow (an `Arc` clone).
-    pub(crate) fn shared_scratch(&self) -> Arc<Mutex<PredictScratch>> {
-        Arc::clone(&self.scratch)
-    }
-
     /// The sub-cache serving objective `k` of a multi-objective run: `0` is
     /// this cache itself; higher indices are created (empty) on first use.
     /// Lets the per-iteration loops keep holding **one** `GpCache` while the
     /// tuner maintains one incrementally-refitted GP per objective.
-    /// Sub-caches inherit the table cap and share the prediction workspace.
+    /// Sub-caches inherit the table cap.
     pub fn for_objective(&mut self, k: usize) -> &mut GpCache {
         if k == 0 {
             return self;
         }
         while self.extra.len() < k {
-            let mut sub = GpCache::with_budget(self.max_points);
-            sub.scratch = Arc::clone(&self.scratch);
-            self.extra.push(sub);
+            self.extra.push(GpCache::with_budget(self.max_points));
         }
         &mut self.extra[k - 1]
     }
 
-    /// Drops the cached tables. The table cap and the (already-sized)
-    /// prediction workspace survive — a reset must not reintroduce either
-    /// unbounded growth or cold-start reallocations.
+    /// Drops the cached tables. The table cap survives — a reset must not
+    /// reintroduce unbounded growth.
     pub fn reset(&mut self) {
-        let max_points = self.max_points;
-        let scratch = Arc::clone(&self.scratch);
-        *self = GpCache::with_budget(max_points);
-        self.scratch = scratch;
+        *self = GpCache::with_budget(self.max_points);
     }
 
     /// Number of training points the distance tables currently cover.
@@ -218,7 +200,6 @@ impl GpCache {
 
     /// Rough heap footprint of the cached tables (this cache plus its
     /// per-objective sub-caches), for memory-bound tests and diagnostics.
-    /// Excludes the shared prediction workspace.
     pub fn memory_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let n = self.inputs.len();

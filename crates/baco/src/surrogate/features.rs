@@ -30,17 +30,13 @@ impl ModelInput {
         ModelInput { feats }
     }
 
-    /// Appends the [`ModelInput::flat_features`] of `cfg` to `out` without
-    /// building the intermediate input: the tree models' one encoder, for
-    /// fitting and for scoring candidate batches into a reused buffer.
-    pub(crate) fn encode_flat(
-        space: &SearchSpace,
-        cfg: &Configuration,
-        use_transforms: bool,
-        out: &mut Vec<f64>,
-    ) {
+    /// Appends the [`ModelInput::flat_features`] of `cfg`, input transforms
+    /// applied, to `out` without building the intermediate input: the tree
+    /// models' one encoder, for fitting and for scoring candidate batches
+    /// into a reused buffer.
+    pub(crate) fn encode_flat(space: &SearchSpace, cfg: &Configuration, out: &mut Vec<f64>) {
         for i in 0..space.len() {
-            Feature::of(space, cfg, i, use_transforms).push_flat(out);
+            Feature::of(space, cfg, i, true).push_flat(out);
         }
     }
 

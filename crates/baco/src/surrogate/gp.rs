@@ -4,10 +4,11 @@
 //!
 //! This module is the tuner's hot path and is engineered accordingly:
 //!
-//! * **Batched posterior** — [`GaussianProcess::predict_batch`] scores whole
-//!   candidate batches through one blocked multi-right-hand-side triangular
-//!   solve with reusable scratch buffers, instead of a per-candidate `O(n²)`
-//!   solve plus allocations.
+//! * **Batched posterior** — [`GaussianProcess::predict_batch_configs`]
+//!   scores whole candidate batches through one blocked
+//!   multi-right-hand-side triangular solve instead of a per-candidate
+//!   `O(n²)` solve; [`GaussianProcess::predict`] is the scalar reference,
+//!   and the two are the only prediction entry points.
 //! * **Cheap multistart** — raw hyperparameter draws are ranked with a
 //!   value-only negative log posterior (the gradient is discarded during
 //!   ranking), draws and L-BFGS refinements run across threads, and the
@@ -172,38 +173,6 @@ impl GpOptions {
     }
 }
 
-/// Reusable scratch buffers for [`GaussianProcess::predict_batch_into`].
-///
-/// [`GaussianProcess::predict_batch`] reuses one of these internally across
-/// calls, so the acquisition scorer's steady state reallocates no kernel or
-/// solve buffers; hold your own only when driving `predict_batch_into`
-/// directly.
-#[derive(Debug, Default)]
-pub struct PredictScratch {
-    ls2: Vec<f64>,
-    kstar: Vec<f64>,
-    solved: Vec<f64>,
-    mean_acc: Vec<f64>,
-    var_acc: Vec<f64>,
-    /// Candidate-feature buffer for [`GaussianProcess::predict_batch_configs`]
-    /// (outer `Vec` capacity reused across rounds).
-    feats: Vec<ModelInput>,
-}
-
-/// Counts every capacity growth of a prediction workspace's cross-kernel
-/// buffers (debug builds only). The budgeted tuner shares one workspace per
-/// session via [`GpCache`], so after a warm-up round this must stop moving —
-/// asserted by the zero-alloc steady-state test.
-#[cfg(debug_assertions)]
-static SCRATCH_GROWTHS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// (Debug builds only.) How many times any prediction workspace has had to
-/// grow its `n × m` cross-kernel buffers since process start.
-#[cfg(debug_assertions)]
-pub fn scratch_growth_count() -> usize {
-    SCRATCH_GROWTHS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// A fitted Gaussian process with the 5/2-Matérn kernel of Eq. (1)–(2).
 ///
 /// Outputs are standardized internally; predictions are returned on the
@@ -233,13 +202,8 @@ pub struct GaussianProcess {
     /// extended system `K⁺ α⁺ = y⁺` needs the old right-hand side.
     ys: Vec<f64>,
     /// Dimension-major training columns for the batched cross-kernel,
-    /// built once per fit instead of once per `predict_batch` call.
+    /// built once per fit instead of once per `predict_batch_configs` call.
     train_views: Vec<DimView>,
-    /// Shared scratch so callers holding a shared reference reuse the batch
-    /// buffers across calls; uncontended in practice. When fitted
-    /// through a [`GpCache`] the `Arc` is the cache's, so the buffers also
-    /// survive across *rounds* (and across refits) of a tuning session.
-    scratch: Arc<Mutex<PredictScratch>>,
 }
 
 /// The best (value, θ, factorization) seen while evaluating the negative log
@@ -352,7 +316,6 @@ impl GaussianProcess {
             alpha,
             ys,
             train_views,
-            scratch: cache.shared_scratch(),
         })
     }
 
@@ -409,9 +372,6 @@ impl GaussianProcess {
             alpha,
             ys,
             train_views,
-            // Fantasy models share the parent's workspace: same-round picks
-            // and later rounds keep hitting already-sized buffers.
-            scratch: Arc::clone(&self.scratch),
         })
     }
 
@@ -522,81 +482,41 @@ impl GaussianProcess {
 
     /// Posterior mean and latent (noise-free) variance at `cfg`, on the
     /// original output scale (prior mean added back when one is set).
-    pub fn predict(&self, cfg: &Configuration) -> (f64, f64) {
-        let x = ModelInput::from_config(&self.space, cfg, self.input_transforms);
-        let (m, v) = self.predict_input(&x);
-        match &self.mean_fn {
-            Some(f) => (m + f.mean(&self.space, cfg), v),
-            None => (m, v),
-        }
-    }
-
-    /// Like [`GaussianProcess::predict`] but over a prepared [`ModelInput`]
-    /// (avoids re-featurizing in hot loops).
     ///
     /// This is the *scalar* path: one `O(n²)` triangular solve and fresh
-    /// allocations per call. Candidate scoring should go through
-    /// [`GaussianProcess::predict_batch`] instead.
-    ///
-    /// **Residual space:** a [`ModelInput`] no longer carries the
-    /// [`Configuration`] the prior mean is evaluated on, so this returns the
-    /// posterior of the residual process (no `m(x)` offset). With the
-    /// default zero mean that *is* the full posterior; with a non-zero
-    /// [`GpOptions::mean_fn`] use the configuration-based entry points.
-    pub fn predict_input(&self, x: &ModelInput) -> (f64, f64) {
-        let kstar = self.cross_kernel_row(x);
+    /// allocations per call. Candidate scoring goes through
+    /// [`GaussianProcess::predict_batch_configs`] instead; its mean is
+    /// bit-identical to this one's.
+    pub fn predict(&self, cfg: &Configuration) -> (f64, f64) {
+        let x = ModelInput::from_config(&self.space, cfg, self.input_transforms);
+        let kstar = self.cross_kernel_row(&x);
         let mean_std = dot(&kstar, &self.alpha);
         let v = self.chol.solve(&kstar);
         let var_std = (self.outputscale - dot(&kstar, &v)).max(1e-12);
-        (
-            self.y_mean + self.y_std * mean_std,
-            self.y_std * self.y_std * var_std,
-        )
+        let m = self.y_mean + self.y_std * mean_std;
+        let m = match &self.mean_fn {
+            Some(f) => m + f.mean(&self.space, cfg),
+            None => m,
+        };
+        (m, self.y_std * self.y_std * var_std)
     }
 
-    /// Posterior mean and latent variance for a whole batch of prepared
-    /// inputs; equivalent to mapping [`GaussianProcess::predict_input`] but
-    /// far faster (see module docs). Residual space, like
-    /// [`GaussianProcess::predict_input`].
-    pub fn predict_batch(&self, xs: &[ModelInput]) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(xs.len());
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => self.predict_batch_into(xs, &mut scratch, &mut out),
-            // Contended (parallel callers): fall back to a local scratch.
-            Err(_) => self.predict_batch_into(xs, &mut PredictScratch::default(), &mut out),
-        }
-        out
-    }
-
-    /// Featurize-and-predict in one step, keeping the candidate-feature
-    /// buffer in the shared scratch so its (outer) allocation is reused
-    /// across calls and rounds. With the default zero mean this is
-    /// bit-identical to `predict_batch(&featurize(cfgs))`; with a
-    /// [`GpOptions::mean_fn`] set, each candidate's prior mean is added to
-    /// its posterior mean (this is the full-posterior batch entry point —
-    /// the tuner's acquisition scoring routes through it).
+    /// Posterior mean and latent variance for a whole candidate batch;
+    /// equivalent to mapping [`GaussianProcess::predict`] but far faster
+    /// (see module docs). The tuner's acquisition scoring routes through it.
+    /// Each candidate's prior mean is added to its posterior mean when a
+    /// [`GpOptions::mean_fn`] is set.
+    ///
+    /// The means are bit-identical to [`GaussianProcess::predict`]'s (the
+    /// cross-kernel uses the same divisors and the same summation order);
+    /// the variances agree to rounding, because the scalar path solves
+    /// `L Lᵀ v = k*` and the batch path only `L y = k*`.
     pub fn predict_batch_configs(&self, cfgs: &[Configuration]) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(cfgs.len());
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => {
-                let mut feats = std::mem::take(&mut scratch.feats);
-                #[cfg(debug_assertions)]
-                if feats.capacity() < cfgs.len() {
-                    SCRATCH_GROWTHS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                feats.clear();
-                feats.extend(
-                    cfgs.iter()
-                        .map(|c| ModelInput::from_config(&self.space, c, self.input_transforms)),
-                );
-                self.predict_batch_into(&feats, &mut scratch, &mut out);
-                scratch.feats = feats;
-            }
-            Err(_) => {
-                let feats = self.featurize(cfgs);
-                self.predict_batch_into(&feats, &mut PredictScratch::default(), &mut out);
-            }
-        }
+        let xs: Vec<ModelInput> = cfgs
+            .iter()
+            .map(|c| ModelInput::from_config(&self.space, c, self.input_transforms))
+            .collect();
+        let mut out = self.predict_residual_batch(&xs);
         if let Some(m) = &self.mean_fn {
             for (cfg, entry) in cfgs.iter().zip(out.iter_mut()) {
                 entry.0 += m.mean(&self.space, cfg);
@@ -605,43 +525,33 @@ impl GaussianProcess {
         out
     }
 
-    /// Allocation-free core of [`GaussianProcess::predict_batch`]: results
-    /// are appended to `out` (cleared first); `scratch` is reused across
-    /// calls. Residual space — no prior-mean offset (see
-    /// [`GaussianProcess::predict_input`]); callers with configurations in
-    /// hand use [`GaussianProcess::predict_batch_configs`].
+    /// The batch core of [`GaussianProcess::predict_batch_configs`], in
+    /// residual space (no prior-mean offset).
     ///
     /// The cross-kernel is built as an `n × m` block and all `m` triangular
     /// systems are forward-substituted together (`var = σ − ‖L⁻¹k*‖²`, so
     /// only the lower solve is needed), giving a unit-stride inner loop over
     /// candidates that vectorizes — unlike the scalar path's per-candidate
     /// dependent dot-product chains.
-    pub fn predict_batch_into(
-        &self,
-        xs: &[ModelInput],
-        scratch: &mut PredictScratch,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        out.clear();
+    fn predict_residual_batch(&self, xs: &[ModelInput]) -> Vec<(f64, f64)> {
         let n = self.inputs.len();
         let l = self.chol.factor();
+        let mut out = Vec::with_capacity(xs.len());
 
         // Same per-dimension divisors as the scalar path (ℓ·ℓ, divided, not
         // multiplied by a reciprocal): the cross-kernel — and therefore the
-        // posterior mean — is bit-identical to `predict_input`'s.
-        scratch.ls2.clear();
-        scratch.ls2.extend(self.lengthscales.iter().map(|l| l * l));
+        // posterior mean — is bit-identical to `predict`'s.
+        let ls2: Vec<f64> = self.lengthscales.iter().map(|l| l * l).collect();
+        let block_len = xs.len().min(PREDICT_BLOCK);
+        let mut kstar = Vec::with_capacity(n * block_len);
+        let mut solved = Vec::with_capacity(n * block_len);
 
         for block in xs.chunks(PREDICT_BLOCK) {
             let m = block.len();
-            #[cfg(debug_assertions)]
-            if scratch.kstar.capacity() < n * m || scratch.solved.capacity() < n * m {
-                SCRATCH_GROWTHS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            scratch.kstar.clear();
-            scratch.kstar.resize(n * m, 0.0);
-            scratch.solved.clear();
-            scratch.solved.resize(n * m, 0.0);
+            kstar.clear();
+            kstar.resize(n * m, 0.0);
+            solved.clear();
+            solved.resize(n * m, 0.0);
 
             // Cross-kernel block K* (train-major, candidate-minor layout):
             // accumulate the lengthscale-weighted squared distance one
@@ -652,11 +562,11 @@ impl GaussianProcess {
                     train_view,
                     &cand_view,
                     self.perm_metric,
-                    scratch.ls2[k],
-                    &mut scratch.kstar,
+                    ls2[k],
+                    &mut kstar,
                 );
             }
-            for v in scratch.kstar.iter_mut() {
+            for v in kstar.iter_mut() {
                 *v = matern52(v.sqrt(), self.outputscale);
             }
 
@@ -665,9 +575,9 @@ impl GaussianProcess {
             // index with unit stride.
             for i in 0..n {
                 let li = l.row(i);
-                let (done, rest) = scratch.solved.split_at_mut(i * m);
+                let (done, rest) = solved.split_at_mut(i * m);
                 let cur = &mut rest[..m];
-                cur.copy_from_slice(&scratch.kstar[i * m..(i + 1) * m]);
+                cur.copy_from_slice(&kstar[i * m..(i + 1) * m]);
                 for (t, &c) in li.iter().enumerate().take(i) {
                     if c == 0.0 {
                         continue;
@@ -684,36 +594,26 @@ impl GaussianProcess {
             }
 
             // Reduce: mean = k*ᵀ α, variance = σ − ‖L⁻¹ k*‖².
-            scratch.mean_acc.clear();
-            scratch.mean_acc.resize(m, 0.0);
-            scratch.var_acc.clear();
-            scratch.var_acc.resize(m, 0.0);
+            let mut mean_acc = vec![0.0; m];
+            let mut var_acc = vec![0.0; m];
             for i in 0..n {
                 let a = self.alpha[i];
-                let krow = &scratch.kstar[i * m..(i + 1) * m];
-                let yrow = &scratch.solved[i * m..(i + 1) * m];
+                let krow = &kstar[i * m..(i + 1) * m];
+                let yrow = &solved[i * m..(i + 1) * m];
                 for j in 0..m {
-                    scratch.mean_acc[j] += a * krow[j];
-                    scratch.var_acc[j] += yrow[j] * yrow[j];
+                    mean_acc[j] += a * krow[j];
+                    var_acc[j] += yrow[j] * yrow[j];
                 }
             }
-            for j in 0..m {
-                let mean_std = scratch.mean_acc[j];
-                let var_std = (self.outputscale - scratch.var_acc[j]).max(1e-12);
+            for (mean_std, var_acc) in mean_acc.into_iter().zip(var_acc) {
+                let var_std = (self.outputscale - var_acc).max(1e-12);
                 out.push((
                     self.y_mean + self.y_std * mean_std,
                     self.y_std * self.y_std * var_std,
                 ));
             }
         }
-    }
-
-    /// Featurizes `cfgs` for this model (hot loops featurize once and then
-    /// batch-predict).
-    pub fn featurize(&self, cfgs: &[Configuration]) -> Vec<ModelInput> {
-        cfgs.iter()
-            .map(|c| ModelInput::from_config(&self.space, c, self.input_transforms))
-            .collect()
+        out
     }
 
     /// The fitted per-parameter lengthscales.
@@ -1494,12 +1394,12 @@ mod tests {
             .collect();
         let gp = GaussianProcess::fit(&s, &configs, &y, &GpOptions::default(), &mut rng).unwrap();
         let probes: Vec<_> = (0..150).map(|_| s.sample_dense(&mut rng)).collect();
-        let inputs = gp.featurize(&probes);
-        let batch = gp.predict_batch(&inputs);
+        let batch = gp.predict_batch_configs(&probes);
         assert_eq!(batch.len(), probes.len());
-        for (x, (bm, bv)) in inputs.iter().zip(&batch) {
-            let (sm, sv) = gp.predict_input(x);
-            assert!((sm - bm).abs() <= 1e-12 * (1.0 + sm.abs()), "mean {sm} vs {bm}");
+        for (p, (bm, bv)) in probes.iter().zip(&batch) {
+            let (sm, sv) = gp.predict(p);
+            // The means are bit-identical (see `predict_batch_configs`).
+            assert_eq!(sm.to_bits(), bm.to_bits(), "mean {sm} vs {bm}");
             assert!((sv - bv).abs() <= 1e-10 * (1.0 + sv.abs()), "var {sv} vs {bv}");
         }
     }
@@ -1512,11 +1412,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let gp = GaussianProcess::fit(&s, &configs, &y, &GpOptions::default(), &mut rng).unwrap();
         let probes: Vec<_> = (0..=20).map(|x| cfg_x(&s, x)).collect();
-        let inputs = gp.featurize(&probes);
-        let whole = gp.predict_batch(&inputs);
+        let whole = gp.predict_batch_configs(&probes);
         // Singletons and odd block splits must give bit-identical results.
-        for (i, x) in inputs.iter().enumerate() {
-            let single = gp.predict_batch(std::slice::from_ref(x));
+        for (i, p) in probes.iter().enumerate() {
+            let single = gp.predict_batch_configs(std::slice::from_ref(p));
             assert_eq!(single[0].0.to_bits(), whole[i].0.to_bits());
             assert_eq!(single[0].1.to_bits(), whole[i].1.to_bits());
         }
@@ -1605,10 +1504,12 @@ mod tests {
             let offset = p.value("x").as_f64();
             assert_eq!(ma.to_bits(), (mb + offset).to_bits(), "batch mean at {p}");
             assert_eq!(va.to_bits(), vb.to_bits(), "variance is mean-free at {p}");
-            // Scalar path agrees with the batch path's offset handling.
+            // Scalar path agrees with the batch path's offset handling, and
+            // its mean is the batch mean bit for bit.
             let (sa, _) = a.predict(p);
             let (sb, _) = b.predict(p);
             assert_eq!(sa.to_bits(), (sb + offset).to_bits(), "scalar mean at {p}");
+            assert_eq!(sa.to_bits(), ma.to_bits(), "scalar vs batch mean at {p}");
         }
 
         // Fantasy anchors are residuals too: conditioning the mean-fn model

@@ -2,9 +2,12 @@
 //! random-forest models used both as an alternative surrogate and as the
 //! hidden-constraint feasibility classifier (Sec. 4.2).
 //!
-//! The GP is the tuner's hot path; see [`gp`] for the batched-posterior,
-//! multistart-fit and fantasy-conditioning machinery, and [`cache`] for the
-//! distance tables that refits carry across iterations.
+//! The GP is the tuner's hot path. It predicts through two entry points,
+//! the scalar [`GaussianProcess::predict`] and the batched
+//! [`GaussianProcess::predict_batch_configs`]; see [`gp`] for the
+//! batched-posterior, multistart-fit and fantasy-conditioning machinery,
+//! and [`cache`] for the distance tables, the only state refits carry
+//! across iterations.
 //!
 //! ```
 //! use baco::space::{ParamValue, SearchSpace};
@@ -33,7 +36,7 @@ pub mod rf;
 pub use budget::{ActiveSet, TrustRegion};
 pub use cache::GpCache;
 pub use features::ModelInput;
-pub use gp::{GaussianProcess, GpOptions, PredictScratch};
+pub use gp::{GaussianProcess, GpOptions};
 pub use mean::MeanFn;
 pub use rf::{RandomForestClassifier, RandomForestRegressor, RfOptions};
 

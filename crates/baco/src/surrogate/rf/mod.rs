@@ -89,7 +89,7 @@ fn encode_rows(space: &SearchSpace, configs: &[Configuration]) -> Vec<Vec<f64>> 
         .iter()
         .map(|c| {
             let mut row = Vec::new();
-            ModelInput::encode_flat(space, c, true, &mut row);
+            ModelInput::encode_flat(space, c, &mut row);
             row
         })
         .collect()
@@ -107,7 +107,6 @@ fn forest_predict(trees: &[DecisionTree], features: &[f64]) -> (f64, f64) {
 #[derive(Debug)]
 pub struct RandomForestRegressor {
     trees: Vec<DecisionTree>,
-    use_transforms: bool,
 }
 
 impl RandomForestRegressor {
@@ -125,14 +124,13 @@ impl RandomForestRegressor {
         let x = encode_rows(space, configs);
         Ok(RandomForestRegressor {
             trees: fit_forest(&x, y, opts, rng)?,
-            use_transforms: true,
         })
     }
 
     /// Posterior mean and across-tree variance at `cfg`.
     pub fn predict_config(&self, space: &SearchSpace, cfg: &Configuration) -> (f64, f64) {
         let mut f = Vec::new();
-        ModelInput::encode_flat(space, cfg, self.use_transforms, &mut f);
+        ModelInput::encode_flat(space, cfg, &mut f);
         forest_predict(&self.trees, &f)
     }
 
@@ -152,7 +150,6 @@ impl RandomForestRegressor {
 #[derive(Debug)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTree>,
-    use_transforms: bool,
 }
 
 impl RandomForestClassifier {
@@ -171,7 +168,6 @@ impl RandomForestClassifier {
         let y: Vec<f64> = feasible.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
         Ok(RandomForestClassifier {
             trees: fit_forest(&x, &y, opts, rng)?,
-            use_transforms: true,
         })
     }
 
@@ -190,7 +186,7 @@ impl RandomForestClassifier {
         cfgs.iter()
             .map(|cfg| {
                 f.clear();
-                ModelInput::encode_flat(space, cfg, self.use_transforms, &mut f);
+                ModelInput::encode_flat(space, cfg, &mut f);
                 let sum = self.trees.iter().map(|t| t.predict(&f)).sum::<f64>();
                 (sum / self.trees.len() as f64).clamp(0.0, 1.0)
             })
@@ -282,15 +278,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let configs: Vec<_> = (0..60).map(|_| s.sample_dense(&mut rng)).collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for use_transforms in [true, false] {
-            // Encoding appends after whatever the buffer already holds.
-            let mut f = vec![-1.0];
-            for c in &configs {
-                f.truncate(1);
-                ModelInput::encode_flat(&s, c, use_transforms, &mut f);
-                let reference = ModelInput::from_config(&s, c, use_transforms).flat_features();
-                assert_eq!(bits(&f[1..]), bits(&reference), "{c:?}");
-            }
+        // Encoding appends after whatever the buffer already holds.
+        let mut f = vec![-1.0];
+        for c in &configs {
+            f.truncate(1);
+            ModelInput::encode_flat(&s, c, &mut f);
+            let reference = ModelInput::from_config(&s, c, true).flat_features();
+            assert_eq!(bits(&f[1..]), bits(&reference), "{c:?}");
         }
         let labels: Vec<bool> = configs.iter().map(|c| c.value("x").as_f64() < 12.0).collect();
         let (train, cands) = configs.split_at(30);

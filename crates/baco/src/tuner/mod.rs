@@ -9,9 +9,8 @@
 //! maximizing the acquisition with the earlier picks excluded and
 //! fantasized into the models (see [`batch`]). A `q = 1` round is the
 //! paper's sequential step. Each round refits from scratch on the whole
-//! history; the [`GpCache`] carries only distance tables and prediction
-//! buffers between rounds, and candidates are scored through the
-//! surrogate's bulk posterior
+//! history; the [`GpCache`] carries only distance tables between rounds,
+//! and candidates are scored through the surrogate's bulk posterior
 //! (`FittedModel::predict_batch` in [`crate::surrogate`]).
 //!
 //! Two drivers call it. The closed loops ([`Baco::run`],

@@ -174,6 +174,13 @@ impl Session {
         &self.engine.report
     }
 
+    /// Whether the session's journal closed after a failed append: every
+    /// later proposal and report then fails [`Error::Io`] until the session
+    /// is resumed from the journal ([`Session::resume`]).
+    pub fn journal_closed(&self) -> bool {
+        self.engine.closed_writer().is_some()
+    }
+
     /// The tuner this session drives (space, options, sampler).
     pub fn tuner(&self) -> &Baco {
         &self.tuner
@@ -217,6 +224,9 @@ impl Session {
     /// # Errors
     /// Propagates surrogate-fitting failures, journal-append failures, and
     /// any journal failure deferred from an earlier [`Session::report`].
+    /// Once the journal has closed ([`Session::journal_closed`]) a
+    /// non-empty round fails [`Error::Io`] up front, leaving the RNG
+    /// stream, the DoE queue and the pending set untouched.
     pub fn suggest_batch(&mut self, q: usize) -> Result<Vec<Configuration>> {
         if let Some(e) = self.deferred.take() {
             return Err(e);
@@ -224,6 +234,11 @@ impl Session {
         let q = q.min(self.remaining_budget());
         if q == 0 {
             return Ok(Vec::new());
+        }
+        // A closed journal would refuse the round's propose record: fail
+        // before drawing from the DoE queue, the RNG or the models.
+        if let Some(w) = self.engine.closed_writer() {
+            return Err(w.closed_error());
         }
         let t0 = Instant::now();
         let e = &mut self.engine;
@@ -569,10 +584,13 @@ mod tests {
         let mut reference = Session::new(tuner(&dir.join("ref.jsonl"))).unwrap();
         drive(&mut reference);
 
-        for (k, f) in [Fault::ShortWrite, Fault::FailedSync].into_iter().enumerate() {
+        // Faults during the DoE (one designed sample still queued) and in
+        // the model phase.
+        let cases = [(Fault::ShortWrite, 5), (Fault::FailedSync, 5), (Fault::FailedSync, 2)];
+        for (k, (f, at)) in cases.into_iter().enumerate() {
             let path = dir.join(format!("s{k}.jsonl"));
             let mut s = Session::new(tuner(&path)).unwrap();
-            for _ in 0..5 {
+            for _ in 0..at {
                 let c = s.ask().unwrap().unwrap();
                 let v = obj(&c);
                 s.try_report(c, Evaluation::feasible(v)).unwrap();
@@ -582,18 +600,24 @@ mod tests {
             fault::arm(f);
             let err = s.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap_err();
             assert!(matches!(err, Error::Io(_)), "{f:?}: {err}");
-            assert_eq!(s.history().len(), 6, "the trial stays in memory");
+            assert_eq!(s.history().len(), at + 1, "the trial stays in memory");
+            assert!(s.journal_closed());
 
             // The file holds exactly the acknowledged records, no torn tail.
             assert_eq!(std::fs::read(&path).unwrap(), acknowledged, "{f:?}");
             let loaded = Journal::load(&path, &space()).unwrap();
             assert!(!loaded.torn_tail);
-            assert_eq!(loaded.trials.len(), 5);
+            assert_eq!(loaded.trials.len(), at);
 
-            // Closed to appends: later proposals and reports fail typed and
-            // leave the file alone.
+            // Closed to appends: later proposals fail typed before drawing
+            // anything — RNG stream, pending set and DoE queue stay as they
+            // were — and reports fail typed; the file is left alone.
+            let state = |s: &Session| (s.engine.rng.state(), s.pending(), s.doe_queue.clone());
+            let before = state(&s);
+            assert_eq!(before.2.is_empty(), at >= 4, "{f:?} at {at}");
             for _ in 0..2 {
                 assert!(matches!(s.suggest_batch(2).unwrap_err(), Error::Io(_)), "{f:?}");
+                assert!(state(&s) == before, "{f:?} at {at}: the refused round drew");
             }
             let err = s.try_report(cfg.clone(), Evaluation::infeasible()).unwrap_err();
             assert!(err.to_string().contains("resume"), "{err}");
@@ -603,11 +627,12 @@ mod tests {
             // proposal is rolled back and asked again, and the finished
             // session matches the uninterrupted one bit for bit.
             let mut resumed = Session::resume(tuner(&path)).unwrap();
-            assert_eq!(resumed.history().len(), 5);
+            assert!(!resumed.journal_closed());
+            assert_eq!(resumed.history().len(), at);
             assert_eq!(resumed.ask().unwrap(), Some(cfg.clone()));
             resumed.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap();
             drive(&mut resumed);
-            assert_eq!(sig(resumed.history()), sig(reference.history()), "{f:?}");
+            assert_eq!(sig(resumed.history()), sig(reference.history()), "{f:?} at {at}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -223,6 +223,11 @@ impl Engine {
             .map(|e| &e.config)
     }
 
+    /// The journal writer, once it has closed after a failed append.
+    pub(super) fn closed_writer(&self) -> Option<&JournalWriter> {
+        self.writer.as_ref().filter(|w| w.is_closed())
+    }
+
     /// Durably journals one proposal round (when journaling), then appends
     /// it to the engine. `anchors` is empty for every round but a
     /// speculative draft.

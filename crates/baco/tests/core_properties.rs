@@ -140,10 +140,9 @@ proptest! {
         let gp = GaussianProcess::fit(&space, &configs, &y, &GpOptions::default(), &mut rng)
             .unwrap();
         let probes: Vec<_> = (0..30).map(|_| space.sample_dense(&mut rng)).collect();
-        let inputs = gp.featurize(&probes);
-        let batch = gp.predict_batch(&inputs);
-        for (x, (bm, bv)) in inputs.iter().zip(&batch) {
-            let (sm, sv) = gp.predict_input(x);
+        let batch = gp.predict_batch_configs(&probes);
+        for (p, (bm, bv)) in probes.iter().zip(&batch) {
+            let (sm, sv) = gp.predict(p);
             prop_assert!((sm - bm).abs() <= 1e-10 * (1.0 + sm.abs()), "mean {sm} vs {bm}");
             prop_assert!((sv - bv).abs() <= 1e-10 * (1.0 + sv.abs()), "var {sv} vs {bv}");
         }

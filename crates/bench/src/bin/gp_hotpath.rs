@@ -1,6 +1,8 @@
 //! GP hot-path microbenchmark: batched vs scalar posterior prediction and
 //! the cost of one surrogate fit, at training-set sizes
-//! n ∈ {20, 60, 150, 400}.
+//! n ∈ {20, 60, 150, 400}. Prediction is timed through the GP's two entry
+//! points, `predict` per candidate against `predict_batch_configs` over the
+//! whole probe slice, so featurization is counted on both sides.
 //!
 //! Writes a machine-readable summary to `BENCH_gp_hotpath.json` (override
 //! with `--out PATH`); the JSON carries per-size medians plus the headline
@@ -9,7 +11,7 @@
 //! Run with: `cargo run --release -p baco-bench --bin gp_hotpath`
 
 use baco::space::SearchSpace;
-use baco::surrogate::{GaussianProcess, GpOptions, PredictScratch};
+use baco::surrogate::{GaussianProcess, GpOptions};
 use baco_bench::emit;
 use baco_bench::stats::median_secs;
 use rand::rngs::StdRng;
@@ -38,7 +40,7 @@ fn objective(c: &baco::Configuration) -> f64 {
     1.0 + (t - 3.0).powi(2) + 0.3 * (u - 5.0).abs() + 0.01 * ch + 0.2 * p
 }
 
-/// Median seconds of `reps` timed runs of `f`.
+/// Per-candidate prediction cost at one training-set size.
 struct PredictRow {
     n: usize,
     scalar_ns: f64,
@@ -61,25 +63,21 @@ fn bench_predict(sp: &SearchSpace) -> Vec<PredictRow> {
             .collect();
         let gp = GaussianProcess::fit(sp, &configs, &y, &GpOptions::default(), &mut rng).unwrap();
         let probes: Vec<_> = (0..N_PROBES).map(|_| sp.sample_dense(&mut rng)).collect();
-        let inputs = gp.featurize(&probes);
 
         let reps = if n >= 150 { 7 } else { 15 };
         let scalar = median_secs(reps, || {
-            for x in &inputs {
-                black_box(gp.predict_input(black_box(x)));
+            for p in &probes {
+                black_box(gp.predict(black_box(p)));
             }
         });
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::with_capacity(inputs.len());
         let batch = median_secs(reps, || {
-            gp.predict_batch_into(black_box(&inputs), &mut scratch, &mut out);
-            black_box(&out);
+            black_box(gp.predict_batch_configs(black_box(&probes)));
         });
 
         // Sanity: the two paths must agree before we compare their speed.
-        let batch_res = gp.predict_batch(&inputs);
-        for (x, (bm, bv)) in inputs.iter().zip(&batch_res) {
-            let (sm, sv) = gp.predict_input(x);
+        let batch_res = gp.predict_batch_configs(&probes);
+        for (p, (bm, bv)) in probes.iter().zip(&batch_res) {
+            let (sm, sv) = gp.predict(p);
             assert!((sm - bm).abs() <= 1e-9 * (1.0 + sm.abs()), "n={n}: {sm} vs {bm}");
             assert!((sv - bv).abs() <= 1e-9 * (1.0 + sv.abs()), "n={n}: {sv} vs {bv}");
         }
