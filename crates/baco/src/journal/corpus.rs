@@ -5,7 +5,7 @@
 //! crash-safe JSONL file per session (the tuning server's `journal_dir`
 //! layout). This module turns that directory into a *corpus*: every journal
 //! is summarized (structural space fingerprint, objective count,
-//! completed-trial count, best observed value, content hash), so a new
+//! completed-trial count, best observed value), so a new
 //! session can ask "which archived runs tuned a structurally identical
 //! space?" and seed itself from their trials (see `BacoOptions::transfer`).
 //!
@@ -135,10 +135,6 @@ pub struct CorpusEntry {
     /// Best feasible finite primary-objective value observed (`None` when
     /// no trial qualifies).
     pub best: Option<f64>,
-    /// FNV-1a over the journal's clean byte prefix — the per-file term of a
-    /// transfer snapshot hash. Stable across crash/resume cycles that only
-    /// truncate a torn tail.
-    pub content: u64,
 }
 
 /// The scanned corpus: healthy session summaries plus the typed skip list.
@@ -163,20 +159,6 @@ impl Corpus {
             })
             .take(max)
             .collect()
-    }
-
-    /// The corpus snapshot hash over a chosen donor list: an FNV-1a fold of
-    /// each donor's `(session, content)` in list order. Recorded in the
-    /// journal header's transfer digest; recomputed (and required to match)
-    /// at resume.
-    pub fn snapshot(donors: &[&CorpusEntry]) -> u64 {
-        let mut bytes = Vec::new();
-        for d in donors {
-            bytes.extend_from_slice(d.session.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&d.content.to_le_bytes());
-        }
-        fnv1a(&bytes)
     }
 }
 
@@ -232,7 +214,6 @@ pub fn classify_bytes(session: &str, bytes: &[u8]) -> std::result::Result<Corpus
             .map_or(1, |v| v as usize),
         trials: journal.trials.len(),
         best,
-        content: fnv1a(&bytes[..usize::try_from(journal.clean_len).unwrap_or(bytes.len())]),
     })
 }
 
@@ -273,7 +254,10 @@ pub fn scan(dir: &Path) -> Result<Corpus> {
 
 /// Loads one donor journal by session id, decoding its trials **against the
 /// live space** (valid whenever the fingerprints match — parameter order may
-/// differ, decoding is by name), and returns it with its content hash.
+/// differ, decoding is by name), and returns it with its content hash:
+/// FNV-1a over the journal's clean byte prefix, the per-donor term of the
+/// transfer snapshot hash, stable across crash/resume cycles that only
+/// truncate a torn tail.
 ///
 /// # Errors
 /// [`Error::Io`] when the file is missing or unreadable,

@@ -1,7 +1,9 @@
 //! Crash-safe run journaling: the append-only JSONL record of a tuning run
-//! that [`Baco::resume`](crate::tuner::Baco::resume) and
-//! [`Session::resume`](crate::tuner::Session::resume) reconstruct optimizer
-//! state from.
+//! that [`Baco::run`](crate::tuner::Baco::run),
+//! [`Baco::run_batched`](crate::tuner::Baco::run_batched) and
+//! [`Session::new`](crate::tuner::Session::new) reconstruct optimizer state
+//! from when [`BacoOptions::resume`](crate::tuner::BacoOptions::resume) is
+//! set.
 //!
 //! # Why
 //!
@@ -62,19 +64,21 @@
 //! let bb = FnBlackBox::new(|c: &Configuration| {
 //!     Evaluation::feasible((c.value("x").as_f64() - 11.0).powi(2))
 //! });
+//! // With no journal on disk yet, a resuming tuner starts fresh.
 //! let tuner = Baco::builder(space.clone())
 //!     .budget(8)
 //!     .doe_samples(3)
 //!     .seed(1)
 //!     .journal_path(&path)
+//!     .resume(true)
 //!     .build()?;
 //! let report = tuner.run(&bb)?;
 //!
 //! // The journal now replays to the exact same history …
 //! let journal = baco::journal::Journal::load(&path, &space)?;
 //! assert_eq!(journal.trials.len(), 8);
-//! // … and `resume` continues a finished run as a no-op.
-//! let resumed = tuner.resume(&bb)?;
+//! // … and a second run continues the finished one as a no-op.
+//! let resumed = tuner.run(&bb)?;
 //! assert_eq!(resumed.len(), report.len());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), baco::Error>(())

@@ -20,7 +20,7 @@
 //! * **Durability** — with [`ServerOptions::journal_dir`] set, each session
 //!   is backed by its own PR 3 journal (`<dir>/<session>.jsonl`). Kill the
 //!   daemon — even mid-round — and a restarted server resumes every session
-//!   via [`Session::resume`] semantics: `create_session` with
+//!   the way [`Session::new`] resumes: `create_session` with
 //!   `"resume": true` reconstructs history, RNG stream and DoE queue, so a
 //!   sequential driver's continued trajectory is bit-for-bit identical to an
 //!   uninterrupted run. A live session whose journal closed after a failed
@@ -75,7 +75,7 @@ pub use sys::raise_nofile_limit;
 
 use crate::journal::json::Json;
 use crate::journal::{self, Journal};
-use crate::tuner::{Baco, BacoOptions, Evaluation, Session};
+use crate::tuner::{Baco, BacoOptions, Evaluation, Session, TuningReport};
 use crate::{Error, Result};
 use proto::{Envelope, ErrorKind, Request, WireError};
 use registry::{lock_slot, Registry};
@@ -233,17 +233,7 @@ impl ServerHandle {
                         })
                         .collect();
                     let mut fields = vec![("front".into(), Json::Arr(front))];
-                    // No reference point means the dominated hypervolume is
-                    // undefined, not an error: reply with an explicit `null`
-                    // plus a typed note so clients can tell "not configured"
-                    // apart from "front is empty".
-                    match history.hypervolume_vs_ref() {
-                        Some(hv) => fields.push(("hypervolume".into(), Json::Num(hv))),
-                        None => {
-                            fields.push(("hypervolume".into(), Json::Null));
-                            fields.push(("note".into(), Json::Str("no_reference_point".into())));
-                        }
-                    }
+                    hypervolume_fields(history, &mut fields);
                     return Ok(fields);
                 }
                 Ok(match history.best() {
@@ -267,27 +257,14 @@ impl ServerHandle {
                 if s.journal_closed() {
                     fields.push(("journal_closed".into(), Json::Bool(true)));
                 }
-                // Transfer-enabled sessions report where their prior came
-                // from; cold sessions omit the fields entirely.
-                if let Some((donors, donor_trials)) = s.tuner().transfer_donors() {
-                    fields.push(("transfer_donors".into(), Json::Num(donors as f64)));
-                    fields.push(("donor_trials".into(), Json::Num(donor_trials as f64)));
-                }
+                transfer_fields(s.tuner(), &mut fields);
                 if s.tuner().options().objectives > 1 {
                     let history = s.history();
                     fields.push((
                         "front_size".into(),
                         Json::Num(history.pareto_front().len() as f64),
                     ));
-                    // Mirrors `best`: hypervolume is `null` (with the same
-                    // typed note) when the session has no reference point.
-                    match history.hypervolume_vs_ref() {
-                        Some(hv) => fields.push(("hypervolume".into(), Json::Num(hv))),
-                        None => {
-                            fields.push(("hypervolume".into(), Json::Null));
-                            fields.push(("note".into(), Json::Str("no_reference_point".into())));
-                        }
-                    }
+                    hypervolume_fields(history, &mut fields);
                 }
                 Ok(fields)
             }),
@@ -427,20 +404,14 @@ impl ServerHandle {
                 return Err(WireError::from_error(&e));
             }
         };
-        let len = session.history().len();
-        let remaining = session.remaining_budget();
-        let donors = session.tuner().transfer_donors();
-        *guard = Some(session);
         let mut fields = vec![
             ("session".into(), Json::Str(name.to_string())),
             ("resumed".into(), Json::Bool(resumed)),
-            ("len".into(), Json::Num(len as f64)),
-            ("remaining".into(), Json::Num(remaining as f64)),
+            ("len".into(), Json::Num(session.history().len() as f64)),
+            ("remaining".into(), Json::Num(session.remaining_budget() as f64)),
         ];
-        if let Some((donors, donor_trials)) = donors {
-            fields.push(("transfer_donors".into(), Json::Num(donors as f64)));
-            fields.push(("donor_trials".into(), Json::Num(donor_trials as f64)));
-        }
+        transfer_fields(session.tuner(), &mut fields);
+        *guard = Some(session);
         Ok(fields)
     }
 
@@ -467,6 +438,29 @@ impl ServerHandle {
             let _ = addr;
             Err(Error::Io("the TCP front end needs a Unix host (epoll or poll(2))".into()))
         }
+    }
+}
+
+/// The multi-objective quality fields of `best` and `status`: the dominated
+/// hypervolume. Without a reference point it is undefined, not an error:
+/// an explicit `null` plus a typed note lets clients tell "not configured"
+/// apart from "front is empty".
+fn hypervolume_fields(history: &TuningReport, fields: &mut Vec<(String, Json)>) {
+    match history.hypervolume_vs_ref() {
+        Some(hv) => fields.push(("hypervolume".into(), Json::Num(hv))),
+        None => {
+            fields.push(("hypervolume".into(), Json::Null));
+            fields.push(("note".into(), Json::Str("no_reference_point".into())));
+        }
+    }
+}
+
+/// The transfer fields of `create_session` and `status`: where a
+/// transfer-enabled session's prior came from. Cold sessions omit them.
+fn transfer_fields(tuner: &Baco, fields: &mut Vec<(String, Json)>) {
+    if let Some((donors, donor_trials)) = tuner.transfer_donors() {
+        fields.push(("transfer_donors".into(), Json::Num(donors as f64)));
+        fields.push(("donor_trials".into(), Json::Num(donor_trials as f64)));
     }
 }
 

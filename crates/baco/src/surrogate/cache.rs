@@ -8,6 +8,10 @@
 //! [`GpCache`] keeps them across iterations and extends them by one
 //! row/column per new observation instead of rebuilding them. It holds
 //! nothing else: fitted models share no prediction buffers through it.
+//! Because the tables ignore the targets, the per-objective models of a
+//! multi-objective round, all fitted on the same points, share one set.
+//! The tables cover exactly the points of the last fit; a budgeted tuner
+//! never fits more than its `surrogate_budget`, which bounds them.
 //!
 //! The cache is defensive: if the data it sees is not an extension of what it
 //! remembers (restarted tuner, different options, shuffled history), it
@@ -65,14 +69,6 @@ pub struct GpCache {
     inputs: Vec<ModelInput>,
     /// Per-dimension squared distances, each `n × n`.
     d2: Vec<Matrix>,
-    /// Sub-caches for the value models of objectives 1… of a multi-objective
-    /// run (this cache itself serves objective 0), created on demand by
-    /// [`GpCache::for_objective`]. Always empty for single-objective runs.
-    extra: Vec<GpCache>,
-    /// Hard cap on how many training points the distance tables may cover —
-    /// the tuner sets it to its `surrogate_budget` so a long-lived session
-    /// can never accumulate O(n²·d) table memory. `None` = unbounded.
-    max_points: Option<usize>,
 }
 
 impl Default for GpCache {
@@ -84,45 +80,16 @@ impl Default for GpCache {
 impl GpCache {
     /// An empty cache; the first fit through it builds the tables.
     pub fn new() -> Self {
-        Self::with_budget(None)
-    }
-
-    /// An empty cache whose distance tables are clamped to `budget` training
-    /// points (see [`GpCache::max_points`]). `None` is [`GpCache::new`].
-    pub fn with_budget(budget: Option<usize>) -> Self {
         GpCache {
             fingerprint: None,
             inputs: Vec::new(),
             d2: Vec::new(),
-            extra: Vec::new(),
-            max_points: budget,
         }
     }
 
-    /// The table cap this cache enforces, if any.
-    pub fn max_points(&self) -> Option<usize> {
-        self.max_points
-    }
-
-    /// The sub-cache serving objective `k` of a multi-objective run: `0` is
-    /// this cache itself; higher indices are created (empty) on first use.
-    /// Lets the per-iteration loops keep holding **one** `GpCache` while the
-    /// tuner maintains one incrementally-refitted GP per objective.
-    /// Sub-caches inherit the table cap.
-    pub fn for_objective(&mut self, k: usize) -> &mut GpCache {
-        if k == 0 {
-            return self;
-        }
-        while self.extra.len() < k {
-            self.extra.push(GpCache::with_budget(self.max_points));
-        }
-        &mut self.extra[k - 1]
-    }
-
-    /// Drops the cached tables. The table cap survives — a reset must not
-    /// reintroduce unbounded growth.
+    /// Drops the cached tables.
     pub fn reset(&mut self) {
-        *self = GpCache::with_budget(self.max_points);
+        *self = GpCache::new();
     }
 
     /// Number of training points the distance tables currently cover.
@@ -187,24 +154,11 @@ impl GpCache {
         self.inputs = inputs.to_vec();
     }
 
-    /// Drops over-budget tables after a fit. The budgeted tuner never feeds
-    /// more than `max_points` inputs (the active-set selector caps them), but
-    /// a direct `fit_with_cache` caller might. The fit itself is allowed to
-    /// run over-budget; the over-sized tables are just not retained, so
-    /// steady-state memory stays bounded.
-    pub(crate) fn clamp_to_budget(&mut self) {
-        if self.max_points.is_some_and(|cap| self.inputs.len() > cap) {
-            self.reset();
-        }
-    }
-
-    /// Rough heap footprint of the cached tables (this cache plus its
-    /// per-objective sub-caches), for memory-bound tests and diagnostics.
+    /// Rough heap footprint of the cached tables, for memory-bound tests
+    /// and diagnostics.
     pub fn memory_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
         let n = self.inputs.len();
-        let tables: usize = self.d2.iter().map(|_| n * n * f).sum();
-        tables + self.extra.iter().map(GpCache::memory_bytes).sum::<usize>()
+        self.d2.len() * n * n * std::mem::size_of::<f64>()
     }
 }
 

@@ -299,7 +299,6 @@ impl GaussianProcess {
         // current data (restarted tuner, changed options, …).
         cache.sync_distances(&inputs, d, opts.perm_metric, opts.input_transforms);
         let (lengthscales, outputscale, noise, chol, alpha) = Self::full_fit(&ys, opts, rng, cache)?;
-        cache.clamp_to_budget();
         let train_views = (0..d).map(|k| ModelInput::dim_view(&inputs, k)).collect();
         Ok(GaussianProcess {
             space: space.clone(),

@@ -270,10 +270,11 @@ impl Baco {
     /// With [`BacoOptions::journal_path`](super::BacoOptions::journal_path)
     /// set, rounds and evaluations are durably journaled exactly as in
     /// [`Baco::run`]; results are journaled in *completion* order, so a
-    /// resumed journal replays the run as it actually unfolded. With
-    /// `eval_threads <= 1` completion order equals submission order and the
-    /// resume-anywhere bitwise guarantee of the sequential loop carries over
-    /// to any batch size and depth.
+    /// resumed journal replays the run as it actually unfolded, re-dispatching
+    /// whatever was proposed but had not landed. With `eval_threads <= 1`
+    /// completion order equals submission order and the resume-anywhere
+    /// bitwise guarantee of the sequential loop carries over to any batch
+    /// size and depth.
     ///
     /// # Errors
     /// Propagates surrogate-fitting failures and journal errors. Black-box
@@ -281,19 +282,7 @@ impl Baco {
     /// errors.
     pub fn run_batched(&self, bb: &(dyn BlackBox + Sync)) -> Result<TuningReport> {
         let (q, depth) = (self.opts.batch_size.max(1), self.opts.speculation_depth);
-        self.closed_loop(Evaluator::Shared(bb), q, depth, self.opts.resume)
-    }
-
-    /// Resumes a batched run from its journal; the batched analogue of
-    /// [`Baco::resume`] (same reconstruction, same guarantees, including
-    /// re-dispatching whatever was proposed but had not landed).
-    ///
-    /// # Errors
-    /// As [`Baco::resume`].
-    pub fn resume_batched(&self, bb: &(dyn BlackBox + Sync)) -> Result<TuningReport> {
-        self.require_journal()?;
-        let (q, depth) = (self.opts.batch_size.max(1), self.opts.speculation_depth);
-        self.closed_loop(Evaluator::Shared(bb), q, depth, true)
+        self.closed_loop(Evaluator::Shared(bb), q, depth)
     }
 }
 

@@ -86,7 +86,7 @@ impl Evaluation {
 
     /// Whether every measured objective is finite. A "feasible" evaluation
     /// carrying NaN/±inf is a measurement failure — the core ingestion paths
-    /// (`TuningReport::push`, `Session::report`, the closed loops) demote or
+    /// (`TuningReport::push`, `Session::try_report`, the closed loops) demote or
     /// reject it so it can never reach the surrogate.
     pub fn is_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())

@@ -9,19 +9,22 @@
 //! maximizing the acquisition with the earlier picks excluded and
 //! fantasized into the models (see [`batch`]). A `q = 1` round is the
 //! paper's sequential step. Each round refits from scratch on the whole
-//! history; the [`GpCache`] carries only distance tables between rounds,
-//! and candidates are scored through the surrogate's bulk posterior
+//! history; the [`GpCache`] carries only distance tables between rounds
+//! (one set, which every objective's model shares), and candidates are
+//! scored through the surrogate's bulk posterior
 //! (`FittedModel::predict_batch` in [`crate::surrogate`]).
 //!
-//! Two drivers call it. The closed loops ([`Baco::run`],
-//! [`Baco::run_batched`] and their resumes) are one engine, [`speculate`],
-//! which evaluates rounds on an [`eval::pool`](crate::eval::pool) and folds
-//! results in as they complete: `run` is its batch size 1 with no
-//! speculation, so with [`BacoOptions::batch_size`] `== 1` and the default
+//! Two drivers call it. The closed loops ([`Baco::run`] and
+//! [`Baco::run_batched`]) are one engine, [`speculate`], which evaluates
+//! rounds on an [`eval::pool`](crate::eval::pool) and folds results in as
+//! they complete: `run` is its batch size 1 with no speculation, so with
+//! [`BacoOptions::batch_size`] `== 1` and the default
 //! [`BacoOptions::speculation_depth`] the batched loop reproduces the
 //! sequential trajectory bit for bit. [`Session`] is the open loop: its
 //! caller asks for rounds ([`Session::ask`], [`Session::suggest_batch`])
-//! and reports their results.
+//! and reports their results ([`Session::try_report`]). Either driver
+//! continues its journal instead of starting over when
+//! [`BacoOptions::resume`] is set.
 //!
 //! ```
 //! use baco::prelude::*;
@@ -174,7 +177,8 @@ pub struct BacoOptions {
     /// and the in-flight round so the continued trajectory is bit-identical
     /// to an uninterrupted run. With no journal on disk the run starts
     /// fresh (and begins journaling), which is what a `--resume` CLI flag
-    /// wants on the first launch.
+    /// wants on the first launch. Requires a `journal_path`:
+    /// [`BacoBuilder::build`] refuses `resume` without one.
     pub resume: bool,
     /// Caps the GP training set at this many points per round, bounding
     /// per-round surrogate cost at O(budget³) no matter how long the session
@@ -435,7 +439,7 @@ impl BacoBuilder {
     }
 
     /// Resumes from the journal when one exists (see
-    /// [`BacoOptions::resume`]).
+    /// [`BacoOptions::resume`]); needs a [`BacoBuilder::journal_path`].
     pub fn resume(mut self, on: bool) -> Self {
         self.opts.resume = on;
         self
@@ -477,11 +481,18 @@ impl BacoBuilder {
     /// [`Error::InvalidConfig`] for an option out of range (a zero budget
     /// or objective count, a reference point of the wrong length or with a
     /// non-finite entry, a surrogate budget below [`MIN_SURROGATE_BUDGET`],
-    /// a speculation depth above [`MAX_SPECULATION_DEPTH`]) or a space
-    /// without parameters; CoT construction errors for unsatisfiable or
-    /// oversized known constraints.
+    /// a speculation depth above [`MAX_SPECULATION_DEPTH`]), `resume`
+    /// without a journal path, or a space without parameters; CoT
+    /// construction errors for unsatisfiable or oversized known
+    /// constraints.
     pub fn build(self) -> Result<Baco> {
         self.opts.validate()?;
+        // Not in `validate`: the server names the journal after validating.
+        if self.opts.resume && self.opts.journal_path.is_none() {
+            return Err(Error::InvalidConfig(
+                "resume requires BacoOptions::journal_path".into(),
+            ));
+        }
         if self.space.is_empty() {
             return Err(Error::InvalidConfig("search space has no parameters".into()));
         }
@@ -542,8 +553,12 @@ impl Baco {
     /// `batch_size == 1` and depth 0 produces the bit-identical trajectory.
     ///
     /// With [`BacoOptions::journal_path`] set, every round and evaluation is
-    /// durably journaled; with [`BacoOptions::resume`] also set, an existing
-    /// journal is continued instead of restarted (see [`Baco::resume`]).
+    /// durably journaled. With [`BacoOptions::resume`] also set, an existing
+    /// journal is continued instead of restarted: the history, the RNG
+    /// stream and any in-flight proposal are replayed through the same
+    /// engine that wrote them, so the continued trajectory is bit-identical
+    /// to what the uninterrupted run would have produced, and a finished
+    /// journal returns its final report without touching the black box.
     ///
     /// A black box that **panics** is contained: the panic is caught and
     /// the configuration is recorded as an infeasible trial, exactly like a
@@ -551,55 +566,22 @@ impl Baco {
     /// budget.
     ///
     /// # Errors
-    /// Propagates surrogate-fitting failures and journal I/O or corruption
-    /// errors. Black-box failures are not errors — they are
-    /// hidden-constraint observations.
+    /// Propagates surrogate-fitting failures and journal I/O errors;
+    /// [`Error::JournalCorrupt`] when a journal to resume cannot be trusted
+    /// (corrupt records or a determinism-envelope mismatch). Black-box
+    /// failures are not errors — they are hidden-constraint observations.
     pub fn run(&self, bb: &dyn BlackBox) -> Result<TuningReport> {
-        self.closed_loop(Evaluator::Inline(bb), 1, 0, self.opts.resume)
+        self.closed_loop(Evaluator::Inline(bb), 1, 0)
     }
 
-    /// Resumes a sequential run from its journal, reconstructing the
-    /// evaluation history, the RNG stream and any in-flight proposal, then
-    /// continues the loop to the budget. The journal is replayed through the
-    /// same engine that wrote it, so the continued trajectory is
-    /// bit-identical to what the uninterrupted run would have produced; on
-    /// an already-finished journal this is a no-op that returns the final
-    /// report without touching the black box.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] when no [`BacoOptions::journal_path`] is
-    /// configured, [`Error::Io`] when the journal does not exist, and
-    /// [`Error::JournalCorrupt`] when it cannot be trusted (corrupt records
-    /// or a determinism-envelope mismatch).
-    pub fn resume(&self, bb: &dyn BlackBox) -> Result<TuningReport> {
-        self.require_journal()?;
-        self.closed_loop(Evaluator::Inline(bb), 1, 0, true)
-    }
-
-    pub(crate) fn require_journal(&self) -> Result<&std::path::Path> {
-        let Some(path) = self.opts.journal_path.as_deref() else {
-            return Err(Error::InvalidConfig(
-                "resume requires BacoOptions::journal_path".into(),
-            ));
-        };
-        if !crate::journal::Journal::exists(path) {
-            return Err(Error::Io(format!(
-                "{}: journal not found or empty",
-                path.display()
-            )));
-        }
-        Ok(path)
-    }
-
-    /// A fresh surrogate cache honoring this tuner's
-    /// [`surrogate_budget`](BacoBuilder::surrogate_budget): budgeted tuners
-    /// get a cache whose per-dimension distance tables are clamped to the
-    /// active-set size, so long-lived loops hold O(budget²·d) of cache memory
-    /// instead of O(n²·d). Custom loops calling [`Baco::recommend_batch`]
-    /// should create their cache here and keep it across rounds; a fresh
-    /// cache per round proposes the same configurations, only slower.
+    /// A fresh surrogate cache for [`Baco::recommend_batch`]. Custom loops
+    /// should create it here and keep it across rounds; a fresh cache per
+    /// round proposes the same configurations, only slower. Its tables
+    /// cover the round's training points, which a
+    /// [`surrogate_budget`](BacoBuilder::surrogate_budget) caps, so budgeted
+    /// loops hold O(budget²·d) of cache memory instead of O(n²·d).
     pub fn new_cache(&self) -> GpCache {
-        GpCache::with_budget(self.opts.surrogate_budget)
+        GpCache::new()
     }
 
     /// The in-region membership test handed to the candidate search on
@@ -748,10 +730,11 @@ impl Baco {
             None => (feas.iter().map(|t| t.config.clone()).collect(), ys_full, None),
         };
 
+        // Every objective trains on `feas_cfgs`, so one set of distance
+        // tables serves them all.
         let models = ys
             .iter()
-            .enumerate()
-            .map(|(k, y)| self.fit_value_model(rng, &feas_cfgs, y, cache.for_objective(k)))
+            .map(|y| self.fit_value_model(rng, &feas_cfgs, y, cache))
             .collect::<Result<Vec<FittedModel>>>()?;
 
         // Feasibility model, once at least one failure has been observed.
@@ -1256,6 +1239,44 @@ mod tests {
         ));
     }
 
+    /// Every objective of a multi-objective round trains on the same points,
+    /// so the cache holds one set of distance tables, not one per objective.
+    #[test]
+    fn multi_objective_round_keeps_one_table_set() {
+        let tuner = Baco::builder(quadratic_space())
+            .budget(20)
+            .doe_samples(4)
+            .objectives(2)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut report = TuningReport::new("mo");
+        let seen: HashSet<Configuration> = HashSet::new();
+        let n = 8;
+        for cfg in tuner.sampler().sample_batch(&mut rng, n, &seen) {
+            let a = cfg.value("a").as_f64();
+            let b = cfg.value("b").as_f64();
+            report.push(Trial {
+                config: cfg,
+                value: Some(1.0 + a),
+                extra: vec![1.0 + b],
+                feasible: true,
+                eval_time: Default::default(),
+                tuner_time: Default::default(),
+            });
+        }
+        let seen: HashSet<Configuration> =
+            report.trials().iter().map(|t| t.config.clone()).collect();
+        let mut cache = tuner.new_cache();
+        let round = tuner.recommend_batch(&mut rng, &report, &seen, &mut cache, 1).unwrap();
+        assert_eq!(round.len(), 1);
+        assert_eq!(cache.len(), n);
+        let one_set = cache.d2().len() * n * n * std::mem::size_of::<f64>();
+        assert!(one_set > 0);
+        assert_eq!(cache.memory_bytes(), one_set);
+    }
+
     #[test]
     fn budget_larger_than_space_terminates() {
         let space = SearchSpace::builder().integer("x", 0, 4).build().unwrap();
@@ -1294,7 +1315,7 @@ mod tests {
                 for cfg in round {
                     proposed.push(cfg.value("x").as_i64());
                     let eval = bb.evaluate(&cfg);
-                    session.report(cfg, eval);
+                    session.try_report(cfg, eval).unwrap();
                 }
             }
             proposed.sort_unstable();

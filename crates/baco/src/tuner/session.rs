@@ -10,15 +10,16 @@
 //! let mut session = Session::new(Baco::builder(space).budget(12).seed(1).build()?)?;
 //! while let Some(cfg) = session.ask()? {
 //!     let x = cfg.value("x").as_f64();
-//!     session.report(cfg, Evaluation::feasible((x - 11.0).powi(2)));
+//!     session.try_report(cfg, Evaluation::feasible((x - 11.0).powi(2)))?;
 //! }
 //! assert_eq!(session.history().best().unwrap().config.value("x").as_i64(), 11);
 //! # Ok::<(), baco::Error>(())
 //! ```
 //!
 //! For concurrent evaluation backends, [`Session::suggest_batch`] hands out a
-//! whole round of distinct proposals at once; [`Session::report`] accepts
-//! their results **in any order** — neither call blocks on an evaluation:
+//! whole round of distinct proposals at once; [`Session::try_report`]
+//! accepts their results **in any order** — neither call blocks on an
+//! evaluation:
 //!
 //! ```
 //! use baco::prelude::*;
@@ -35,7 +36,7 @@
 //!     // Dispatch `round` to workers; results may come back out of order.
 //!     for cfg in round.into_iter().rev() {
 //!         let x = cfg.value("x").as_f64();
-//!         session.report(cfg, Evaluation::feasible((x - 3.0).powi(2)));
+//!         session.try_report(cfg, Evaluation::feasible((x - 3.0).powi(2)))?;
 //!     }
 //! }
 //! assert_eq!(session.history().len(), 12);
@@ -55,17 +56,17 @@ use std::time::{Duration, Instant};
 /// An incremental tuning session around a configured [`Baco`] tuner.
 ///
 /// Call [`Session::ask`] (or [`Session::suggest_batch`] for a round of `q`
-/// proposals) for configurations to evaluate and [`Session::report`] with
-/// each result as it arrives — out-of-order reporting across a batch is
-/// fully supported. `ask` returns `None` (and `suggest_batch` an empty
-/// round) once the budget is exhausted or the feasible set has been fully
-/// evaluated.
+/// proposals) for configurations to evaluate and [`Session::try_report`]
+/// with each result as it arrives — out-of-order reporting across a batch
+/// is fully supported. Every error comes back from the call that caused
+/// it. `ask` returns `None` (and `suggest_batch` an empty round) once the
+/// budget is exhausted or the feasible set has been fully evaluated.
 ///
 /// The session is an open-loop driver over the same engine state as the
 /// closed loops ([`crate::tuner::speculate`]): proposals are that engine's
 /// journaled rounds, and reports land through its one trial path. What is
 /// the session's own is the DoE, drawn up front and handed out per call,
-/// and the rollback resume ([`Session::resume`]).
+/// and the rollback resume ([`Session::new`]).
 #[derive(Debug)]
 pub struct Session {
     tuner: Baco,
@@ -83,31 +84,17 @@ pub struct Session {
     /// a batch reported sequentially starts each trial's `eval_time` at the
     /// previous report instead of double-counting earlier evaluations.
     last_report: Option<Instant>,
-    /// A failure raised inside the infallible [`Session::report`] — a journal
-    /// append error, or a rejected measurement; surfaced by the next
-    /// fallible call.
-    deferred: Option<Error>,
 }
 
 impl Session {
     /// Starts a session; draws the initial-phase configurations up front.
     ///
     /// With [`BacoOptions::journal_path`](super::BacoOptions::journal_path)
-    /// set, proposals and reports are durably journaled; with
+    /// set, proposals and reports are durably journaled. With
     /// [`BacoOptions::resume`](super::BacoOptions::resume) also set and a
-    /// journal already on disk, the session resumes from it instead (see
-    /// [`Session::resume`]).
-    ///
-    /// # Errors
-    /// Journal creation/load failures ([`Error::Io`],
-    /// [`Error::JournalCorrupt`]).
-    pub fn new(tuner: Baco) -> Result<Self> {
-        let resume = tuner.options().resume;
-        Self::open(tuner, resume)
-    }
-
-    /// Resumes a session from its journal: the reported history, the RNG
-    /// stream and the remaining DoE queue are reconstructed exactly.
+    /// journal already on disk, the session resumes from it instead: the
+    /// reported history, the RNG stream and the remaining DoE queue are
+    /// reconstructed exactly.
     ///
     /// Proposals that were in flight at the crash are *not* kept pending —
     /// the evaluations are gone. Designed (DoE-phase) casualties return to
@@ -119,21 +106,15 @@ impl Session {
     /// uninterrupted trajectory bit for bit from any interruption point.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] without a configured journal path,
-    /// [`Error::Io`] when the journal is missing, and
+    /// Journal creation/load failures ([`Error::Io`]), and
     /// [`Error::JournalCorrupt`] on undecodable or envelope-mismatched
     /// journals.
-    pub fn resume(tuner: Baco) -> Result<Self> {
-        tuner.require_journal()?;
-        Self::open(tuner, true)
-    }
-
-    fn open(tuner: Baco, resume: bool) -> Result<Self> {
+    pub fn new(tuner: Baco) -> Result<Self> {
         // The rollback: every reported trial lands, trailing rounds with no
         // reported configuration are dropped, and the RNG continues from the
         // last kept round.
         let mut kept_rng = None;
-        let mut engine = tuner.start_engine(Mode::Session, resume, |journal, e| {
+        let mut engine = tuner.start_engine(Mode::Session, |journal, e| {
             for tr in &journal.trials {
                 e.record(tr.to_trial())?;
             }
@@ -165,7 +146,6 @@ impl Session {
             last_think: Duration::ZERO,
             think_end: None,
             last_report: None,
-            deferred: None,
         })
     }
 
@@ -176,7 +156,7 @@ impl Session {
 
     /// Whether the session's journal closed after a failed append: every
     /// later proposal and report then fails [`Error::Io`] until the session
-    /// is resumed from the journal ([`Session::resume`]).
+    /// is resumed from the journal (a [`Session::new`] with `resume` set).
     pub fn journal_closed(&self) -> bool {
         self.engine.closed_writer().is_some()
     }
@@ -204,8 +184,7 @@ impl Session {
     /// exhausted or no unevaluated feasible configuration remains.
     ///
     /// # Errors
-    /// Propagates surrogate-fitting failures, journal-append failures, and
-    /// any journal failure deferred from an earlier [`Session::report`].
+    /// Propagates surrogate-fitting failures and journal-append failures.
     pub fn ask(&mut self) -> Result<Option<Configuration>> {
         Ok(self.suggest_batch(1)?.pop())
     }
@@ -222,15 +201,11 @@ impl Session {
     /// the sequential loop exactly.
     ///
     /// # Errors
-    /// Propagates surrogate-fitting failures, journal-append failures, and
-    /// any journal failure deferred from an earlier [`Session::report`].
+    /// Propagates surrogate-fitting failures and journal-append failures.
     /// Once the journal has closed ([`Session::journal_closed`]) a
     /// non-empty round fails [`Error::Io`] up front, leaving the RNG
     /// stream, the DoE queue and the pending set untouched.
     pub fn suggest_batch(&mut self, q: usize) -> Result<Vec<Configuration>> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
-        }
         let q = q.min(self.remaining_budget());
         if q == 0 {
             return Ok(Vec::new());
@@ -276,12 +251,20 @@ impl Session {
         Ok(round)
     }
 
-    /// [`Session::report`] with the objective-ingestion guard surfaced as a
-    /// typed error: a feasible evaluation is **rejected** — nothing is
-    /// recorded, the configuration stays pending — when it carries a
-    /// NaN/±inf objective ([`Error::NonFiniteObjective`]; it would survive
-    /// the log transform as an impossibly good observation and poison the
-    /// surrogate) or the wrong number of objectives
+    /// Reports the outcome of evaluating `cfg` (which should have come from
+    /// [`Session::ask`] or [`Session::suggest_batch`]; foreign
+    /// configurations are accepted and simply added to the history).
+    ///
+    /// Never blocks, and accepts the results of a batch **in any order** —
+    /// the pending set tracks what is still in flight, and the incremental
+    /// surrogate cache absorbs new observations in whatever order they land.
+    ///
+    /// The objective-ingestion guard fails typed: a feasible evaluation is
+    /// **rejected** — nothing is recorded, the configuration stays pending
+    /// and the session carries on as if the call never happened — when it
+    /// carries a NaN/±inf objective ([`Error::NonFiniteObjective`]; it would
+    /// survive the log transform as an impossibly good observation and
+    /// poison the surrogate) or the wrong number of objectives
     /// ([`Error::ObjectiveCountMismatch`]; a mixed-width history corrupts
     /// Pareto-front bookkeeping while staying invisible to the
     /// per-objective models). Callers that measured a failure should report
@@ -292,7 +275,7 @@ impl Session {
     /// [`Session::history`] — only its durable record is missing — and the
     /// failure is returned here; the journal then refuses every later
     /// append, so the session fails typed until it is resumed from the
-    /// acknowledged prefix ([`Session::resume`]).
+    /// acknowledged prefix ([`Session::new`] with `resume` set).
     ///
     /// # Errors
     /// [`Error::NonFiniteObjective`] / [`Error::ObjectiveCountMismatch`] as
@@ -331,26 +314,6 @@ impl Session {
         })
     }
 
-    /// Reports the outcome of evaluating `cfg` (which should have come from
-    /// [`Session::ask`] or [`Session::suggest_batch`]; foreign
-    /// configurations are accepted and simply added to the history).
-    ///
-    /// Never blocks, and accepts the results of a batch **in any order** —
-    /// the pending set tracks what is still in flight, and the incremental
-    /// surrogate cache absorbs new observations in whatever order they land.
-    ///
-    /// When journaling is enabled the outcome is durably appended before
-    /// this returns — also while an earlier failure is still deferred.
-    /// Because `report` is infallible by design, whatever
-    /// [`Session::try_report`] returns — a rejected measurement or a journal
-    /// write failure — is deferred and raised by the next [`Session::ask`] /
-    /// [`Session::suggest_batch`] call instead.
-    pub fn report(&mut self, cfg: Configuration, eval: Evaluation) {
-        if let Err(e) = self.try_report(cfg, eval) {
-            self.deferred.get_or_insert(e);
-        }
-    }
-
     /// Consumes the session, returning the final report.
     pub fn into_report(self) -> TuningReport {
         self.engine.report
@@ -384,7 +347,8 @@ mod tests {
         while let Some(cfg) = s.ask().unwrap() {
             let a = cfg.value("a").as_f64();
             let b = cfg.value("b").as_f64();
-            s.report(cfg, Evaluation::feasible(1.0 + (a - 3.0).powi(2) + (b - 13.0).powi(2)));
+            let v = 1.0 + (a - 3.0).powi(2) + (b - 13.0).powi(2);
+            s.try_report(cfg, Evaluation::feasible(v)).unwrap();
             n += 1;
         }
         assert_eq!(n, 25);
@@ -400,7 +364,7 @@ mod tests {
         let mut seen = HashSet::new();
         while let Some(cfg) = s.ask().unwrap() {
             assert!(seen.insert(cfg.clone()), "repeated {cfg}");
-            s.report(cfg, Evaluation::feasible(1.0));
+            s.try_report(cfg, Evaluation::feasible(1.0)).unwrap();
         }
     }
 
@@ -412,7 +376,7 @@ mod tests {
         let foreign = sp
             .configuration(&[("a", ParamValue::Int(7)), ("b", ParamValue::Int(7))])
             .unwrap();
-        s.report(foreign, Evaluation::feasible(0.5));
+        s.try_report(foreign, Evaluation::feasible(0.5)).unwrap();
         assert_eq!(s.history().len(), 1);
         assert_eq!(s.history().best_value(), Some(0.5));
         // The budget accounts for the told evaluation.
@@ -426,9 +390,9 @@ mod tests {
         while let Some(cfg) = s.ask().unwrap() {
             let a = cfg.value("a").as_i64();
             if a > 7 {
-                s.report(cfg, Evaluation::infeasible());
+                s.try_report(cfg, Evaluation::infeasible()).unwrap();
             } else {
-                s.report(cfg, Evaluation::feasible(1.0 + (7 - a) as f64));
+                s.try_report(cfg, Evaluation::feasible(1.0 + (7 - a) as f64)).unwrap();
             }
         }
         let r = s.into_report();
@@ -439,22 +403,16 @@ mod tests {
     /// Regression for the objective-ingestion bugfix: a NaN/±inf "feasible"
     /// measurement injected through the in-process session must be rejected
     /// with a typed error instead of entering the surrogate — and a rejected
-    /// report must not keep the next valid one out of the journal.
+    /// report leaves no trace: the next `ask` succeeds and the run goes on
+    /// exactly as in a session that never saw it, journal included.
     #[test]
     fn non_finite_reports_are_rejected_with_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("baco-session-nan-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("session.jsonl");
-        let tuner = || {
-            Baco::builder(space())
-                .budget(10)
-                .doe_samples(3)
-                .seed(6)
-                .journal_path(&path)
-                .build()
-                .unwrap()
-        };
-        let mut s = Session::new(tuner()).unwrap();
+        let builder = || Baco::builder(space()).budget(10).doe_samples(3).seed(6);
+        let tuner = |resume: bool| builder().journal_path(&path).resume(resume).build().unwrap();
+        let mut s = Session::new(tuner(false)).unwrap();
         let cfg = s.ask().unwrap().unwrap();
 
         // try_report: immediate typed rejection, nothing recorded, the
@@ -475,21 +433,31 @@ mod tests {
         assert!(s.history().is_empty(), "rejected reports must not enter the history");
         assert_eq!(s.pending(), vec![cfg.clone()]);
 
-        // The infallible report() defers the same typed error to the next
-        // fallible call; a valid report in between still lands.
-        s.report(cfg.clone(), Evaluation::feasible(f64::NAN));
-        assert!(s.history().is_empty());
-        s.report(cfg, Evaluation::feasible(1.0));
-        assert_eq!(s.history().len(), 1);
-        let err = s.ask().unwrap_err();
-        assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{err}");
-
-        // An explicitly infeasible NaN-free report is the sanctioned way to
-        // record a failure, and the loop continues.
-        let next = s.ask().unwrap().unwrap();
-        s.report(next, Evaluation::infeasible());
-        assert_eq!(s.history().len(), 2);
-        assert!(s.ask().unwrap().is_some());
+        // Every later ask succeeds and proposes what a session that never
+        // saw a rejected report proposes, whether the rejection came in the
+        // DoE phase (above) or the model phase (each round below). An
+        // explicitly infeasible report is the sanctioned way to record a
+        // failed measurement.
+        let mut clean = Session::new(builder().build().unwrap()).unwrap();
+        let mut next = Some(cfg);
+        while let Some(c) = next {
+            assert_eq!(clean.ask().unwrap().as_ref(), Some(&c));
+            let n = s.history().len();
+            if n >= 3 {
+                let err = s.try_report(c.clone(), Evaluation::feasible(f64::NAN)).unwrap_err();
+                assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{err}");
+            }
+            let eval = if n == 5 {
+                Evaluation::infeasible()
+            } else {
+                Evaluation::feasible(1.0 + n as f64)
+            };
+            s.try_report(c.clone(), eval.clone()).unwrap();
+            clean.try_report(c, eval).unwrap();
+            next = s.ask().unwrap();
+        }
+        assert_eq!(clean.ask().unwrap(), None);
+        assert_eq!(s.history().len(), 10);
 
         // Every landed report reached the journal, which loads and resumes.
         let sig = |r: &TuningReport| {
@@ -500,8 +468,9 @@ mod tests {
         };
         let journal = Journal::load(&path, &space()).unwrap();
         assert_eq!(journal.trials.len(), s.history().len());
-        let resumed = Session::resume(tuner()).unwrap();
+        let resumed = Session::new(tuner(true)).unwrap();
         assert_eq!(sig(resumed.history()), sig(s.history()));
+        assert_eq!(sig(clean.history()), sig(s.history()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -558,12 +527,13 @@ mod tests {
             let b = c.value("b").as_f64();
             1.0 + (a - 5.0).powi(2) + (b - 9.0).powi(2)
         };
-        let tuner = |path: &std::path::Path| {
+        let tuner = |path: &std::path::Path, resume: bool| {
             Baco::builder(space())
                 .budget(10)
                 .doe_samples(4)
                 .seed(8)
                 .journal_path(path)
+                .resume(resume)
                 .build()
                 .unwrap()
         };
@@ -581,7 +551,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("baco-session-fault-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut reference = Session::new(tuner(&dir.join("ref.jsonl"))).unwrap();
+        let mut reference = Session::new(tuner(&dir.join("ref.jsonl"), false)).unwrap();
         drive(&mut reference);
 
         // Faults during the DoE (one designed sample still queued) and in
@@ -589,7 +559,7 @@ mod tests {
         let cases = [(Fault::ShortWrite, 5), (Fault::FailedSync, 5), (Fault::FailedSync, 2)];
         for (k, (f, at)) in cases.into_iter().enumerate() {
             let path = dir.join(format!("s{k}.jsonl"));
-            let mut s = Session::new(tuner(&path)).unwrap();
+            let mut s = Session::new(tuner(&path, false)).unwrap();
             for _ in 0..at {
                 let c = s.ask().unwrap().unwrap();
                 let v = obj(&c);
@@ -626,7 +596,7 @@ mod tests {
             // Resume continues from the acknowledged prefix: the lost trial's
             // proposal is rolled back and asked again, and the finished
             // session matches the uninterrupted one bit for bit.
-            let mut resumed = Session::resume(tuner(&path)).unwrap();
+            let mut resumed = Session::new(tuner(&path, true)).unwrap();
             assert!(!resumed.journal_closed());
             assert_eq!(resumed.history().len(), at);
             assert_eq!(resumed.ask().unwrap(), Some(cfg.clone()));
@@ -660,8 +630,8 @@ mod tests {
             let b = b_round.pop().unwrap();
             assert_eq!(a, b, "q=1 batch proposal must match ask() bitwise");
             let v = obj(&a);
-            asked.report(a, Evaluation::feasible(v));
-            batched.report(b, Evaluation::feasible(v));
+            asked.try_report(a, Evaluation::feasible(v)).unwrap();
+            batched.try_report(b, Evaluation::feasible(v)).unwrap();
         }
         let seq = |s: &Session| {
             s.history().trials().iter().map(|t| t.config.to_string()).collect::<Vec<_>>()
@@ -701,7 +671,7 @@ mod tests {
                 }
                 for cfg in round {
                     let v = obj(&cfg);
-                    s.report(cfg, Evaluation::feasible(v));
+                    s.try_report(cfg, Evaluation::feasible(v)).unwrap();
                 }
             }
             let best = s.history().best().unwrap().clone();
@@ -738,7 +708,7 @@ mod tests {
         assert_eq!(s.remaining_budget(), 5);
         let c = s.ask().unwrap().unwrap();
         assert_eq!(s.remaining_budget(), 4);
-        s.report(c, Evaluation::feasible(1.0));
+        s.try_report(c, Evaluation::feasible(1.0)).unwrap();
         assert_eq!(s.remaining_budget(), 4);
     }
 }

@@ -1,12 +1,12 @@
 //! The tuning engine behind every loop. Its state — history, RNG stream,
 //! surrogate cache, proposal rounds and journal writer — is opened by one
-//! path (`Baco::start_engine`: create the journal, or load, validate and
+//! path (`Baco::start_engine`: create the journal, or, with
+//! [`BacoOptions::resume`] set and a journal on disk, load, validate and
 //! replay it), grows by journaled propose records, and lands every trial
 //! through one path (`Engine::record`).
 //!
-//! Two drivers evolve it. The closed loop behind [`Baco::run`],
-//! [`Baco::resume`], [`Baco::run_batched`] and [`Baco::resume_batched`]
-//! proposes rounds of `q` configurations, evaluates them on an
+//! Two drivers evolve it. The closed loop behind [`Baco::run`] and
+//! [`Baco::run_batched`] proposes rounds of `q` configurations, evaluates them on an
 //! [`EvalPool`], folds completions into the model in the order they land,
 //! and speculates up to [`BacoOptions::speculation_depth`] rounds ahead.
 //! [`Session`](super::Session) is the open loop: its caller asks for rounds
@@ -69,6 +69,7 @@
 //! submission order, so a run resumed from any record boundary continues
 //! bit for bit.
 //!
+//! [`BacoOptions::resume`]: super::BacoOptions::resume
 //! [`BacoOptions::speculation_depth`]: super::BacoOptions::speculation_depth
 //! [`BacoOptions::eval_threads`]: super::BacoOptions::eval_threads
 
@@ -364,7 +365,6 @@ impl Baco {
     pub(super) fn start_engine(
         &self,
         mode: Mode,
-        resume: bool,
         replay: impl FnOnce(&Journal, &mut Engine) -> Result<()>,
     ) -> Result<Engine> {
         let mut report = TuningReport::new("BaCO");
@@ -387,7 +387,7 @@ impl Baco {
             self.prepare_transfer(None)?;
             return Ok(e);
         };
-        if resume && Journal::exists(path) {
+        if self.opts.resume && Journal::exists(path) {
             let journal = Journal::load(path, &self.space)?;
             journal.header.validate(mode, &self.opts, &self.space)?;
             self.prepare_transfer(journal.header.transfer.as_ref())?;
@@ -403,21 +403,20 @@ impl Baco {
 
     /// The closed loop: proposes rounds of `q` with up to `depth`
     /// speculative rounds beyond the one in flight, evaluates them on `bb`'s
-    /// pool, and journals (or, with `resume`, replays and continues) the run
-    /// (see the [module docs](self)).
+    /// pool, and journals (or, with `resume` set, replays and continues) the
+    /// run (see the [module docs](self)).
     pub(super) fn closed_loop(
         &self,
         bb: Evaluator<'_>,
         q: usize,
         depth: usize,
-        resume: bool,
     ) -> Result<TuningReport> {
         let mode = if q == 1 && depth == 0 {
             Mode::Run
         } else {
             Mode::Batched
         };
-        let mut e = self.start_engine(mode, resume, |journal, e| {
+        let mut e = self.start_engine(mode, |journal, e| {
             self.replay(journal, e)?;
             if let Some(p) = journal.proposes.last() {
                 e.rng = StdRng::from_state(p.rng_after);

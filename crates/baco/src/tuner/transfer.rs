@@ -32,7 +32,7 @@
 //! corpus grows around it. Runs with `transfer` off, and transfer runs that
 //! found no donors, produce the exact record stream of a pre-transfer run.
 
-use super::{Baco, BacoOptions};
+use super::Baco;
 use crate::journal::corpus;
 use crate::journal::{fnv1a, Journal, TransferDigest};
 use crate::space::{Configuration, SearchSpace};
@@ -92,36 +92,28 @@ fn snapshot_of(pairs: &[(String, u64)]) -> u64 {
 impl TransferContext {
     /// Fresh resolution: scan the corpus, pick donors deterministically,
     /// record the snapshot.
-    fn resolve(
-        corpus_dir: &Path,
-        opts: &BacoOptions,
-        space: &SearchSpace,
-    ) -> Result<TransferContext> {
+    fn resolve(tuner: &Baco, corpus_dir: &Path) -> Result<TransferContext> {
         let scanned = corpus::scan(corpus_dir)?;
-        let fingerprint = corpus::fingerprint_space(space);
+        let fingerprint = corpus::fingerprint_space(&tuner.space);
         let mut loaded: Vec<(String, u64, Journal)> = Vec::new();
-        for entry in scanned.donors(fingerprint, opts.objectives, MAX_DONORS) {
+        for entry in scanned.donors(fingerprint, tuner.opts.objectives, MAX_DONORS) {
             // A donor that mutated between the scan and the load would make
             // the snapshot unreproducible — take the load's content hash.
-            if let Ok((content, journal)) = corpus::load_donor(corpus_dir, &entry.session, space)
+            if let Ok((content, journal)) =
+                corpus::load_donor(corpus_dir, &entry.session, &tuner.space)
             {
                 loaded.push((entry.session.clone(), content, journal));
             }
         }
-        Ok(Self::build(fingerprint, loaded, opts, space))
+        Ok(Self::build(tuner, fingerprint, loaded))
     }
 
     /// Resume adoption: reload exactly the donors a journal header recorded
     /// and require the snapshot to match, so the rebuilt prior is the one
     /// the interrupted run used — bitwise — however the corpus grew since.
-    fn adopt(
-        corpus_dir: &Path,
-        opts: &BacoOptions,
-        space: &SearchSpace,
-        digest: &TransferDigest,
-    ) -> Result<TransferContext> {
+    fn adopt(tuner: &Baco, corpus_dir: &Path, digest: &TransferDigest) -> Result<TransferContext> {
         let corrupt = |msg: String| Error::JournalCorrupt { line: 1, msg };
-        let fingerprint = corpus::fingerprint_space(space);
+        let fingerprint = corpus::fingerprint_space(&tuner.space);
         if fingerprint != digest.fingerprint {
             return Err(corrupt(format!(
                 "transfer fingerprint mismatch: journal {}, space {fingerprint}",
@@ -130,7 +122,7 @@ impl TransferContext {
         }
         let mut loaded: Vec<(String, u64, Journal)> = Vec::new();
         for session in &digest.donors {
-            let (content, journal) = corpus::load_donor(corpus_dir, session, space)?;
+            let (content, journal) = corpus::load_donor(corpus_dir, session, &tuner.space)?;
             loaded.push((session.clone(), content, journal));
         }
         let pairs: Vec<(String, u64)> =
@@ -142,7 +134,7 @@ impl TransferContext {
                     .into(),
             ));
         }
-        let ctx = Self::build(fingerprint, loaded, opts, space);
+        let ctx = Self::build(tuner, fingerprint, loaded);
         debug_assert_eq!(&ctx.digest, digest);
         Ok(ctx)
     }
@@ -150,18 +142,11 @@ impl TransferContext {
     /// Builds the context from loaded donor journals: pooled trials → prior
     /// mean, per-donor bests → warm start, names/contents → digest.
     fn build(
+        tuner: &Baco,
         fingerprint: u64,
         loaded: Vec<(String, u64, Journal)>,
-        opts: &BacoOptions,
-        space: &SearchSpace,
     ) -> TransferContext {
-        let transform = |v: f64| {
-            if opts.log_objective {
-                v.max(1e-12).ln()
-            } else {
-                v
-            }
-        };
+        let (opts, space) = (&tuner.opts, &tuner.space);
         let mut pooled_cfgs: Vec<Configuration> = Vec::new();
         let mut pooled_y: Vec<f64> = Vec::new();
         let mut warm_bests: Vec<Configuration> = Vec::new();
@@ -176,7 +161,7 @@ impl TransferContext {
                 };
                 if opts.objectives == 1 {
                     pooled_cfgs.push(t.config.clone());
-                    pooled_y.push(transform(v));
+                    pooled_y.push(tuner.transform(v));
                 }
                 if best.is_none_or(|(bv, _)| v < bv) {
                     best = Some((v, &t.config));
@@ -234,8 +219,8 @@ impl Baco {
             return Ok(None);
         };
         let ctx = match adopted {
-            Some(digest) => TransferContext::adopt(corpus_dir, &self.opts, &self.space, digest)?,
-            None => TransferContext::resolve(corpus_dir, &self.opts, &self.space)?,
+            Some(digest) => TransferContext::adopt(self, corpus_dir, digest)?,
+            None => TransferContext::resolve(self, corpus_dir)?,
         };
         let digest = ctx.digest.clone();
         *self.transfer.lock().expect("transfer lock") = Some(Arc::new(ctx));
@@ -431,7 +416,7 @@ mod tests {
         tuner(false).run(&bb()).unwrap();
         // Appending a trial to the donor changes its content hash.
         run_donor(&corpus, 201, "donor");
-        let err = tuner(true).resume(&bb()).unwrap_err();
+        let err = tuner(true).run(&bb()).unwrap_err();
         assert!(
             matches!(err, Error::JournalCorrupt { .. }),
             "expected snapshot mismatch, got {err:?}"

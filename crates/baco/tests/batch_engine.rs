@@ -229,7 +229,7 @@ fn out_of_order_pool_reports_converge_to_same_incumbent() {
                 pool.submit(ticket as u64, cfg);
             }
             while let Some(done) = pool.recv() {
-                session.report(done.config, done.evaluation);
+                session.try_report(done.config, done.evaluation).unwrap();
             }
         });
         let best = session.history().best().unwrap().clone();

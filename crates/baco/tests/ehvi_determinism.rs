@@ -170,7 +170,7 @@ fn proposals_are_feasible_and_unseen(strategy: MultiObjectiveStrategy, m: usize,
             "{strategy:?} re-proposed the already-evaluated config {cfg}"
         );
         let eval = objectives(m, &cfg);
-        session.report(cfg, eval);
+        session.try_report(cfg, eval).unwrap();
     }
     assert_eq!(seen.len(), 12, "{strategy:?} must spend the whole budget");
 }

@@ -227,7 +227,8 @@ fn resume_at_every_boundary_matches_uninterrupted() {
 }
 
 /// A journal of a finished run resumes to the same report without invoking
-/// the black box at all.
+/// the black box at all. The first run resumes too: with no journal on disk
+/// it starts fresh.
 #[test]
 fn finished_journal_resumes_without_reevaluating() {
     struct Exploding;
@@ -238,9 +239,9 @@ fn finished_journal_resumes_without_reevaluating() {
     }
     let dir = temp_dir("noop");
     let path = dir.join("done.jsonl");
-    let t = tuner(7, 1, Some(&path), false);
+    let t = tuner(7, 1, Some(&path), true);
     let report = t.run(&Obj).unwrap();
-    let resumed = t.resume(&Exploding).unwrap();
+    let resumed = t.run(&Exploding).unwrap();
     assert_eq!(signature(&report), signature(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -267,7 +268,7 @@ fn session_resume_at_every_boundary_matches_uninterrupted() {
     let drive = |s: &mut Session| {
         while let Some(cfg) = s.ask().unwrap() {
             let eval = objective(&cfg);
-            s.report(cfg, eval);
+            s.try_report(cfg, eval).unwrap();
         }
     };
 
@@ -288,9 +289,10 @@ fn session_resume_at_every_boundary_matches_uninterrupted() {
             .doe_samples(3)
             .seed(5)
             .journal_path(&crash)
+            .resume(true)
             .build()
             .unwrap();
-        let mut resumed = Session::resume(tuner).unwrap();
+        let mut resumed = Session::new(tuner).unwrap();
         drive(&mut resumed);
         assert_eq!(
             signature(&reference),
@@ -308,35 +310,36 @@ fn session_resume_at_every_boundary_matches_uninterrupted() {
 fn session_batch_crash_resume_is_lossless_and_duplicate_free() {
     let dir = temp_dir("session-batch");
     let path = dir.join("batch.jsonl");
-    let mk = || {
+    let mk = |resume: bool| {
         Baco::builder(mixed_space())
             .budget(16)
             .doe_samples(4)
             .seed(9)
             .journal_path(&path)
+            .resume(resume)
             .build()
             .unwrap()
     };
-    let mut s = Session::new(mk()).unwrap();
+    let mut s = Session::new(mk(false)).unwrap();
     // Two full rounds, then a round reported only partially, in reverse.
     for _ in 0..2 {
         let round = s.suggest_batch(4).unwrap();
         for cfg in round {
             let e = objective(&cfg);
-            s.report(cfg, e);
+            s.try_report(cfg, e).unwrap();
         }
     }
     let round = s.suggest_batch(4).unwrap();
     assert_eq!(round.len(), 4);
     for cfg in round.into_iter().rev().take(2) {
         let e = objective(&cfg);
-        s.report(cfg, e);
+        s.try_report(cfg, e).unwrap();
     }
     let reported_so_far = signature(s.history());
     assert_eq!(reported_so_far.len(), 10);
     drop(s); // crash
 
-    let mut resumed = Session::resume(mk()).unwrap();
+    let mut resumed = Session::new(mk(true)).unwrap();
     assert_eq!(signature(resumed.history()), reported_so_far, "no reported result lost");
     loop {
         let round = resumed.suggest_batch(4).unwrap();
@@ -345,7 +348,7 @@ fn session_batch_crash_resume_is_lossless_and_duplicate_free() {
         }
         for cfg in round {
             let e = objective(&cfg);
-            resumed.report(cfg, e);
+            resumed.try_report(cfg, e).unwrap();
         }
     }
     let finished = resumed.into_report();
@@ -608,15 +611,15 @@ fn resume_rejects_envelope_mismatches() {
     run(&tuner(3, 1, Some(&path), false), 1);
 
     // Wrong seed.
-    let wrong_seed = tuner(4, 1, Some(&path), false);
+    let wrong_seed = tuner(4, 1, Some(&path), true);
     assert!(matches!(
-        wrong_seed.resume(&Obj),
+        wrong_seed.run(&Obj),
         Err(Error::JournalCorrupt { line: 1, .. })
     ));
 
     // Wrong loop shape (q=4 tuner on a sequential journal).
-    let wrong_mode = tuner(3, 4, Some(&path), false);
-    assert!(wrong_mode.resume_batched(&Obj).is_err());
+    let wrong_mode = tuner(3, 4, Some(&path), true);
+    assert!(wrong_mode.run_batched(&Obj).is_err());
 
     // Wrong space.
     let other_space = SearchSpace::builder().integer("a", 0, 15).build().unwrap();
@@ -625,9 +628,10 @@ fn resume_rejects_envelope_mismatches() {
         .doe_samples(4)
         .seed(3)
         .journal_path(&path)
+        .resume(true)
         .build()
         .unwrap();
-    assert!(t.resume(&Obj).is_err());
+    assert!(t.run(&Obj).is_err());
 
     // Wrong scalar options (surrogate kind).
     let t = Baco::builder(mixed_space())
@@ -636,9 +640,10 @@ fn resume_rejects_envelope_mismatches() {
         .seed(3)
         .surrogate(baco::tuner::SurrogateKind::RandomForest)
         .journal_path(&path)
+        .resume(true)
         .build()
         .unwrap();
-    assert!(matches!(t.resume(&Obj), Err(Error::JournalCorrupt { line: 1, .. })));
+    assert!(matches!(t.run(&Obj), Err(Error::JournalCorrupt { line: 1, .. })));
 
     // An archived journal written with the (since removed) warm-start fit
     // path enabled: no tuner writes that envelope any more.
@@ -647,21 +652,40 @@ fn resume_rejects_envelope_mismatches() {
     assert_eq!(header.matches(r#""warm_start":false"#).count(), 1);
     let header = header.replace(r#""warm_start":false"#, r#""warm_start":true"#);
     std::fs::write(&path, format!("{header}\n{rest}")).unwrap();
-    match tuner(3, 1, Some(&path), false).resume(&Obj) {
+    match tuner(3, 1, Some(&path), true).run(&Obj) {
         Err(Error::JournalCorrupt { line: 1, msg }) => {
             assert!(msg.contains("option mismatch"), "{msg}");
         }
         other => panic!("expected an option mismatch on line 1, got {other:?}"),
     }
 
-    // No journal on disk at all.
-    let missing = dir.join("missing.jsonl");
-    let t = tuner(3, 1, Some(&missing), false);
-    assert!(matches!(t.resume(&Obj), Err(Error::Io(_))));
+    // No journal path configured: nothing to resume, refused at build.
+    assert!(matches!(
+        Baco::builder(mixed_space()).resume(true).build(),
+        Err(Error::InvalidConfig(_))
+    ));
 
-    // No journal path configured.
-    let t = tuner(3, 1, None, false);
-    assert!(matches!(t.resume(&Obj), Err(Error::InvalidConfig(_))));
+    std::fs::remove_dir_all(&dir).ok();
+}
 
+/// `resume` with no journal on disk starts fresh and journals; the journal
+/// it writes resumes like any other, so a second resuming run on a cut of
+/// it continues bit-identically to an uninterrupted run.
+#[test]
+fn resume_without_a_journal_starts_fresh_and_journals() {
+    let dir = temp_dir("resume-fresh");
+    let path = dir.join("run.jsonl");
+    let reference = run(&tuner(3, 1, None, false), 1);
+    assert!(!Journal::exists(&path));
+    let fresh = run(&tuner(3, 1, Some(&path), true), 1);
+    assert_eq!(signature(&reference), signature(&fresh));
+    let journal = Journal::load(&path, &mixed_space()).unwrap();
+    assert_eq!(journal.trials.len(), reference.len());
+
+    let bytes = std::fs::read(&path).unwrap();
+    let boundaries = line_boundaries(&bytes);
+    std::fs::write(&path, &bytes[..boundaries[boundaries.len() / 2]]).unwrap();
+    let continued = run(&tuner(3, 1, Some(&path), true), 1);
+    assert_eq!(signature(&reference), signature(&continued));
     std::fs::remove_dir_all(&dir).ok();
 }

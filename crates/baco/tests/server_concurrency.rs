@@ -86,7 +86,7 @@ fn reference_trajectory(i: usize) -> Trajectory {
         for cfg in round {
             let eval = evaluate(i, &cfg);
             out.push((baco::journal::encode_config(&cfg).to_line(), eval.value()));
-            session.report(cfg, eval);
+            session.try_report(cfg, eval).unwrap();
         }
     }
     out

@@ -160,7 +160,7 @@ fn mo_strategy_knob_selects_the_acquisition_over_the_wire() {
         let a = cfg.value("a").as_f64();
         let b = cfg.value("b").as_f64();
         let values = vec![1.0 + (15.0 - a) + b * 0.2, 1.0 + 2.0 * a];
-        session.report(cfg, Evaluation::feasible_multi(values));
+        session.try_report(cfg, Evaluation::feasible_multi(values)).unwrap();
     }
     let reference: Vec<String> = session
         .history()

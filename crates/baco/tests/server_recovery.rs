@@ -138,7 +138,7 @@ fn reference(i: usize, q: usize, budget: usize, doe: usize, seed: u64) -> Trajec
         for cfg in round {
             let v = evaluate(i, &cfg).value().unwrap();
             out.push((baco::journal::encode_config(&cfg).to_line(), v));
-            session.report(cfg, Evaluation::feasible(v));
+            session.try_report(cfg, Evaluation::feasible(v)).unwrap();
         }
     }
     out

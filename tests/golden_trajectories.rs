@@ -235,11 +235,11 @@ impl Golden {
         // mid-DoE, mid-round and late interruption points.
         for &cut in boundaries.iter().step_by(3) {
             std::fs::write(&crash, &bytes[..cut]).unwrap();
-            let tuner = self.builder().journal_path(&crash).build().unwrap();
+            let tuner = self.builder().journal_path(&crash).resume(true).build().unwrap();
             let report = if self.batch > 1 {
-                tuner.resume_batched(&replay).unwrap()
+                tuner.run_batched(&replay).unwrap()
             } else {
-                tuner.resume(&replay).unwrap()
+                tuner.run(&replay).unwrap()
             };
             assert_eq!(
                 self.fixture_signature(&journal),
@@ -363,12 +363,13 @@ fn empty_corpus_transfer_replays_every_golden_bitwise() {
 const SESSION_FIXTURE: &str = "tests/fixtures/mm_gpu_session_seed11_q4.jsonl";
 
 /// The options the Session fixture was recorded under, journaling to `path`.
-fn session_tuner(path: &Path) -> Baco {
+fn session_tuner(path: &Path, resume: bool) -> Baco {
     Baco::builder(gpu_sim::benchmarks::mm_gpu().space)
         .budget(20)
         .doe_samples(6)
         .seed(11)
         .journal_path(path)
+        .resume(resume)
         .build()
         .unwrap()
 }
@@ -383,7 +384,7 @@ fn drive_session(s: &mut Session, bb: &dyn BlackBox) {
         }
         for cfg in round.into_iter().rev() {
             let eval = bb.evaluate(&cfg);
-            s.report(cfg, eval);
+            s.try_report(cfg, eval).unwrap();
         }
     }
 }
@@ -422,7 +423,7 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
     let journal = Journal::load(&fixture, &bench.space).unwrap();
     journal
         .header
-        .validate(Mode::Session, session_tuner(&fixture).options(), &bench.space)
+        .validate(Mode::Session, session_tuner(&fixture, false).options(), &bench.space)
         .unwrap_or_else(|e| panic!("{SESSION_FIXTURE}: fixture/test option drift: {e}"));
     // The shape the fixture was chosen for.
     assert_eq!(journal.trials.len(), 20, "fixture incomplete");
@@ -442,7 +443,7 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
     let dir = std::env::temp_dir().join(format!("baco-golden-{}-session", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let fresh = dir.join("fresh.jsonl");
-    let mut session = Session::new(session_tuner(&fresh)).unwrap();
+    let mut session = Session::new(session_tuner(&fresh, false)).unwrap();
     drive_session(&mut session, &replay);
     assert_eq!(
         masked_lines(&std::fs::read(&fresh).unwrap()),
@@ -460,7 +461,7 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
             continue; // a round is still out
         }
         std::fs::write(&crash, &bytes[..cut]).unwrap();
-        let mut resumed = Session::resume(session_tuner(&crash)).unwrap();
+        let mut resumed = Session::new(session_tuner(&crash, true)).unwrap();
         drive_session(&mut resumed, &replay);
         assert_eq!(
             masked_lines(&std::fs::read(&crash).unwrap()),
