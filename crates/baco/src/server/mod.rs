@@ -295,9 +295,9 @@ impl ServerHandle {
                 self.inner.registry.remove_if(&session, &slot);
                 let len = tenant.history().len();
                 // Free the tenant now, not at scope end: a long-lived session
-                // holds the surrogate cache's distance tables (O(budget²·d)
-                // budgeted, O(n²·d) exact), which must not outlive the close
-                // reply.
+                // holds its history and the surrogate cache's level tables
+                // (O(n·d + Σ L_k²) exact, capped by the active set when
+                // budgeted), which must not outlive the close reply.
                 drop(tenant);
                 Ok(vec![
                     ("closed".into(), Json::Bool(true)),

@@ -3,7 +3,10 @@
 //! cost for long-lived sessions (ROADMAP open item 2).
 //!
 //! The exact GP is O(n³) per fit and the incremental [`GpCache`] only defers
-//! that cost — at thousands of trials per session every round still pays it.
+//! its distance work — at thousands of trials per session every round still
+//! pays the fit. Under a budget the cache covers at most `b` points, so it
+//! holds level codes for `b` points and, per dimension, a table over at
+//! most `min(b, |dom_k|)` levels.
 //! With [`BacoOptions::surrogate_budget`] set to `b`, once the feasible
 //! history exceeds `b` points the tuner fits on an [`ActiveSet`] of exactly
 //! `b` points instead, chosen deterministically off the journaled RNG

@@ -56,21 +56,7 @@ impl ModelInput {
     /// # Panics
     /// Panics if the inputs come from different spaces.
     pub(crate) fn dim_dist2(&self, other: &ModelInput, dim: usize, metric: PermMetric) -> f64 {
-        match (&self.feats[dim], &other.feats[dim]) {
-            (Feature::Num(a), Feature::Num(b)) => (a - b) * (a - b),
-            (Feature::Cat(a), Feature::Cat(b)) => {
-                if a == b {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            (Feature::Perm(a), Feature::Perm(b)) => {
-                let d = crate::space::perm::distance(metric, a, b);
-                d * d
-            }
-            (a, b) => panic!("mismatched features at dim {dim}: {a:?} vs {b:?}"),
-        }
+        self.feats[dim].dist2(&other.feats[dim], metric)
     }
 
     /// Dimension-major column of one feature across a set of inputs, for the
@@ -126,6 +112,30 @@ impl ModelInput {
 }
 
 impl Feature {
+    /// Squared distance to `other` (see [`ModelInput::dim_dist2`]). Symmetric
+    /// to the bit for every kind: `(a−b)² = (b−a)²`, and the Hamming, Kendall
+    /// and Spearman distances are exact counts over one divisor.
+    ///
+    /// # Panics
+    /// Panics if the features are of different kinds.
+    pub(crate) fn dist2(&self, other: &Feature, metric: PermMetric) -> f64 {
+        match (self, other) {
+            (Feature::Num(a), Feature::Num(b)) => (a - b) * (a - b),
+            (Feature::Cat(a), Feature::Cat(b)) => {
+                if a == b {
+                    0.0
+                } else {
+                    1.0
+                }
+            }
+            (Feature::Perm(a), Feature::Perm(b)) => {
+                let d = crate::space::perm::distance(metric, a, b);
+                d * d
+            }
+            (a, b) => panic!("mismatched features: {a:?} vs {b:?}"),
+        }
+    }
+
     /// Parameter `i` of `cfg` in its model representation.
     fn of(space: &SearchSpace, cfg: &Configuration, i: usize, use_transforms: bool) -> Self {
         let p = &space.params()[i];

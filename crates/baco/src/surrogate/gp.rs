@@ -30,11 +30,19 @@
 //!   for it, which it does at the start point and at accepted steps (see
 //!   [`crate::opt::minimize`]). Trial points the Armijo test rejects never
 //!   pay for `K⁻¹`, and every number is the same as computing it eagerly.
-//! * **Incremental distance tables** — [`GaussianProcess::fit_with_cache`]
-//!   reuses the per-dimension squared-distance matrices across tuning
-//!   iterations, extending them by one row/column per new observation. The
-//!   hyperparameters are refitted by the full multistart every time, so a
-//!   cached fit is bit-identical to a fresh one.
+//! * **Incremental, level-coded distance tables** —
+//!   [`GaussianProcess::fit_with_cache`] reuses the per-dimension level
+//!   tables of [`GpCache`] across tuning iterations, extending them by the
+//!   new observations. The hyperparameters are refitted by the full
+//!   multistart every time, so a cached fit is bit-identical to a fresh one.
+//! * **Per-level quotient rows** — each NLL evaluation divides the level
+//!   tables by `ℓ_k²` once, into rows
+//!   `rows_k[a][j] = dist2_k[a][code_k[j]] / ℓ_k²` (`Σ_k L_k·n` divisions).
+//!   The kernel build adds point `i`'s row `rows_k[code_k[i]]` over the
+//!   later points, and the gradient takes the whole row as its lengthscale
+//!   terms, so it divides nothing. The level tables are symmetric to the
+//!   bit and each pair sums its quotients in ascending `k` from `0.0`, so
+//!   every number equals a per-pair `Σ_k d²_k/ℓ_k²`.
 //! * **Fantasy conditioning** — [`GaussianProcess::condition_on`] folds a
 //!   hallucinated observation into a fitted model in `O(n²)` (frozen
 //!   hyperparameters, extended factorization), the primitive behind the
@@ -60,7 +68,7 @@
 //! # Ok::<(), baco::Error>(())
 //! ```
 
-use super::cache::GpCache;
+use super::cache::{GpCache, LevelTable};
 use super::features::{accumulate_scaled_dist2, DimView, ModelInput};
 use super::mean::MeanFn;
 use crate::linalg::{dot, mean, std_dev, Cholesky, Matrix};
@@ -234,11 +242,10 @@ impl GaussianProcess {
         Self::fit_with_cache(space, configs, y, opts, rng, &mut cache)
     }
 
-    /// Like [`GaussianProcess::fit`], but carrying the per-dimension
-    /// squared-distance matrices forward in `cache` across tuning
-    /// iterations: when the new `configs` extend the previous call's, only
-    /// the new rows/columns are computed instead of the full `O(n²·d)`
-    /// rebuild.
+    /// Like [`GaussianProcess::fit`], but carrying the per-dimension level
+    /// tables forward in `cache` across tuning iterations: when the new
+    /// `configs` extend the previous call's, only the new points' codes and
+    /// any new levels' distances are computed instead of a full rebuild.
     ///
     /// The result is bit-identical to [`GaussianProcess::fit`] and consumes
     /// the same RNG stream.
@@ -294,7 +301,7 @@ impl GaussianProcess {
         let ys: Vec<f64> = targets.iter().map(|v| (v - y_mean) / y_std).collect();
 
         // Per-dimension squared distances (fixed across the hyperparameter
-        // optimization): extend the cached matrices by the new rows/columns,
+        // optimization): extend the cached level tables by the new points,
         // or rebuild from scratch if the history is not a prefix of the
         // current data (restarted tuner, changed options, …).
         cache.sync_distances(&inputs, d, opts.perm_metric, opts.input_transforms);
@@ -385,20 +392,20 @@ impl GaussianProcess {
         rng: &mut R,
         cache: &GpCache,
     ) -> Result<(Vec<f64>, f64, f64, Cholesky, Vec<f64>)> {
-        let d2 = cache.d2();
-        let d = d2.len();
+        let levels = cache.levels();
+        let d = levels.len();
         let prior = opts.lengthscale_prior;
         let best_eval: Mutex<Option<BestEval>> = Mutex::new(None);
 
         let value = |theta: &[f64]| -> f64 {
-            neg_log_posterior_impl(theta, d2, ys, prior.as_ref(), false, Some(&best_eval)).0
+            neg_log_posterior_impl(theta, levels, ys, prior.as_ref(), false, Some(&best_eval)).0
         };
         // The gradient thunk finishes `K⁻¹` and the gradient from the value
         // step's state; L-BFGS runs it only at accepted points.
         let value_grad = |theta: &[f64]| {
             let len = theta.len();
             let (nll, state) =
-                neg_log_posterior_impl(theta, d2, ys, prior.as_ref(), true, Some(&best_eval));
+                neg_log_posterior_impl(theta, levels, ys, prior.as_ref(), true, Some(&best_eval));
             (nll, move || state.map_or_else(|| vec![0.0; len], NllState::gradient))
         };
 
@@ -451,7 +458,7 @@ impl GaussianProcess {
         let (chol, alpha) = match memo {
             Some(m) if clamps_free && m.theta == theta => (m.chol, m.alpha),
             _ => {
-                let kmat = kernel_matrix(d2, &lengthscales, outputscale, noise);
+                let kmat = kernel_matrix(levels, &lengthscales, outputscale, noise);
                 let chol = Cholesky::new_with_jitter(&kmat, 1e-10, 14)
                     .map_err(|e| Error::Numerical(format!("GP final factorization failed: {e}")))?;
                 let alpha = chol.solve(ys);
@@ -653,26 +660,66 @@ fn matern52_terms(dist: f64, sigma: f64) -> (f64, f64) {
     )
 }
 
-fn kernel_matrix(d2: &[Matrix], ls: &[f64], sigma: f64, noise: f64) -> Matrix {
-    kernel_terms(d2, ls, sigma, noise, false).0
+fn kernel_matrix(levels: &[LevelTable], ls: &[f64], sigma: f64, noise: f64) -> Matrix {
+    kernel_terms(&ScaledRows::new(levels, ls), sigma, noise, false).0
+}
+
+/// One NLL evaluation's lengthscale-scaled squared distances, level-coded:
+/// for each dimension `k` an `L_k × n` block whose row `a` holds
+/// `dist2_k[a][code_k[j]] / ℓ_k²` for every training point `j`. Point `i`'s
+/// scaled distances along `k` are row `code_k[i]`, shared by the kernel
+/// build and the gradient.
+struct ScaledRows<'a> {
+    levels: &'a [LevelTable],
+    n: usize,
+    rows: Vec<Vec<f64>>,
+}
+
+impl<'a> ScaledRows<'a> {
+    /// Divides every level table by `ℓ_k·ℓ_k`: a division, not a multiply
+    /// by the reciprocal, so each quotient equals the per-pair one bit for
+    /// bit.
+    fn new(levels: &'a [LevelTable], ls: &[f64]) -> Self {
+        let n = levels.first().map_or(0, |t| t.codes().len());
+        let rows = levels
+            .iter()
+            .zip(ls)
+            .map(|(t, l)| {
+                let l2 = l * l;
+                let codes = t.codes();
+                let mut rows = Vec::with_capacity(t.levels() * n);
+                for a in 0..t.levels() {
+                    let dist2 = t.row(a);
+                    rows.extend(codes.iter().map(|&c| dist2[c as usize] / l2));
+                }
+                rows
+            })
+            .collect();
+        ScaledRows { levels, n, rows }
+    }
+
+    /// Point `i`'s scaled squared distances to every point along dimension
+    /// `k` (zero at `i` itself).
+    fn row(&self, k: usize, i: usize) -> &[f64] {
+        let a = self.levels[k].codes()[i] as usize;
+        &self.rows[k][a * self.n..(a + 1) * self.n]
+    }
 }
 
 /// The kernel matrix and, when `want_factor` is set, the symmetric matrix
 /// of Matérn gradient factors `C_ij` (see [`matern52_terms`]; zero diagonal).
 ///
 /// Row `i`'s scaled distances to the later points accumulate one dimension
-/// at a time over a unit-stride row, so every `Σ_k d²_k/ℓ_k²` is still summed
-/// in ascending `k` from `0.0`. Only the upper triangle of each `d2` table is
-/// read; the tables are symmetric.
+/// at a time over a unit-stride slice of its quotient row, so every
+/// `Σ_k d²_k/ℓ_k²` is still summed in ascending `k` from `0.0`.
 fn kernel_terms(
-    d2: &[Matrix],
-    ls: &[f64],
+    scaled: &ScaledRows,
     sigma: f64,
     noise: f64,
     want_factor: bool,
 ) -> (Matrix, Option<Matrix>) {
-    let n = d2.first().map_or(0, Matrix::rows);
-    let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
+    let n = scaled.n;
+    let d = scaled.rows.len();
     let mut k = Matrix::zeros(n, n);
     let mut c = want_factor.then(|| Matrix::zeros(n, n));
     let mut dist2 = vec![0.0; n];
@@ -680,9 +727,9 @@ fn kernel_terms(
         k[(i, i)] = sigma + noise + BASE_JITTER;
         let s = &mut dist2[i + 1..];
         s.fill(0.0);
-        for (m, &l2) in d2.iter().zip(&ls2) {
-            for (acc, &v) in s.iter_mut().zip(&m.row(i)[i + 1..]) {
-                *acc += v / l2;
+        for kk in 0..d {
+            for (acc, &v) in s.iter_mut().zip(&scaled.row(kk, i)[i + 1..]) {
+                *acc += v;
             }
         }
         for (j, &sij) in (i + 1..n).zip(s.iter()) {
@@ -713,17 +760,17 @@ fn kernel_terms(
 /// When `memo` is given, the factorization computed for the best value seen
 /// so far is kept for reuse by the final fit.
 ///
-/// The `d2` tables must be symmetric (as [`GpCache`] builds them): the
+/// The level tables must be symmetric (as [`GpCache`] builds them): the
 /// gradient reads each pair's kernel terms from the one kernel build.
 fn neg_log_posterior_impl<'a>(
     theta: &[f64],
-    d2: &'a [Matrix],
+    levels: &'a [LevelTable],
     ys: &[f64],
     prior: Option<&'a GammaPrior>,
     want_grad: bool,
     memo: Option<&Mutex<Option<BestEval>>>,
 ) -> (f64, Option<NllState<'a>>) {
-    let d = d2.len();
+    let d = levels.len();
     let n = ys.len();
     if theta.iter().any(|t| !t.is_finite() || t.abs() > 40.0) {
         return (f64::INFINITY, None);
@@ -732,7 +779,8 @@ fn neg_log_posterior_impl<'a>(
     let sigma = theta[d].exp();
     let noise = theta[d + 1].exp();
 
-    let (kmat, factors) = kernel_terms(d2, &ls, sigma, noise, want_grad);
+    let scaled = ScaledRows::new(levels, &ls);
+    let (kmat, factors) = kernel_terms(&scaled, sigma, noise, want_grad);
     let Ok(chol) = Cholesky::new(&kmat) else {
         return (f64::INFINITY, None);
     };
@@ -764,7 +812,7 @@ fn neg_log_posterior_impl<'a>(
     }
 
     let state = factors.map(|factors| NllState {
-        d2,
+        scaled,
         prior,
         ls,
         sigma,
@@ -778,9 +826,10 @@ fn neg_log_posterior_impl<'a>(
 }
 
 /// What the gradient of one NLL evaluation needs from its value step: the
-/// kernel with its Matérn gradient factors, the factorization and α.
+/// quotient rows, the kernel with its Matérn gradient factors, the
+/// factorization and α.
 struct NllState<'a> {
-    d2: &'a [Matrix],
+    scaled: ScaledRows<'a>,
     prior: Option<&'a GammaPrior>,
     ls: Vec<f64>,
     sigma: f64,
@@ -797,7 +846,7 @@ impl NllState<'_> {
     /// `L⁻¹`), against `n³/6` for the value step's factorization.
     fn gradient(self) -> Vec<f64> {
         let NllState {
-            d2,
+            scaled,
             prior,
             ls,
             sigma,
@@ -807,26 +856,20 @@ impl NllState<'_> {
             chol,
             alpha,
         } = self;
-        let d = d2.len();
+        let d = scaled.rows.len();
         let n = alpha.len();
         // ∂NLL/∂θ = ½ Σ_ij B_ij ∂K_ij/∂θ with B = K⁻¹ − α αᵀ, formed one row
         // at a time. Off the diagonal ∂k_ij/∂log σ = k_ij and ∂k_ij/∂log ℓ_k
-        // = C_ij r²_k; both k_ij and C_ij come from the kernel build, so only
-        // r²_k = d²_k/ℓ_k² is recomputed. Each grad entry is one chain of
-        // `weight · term` additions over the ordered pairs in row-major order.
+        // = C_ij r²_k; k_ij and C_ij come from the kernel build and r²_k =
+        // d²_k/ℓ_k² is point i's quotient row, so nothing is recomputed.
+        // Each grad entry is one chain of `weight · term` additions over the
+        // ordered pairs in row-major order.
         let kinv = chol.inverse();
-        let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
         let mut grad = vec![0.0; d + 2];
-        let mut r2 = vec![0.0; d * n];
         let mut half_b = vec![0.0; n];
         let mut weighted = vec![0.0; n];
         let zeros = vec![0.0; n];
         for i in 0..n {
-            for ((m, &l2), row) in d2.iter().zip(&ls2).zip(r2.chunks_exact_mut(n)) {
-                for (r, &v) in row.iter_mut().zip(m.row(i)) {
-                    *r = v / l2;
-                }
-            }
             let ai = alpha[i];
             let rows = kinv.row(i).iter().zip(&alpha).zip(factors.row(i));
             for ((hb, w), ((&kinv_ij, &aj), &cij)) in half_b.iter_mut().zip(&mut weighted).zip(rows)
@@ -845,7 +888,7 @@ impl NllState<'_> {
                     std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
                 let terms = std::array::from_fn(|r| {
                     if live(r) {
-                        &r2[(k0 + r) * n..(k0 + r + 1) * n]
+                        scaled.row(k0 + r, i)
                     } else {
                         &zeros[..]
                     }
@@ -898,6 +941,7 @@ fn accumulate_pairs<const R: usize>(
 mod tests {
     use super::*;
     use crate::space::{ParamValue, SearchSpace};
+    use crate::surrogate::features::Feature;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -933,10 +977,13 @@ mod tests {
         let ys: Vec<f64> = y.iter().map(|v| (v - ym) / ysd).collect();
         let prior = GammaPrior::default();
 
-        let nll = |t: &[f64]| nll_eager(t, &d2, &ys, Some(&prior), true);
+        let cache = level_cache(&inputs);
+        let nll = |t: &[f64]| nll_eager(t, cache.levels(), &ys, Some(&prior), true);
         let theta = vec![(0.4f64).ln(), (0.9f64).ln(), (1e-3f64).ln()];
         let (f0, g) = nll(&theta);
         assert!(f0.is_finite());
+        let (rf, rg) = neg_log_posterior_reference(&theta, &d2, &ys, Some(&prior), true);
+        assert_same_bits((f0, &g), (rf, &rg), "level-coded vs n×n tables");
         let h = 1e-6;
         for k in 0..theta.len() {
             let mut tp = theta.clone();
@@ -954,16 +1001,23 @@ mod tests {
         }
     }
 
+    /// The level tables [`GpCache`] builds over `inputs`.
+    fn level_cache(inputs: &[ModelInput]) -> GpCache {
+        let mut cache = GpCache::new();
+        cache.sync_distances(inputs, inputs[0].len(), PermMetric::Spearman, true);
+        cache
+    }
+
     /// One evaluation's value and, with `want_grad`, its gradient forced at
     /// once — what the optimizer's thunk computes when it is run.
     fn nll_eager(
         theta: &[f64],
-        d2: &[Matrix],
+        levels: &[LevelTable],
         ys: &[f64],
         prior: Option<&GammaPrior>,
         want_grad: bool,
     ) -> (f64, Vec<f64>) {
-        let (v, state) = neg_log_posterior_impl(theta, d2, ys, prior, want_grad, None);
+        let (v, state) = neg_log_posterior_impl(theta, levels, ys, prior, want_grad, None);
         if !want_grad {
             assert!(
                 state.is_none(),
@@ -1085,10 +1139,11 @@ mod tests {
         (nll, grad)
     }
 
-    /// Symmetric per-dimension squared-distance tables over `n` random points
-    /// with numeric and categorical features and some duplicated points, as
-    /// [`GpCache`] builds them.
-    fn random_d2(n: usize, d: usize, rng: &mut StdRng) -> Vec<Matrix> {
+    /// Symmetric per-dimension `n × n` squared-distance tables over `n`
+    /// random points with numeric and categorical features and some
+    /// duplicated points (the reference layout), and the level tables
+    /// [`GpCache`] builds over the same points.
+    fn random_d2(n: usize, d: usize, rng: &mut StdRng) -> (Vec<Matrix>, GpCache) {
         let mut pts: Vec<Vec<f64>> = Vec::with_capacity(n);
         for i in 0..n {
             let p = if i > 1 && rng.gen_range(0.0..1.0) < 0.1 {
@@ -1106,7 +1161,7 @@ mod tests {
             };
             pts.push(p);
         }
-        (0..d)
+        let d2 = (0..d)
             .map(|k| {
                 let mut m = Matrix::zeros(n, n);
                 for i in 0..n {
@@ -1122,7 +1177,24 @@ mod tests {
                 }
                 m
             })
-            .collect()
+            .collect();
+        let inputs: Vec<ModelInput> = pts
+            .iter()
+            .map(|p| ModelInput {
+                feats: p
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &v)| {
+                        if k % 3 == 2 {
+                            Feature::Cat(v as u32)
+                        } else {
+                            Feature::Num(v)
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        (d2, level_cache(&inputs))
     }
 
     fn assert_same_bits(a: (f64, &[f64]), b: (f64, &[f64]), what: &str) {
@@ -1155,7 +1227,8 @@ mod tests {
             (70, 6),
             (120, 10),
         ] {
-            let d2 = random_d2(n, d, &mut rng);
+            let (d2, cache) = random_d2(n, d, &mut rng);
+            let levels = cache.levels();
             let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let mut states = Vec::new();
             for trial in 0..12 {
@@ -1177,7 +1250,7 @@ mod tests {
                 }
                 let p = (trial % 2 == 0).then_some(&prior);
                 for want_grad in [false, true] {
-                    let (v, g) = nll_eager(&theta, &d2, &ys, p, want_grad);
+                    let (v, g) = nll_eager(&theta, levels, &ys, p, want_grad);
                     let (rv, rg) = neg_log_posterior_reference(&theta, &d2, &ys, p, want_grad);
                     let what = format!("n={n} d={d} trial {trial} grad={want_grad} θ={theta:?}");
                     if want_grad {
@@ -1194,7 +1267,7 @@ mod tests {
                     }
                 }
                 // The value step alone, its gradient deferred (below).
-                let (v, state) = neg_log_posterior_impl(&theta, &d2, &ys, p, true, None);
+                let (v, state) = neg_log_posterior_impl(&theta, levels, &ys, p, true, None);
                 assert!(state.is_some() || v == f64::INFINITY, "trial {trial}");
                 states.push((theta, p, v, state));
             }
@@ -1230,6 +1303,8 @@ mod tests {
                 d2[0][(i, j)] = inputs[i].dim_dist2(&inputs[j], 0, PermMetric::Spearman);
             }
         }
+        let cache = level_cache(&inputs);
+        let levels = cache.levels();
         let ys = vec![-1.2, -0.3, 0.4, 0.6, 0.5];
         let prior = GammaPrior::default();
         let thetas = [
@@ -1244,9 +1319,9 @@ mod tests {
         let memo_grad = Mutex::new(None);
         for (k, theta) in thetas.iter().enumerate() {
             let (v_only, none) =
-                neg_log_posterior_impl(theta, &d2, &ys, Some(&prior), false, Some(&memo_value));
+                neg_log_posterior_impl(theta, levels, &ys, Some(&prior), false, Some(&memo_value));
             let (v_grad, state) =
-                neg_log_posterior_impl(theta, &d2, &ys, Some(&prior), true, Some(&memo_grad));
+                neg_log_posterior_impl(theta, levels, &ys, Some(&prior), true, Some(&memo_grad));
             assert_eq!(v_grad.to_bits(), v_only.to_bits());
             assert!(none.is_none());
             let state = state.expect("finite evaluation keeps its gradient state");

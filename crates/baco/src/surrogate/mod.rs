@@ -6,8 +6,9 @@
 //! the scalar [`GaussianProcess::predict`] and the batched
 //! [`GaussianProcess::predict_batch_configs`]; see [`gp`] for the
 //! batched-posterior, multistart-fit and fantasy-conditioning machinery,
-//! and [`cache`] for the distance tables, the only state refits carry
-//! across iterations.
+//! and [`cache`] for the level-coded distance tables (one `u32` level code
+//! per point and dimension, one `L × L` table per dimension), the only state
+//! refits carry across iterations.
 //!
 //! ```
 //! use baco::space::{ParamValue, SearchSpace};

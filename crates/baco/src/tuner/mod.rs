@@ -1016,6 +1016,7 @@ impl AcquisitionContext {
 mod tests {
     use super::*;
     use crate::space::ParamValue;
+    use crate::surrogate::ModelInput;
     use rand::SeedableRng;
 
     fn quadratic_space() -> SearchSpace {
@@ -1272,9 +1273,24 @@ mod tests {
         let round = tuner.recommend_batch(&mut rng, &report, &seen, &mut cache, 1).unwrap();
         assert_eq!(round.len(), 1);
         assert_eq!(cache.len(), n);
-        let one_set = cache.d2().len() * n * n * std::mem::size_of::<f64>();
-        assert!(one_set > 0);
-        assert_eq!(cache.memory_bytes(), one_set);
+        // One level table per dimension, exactly what one sync over the
+        // round's points builds.
+        let space = quadratic_space();
+        assert_eq!(cache.levels().len(), space.len());
+        let inputs: Vec<ModelInput> = report
+            .trials()
+            .iter()
+            .map(|t| ModelInput::from_config(&space, &t.config, tuner.opts.gp.input_transforms))
+            .collect();
+        let mut one_set = GpCache::new();
+        one_set.sync_distances(
+            &inputs,
+            space.len(),
+            tuner.opts.gp.perm_metric,
+            tuner.opts.gp.input_transforms,
+        );
+        assert!(one_set.memory_bytes() > 0);
+        assert_eq!(cache.memory_bytes(), one_set.memory_bytes());
     }
 
     #[test]

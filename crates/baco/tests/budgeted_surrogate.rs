@@ -250,10 +250,13 @@ fn shrinking_region_under_constant_objective_keeps_proposing() {
 
 // ── bounded cache memory for long-lived budgeted loops ──────────────────────
 
-/// With a budget, the surrogate cache's distance tables are clamped to the
-/// active set: cache memory at n = 120 observations is no larger than at
-/// n = 40. Without a budget the same loop's cache keeps growing — the O(n²·d)
-/// wall this mode exists to break.
+/// With a budget, the surrogate cache's level tables are clamped to the
+/// active set: cache memory at n = 40 and at n = 120 observations stays under
+/// the cap the representation implies — level codes for at most `b` points,
+/// and per dimension at most `min(b, |dom_k|)` levels with their `L × L`
+/// distance table. Between those points it moves with how many distinct
+/// values the active set holds. Without a budget the same loop's cache keeps
+/// growing, by one code per dimension per point.
 #[test]
 fn budgeted_cache_memory_is_bounded() {
     let space = mixed_space();
@@ -291,20 +294,28 @@ fn budgeted_cache_memory_is_bounded() {
         sizes
     };
 
-    let budgeted = grow(Some(16));
-    assert!(
-        budgeted[1] <= budgeted[0],
-        "budgeted cache must not grow past the active-set plateau: {budgeted:?}"
-    );
+    let budget = 16;
+    let budgeted = grow(Some(budget));
+    // A level keeps its feature value: an enum over an `f64`, a category
+    // index or a permutation's `Vec<u8>`, at most 32 bytes inline on 64-bit
+    // targets. This space has no permutation, so no level owns heap memory.
+    const LEVEL_VALUE_BYTES: usize = 32;
+    let levels: Vec<usize> = space
+        .params()
+        .iter()
+        .map(|p| budget.min(p.domain_size().expect("discrete space") as usize))
+        .collect();
+    let cap = budget * levels.len() * std::mem::size_of::<u32>()
+        + levels
+            .iter()
+            .map(|l| l * l * std::mem::size_of::<f64>() + l * LEVEL_VALUE_BYTES)
+            .sum::<usize>();
+    for (n, bytes) in [40, 120].into_iter().zip(&budgeted) {
+        assert!(*bytes <= cap, "budgeted cache at n={n}: {bytes} bytes, cap {cap}");
+    }
     let exact = grow(None);
     assert!(
         exact[1] > exact[0],
         "exact cache grows with history (sanity check): {exact:?}"
-    );
-    assert!(
-        budgeted[1] * 8 < exact[1],
-        "budgeted cache ({}) should be far smaller than exact ({}) at n=120",
-        budgeted[1],
-        exact[1]
     );
 }
