@@ -135,7 +135,11 @@ pub fn inferred_reference(values: &[Vec<f64>]) -> Vec<f64> {
             let max = col.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let min = col.iter().copied().fold(f64::INFINITY, f64::min);
             let range = max - min;
-            if range > 0.0 { max + 0.1 * range } else { max + 1.0 }
+            if range > 0.0 {
+                max + 0.1 * range
+            } else {
+                max + 1.0
+            }
         })
         .collect()
 }
@@ -229,8 +233,7 @@ fn cells_3d(pts: &[&[f64]], reference: &[f64]) -> Vec<Cell> {
         if hi3 > lo3 {
             // Front points active throughout this slab: those at or below its
             // floor. Their 2-D projections bound the per-slab improvement.
-            let active: Vec<&[f64]> =
-                pts.iter().copied().filter(|p| p[2] <= lo3).collect();
+            let active: Vec<&[f64]> = pts.iter().copied().filter(|p| p[2] <= lo3).collect();
             for (lo1, hi1, ceil2) in stripes_2d(&active, r1, r2) {
                 cells.push(Cell {
                     bounds: vec![(lo1, hi1), (f64::NEG_INFINITY, ceil2), (lo3, hi3)],
@@ -273,7 +276,11 @@ mod tests {
         zs.dedup();
         let mut total = 0.0;
         for (k, &z) in zs.iter().enumerate() {
-            let hi = if k + 1 < zs.len() { zs[k + 1] } else { reference[d - 1] };
+            let hi = if k + 1 < zs.len() {
+                zs[k + 1]
+            } else {
+                reference[d - 1]
+            };
             let slab: Vec<Vec<f64>> = pts
                 .iter()
                 .filter(|p| p[d - 1] <= z)
@@ -411,7 +418,10 @@ mod tests {
         for step in 1..=10 {
             let m1 = 1.2 - 0.15 * step as f64;
             let cur = e.value(&[m1, 0.5], &vars);
-            assert!(cur >= prev - 1e-12, "EHVI fell from {prev} to {cur} at mean {m1}");
+            assert!(
+                cur >= prev - 1e-12,
+                "EHVI fell from {prev} to {cur} at mean {m1}"
+            );
             prev = cur;
         }
         assert!(prev > 0.0);
@@ -423,7 +433,7 @@ mod tests {
         assert!(stripe_part(1.0, f64::NEG_INFINITY, 1e9, 1e9).is_finite());
         assert!(stripe_part(1.0, f64::NEG_INFINITY, -1e9, 1e-30).is_finite());
         assert_eq!(stripe_part(1.0, 2.0, 0.0, 1.0), 0.0); // inverted bounds
-        // Deterministic limits.
+                                                          // Deterministic limits.
         assert!((stripe_part(1.0, 0.0, 0.5, 0.0) - 0.5).abs() < 1e-12);
         assert!((stripe_part(1.0, 0.7, 0.5, 0.0) - 0.3).abs() < 1e-12);
         assert_eq!(stripe_part(1.0, 0.0, 2.0, 0.0), 0.0);

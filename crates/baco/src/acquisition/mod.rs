@@ -42,7 +42,8 @@ fn erf(x: f64) -> f64 {
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let poly = t
         * (0.254_829_592
-            + t * (-0.284_496_736 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+            + t * (-0.284_496_736
+                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
     sign * (1.0 - poly * (-x * x).exp())
 }
 
@@ -138,7 +139,9 @@ impl Scalarization {
     pub fn sample<R: Rng + ?Sized>(rng: &mut R, values: &[Vec<f64>]) -> Scalarization {
         let m = values.len();
         // Uniform on the simplex: sorted U(0,1) spacings.
-        let mut cuts: Vec<f64> = (0..m.saturating_sub(1)).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let mut cuts: Vec<f64> = (0..m.saturating_sub(1))
+            .map(|_| rng.gen_range(0.0..1.0))
+            .collect();
         cuts.sort_by(f64::total_cmp);
         cuts.push(1.0);
         let mut weights = Vec::with_capacity(m);
@@ -155,7 +158,12 @@ impl Scalarization {
             .iter()
             .map(|v| v.iter().copied().fold(f64::NEG_INFINITY, f64::max))
             .collect();
-        Scalarization { weights, mins, maxs, rho: 0.05 }
+        Scalarization {
+            weights,
+            mins,
+            maxs,
+            rho: 0.05,
+        }
     }
 
     /// Normalizes one objective value to the observed range. A degenerate
@@ -294,7 +302,10 @@ mod tests {
         // A point dominating another always scalarizes lower, whatever λ.
         assert!(s.scalarize(&[0.2, 0.3]) < s.scalarize(&[0.4, 0.5]));
         // Extreme weights select the matching axis.
-        let sx = Scalarization { weights: vec![1.0, 0.0], ..s.clone() };
+        let sx = Scalarization {
+            weights: vec![1.0, 0.0],
+            ..s.clone()
+        };
         assert!(sx.scalarize(&[0.1, 0.9]) < sx.scalarize(&[0.5, 0.1]));
         // Degenerate range falls back to a unit range instead of dividing by
         // zero: finite, and still ordered by the raw value.
@@ -321,7 +332,10 @@ mod tests {
         };
         let lo = s.scalarize(&[3.0, 3.0]);
         let hi = s.scalarize(&[3.5, 3.1]);
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "lo {lo} hi {hi}");
+        assert!(
+            lo.is_finite() && hi.is_finite() && lo < hi,
+            "lo {lo} hi {hi}"
+        );
         // … and the scalarized posterior variance survives instead of being
         // zeroed (which froze EI to pure exploitation on degenerate columns).
         let v = s.scalarize_variance(&[0.25, 0.25]);

@@ -74,7 +74,9 @@ impl OptimumPrior {
 
 impl fmt::Debug for OptimumPrior {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OptimumPrior").field("decay", &self.decay).finish()
+        f.debug_struct("OptimumPrior")
+            .field("decay", &self.decay)
+            .finish()
     }
 }
 
@@ -90,10 +92,20 @@ mod tests {
     #[test]
     fn prior_scales_acquisition_and_decays() {
         let s = space();
-        let prior = OptimumPrior::new(|c| if c.value("x").as_i64() >= 5 { 4.0 } else { 0.25 })
-            .with_decay(10.0);
-        let hi = s.configuration(&[("x", crate::space::ParamValue::Int(7))]).unwrap();
-        let lo = s.configuration(&[("x", crate::space::ParamValue::Int(2))]).unwrap();
+        let prior = OptimumPrior::new(|c| {
+            if c.value("x").as_i64() >= 5 {
+                4.0
+            } else {
+                0.25
+            }
+        })
+        .with_decay(10.0);
+        let hi = s
+            .configuration(&[("x", crate::space::ParamValue::Int(7))])
+            .unwrap();
+        let lo = s
+            .configuration(&[("x", crate::space::ParamValue::Int(2))])
+            .unwrap();
         // Early: strong effect.
         let early_hi = prior.apply(1.0, &hi, 0);
         let early_lo = prior.apply(1.0, &lo, 0);

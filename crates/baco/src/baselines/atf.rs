@@ -124,7 +124,10 @@ impl AtfTuner {
                     .iter()
                     .enumerate()
                     .filter(|(_, p)| {
-                        matches!(p.kind(), ParamKind::Integer { .. } | ParamKind::Ordinal { .. })
+                        matches!(
+                            p.kind(),
+                            ParamKind::Integer { .. } | ParamKind::Ordinal { .. }
+                        )
                     })
                     .map(|(i, _)| i)
                     .collect();
@@ -235,9 +238,12 @@ impl super::Tuner for AtfTuner {
                             }
                         }
                     }
-                    let exploit = if weight_sum > 0.0 { auc / weight_sum } else { 0.0 };
-                    exploit
-                        + self.opts.exploration * (2.0 * t_total.ln() / uses[ti] as f64).sqrt()
+                    let exploit = if weight_sum > 0.0 {
+                        auc / weight_sum
+                    } else {
+                        0.0
+                    };
+                    exploit + self.opts.exploration * (2.0 * t_total.ln() / uses[ti] as f64).sqrt()
                 };
                 if score > pick_score {
                     pick_score = score;
@@ -245,9 +251,12 @@ impl super::Tuner for AtfTuner {
                 }
             }
 
-            let Some(cfg) =
-                self.propose(TECHNIQUES[pick], best.as_ref().map(|(_, c)| c), &mut rng, &seen)
-            else {
+            let Some(cfg) = self.propose(
+                TECHNIQUES[pick],
+                best.as_ref().map(|(_, c)| c),
+                &mut rng,
+                &seen,
+            ) else {
                 break;
             };
             seen.insert(cfg.clone());
@@ -326,9 +335,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("a").as_f64() + 1.0)
-        });
+        let bb =
+            FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("a").as_f64() + 1.0));
         let run = |seed| {
             let mut t = AtfTuner::with_budget(&space(), 25, seed).unwrap();
             t.run(&bb)

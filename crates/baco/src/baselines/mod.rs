@@ -232,9 +232,8 @@ mod tests {
     #[test]
     fn samplers_exhaust_small_spaces_gracefully() {
         let s = SearchSpace::builder().integer("a", 0, 3).build().unwrap();
-        let f = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("a").as_f64() + 1.0)
-        });
+        let f =
+            FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("a").as_f64() + 1.0));
         let mut t = UniformSampler::new(&s, 100, 3).unwrap();
         let r = t.run(&f).unwrap();
         assert!(r.len() <= 4 + 1);

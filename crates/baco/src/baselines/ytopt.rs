@@ -111,11 +111,9 @@ impl super::Tuner for YtoptTuner {
         let mut seen: HashSet<Configuration> = HashSet::new();
 
         // DoE phase.
-        let doe = self.sampler.sample_batch(
-            &mut rng,
-            self.opts.doe_samples.min(self.opts.budget),
-            &seen,
-        );
+        let doe =
+            self.sampler
+                .sample_batch(&mut rng, self.opts.doe_samples.min(self.opts.budget), &seen);
         for cfg in doe {
             seen.insert(cfg.clone());
             report.push(timed_trial(bb, cfg, std::time::Duration::ZERO));
@@ -249,9 +247,8 @@ mod tests {
 
     #[test]
     fn gp_mode_runs() {
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(1.0 + c.value("a").as_f64())
-        });
+        let bb =
+            FnBlackBox::new(|c: &Configuration| Evaluation::feasible(1.0 + c.value("a").as_f64()));
         let mut t = YtoptTuner::new(
             &space(),
             YtoptOptions {

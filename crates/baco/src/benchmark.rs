@@ -312,7 +312,9 @@ mod tests {
         let mut light = 0;
         let mut heavy = 0;
         for x in 0..100 {
-            let cfg = space.configuration(&[("x", crate::space::ParamValue::Int(x))]).unwrap();
+            let cfg = space
+                .configuration(&[("x", crate::space::ParamValue::Int(x))])
+                .unwrap();
             let us = sim.latency_us(&cfg);
             assert_eq!(us, sim.latency_us(&cfg), "latency must be pure");
             match us {
@@ -323,7 +325,10 @@ mod tests {
             // The wrapper only delays; values pass through untouched.
             assert_eq!(sim.evaluate(&cfg).value(), Some(x as f64 + 1.0));
         }
-        assert!(light > 0 && heavy > 0, "mixture has {light} light / {heavy} heavy");
+        assert!(
+            light > 0 && heavy > 0,
+            "mixture has {light} light / {heavy} heavy"
+        );
         assert!(light > heavy, "the heavy tail must be the minority");
     }
 

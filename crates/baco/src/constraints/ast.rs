@@ -102,7 +102,7 @@ impl Expr {
                 ParamValue::Categorical(s) => Value::Str(s),
                 ParamValue::Permutation(_) => {
                     return Err(err(
-                        "permutation parameters can only be used via pos(...)".into(),
+                        "permutation parameters can only be used via pos(...)".into()
                     ))
                 }
             }),
@@ -193,14 +193,21 @@ fn eval_call(f: Func, args: &[Expr], cfg: &Configuration) -> Result<Value> {
         Func::Pos => {
             // args[0] must be a permutation parameter reference.
             let Expr::Param(pi) = &args[0] else {
-                return Err(err("pos(): first argument must be a permutation parameter".into()));
+                return Err(err(
+                    "pos(): first argument must be a permutation parameter".into()
+                ));
             };
             let ParamValue::Permutation(p) = cfg.value_at(*pi) else {
-                return Err(err("pos(): first argument must be a permutation parameter".into()));
+                return Err(err(
+                    "pos(): first argument must be a permutation parameter".into()
+                ));
             };
             let k = num(&args[1])?;
             if k < 0.0 || k.fract() != 0.0 || k as usize >= p.len() {
-                return Err(err(format!("pos(): element {k} out of range 0..{}", p.len())));
+                return Err(err(format!(
+                    "pos(): element {k} out of range 0..{}",
+                    p.len()
+                )));
             }
             let pos = p
                 .iter()
@@ -250,7 +257,10 @@ mod tests {
         let e = Expr::Bin(
             BinOp::And,
             Box::new(Expr::Not(Box::new(Expr::Param(2)))),
-            Box::new(Expr::Call(Func::Min, vec![Expr::Param(0), Expr::Neg(Box::new(Expr::Param(1)))])),
+            Box::new(Expr::Call(
+                Func::Min,
+                vec![Expr::Param(0), Expr::Neg(Box::new(Expr::Param(1)))],
+            )),
         );
         let mut v = Vec::new();
         e.collect_params(&mut v);

@@ -222,7 +222,10 @@ mod tests {
                 matches!(e, crate::Error::ConstraintParse(_)),
                 "{bad} → {e:?}"
             );
-            assert!(e.to_string().contains(bad), "message should quote `{bad}`: {e}");
+            assert!(
+                e.to_string().contains(bad),
+                "message should quote `{bad}`: {e}"
+            );
         }
     }
 

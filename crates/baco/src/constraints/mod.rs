@@ -255,11 +255,26 @@ mod tests {
     #[test]
     fn parse_errors() {
         let s = space();
-        assert!(matches!(parse("a >", &s.inner.by_name), Err(Error::ConstraintParse(_))));
-        assert!(matches!(parse("(a > 1", &s.inner.by_name), Err(Error::ConstraintParse(_))));
-        assert!(matches!(parse("a ** 2 > 1", &s.inner.by_name), Err(Error::ConstraintParse(_))));
-        assert!(matches!(parse("zz > 1", &s.inner.by_name), Err(Error::UnknownParameter(_))));
-        assert!(matches!(parse("", &s.inner.by_name), Err(Error::ConstraintParse(_))));
+        assert!(matches!(
+            parse("a >", &s.inner.by_name),
+            Err(Error::ConstraintParse(_))
+        ));
+        assert!(matches!(
+            parse("(a > 1", &s.inner.by_name),
+            Err(Error::ConstraintParse(_))
+        ));
+        assert!(matches!(
+            parse("a ** 2 > 1", &s.inner.by_name),
+            Err(Error::ConstraintParse(_))
+        ));
+        assert!(matches!(
+            parse("zz > 1", &s.inner.by_name),
+            Err(Error::UnknownParameter(_))
+        ));
+        assert!(matches!(
+            parse("", &s.inner.by_name),
+            Err(Error::ConstraintParse(_))
+        ));
     }
 
     #[test]

@@ -4,11 +4,7 @@ use crate::{Error, Result};
 use std::collections::HashMap;
 
 /// Recursive-descent parser over the token stream.
-pub(crate) fn parse(
-    tokens: &[Token],
-    src: &str,
-    by_name: &HashMap<String, usize>,
-) -> Result<Expr> {
+pub(crate) fn parse(tokens: &[Token], src: &str, by_name: &HashMap<String, usize>) -> Result<Expr> {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -198,7 +194,9 @@ mod tests {
     use crate::constraints::lexer::lex;
 
     fn names() -> HashMap<String, usize> {
-        [("a".to_string(), 0), ("b".to_string(), 1)].into_iter().collect()
+        [("a".to_string(), 0), ("b".to_string(), 1)]
+            .into_iter()
+            .collect()
     }
 
     fn p(src: &str) -> Result<Expr> {
@@ -246,8 +244,8 @@ mod tests {
         // Every prefix cut mid-production must fail with a parse error (and
         // never panic), whichever sub-parser was interrupted.
         for bad in [
-            "a >", "a > 1 &&", "a ||", "(a > 1", "((a > 1)", "min(a, b", "min(a,", "!", "-",
-            "a +", "a * ", "b %",
+            "a >", "a > 1 &&", "a ||", "(a > 1", "((a > 1)", "min(a, b", "min(a,", "!", "-", "a +",
+            "a * ", "b %",
         ] {
             let e = p(bad).unwrap_err();
             assert!(
@@ -276,20 +274,23 @@ mod tests {
         // Comparisons don't chain and operators can't collide; the parser
         // must reject the leftovers as trailing garbage or a bad primary.
         for bad in [
-            "a > 1 > 2",    // chained comparison: trailing `> 2`
-            "a > 1 == 2",   // chained comparison via ==
-            "a + * b",      // operator collision
-            "a && && b",    // logical collision
-            "()",           // empty parenthesis
-            "a b",          // juxtaposition
-            "1 2",          // number juxtaposition
+            "a > 1 > 2",  // chained comparison: trailing `> 2`
+            "a > 1 == 2", // chained comparison via ==
+            "a + * b",    // operator collision
+            "a && && b",  // logical collision
+            "()",         // empty parenthesis
+            "a b",        // juxtaposition
+            "1 2",        // number juxtaposition
         ] {
             let e = p(bad).unwrap_err();
             assert!(
                 matches!(e, crate::Error::ConstraintParse(_)),
                 "{bad:?} → {e:?}"
             );
-            assert!(e.to_string().contains(bad), "message should quote `{bad}`: {e}");
+            assert!(
+                e.to_string().contains(bad),
+                "message should quote `{bad}`: {e}"
+            );
         }
     }
 

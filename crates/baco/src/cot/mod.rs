@@ -187,7 +187,11 @@ impl ChainOfTrees {
             s *= t.leaf_count() as f64;
         }
         for &p in &self.free_params {
-            s *= self.space.param(p).domain_size().expect("free params are discrete") as f64;
+            s *= self
+                .space
+                .param(p)
+                .domain_size()
+                .expect("free params are discrete") as f64;
         }
         s
     }
@@ -267,7 +271,11 @@ impl ChainOfTrees {
             }
             acc = next;
         }
-        Some(acc.into_iter().map(|v| self.space.config_from_cvals(v)).collect())
+        Some(
+            acc.into_iter()
+                .map(|v| self.space.config_from_cvals(v))
+                .collect(),
+        )
     }
 
     /// Per-tree statistics (for diagnostics and the Table 3 harness).
@@ -343,8 +351,7 @@ mod tests {
     fn enumeration_matches_brute_force() {
         let space = paper_space();
         let cot = ChainOfTrees::build(&space).unwrap();
-        let listed: HashSet<Configuration> =
-            cot.enumerate(10_000).unwrap().into_iter().collect();
+        let listed: HashSet<Configuration> = cot.enumerate(10_000).unwrap().into_iter().collect();
         // Brute force over the dense space.
         let mut brute = HashSet::new();
         for &p1 in &[2.0, 4.0] {
@@ -379,7 +386,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..500 {
             let cfg = space.sample_dense(&mut rng);
-            assert_eq!(cot.contains(&cfg), space.satisfies_known(&cfg).unwrap(), "{cfg}");
+            assert_eq!(
+                cot.contains(&cfg),
+                space.satisfies_known(&cfg).unwrap(),
+                "{cfg}"
+            );
         }
     }
 
@@ -424,14 +435,20 @@ mod tests {
             }
         }
         // Top-down: P(a=0) = 1/2 ≫ 1/9 (uniform). Expect near 2000, not ~444.
-        assert!(a0 > 1400, "biased sampler should over-sample sparse branch: {a0}");
+        assert!(
+            a0 > 1400,
+            "biased sampler should over-sample sparse branch: {a0}"
+        );
         let mut u0 = 0usize;
         for _ in 0..n {
             if cot.sample_uniform(&mut rng).value("a").as_i64() == 0 {
                 u0 += 1;
             }
         }
-        assert!(u0 < 800, "uniform sampler should be leaf-proportional: {u0}");
+        assert!(
+            u0 < 800,
+            "uniform sampler should be leaf-proportional: {u0}"
+        );
     }
 
     #[test]
@@ -441,7 +458,10 @@ mod tests {
             .known_constraint("a > 5")
             .build()
             .unwrap();
-        assert!(matches!(ChainOfTrees::build(&space), Err(Error::EmptyFeasibleSet)));
+        assert!(matches!(
+            ChainOfTrees::build(&space),
+            Err(Error::EmptyFeasibleSet)
+        ));
     }
 
     #[test]
@@ -465,7 +485,10 @@ mod tests {
             .known_constraint("x > 0.5")
             .build()
             .unwrap();
-        assert!(matches!(ChainOfTrees::build(&space), Err(Error::InvalidSpace(_))));
+        assert!(matches!(
+            ChainOfTrees::build(&space),
+            Err(Error::InvalidSpace(_))
+        ));
     }
 
     #[test]

@@ -237,7 +237,10 @@ impl Tree {
         for &p in &self.params {
             debug_assert!(!children.is_empty(), "sample_into on empty tree");
             let chosen = if uniform {
-                let total: u64 = children.iter().map(|&c| self.nodes[c as usize].leaf_count).sum();
+                let total: u64 = children
+                    .iter()
+                    .map(|&c| self.nodes[c as usize].leaf_count)
+                    .sum();
                 let mut r = rng.gen_range(0..total);
                 let mut pick = children[0];
                 for &c in &children {

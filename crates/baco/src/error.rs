@@ -111,9 +111,15 @@ mod tests {
             Error::InvalidConfig("budget".into()),
             Error::InvalidValue("7".into()),
             Error::NonFiniteObjective("NaN".into()),
-            Error::ObjectiveCountMismatch { got: 1, expected: 2 },
+            Error::ObjectiveCountMismatch {
+                got: 1,
+                expected: 2,
+            },
             Error::Io("open failed".into()),
-            Error::JournalCorrupt { line: 3, msg: "bad record".into() },
+            Error::JournalCorrupt {
+                line: 3,
+                msg: "bad record".into(),
+            },
             Error::UnknownSession("s1".into()),
             Error::SessionExists("s1".into()),
         ];

@@ -76,9 +76,7 @@ use std::time::{Duration, Instant};
 /// infeasibility verdict. A black box with interior mutability must tolerate
 /// its own panics, exactly as it must under any catch-and-continue driver.
 fn evaluate_contained(bb: &dyn BlackBox, cfg: &Configuration) -> Evaluation {
-    catch_unwind(AssertUnwindSafe(|| bb.evaluate(cfg))).unwrap_or_else(|_| {
-        Evaluation::infeasible()
-    })
+    catch_unwind(AssertUnwindSafe(|| bb.evaluate(cfg))).unwrap_or_else(|_| Evaluation::infeasible())
 }
 
 /// One completed evaluation delivered by [`EvalPool::recv`].
@@ -241,15 +239,13 @@ impl<'a> EvalPool<'a> {
     /// the caller must be prepared to discard it.
     pub fn cancel(&mut self, ticket: u64) -> bool {
         match &mut self.inner {
-            PoolImpl::Inline { queue, .. } => {
-                match queue.iter().position(|(t, _)| *t == ticket) {
-                    Some(pos) => {
-                        queue.remove(pos);
-                        true
-                    }
-                    None => false,
+            PoolImpl::Inline { queue, .. } => match queue.iter().position(|(t, _)| *t == ticket) {
+                Some(pos) => {
+                    queue.remove(pos);
+                    true
                 }
-            }
+                None => false,
+            },
             PoolImpl::Threaded {
                 shared,
                 outstanding,
@@ -406,9 +402,8 @@ mod tests {
     #[test]
     fn batch_preserves_submission_order() {
         let s = space();
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("x").as_f64() * 2.0)
-        });
+        let bb =
+            FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("x").as_f64() * 2.0));
         let cfgs: Vec<_> = (0..20).map(|i| cfg(&s, i)).collect();
         for threads in [1, 2, 4, 0] {
             let mut out = drain(&bb, &cfgs, threads);
@@ -417,8 +412,16 @@ mod tests {
             out.sort_by_key(|done| done.ticket);
             for (i, done) in out.iter().enumerate() {
                 assert_eq!(done.ticket, i as u64, "threads={threads}");
-                assert_eq!(done.config.value("x").as_i64(), i as i64, "threads={threads}");
-                assert_eq!(done.evaluation.value(), Some(i as f64 * 2.0), "threads={threads}");
+                assert_eq!(
+                    done.config.value("x").as_i64(),
+                    i as i64,
+                    "threads={threads}"
+                );
+                assert_eq!(
+                    done.evaluation.value(),
+                    Some(i as f64 * 2.0),
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -439,25 +442,28 @@ mod tests {
             assert_eq!(done.config.value("x").as_i64() as u64, done.ticket);
             seen[done.ticket as usize] += 1;
         }
-        assert!(seen.iter().all(|&c| c == 1), "each outcome exactly once: {seen:?}");
+        assert!(
+            seen.iter().all(|&c| c == 1),
+            "each outcome exactly once: {seen:?}"
+        );
     }
 
     #[test]
     fn single_thread_streams_in_submission_order() {
         let s = space();
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("x").as_f64())
-        });
+        let bb = FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("x").as_f64()));
         let cfgs: Vec<_> = (0..6).map(|i| cfg(&s, i)).collect();
-        let order: Vec<u64> = drain(&bb, &cfgs, 1).iter().map(|done| done.ticket).collect();
+        let order: Vec<u64> = drain(&bb, &cfgs, 1)
+            .iter()
+            .map(|done| done.ticket)
+            .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn empty_round_is_a_noop() {
-        let bb = FnBlackBox::new(|_: &Configuration| -> Evaluation {
-            panic!("nothing was submitted")
-        });
+        let bb =
+            FnBlackBox::new(|_: &Configuration| -> Evaluation { panic!("nothing was submitted") });
         for threads in [1, 4] {
             assert!(drain(&bb, &[], threads).is_empty());
             with_pool(&bb, threads, 4, |pool| {
@@ -525,9 +531,7 @@ mod tests {
     #[test]
     fn inline_pool_completes_in_submission_order() {
         let s = space();
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("x").as_f64())
-        });
+        let bb = FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("x").as_f64()));
         with_pool(&bb, 1, 8, |pool| {
             for (ticket, x) in [(5u64, 0i64), (3, 1), (9, 2)] {
                 pool.submit(ticket, cfg(&s, x));
@@ -567,9 +571,7 @@ mod tests {
     #[test]
     fn inline_pool_cancel_removes_queued_job() {
         let s = space();
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("x").as_f64())
-        });
+        let bb = FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("x").as_f64()));
         with_pool(&bb, 1, 4, |pool| {
             pool.submit(1, cfg(&s, 1));
             pool.submit(2, cfg(&s, 2));
@@ -597,8 +599,7 @@ mod tests {
             for i in 0..8u64 {
                 pool.submit(i, cfg(&s, i as i64));
             }
-            let cancelled: Vec<(u64, bool)> =
-                (4..8u64).map(|t| (t, pool.cancel(t))).collect();
+            let cancelled: Vec<(u64, bool)> = (4..8u64).map(|t| (t, pool.cancel(t))).collect();
             let mut delivered = std::collections::HashSet::new();
             while let Some(done) = pool.recv() {
                 assert!(delivered.insert(done.ticket), "duplicate completion");
@@ -658,7 +659,10 @@ mod tests {
         });
         let cfgs: Vec<_> = (0..10).map(|i| cfg(&s, i)).collect();
         let out = drain(&bb, &cfgs, 3);
-        let infeasible = out.iter().filter(|done| !done.evaluation.is_feasible()).count();
+        let infeasible = out
+            .iter()
+            .filter(|done| !done.evaluation.is_feasible())
+            .count();
         assert_eq!(infeasible, 5);
     }
 }

@@ -154,9 +154,7 @@ impl Corpus {
     pub fn donors(&self, fingerprint: u64, objectives: usize, max: usize) -> Vec<&CorpusEntry> {
         self.entries
             .iter()
-            .filter(|e| {
-                e.fingerprint == fingerprint && e.objectives == objectives && e.trials > 0
-            })
+            .filter(|e| e.fingerprint == fingerprint && e.objectives == objectives && e.trials > 0)
             .take(max)
             .collect()
     }
@@ -188,8 +186,7 @@ pub fn classify_bytes(session: &str, bytes: &[u8]) -> std::result::Result<Corpus
     let space_spec = head
         .get("space")
         .ok_or_else(|| SkipReason::NotAJournal("header has no `space`".into()))?;
-    let space =
-        space_from_spec(space_spec).map_err(SkipReason::BadSpace)?;
+    let space = space_from_spec(space_spec).map_err(SkipReason::BadSpace)?;
     let journal = Journal::from_bytes(bytes, &space).map_err(|e| match e {
         Error::JournalCorrupt { line, msg } => SkipReason::Corrupt { line, msg },
         other => SkipReason::NotAJournal(other.to_string()),
@@ -266,8 +263,7 @@ pub fn scan(dir: &Path) -> Result<Corpus> {
 /// a skip.
 pub fn load_donor(dir: &Path, session: &str, space: &SearchSpace) -> Result<(u64, Journal)> {
     let path = dir.join(format!("{session}.jsonl"));
-    let bytes =
-        std::fs::read(&path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
+    let bytes = std::fs::read(&path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
     let journal = Journal::from_bytes(&bytes, space)?;
     let content = fnv1a(&bytes[..usize::try_from(journal.clean_len).unwrap_or(bytes.len())]);
     Ok((content, journal))
@@ -299,7 +295,11 @@ mod tests {
             spec(|b| b.integer("y", 0, 7).known_constraint("y >= 1")), // name
             spec(|b| b.ordinal("x", vec![0.0, 7.0]).known_constraint("x >= 1")), // kind
             spec(|b| b.integer("x", 0, 7)),                            // constraint
-            spec(|b| b.integer("x", 0, 7).integer("z", 0, 1).known_constraint("x >= 1")),
+            spec(|b| {
+                b.integer("x", 0, 7)
+                    .integer("z", 0, 1)
+                    .known_constraint("x >= 1")
+            }),
         ] {
             assert_ne!(space_fingerprint(&base), space_fingerprint(&changed));
         }
@@ -363,7 +363,10 @@ mod tests {
         // prefix — the crash-tolerance contract); the rest are typed skips.
         let names: Vec<&str> = corpus.entries.iter().map(|e| e.session.as_str()).collect();
         assert_eq!(names, ["healthy", "torn"]);
-        assert!(corpus.entries.iter().all(|e| e.trials > 0 && e.best.is_some()));
+        assert!(corpus
+            .entries
+            .iter()
+            .all(|e| e.trials > 0 && e.best.is_some()));
         let skipped: Vec<&str> = corpus.skipped.iter().map(|(f, _)| f.as_str()).collect();
         assert_eq!(skipped, ["corrupt.jsonl", "foreign.jsonl", "future.jsonl"]);
         assert!(matches!(corpus.skipped[0].1, SkipReason::NotAJournal(_)));

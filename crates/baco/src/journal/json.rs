@@ -326,7 +326,10 @@ impl<'a> Parser<'a> {
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest)
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string tail"))?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("empty string tail"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -363,7 +366,9 @@ impl<'a> Parser<'a> {
             .parse()
             .map_err(|_| format!("bad number literal `{text}` at byte {start}"))?;
         if !v.is_finite() {
-            return Err(format!("number literal `{text}` overflows f64 at byte {start}"));
+            return Err(format!(
+                "number literal `{text}` overflows f64 at byte {start}"
+            ));
         }
         Ok(Json::Num(v))
     }
@@ -379,7 +384,10 @@ mod tests {
             ("t".into(), Json::Str("trial".into())),
             ("v".into(), Json::Num(0.1)),
             ("neg".into(), Json::Num(-0.0)),
-            ("arr".into(), Json::Arr(vec![Json::Num(1.0), Json::Null, Json::Bool(true)])),
+            (
+                "arr".into(),
+                Json::Arr(vec![Json::Num(1.0), Json::Null, Json::Bool(true)]),
+            ),
             ("esc".into(), Json::Str("a\"b\\c\nd\u{1}é".into())),
             ("empty".into(), Json::Obj(vec![])),
         ]);
@@ -408,8 +416,24 @@ mod tests {
     #[test]
     fn rejects_garbage_without_panicking() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\":}", "nul", "tru", "\"abc", "1e", "--1", "1.2.3",
-            "{\"a\" 1}", "[1 2]", "\"\\u12\"", "\"\\q\"", "{\"a\":1}x", "\u{7f}", "1e999",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\":}",
+            "nul",
+            "tru",
+            "\"abc",
+            "1e",
+            "--1",
+            "1.2.3",
+            "{\"a\" 1}",
+            "[1 2]",
+            "\"\\u12\"",
+            "\"\\q\"",
+            "{\"a\":1}x",
+            "\u{7f}",
+            "1e999",
             "\"\\ud800\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");

@@ -253,7 +253,11 @@ impl Header {
             seed: opts.seed,
             budget: opts.budget,
             doe_samples: opts.doe_samples,
-            batch_size: if mode == Mode::Batched { opts.batch_size } else { 1 },
+            batch_size: if mode == Mode::Batched {
+                opts.batch_size
+            } else {
+                1
+            },
             options: options_spec(opts),
             space: space_spec(space),
             transfer: None,
@@ -266,9 +270,7 @@ impl Header {
     /// # Errors
     /// [`Error::JournalCorrupt`] naming the first mismatching field.
     pub fn validate(&self, mode: Mode, opts: &BacoOptions, space: &SearchSpace) -> Result<()> {
-        let fail = |msg: String| {
-            Err(Error::JournalCorrupt { line: 1, msg })
-        };
+        let fail = |msg: String| Err(Error::JournalCorrupt { line: 1, msg });
         if self.version > FORMAT_VERSION {
             return fail(format!(
                 "journal format v{} is newer than this binary's v{FORMAT_VERSION}",
@@ -283,7 +285,10 @@ impl Header {
             ));
         }
         if self.seed != opts.seed {
-            return fail(format!("seed mismatch: journal {}, tuner {}", self.seed, opts.seed));
+            return fail(format!(
+                "seed mismatch: journal {}, tuner {}",
+                self.seed, opts.seed
+            ));
         }
         if self.doe_samples != opts.doe_samples {
             return fail(format!(
@@ -451,9 +456,7 @@ impl AnchorRec {
                 .and_then(Json::as_arr)
                 .ok_or_else(|| format!("anchor missing `{key}` array"))?
                 .iter()
-                .map(|v| {
-                    decode_value(v)?.ok_or_else(|| format!("anchor `{key}` entry is null"))
-                })
+                .map(|v| decode_value(v)?.ok_or_else(|| format!("anchor `{key}` entry is null")))
                 .collect()
         };
         let rec = AnchorRec {
@@ -698,9 +701,7 @@ impl Record {
                         }
                         decoded.split_off(1)
                     }
-                    Some(other) => {
-                        return Err(format!("bad trial `values` {}", other.to_line()))
-                    }
+                    Some(other) => return Err(format!("bad trial `values` {}", other.to_line())),
                 };
                 Ok(Record::Trial(TrialRec {
                     index: get_usize(j, "i")?,
@@ -715,7 +716,9 @@ impl Record {
                     tuner_ns: get_u64(j, "tuner_ns")?,
                 }))
             }
-            Some("resume") => Ok(Record::Resume { len: get_usize(j, "len")? }),
+            Some("resume") => Ok(Record::Resume {
+                len: get_usize(j, "len")?,
+            }),
             Some("reconcile") => Ok(Record::Reconcile(ReconcileRec {
                 len: get_usize(j, "len")?,
                 round: get_usize(j, "round")?,
@@ -740,7 +743,9 @@ fn u64_str(v: u64) -> Json {
 
 pub(crate) fn parse_u64_json(j: &Json) -> std::result::Result<u64, String> {
     match j {
-        Json::Str(s) => s.parse::<u64>().map_err(|_| format!("bad u64 string `{s}`")),
+        Json::Str(s) => s
+            .parse::<u64>()
+            .map_err(|_| format!("bad u64 string `{s}`")),
         Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9.007_199_254_740_992e15 => {
             Ok(*v as u64)
         }
@@ -834,10 +839,7 @@ pub fn encode_config(cfg: &Configuration) -> Json {
 ///
 /// # Errors
 /// A description of the first malformed member. Never panics.
-pub fn decode_config(
-    space: &SearchSpace,
-    j: &Json,
-) -> std::result::Result<Configuration, String> {
+pub fn decode_config(space: &SearchSpace, j: &Json) -> std::result::Result<Configuration, String> {
     let members = j.as_obj().ok_or("configuration is not an object")?;
     if members.len() != space.len() {
         return Err(format!(
@@ -984,7 +986,9 @@ pub fn space_from_spec(j: &Json) -> std::result::Result<SearchSpace, String> {
         let log = match p.get("scale") {
             None => false,
             Some(Json::Str(s)) if s == "log" => true,
-            Some(other) => return Err(format!("parameter `{name}`: bad scale {}", other.to_line())),
+            Some(other) => {
+                return Err(format!("parameter `{name}`: bad scale {}", other.to_line()))
+            }
         };
         let kind = p
             .get("kind")
@@ -992,9 +996,9 @@ pub fn space_from_spec(j: &Json) -> std::result::Result<SearchSpace, String> {
             .ok_or_else(|| format!("parameter `{name}` missing `kind`"))?;
         let parse_i64 = |key: &str| -> std::result::Result<i64, String> {
             match p.get(key) {
-                Some(Json::Str(s)) => {
-                    s.parse::<i64>().map_err(|_| format!("parameter `{name}`: bad i64 `{key}`"))
-                }
+                Some(Json::Str(s)) => s
+                    .parse::<i64>()
+                    .map_err(|_| format!("parameter `{name}`: bad i64 `{key}`")),
                 Some(Json::Num(v)) if v.fract() == 0.0 && v.abs() <= (1u64 << 53) as f64 => {
                     Ok(*v as i64)
                 }
@@ -1004,7 +1008,9 @@ pub fn space_from_spec(j: &Json) -> std::result::Result<SearchSpace, String> {
         b = match kind {
             "real" => {
                 if log {
-                    return Err(format!("parameter `{name}`: log-scaled reals are unsupported"));
+                    return Err(format!(
+                        "parameter `{name}`: log-scaled reals are unsupported"
+                    ));
                 }
                 let lo = p
                     .get("lo")
@@ -1030,7 +1036,10 @@ pub fn space_from_spec(j: &Json) -> std::result::Result<SearchSpace, String> {
                     .and_then(Json::as_arr)
                     .ok_or_else(|| format!("parameter `{name}`: missing `values`"))?
                     .iter()
-                    .map(|v| v.as_f64().ok_or_else(|| format!("parameter `{name}`: bad ordinal value")))
+                    .map(|v| {
+                        v.as_f64()
+                            .ok_or_else(|| format!("parameter `{name}`: bad ordinal value"))
+                    })
                     .collect::<std::result::Result<Vec<f64>, String>>()?;
                 if log {
                     b.ordinal_log(name, values)
@@ -1040,20 +1049,27 @@ pub fn space_from_spec(j: &Json) -> std::result::Result<SearchSpace, String> {
             }
             "cat" => {
                 if log {
-                    return Err(format!("parameter `{name}`: categoricals cannot be log-scaled"));
+                    return Err(format!(
+                        "parameter `{name}`: categoricals cannot be log-scaled"
+                    ));
                 }
                 let values = p
                     .get("values")
                     .and_then(Json::as_arr)
                     .ok_or_else(|| format!("parameter `{name}`: missing `values`"))?
                     .iter()
-                    .map(|v| v.as_str().ok_or_else(|| format!("parameter `{name}`: bad category")))
+                    .map(|v| {
+                        v.as_str()
+                            .ok_or_else(|| format!("parameter `{name}`: bad category"))
+                    })
                     .collect::<std::result::Result<Vec<&str>, String>>()?;
                 b.categorical(name, values)
             }
             "perm" => {
                 if log {
-                    return Err(format!("parameter `{name}`: permutations cannot be log-scaled"));
+                    return Err(format!(
+                        "parameter `{name}`: permutations cannot be log-scaled"
+                    ));
                 }
                 let len = p
                     .get("len")
@@ -1096,11 +1112,20 @@ fn options_spec(opts: &BacoOptions) -> Json {
                 .into(),
             ),
         ),
-        ("hidden_constraints".into(), Json::Bool(opts.hidden_constraints)),
-        ("feasibility_limit".into(), Json::Bool(opts.feasibility_limit)),
+        (
+            "hidden_constraints".into(),
+            Json::Bool(opts.hidden_constraints),
+        ),
+        (
+            "feasibility_limit".into(),
+            Json::Bool(opts.feasibility_limit),
+        ),
         ("local_search".into(), Json::Bool(opts.local_search)),
         ("log_objective".into(), Json::Bool(opts.log_objective)),
-        ("optimum_prior".into(), Json::Bool(opts.optimum_prior.is_some())),
+        (
+            "optimum_prior".into(),
+            Json::Bool(opts.optimum_prior.is_some()),
+        ),
         // A constant, kept because the pinned v1/v2/v3 envelope digests and
         // the transfer-corpus keys hash it. An archived journal that says
         // `true` matches no tuner and is refused on resume.
@@ -1219,7 +1244,8 @@ impl JournalWriter {
             .write(true)
             .open(path)
             .map_err(|e| Self::io_err(path, e))?;
-        file.set_len(journal.clean_len).map_err(|e| Self::io_err(path, e))?;
+        file.set_len(journal.clean_len)
+            .map_err(|e| Self::io_err(path, e))?;
         let mut w = JournalWriter {
             file,
             path: path.display().to_string(),
@@ -1238,10 +1264,7 @@ impl JournalWriter {
                 w.file.write_all(b"\n").map_err(|e| io(&w.path, e))?;
             }
         }
-        w.len = w
-            .file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io(&w.path, e))?;
+        w.len = w.file.seek(SeekFrom::End(0)).map_err(|e| io(&w.path, e))?;
         w.append(&Record::Resume { len: report_len })?;
         Ok(w)
     }
@@ -1281,7 +1304,10 @@ impl JournalWriter {
             // leave it inside the journal (best effort — if even this
             // fails, the line is a torn tail the loader drops).
             self.closed = true;
-            let _ = self.file.set_len(self.len).and_then(|()| self.file.sync_data());
+            let _ = self
+                .file
+                .set_len(self.len)
+                .and_then(|()| self.file.sync_data());
             return Err(Error::Io(format!(
                 "{}: {e}; journal cut back to its last acknowledged record and closed to \
                  appends — resume the session from it",
@@ -1371,7 +1397,9 @@ impl Journal {
     /// Whether `path` holds at least a journal header (used to decide
     /// between resuming and starting fresh).
     pub fn exists(path: &Path) -> bool {
-        std::fs::metadata(path).map(|m| m.len() > 0).unwrap_or(false)
+        std::fs::metadata(path)
+            .map(|m| m.len() > 0)
+            .unwrap_or(false)
     }
 
     /// Loads and validates the journal at `path`, decoding configurations
@@ -1455,77 +1483,75 @@ impl Journal {
                     }
                     header = Some(h);
                 }
-                Ok(Line::Rec(rec)) => {
-                    match rec {
-                        Record::Propose(p) => {
-                            if p.len != trials.len() {
-                                return Err(corrupt(
-                                    line_no,
-                                    format!(
-                                        "propose record claims {} trials, journal has {}",
-                                        p.len,
-                                        trials.len()
-                                    ),
-                                ));
-                            }
-                            proposes.push(p);
+                Ok(Line::Rec(rec)) => match rec {
+                    Record::Propose(p) => {
+                        if p.len != trials.len() {
+                            return Err(corrupt(
+                                line_no,
+                                format!(
+                                    "propose record claims {} trials, journal has {}",
+                                    p.len,
+                                    trials.len()
+                                ),
+                            ));
                         }
-                        Record::Trial(tr) => {
-                            if tr.index != trials.len() {
-                                return Err(corrupt(
-                                    line_no,
-                                    format!(
-                                        "trial index {} out of sequence (expected {})",
-                                        tr.index,
-                                        trials.len()
-                                    ),
-                                ));
-                            }
-                            trials.push(tr);
-                        }
-                        Record::Resume { len } => {
-                            if len != trials.len() {
-                                return Err(corrupt(
-                                    line_no,
-                                    format!(
-                                        "resume marker claims {len} trials, journal has {}",
-                                        trials.len()
-                                    ),
-                                ));
-                            }
-                            resumes += 1;
-                        }
-                        Record::Reconcile(r) => {
-                            if r.len != trials.len() {
-                                return Err(corrupt(
-                                    line_no,
-                                    format!(
-                                        "reconcile marker claims {} trials, journal has {}",
-                                        r.len,
-                                        trials.len()
-                                    ),
-                                ));
-                            }
-                            if r.round >= proposes.len() {
-                                return Err(corrupt(
-                                    line_no,
-                                    format!(
-                                        "reconcile marker names round {}, journal has {}",
-                                        r.round,
-                                        proposes.len()
-                                    ),
-                                ));
-                            }
-                            if r.keep && r.cancelled != 0 {
-                                return Err(corrupt(
-                                    line_no,
-                                    "reconcile keep verdict cannot cancel proposals".into(),
-                                ));
-                            }
-                            reconciles.push(r);
-                        }
+                        proposes.push(p);
                     }
-                }
+                    Record::Trial(tr) => {
+                        if tr.index != trials.len() {
+                            return Err(corrupt(
+                                line_no,
+                                format!(
+                                    "trial index {} out of sequence (expected {})",
+                                    tr.index,
+                                    trials.len()
+                                ),
+                            ));
+                        }
+                        trials.push(tr);
+                    }
+                    Record::Resume { len } => {
+                        if len != trials.len() {
+                            return Err(corrupt(
+                                line_no,
+                                format!(
+                                    "resume marker claims {len} trials, journal has {}",
+                                    trials.len()
+                                ),
+                            ));
+                        }
+                        resumes += 1;
+                    }
+                    Record::Reconcile(r) => {
+                        if r.len != trials.len() {
+                            return Err(corrupt(
+                                line_no,
+                                format!(
+                                    "reconcile marker claims {} trials, journal has {}",
+                                    r.len,
+                                    trials.len()
+                                ),
+                            ));
+                        }
+                        if r.round >= proposes.len() {
+                            return Err(corrupt(
+                                line_no,
+                                format!(
+                                    "reconcile marker names round {}, journal has {}",
+                                    r.round,
+                                    proposes.len()
+                                ),
+                            ));
+                        }
+                        if r.keep && r.cancelled != 0 {
+                            return Err(corrupt(
+                                line_no,
+                                "reconcile keep verdict cannot cancel proposals".into(),
+                            ));
+                        }
+                        reconciles.push(r);
+                    }
+                },
                 Err(msg) => {
                     // A malformed *final* line with no terminating newline is
                     // the torn-write crash signature: drop it. Everything
@@ -1597,7 +1623,13 @@ mod tests {
 
     #[test]
     fn value_codec_handles_non_finite() {
-        for v in [None, Some(1.5), Some(f64::NAN), Some(f64::INFINITY), Some(f64::NEG_INFINITY)] {
+        for v in [
+            None,
+            Some(1.5),
+            Some(f64::NAN),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+        ] {
             let back = decode_value(&encode_value(v)).unwrap();
             match (v, back) {
                 (Some(a), Some(b)) if a.is_nan() => assert!(b.is_nan()),
@@ -1669,7 +1701,10 @@ mod tests {
 
     #[test]
     fn huge_integer_values_roundtrip_exactly() {
-        let s = SearchSpace::builder().integer("x", 0, i64::MAX).build().unwrap();
+        let s = SearchSpace::builder()
+            .integer("x", 0, i64::MAX)
+            .build()
+            .unwrap();
         for x in [0, 1 << 53, (1i64 << 53) + 1, i64::MAX] {
             let cfg = s.configuration(&[("x", ParamValue::Int(x))]).unwrap();
             let back = decode_config(&s, &encode_config(&cfg)).unwrap();
@@ -1681,7 +1716,9 @@ mod tests {
     fn rejects_config_outside_domain() {
         let s = space();
         let j = json::parse(r#"{"a":99,"tile":4,"c":"y","p":[0,1,2,3],"r":0.5}"#).unwrap();
-        assert!(decode_config(&s, &j).unwrap_err().contains("invalid configuration"));
+        assert!(decode_config(&s, &j)
+            .unwrap_err()
+            .contains("invalid configuration"));
         let j = json::parse(r#"{"a":7,"tile":4,"c":"z","p":[0,1,2,3],"r":0.5}"#).unwrap();
         assert!(decode_config(&s, &j).is_err());
         let j = json::parse(r#"{"a":7,"tile":4,"c":"y","p":[0,1,1,3],"r":0.5}"#).unwrap();
@@ -1738,8 +1775,10 @@ mod tests {
             h.validate(Mode::Run, &opts, &s).unwrap();
         }
 
-        let spec_opts =
-            crate::tuner::BacoOptions { speculation_depth: 2, ..Default::default() };
+        let spec_opts = crate::tuner::BacoOptions {
+            speculation_depth: 2,
+            ..Default::default()
+        };
         let env3 = options_spec(&spec_opts);
         assert_eq!(envelope_digest(&env3), V3_DIGEST);
         let j = json::parse(&header_line(3, &env3.to_line())).unwrap();

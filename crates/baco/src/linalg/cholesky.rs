@@ -343,7 +343,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn spd3() -> Matrix {
-        Matrix::from_rows(&[&[4.0, 12.0, -16.0], &[12.0, 37.0, -43.0], &[-16.0, -43.0, 98.0]])
+        Matrix::from_rows(&[
+            &[4.0, 12.0, -16.0],
+            &[12.0, 37.0, -43.0],
+            &[-16.0, -43.0, 98.0],
+        ])
     }
 
     #[test]

@@ -53,7 +53,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "from_rows: ragged rows");
             data.extend_from_slice(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Builds a matrix by evaluating `f(i, j)` for every entry.
@@ -98,9 +102,7 @@ impl Matrix {
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| super::dot(self.row(i), x))
-            .collect()
+        (0..self.rows).map(|i| super::dot(self.row(i), x)).collect()
     }
 
     /// Matrix product `A B`.

@@ -74,11 +74,16 @@ where
     G: FnOnce() -> Vec<f64>,
     S: FnMut(&mut R) -> Vec<f64>,
 {
-    assert!(n_samples > 0 && n_keep > 0, "multistart needs at least one sample");
+    assert!(
+        n_samples > 0 && n_keep > 0,
+        "multistart needs at least one sample"
+    );
     // Draw every start from the caller's RNG up front: the stream consumed is
     // the same regardless of how the evaluations below are scheduled.
     let raw: Vec<Vec<f64>> = (0..n_samples).map(|_| sample(rng)).collect();
-    let values = parallel_map((0..raw.len()).collect(), threads, |_, i: usize| value(&raw[i]));
+    let values = parallel_map((0..raw.len()).collect(), threads, |_, i: usize| {
+        value(&raw[i])
+    });
     let mut starts: Vec<(f64, Vec<f64>)> = values
         .into_iter()
         .zip(raw)
@@ -153,12 +158,15 @@ mod tests {
         let reference = run_multistart(7, 1);
         for threads in [0, 2, 4] {
             let r = run_multistart(7, threads);
-            assert_eq!(r.value.to_bits(), reference.value.to_bits(), "threads {threads}");
-            let same = r
-                .x
-                .iter()
-                .zip(&reference.x)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert_eq!(
+                r.value.to_bits(),
+                reference.value.to_bits(),
+                "threads {threads}"
+            );
+            let same =
+                r.x.iter()
+                    .zip(&reference.x)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "threads {threads}: {:?} vs {:?}", r.x, reference.x);
         }
     }

@@ -49,7 +49,11 @@ where
     let n = items.len();
     let threads = effective_threads(threads, n);
     if threads <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
 
     // Work-stealing by atomic cursor over a shared item table; each result

@@ -226,9 +226,7 @@ where
         for _ in 0..opts.max_steps {
             nbs.clear();
             nbs.extend(neighbors(&space, &cur).into_iter().filter(|nb| {
-                sampler.contains(nb)
-                    && !seen.contains(nb)
-                    && region.is_none_or(|inside| inside(nb))
+                sampler.contains(nb) && !seen.contains(nb) && region.is_none_or(|inside| inside(nb))
             }));
             if nbs.is_empty() {
                 break;
@@ -401,9 +399,15 @@ mod tests {
             n_starts: 4,
             max_steps: 50,
         };
-        let best =
-            local_search_in(&sampler, &mut rng, scalar_score(score), &opts, &HashSet::new(), None)
-                .unwrap();
+        let best = local_search_in(
+            &sampler,
+            &mut rng,
+            scalar_score(score),
+            &opts,
+            &HashSet::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(best.value("a").as_i64(), 12);
         assert_eq!(best.value("b").as_i64(), 7);
     }
@@ -419,7 +423,8 @@ mod tests {
     ) -> (Option<Configuration>, Vec<(Configuration, usize)>) {
         let space = sampler.space().clone();
         let pool = sample_pool(sampler, rng, opts.n_candidates, &HashSet::new(), None);
-        let mut scored: Vec<(f64, Configuration)> = pool.into_iter().map(|c| (score(&c), c)).collect();
+        let mut scored: Vec<(f64, Configuration)> =
+            pool.into_iter().map(|c| (score(&c), c)).collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         scored.truncate(opts.n_starts);
         let mut best: Option<(f64, Configuration)> = None;
@@ -427,8 +432,10 @@ mod tests {
         for (s0, start) in scored {
             let (mut cur, mut cur_score, mut calls) = (start.clone(), s0, 0);
             for _ in 0..opts.max_steps {
-                let nbs: Vec<_> =
-                    neighbors(&space, &cur).into_iter().filter(|nb| sampler.contains(nb)).collect();
+                let nbs: Vec<_> = neighbors(&space, &cur)
+                    .into_iter()
+                    .filter(|nb| sampler.contains(nb))
+                    .collect();
                 if nbs.is_empty() {
                     break;
                 }
@@ -485,7 +492,10 @@ mod tests {
                     distinct_calls += calls;
                 }
             }
-            assert!(distinct.len() < climbs.len(), "seed {seed}: no start repeats");
+            assert!(
+                distinct.len() < climbs.len(),
+                "seed {seed}: no start repeats"
+            );
 
             let batches = std::cell::Cell::new(0);
             let counted = |cfgs: &[Configuration]| {

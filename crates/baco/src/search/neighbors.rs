@@ -65,10 +65,10 @@ mod tests {
     #[test]
     fn counts_by_type() {
         let s = SearchSpace::builder()
-            .integer("i", 0, 9)        // 9 other values
+            .integer("i", 0, 9) // 9 other values
             .categorical("c", vec!["a", "b", "z"]) // 2 others
-            .permutation("p", 4)       // C(4,2) = 6 swaps
-            .real("x", 0.0, 1.0)       // up to 4 nudges
+            .permutation("p", 4) // C(4,2) = 6 swaps
+            .real("x", 0.0, 1.0) // up to 4 nudges
             .build()
             .unwrap();
         let cfg = s

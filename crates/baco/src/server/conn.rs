@@ -135,7 +135,9 @@ impl ConnState {
             return Err(LineTooLong { buffered });
         }
         self.read_buf.extend_from_slice(rest);
-        if lines.is_empty() && self.read_buf.is_empty() && self.read_buf.capacity() > WRITE_SHRINK_AT
+        if lines.is_empty()
+            && self.read_buf.is_empty()
+            && self.read_buf.capacity() > WRITE_SHRINK_AT
         {
             self.read_buf = Vec::new();
         }
@@ -155,7 +157,10 @@ impl ConnState {
     /// How many queued entries are real `Request`s (shed markers excluded) —
     /// the number of server-wide `outstanding` slots this queue holds.
     pub fn pending_requests(&self) -> usize {
-        self.pending.iter().filter(|p| matches!(p, Pending::Request(_))).count()
+        self.pending
+            .iter()
+            .filter(|p| matches!(p, Pending::Request(_)))
+            .count()
     }
 
     /// Whether a request of this connection is currently at the workers.
@@ -304,7 +309,10 @@ mod tests {
         }
         assert_eq!(
             lines,
-            vec![r#"{"op":"status"}"#.to_string(), r#"{"op":"ask","session":"s"}"#.to_string()]
+            vec![
+                r#"{"op":"status"}"#.to_string(),
+                r#"{"op":"ask","session":"s"}"#.to_string()
+            ]
         );
         // The partial tail stays buffered until its newline arrives.
         let more = c.ingest(b"\"close\"}\n", 1 << 20).unwrap();
@@ -346,7 +354,9 @@ mod tests {
         c.push_pending(Pending::Shed(None));
         c.push_pending(Pending::Request("r2".into()));
 
-        let Some(Pending::Request(r1)) = c.next_dispatch() else { panic!("r1 first") };
+        let Some(Pending::Request(r1)) = c.next_dispatch() else {
+            panic!("r1 first")
+        };
         assert_eq!(r1, "r1");
         assert!(c.in_flight());
         // While r1 is in flight nothing else dispatches — not even the shed
@@ -354,9 +364,16 @@ mod tests {
         assert!(c.next_dispatch().is_none());
 
         c.complete_in_flight();
-        let Some(Pending::Shed(None)) = c.next_dispatch() else { panic!("shed second") };
-        assert!(!c.in_flight(), "shed entries do not occupy the in-flight slot");
-        let Some(Pending::Request(r2)) = c.next_dispatch() else { panic!("r2 last") };
+        let Some(Pending::Shed(None)) = c.next_dispatch() else {
+            panic!("shed second")
+        };
+        assert!(
+            !c.in_flight(),
+            "shed entries do not occupy the in-flight slot"
+        );
+        let Some(Pending::Request(r2)) = c.next_dispatch() else {
+            panic!("r2 last")
+        };
         assert_eq!(r2, "r2");
     }
 
@@ -388,7 +405,11 @@ mod tests {
         c.queue_reply(&"z".repeat(200 * 1024));
         let n = c.writable().len();
         c.consume_written(n);
-        assert_eq!(c.memory_bytes(), 0, "a drained big write buffer must not stay parked");
+        assert_eq!(
+            c.memory_bytes(),
+            0,
+            "a drained big write buffer must not stay parked"
+        );
     }
 
     #[test]
@@ -398,7 +419,9 @@ mod tests {
         c.peer_closed();
         assert_eq!(c.phase(), Phase::Draining);
         assert!(!c.done(), "pending work still drains after EOF");
-        let Some(Pending::Request(_)) = c.next_dispatch() else { panic!() };
+        let Some(Pending::Request(_)) = c.next_dispatch() else {
+            panic!()
+        };
         c.complete_in_flight();
         c.queue_reply("reply");
         assert!(!c.done(), "reply not yet flushed");

@@ -95,7 +95,10 @@ struct Shared {
 
 impl Shared {
     fn enqueue(&self, job: Job) {
-        self.jobs.lock().unwrap_or_else(|e| e.into_inner()).push_back(job);
+        self.jobs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push_back(job);
         self.jobs_cv.notify_one();
     }
 }
@@ -124,21 +127,31 @@ pub(super) fn serve_on<P: Readiness, A: ToSocketAddrs>(
     addr: A,
 ) -> Result<TcpServer> {
     let listener = TcpListener::bind(addr).map_err(|e| Error::Io(format!("bind: {e}")))?;
-    let local = listener.local_addr().map_err(|e| Error::Io(format!("local_addr: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| Error::Io(format!("local_addr: {e}")))?;
     listener
         .set_nonblocking(true)
         .map_err(|e| Error::Io(format!("set_nonblocking: {e}")))?;
 
-    let (wake_rx, wake_tx) =
-        UnixStream::pair().map_err(|e| Error::Io(format!("waker: {e}")))?;
-    wake_rx.set_nonblocking(true).map_err(|e| Error::Io(format!("waker: {e}")))?;
-    wake_tx.set_nonblocking(true).map_err(|e| Error::Io(format!("waker: {e}")))?;
+    let (wake_rx, wake_tx) = UnixStream::pair().map_err(|e| Error::Io(format!("waker: {e}")))?;
+    wake_rx
+        .set_nonblocking(true)
+        .map_err(|e| Error::Io(format!("waker: {e}")))?;
+    wake_tx
+        .set_nonblocking(true)
+        .map_err(|e| Error::Io(format!("waker: {e}")))?;
     let waker = Waker(wake_tx);
 
     let mut poller = P::new().map_err(|e| Error::Io(format!("poller: {e}")))?;
-    let watched = [(listener.as_raw_fd(), TOKEN_LISTENER), (wake_rx.as_raw_fd(), TOKEN_WAKER)];
+    let watched = [
+        (listener.as_raw_fd(), TOKEN_LISTENER),
+        (wake_rx.as_raw_fd(), TOKEN_WAKER),
+    ];
     for (fd, token) in watched {
-        poller.add(fd, sys::EPOLLIN, token).map_err(|e| Error::Io(format!("poller add: {e}")))?;
+        poller
+            .add(fd, sys::EPOLLIN, token)
+            .map_err(|e| Error::Io(format!("poller add: {e}")))?;
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -153,8 +166,12 @@ pub(super) fn serve_on<P: Readiness, A: ToSocketAddrs>(
         .map(|_| {
             let shared = Arc::clone(&shared);
             let handle = handle.clone();
-            let waker = waker.try_clone().map_err(|e| Error::Io(format!("waker: {e}")))?;
-            Ok(std::thread::spawn(move || worker_loop(&shared, &handle, &waker)))
+            let waker = waker
+                .try_clone()
+                .map_err(|e| Error::Io(format!("waker: {e}")))?;
+            Ok(std::thread::spawn(move || {
+                worker_loop(&shared, &handle, &waker)
+            }))
         })
         .collect::<Result<_>>()?;
 
@@ -185,7 +202,12 @@ pub(super) fn serve_on<P: Readiness, A: ToSocketAddrs>(
         }
     });
 
-    Ok(TcpServer { addr: local, stop, waker, thread: Some(thread) })
+    Ok(TcpServer {
+        addr: local,
+        stop,
+        waker,
+        thread: Some(thread),
+    })
 }
 
 fn worker_loop(shared: &Shared, handle: &ServerHandle, waker: &Waker) {
@@ -211,14 +233,21 @@ fn worker_loop(shared: &Shared, handle: &ServerHandle, waker: &Waker) {
         .unwrap_or_else(|_| {
             proto::err_line(
                 None,
-                &WireError { kind: proto::ErrorKind::Tuner, msg: "internal panic".into() },
+                &WireError {
+                    kind: proto::ErrorKind::Tuner,
+                    msg: "internal panic".into(),
+                },
             )
         });
         shared
             .completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(Completion { token: job.token, gen: job.gen, reply });
+            .push(Completion {
+                token: job.token,
+                gen: job.gen,
+                reply,
+            });
         waker.wake();
     }
 }
@@ -353,7 +382,11 @@ impl<P: Readiness> EventLoop<P> {
 
     fn deliver_completions(&mut self) {
         let done: Vec<Completion> = {
-            let mut c = self.shared.completions.lock().unwrap_or_else(|e| e.into_inner());
+            let mut c = self
+                .shared
+                .completions
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *c)
         };
         for c in done {
@@ -389,7 +422,9 @@ impl<P: Readiness> EventLoop<P> {
 
     fn conn_readable(&mut self, idx: usize) {
         loop {
-            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
+            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+                return;
+            };
             if !conn.state.wants_read() {
                 return;
             }
@@ -442,9 +477,11 @@ impl<P: Readiness> EventLoop<P> {
 
     fn frame_request(&mut self, idx: usize, line: String) {
         let max_outstanding = self.handle.inner.opts.max_outstanding;
-        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
-        let overloaded = self.outstanding >= max_outstanding
-            || conn.state.pending_len() >= MAX_PENDING_PER_CONN;
+        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        let overloaded =
+            self.outstanding >= max_outstanding || conn.state.pending_len() >= MAX_PENDING_PER_CONN;
         if overloaded {
             // Shed: answer `overloaded` (id echoed) *in order* — the marker
             // rides the same FIFO as real requests.
@@ -461,12 +498,18 @@ impl<P: Readiness> EventLoop<P> {
     /// dispatches the next request if none is in flight.
     fn pump(&mut self, idx: usize) {
         loop {
-            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
+            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+                return;
+            };
             let gen = conn.gen;
             match conn.state.next_dispatch() {
                 None => return,
                 Some(Pending::Request(line)) => {
-                    self.shared.enqueue(Job { token: idx, gen, line });
+                    self.shared.enqueue(Job {
+                        token: idx,
+                        gen,
+                        line,
+                    });
                     return;
                 }
                 Some(Pending::Shed(id)) => {
@@ -481,7 +524,9 @@ impl<P: Readiness> EventLoop<P> {
     /// finished connections, and reconciles the poller interest set.
     fn flush_and_update(&mut self, idx: usize) {
         loop {
-            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
+            let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+                return;
+            };
             let chunk = conn.state.writable();
             if chunk.is_empty() {
                 break;
@@ -500,7 +545,9 @@ impl<P: Readiness> EventLoop<P> {
                 }
             }
         }
-        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else { return };
+        let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
         if conn.state.done() {
             self.close_conn(idx);
             return;
@@ -521,7 +568,9 @@ impl<P: Readiness> EventLoop<P> {
     }
 
     fn close_conn(&mut self, idx: usize) {
-        let Some(conn) = self.slab.get_mut(idx).and_then(Option::take) else { return };
+        let Some(conn) = self.slab.get_mut(idx).and_then(Option::take) else {
+            return;
+        };
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         // Release every outstanding slot this connection still held: its
         // queued requests die here, and its in-flight one (if any) must be
@@ -553,7 +602,10 @@ mod tests {
     }
 
     fn error_kind(reply: &Json) -> Option<&str> {
-        reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str)
+        reply
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
     }
 
     /// The whole loop on backend `P`: pipelining with shedding, half-close
@@ -575,13 +627,20 @@ mod tests {
         let mut shed = 0;
         for i in 0..64 {
             let reply = read_reply(&mut ra);
-            assert_eq!(reply.get("id").and_then(Json::as_f64), Some(i as f64), "in order");
+            assert_eq!(
+                reply.get("id").and_then(Json::as_f64),
+                Some(i as f64),
+                "in order"
+            );
             if reply.get("ok") != Some(&Json::Bool(true)) {
                 assert_eq!(error_kind(&reply), Some("overloaded"), "{reply:?}");
                 shed += 1;
             }
         }
-        assert!((1..64).contains(&shed), "{shed} of 64 shed past max_outstanding = 4");
+        assert!(
+            (1..64).contains(&shed),
+            "{shed} of 64 shed past max_outstanding = 4"
+        );
 
         // Half-close after three requests: all three are answered, then
         // the server closes.
@@ -596,7 +655,11 @@ mod tests {
             assert_eq!(reply.get("id").and_then(Json::as_f64), Some(i as f64));
         }
         let mut rest = String::new();
-        assert_eq!(rb.read_line(&mut rest).unwrap(), 0, "then the server closes");
+        assert_eq!(
+            rb.read_line(&mut rest).unwrap(),
+            0,
+            "then the server closes"
+        );
 
         // A second live connection fills the guard; a third gets one
         // `overloaded` line and is closed.
@@ -619,7 +682,11 @@ mod tests {
             }
         });
         assert_eq!(error_kind(&read_reply(&mut rc)), Some("bad_request"));
-        assert_eq!(rc.read_line(&mut rest).unwrap_or(0), 0, "must close after the error");
+        assert_eq!(
+            rc.read_line(&mut rest).unwrap_or(0),
+            0,
+            "must close after the error"
+        );
         writer.join().unwrap();
         tcp.stop();
     }

@@ -65,10 +65,10 @@
 mod conn;
 #[cfg(unix)]
 mod event;
+pub mod proto;
 mod registry;
 #[cfg(unix)]
 mod sys;
-pub mod proto;
 
 #[cfg(unix)]
 pub use sys::raise_nofile_limit;
@@ -138,7 +138,10 @@ impl ServerHandle {
     /// Creates an empty server.
     pub fn new(opts: ServerOptions) -> ServerHandle {
         ServerHandle {
-            inner: Arc::new(Inner { registry: Registry::new(), opts }),
+            inner: Arc::new(Inner {
+                registry: Registry::new(),
+                opts,
+            }),
         }
     }
 
@@ -162,14 +165,19 @@ impl ServerHandle {
 
     fn dispatch(&self, req: Request) -> std::result::Result<Vec<(String, Json)>, WireError> {
         match req {
-            Request::Create { session, space, opts, transfer } => {
-                self.create(&session, &space, *opts, transfer)
-            }
+            Request::Create {
+                session,
+                space,
+                opts,
+                transfer,
+            } => self.create(&session, &space, *opts, transfer),
             Request::Ask { session } => self.with_session(&session, |s| {
                 let cfg = s.ask().map_err(|e| WireError::from_error(&e))?;
                 Ok(vec![(
                     "config".into(),
-                    cfg.as_ref().map(journal::encode_config).unwrap_or(Json::Null),
+                    cfg.as_ref()
+                        .map(journal::encode_config)
+                        .unwrap_or(Json::Null),
                 )])
             }),
             Request::SuggestBatch { session, q } => self.with_session(&session, |s| {
@@ -179,7 +187,12 @@ impl ServerHandle {
                     Json::Arr(round.iter().map(journal::encode_config).collect()),
                 )])
             }),
-            Request::Report { session, config, values, feasible } => {
+            Request::Report {
+                session,
+                config,
+                values,
+                feasible,
+            } => {
                 self.with_session(&session, |s| {
                     let cfg = journal::decode_config(s.tuner().space(), &config)
                         .map_err(|e| WireError::bad_request(format!("`config`: {e}")))?;
@@ -205,7 +218,8 @@ impl ServerHandle {
                     // survive a restart, and the session refuses further
                     // appends until a `create_session` with `resume: true`
                     // replaces it from the journal.
-                    s.try_report(cfg, eval).map_err(|e| WireError::from_error(&e))?;
+                    s.try_report(cfg, eval)
+                        .map_err(|e| WireError::from_error(&e))?;
                     Ok(vec![("len".into(), Json::Num(s.history().len() as f64))])
                 })
             }
@@ -244,13 +258,21 @@ impl ServerHandle {
                     None => vec![("config".into(), Json::Null), ("value".into(), Json::Null)],
                 })
             }),
-            Request::Status { session: Some(session) } => self.with_session(&session, |s| {
+            Request::Status {
+                session: Some(session),
+            } => self.with_session(&session, |s| {
                 let mut fields = vec![
                     ("len".into(), Json::Num(s.history().len() as f64)),
-                    ("budget".into(), Json::Num(s.tuner().options().budget as f64)),
+                    (
+                        "budget".into(),
+                        Json::Num(s.tuner().options().budget as f64),
+                    ),
                     ("remaining".into(), Json::Num(s.remaining_budget() as f64)),
                     ("pending".into(), Json::Num(s.pending().len() as f64)),
-                    ("best_value".into(), journal::encode_value(s.history().best_value())),
+                    (
+                        "best_value".into(),
+                        journal::encode_value(s.history().best_value()),
+                    ),
                 ];
                 // A session that fails `io` until it is resumed says so;
                 // healthy sessions omit the field.
@@ -274,7 +296,10 @@ impl ServerHandle {
                 let names = self.inner.registry.keys();
                 Ok(vec![
                     ("sessions".into(), Json::Num(names.len() as f64)),
-                    ("names".into(), Json::Arr(names.into_iter().map(Json::Str).collect())),
+                    (
+                        "names".into(),
+                        Json::Arr(names.into_iter().map(Json::Str).collect()),
+                    ),
                 ])
             }
             Request::Close { session } => {
@@ -345,9 +370,12 @@ impl ServerHandle {
         // The tuner's own range checks, asked before the space is decoded:
         // an option out of range is the request's fault whatever else is
         // wrong with it.
-        opts.validate().map_err(|e| WireError::bad_request(e.to_string()))?;
-        let space = journal::space_from_spec(space)
-            .map_err(|msg| WireError { kind: ErrorKind::InvalidSpace, msg })?;
+        opts.validate()
+            .map_err(|e| WireError::bad_request(e.to_string()))?;
+        let space = journal::space_from_spec(space).map_err(|msg| WireError {
+            kind: ErrorKind::InvalidSpace,
+            msg,
+        })?;
 
         let mut resumed = false;
         if let Some(dir) = &self.inner.opts.journal_dir {
@@ -391,7 +419,10 @@ impl ServerHandle {
         if replacing && !guard.as_ref().is_some_and(Session::journal_closed) {
             return Err(exists());
         }
-        let built = Baco::builder(space).options(opts).build().and_then(Session::new);
+        let built = Baco::builder(space)
+            .options(opts)
+            .build()
+            .and_then(Session::new);
         let session = match built {
             Ok(s) => s,
             // A failed replacement leaves the closed session in place.
@@ -408,7 +439,10 @@ impl ServerHandle {
             ("session".into(), Json::Str(name.to_string())),
             ("resumed".into(), Json::Bool(resumed)),
             ("len".into(), Json::Num(session.history().len() as f64)),
-            ("remaining".into(), Json::Num(session.remaining_budget() as f64)),
+            (
+                "remaining".into(),
+                Json::Num(session.remaining_budget() as f64),
+            ),
         ];
         transfer_fields(session.tuner(), &mut fields);
         *guard = Some(session);
@@ -436,7 +470,9 @@ impl ServerHandle {
         #[cfg(not(unix))]
         {
             let _ = addr;
-            Err(Error::Io("the TCP front end needs a Unix host (epoll or poll(2))".into()))
+            Err(Error::Io(
+                "the TCP front end needs a Unix host (epoll or poll(2))".into(),
+            ))
         }
     }
 }
@@ -570,7 +606,9 @@ mod tests {
         // Ops on the closed session are typed errors.
         let err = parse(&srv.handle_line(r#"{"op":"ask","session":"s1"}"#));
         assert_eq!(
-            err.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+            err.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
             Some("unknown_session")
         );
     }
@@ -618,7 +656,9 @@ mod tests {
         );
         let err = parse(&srv.handle_line(&bad));
         assert_eq!(
-            err.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+            err.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
             Some("bad_request")
         );
     }
@@ -654,9 +694,7 @@ mod tests {
 
         // A width-mismatched report is a typed refusal.
         let cfg = r#"{"a":1,"b":1}"#;
-        let bad = format!(
-            r#"{{"op":"report","session":"mo","config":{cfg},"values":[1.0]}}"#
-        );
+        let bad = format!(r#"{{"op":"report","session":"mo","config":{cfg},"values":[1.0]}}"#);
         assert!(srv.handle_line(&bad).contains(r#""kind":"bad_request""#));
 
         // `best` is the Pareto front plus the journaled-reference
@@ -674,31 +712,45 @@ mod tests {
             r#"{{"op":"create_session","session":"mo2","budget":4,"objectives":2,"reference_point":[1.0],"space":{}}}"#,
             int_space_spec()
         );
-        assert!(srv.handle_line(&bad_create).contains(r#""kind":"bad_request""#));
+        assert!(srv
+            .handle_line(&bad_create)
+            .contains(r#""kind":"bad_request""#));
     }
 
     #[test]
     fn duplicate_create_and_bad_names_are_rejected() {
         let srv = ServerHandle::new(ServerOptions::default());
-        assert!(srv.handle_line(&create_line("dup", 4, 0)).contains(r#""ok":true"#));
+        assert!(srv
+            .handle_line(&create_line("dup", 4, 0))
+            .contains(r#""ok":true"#));
         let again = parse(&srv.handle_line(&create_line("dup", 4, 0)));
         assert_eq!(
-            again.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+            again
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
             Some("session_exists")
         );
         for bad in ["", ".hidden", "..", "a/b", "x y", &"n".repeat(65)] {
             let reply = parse(&srv.handle_line(&create_line(bad, 4, 0)));
             assert_eq!(
-                reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+                reply
+                    .get("error")
+                    .and_then(|e| e.get("kind"))
+                    .and_then(Json::as_str),
                 Some("bad_request"),
                 "name {bad:?}"
             );
         }
         // A failed create must not leak a reservation.
         let bad_space = r#"{"op":"create_session","session":"broken","budget":4,"space":{"params":[{"name":"x","kind":"int","lo":"9","hi":"0"}],"constraints":[]}}"#;
-        assert!(srv.handle_line(bad_space).contains(r#""kind":"invalid_space""#));
+        assert!(srv
+            .handle_line(bad_space)
+            .contains(r#""kind":"invalid_space""#));
         assert_eq!(srv.session_count(), 1);
-        assert!(srv.handle_line(&create_line("broken", 4, 0)).contains(r#""ok":true"#));
+        assert!(srv
+            .handle_line(&create_line("broken", 4, 0))
+            .contains(r#""ok":true"#));
     }
 
     #[test]
@@ -725,9 +777,13 @@ mod tests {
         };
 
         // A donor session runs cold and archives its journal in the corpus.
-        assert!(srv.handle_line(&create_line("donor", 6, 1)).contains(r#""ok":true"#));
+        assert!(srv
+            .handle_line(&create_line("donor", 6, 1))
+            .contains(r#""ok":true"#));
         drive("donor");
-        assert!(srv.handle_line(r#"{"op":"close","session":"donor"}"#).contains(r#""ok":true"#));
+        assert!(srv
+            .handle_line(r#"{"op":"close","session":"donor"}"#)
+            .contains(r#""ok":true"#));
 
         // The transfer session mines it: create reports the donor count...
         let create = format!(
@@ -736,12 +792,18 @@ mod tests {
         );
         let created = parse(&srv.handle_line(&create));
         assert_eq!(created.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(created.get("transfer_donors").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            created.get("transfer_donors").and_then(Json::as_f64),
+            Some(1.0)
+        );
         assert!(created.get("donor_trials").and_then(Json::as_f64).unwrap() >= 2.0);
 
         // ...status repeats it, and the session still serves the loop.
         let status = parse(&srv.handle_line(r#"{"op":"status","session":"warm"}"#));
-        assert_eq!(status.get("transfer_donors").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            status.get("transfer_donors").and_then(Json::as_f64),
+            Some(1.0)
+        );
         drive("warm");
         let best = parse(&srv.handle_line(r#"{"op":"best","session":"warm"}"#));
         assert!(best.get("value").and_then(Json::as_f64).unwrap() >= 1.0);
@@ -798,7 +860,8 @@ mod tests {
                 r#"{{"op":"create_session","session":"{name}",{opts},"space":{space}}}"#
             ))
         };
-        let bad_space = r#"{"params":[{"name":"x","kind":"int","lo":"9","hi":"0"}],"constraints":[]}"#;
+        let bad_space =
+            r#"{"params":[{"name":"x","kind":"int","lo":"9","hi":"0"}],"constraints":[]}"#;
         let ok = r#""budget":4"#;
         assert!(create("taken", ok, int_space_spec()).contains(r#""ok":true"#));
         for opts in [
@@ -810,11 +873,17 @@ mod tests {
         ] {
             // Alone, next to an invalid space, and under a taken name: the
             // option is named first.
-            for (name, space) in
-                [("s", int_space_spec()), ("s", bad_space), ("taken", int_space_spec())]
-            {
+            for (name, space) in [
+                ("s", int_space_spec()),
+                ("s", bad_space),
+                ("taken", int_space_spec()),
+            ] {
                 let reply = create(name, opts, space);
-                assert_eq!(error_kind(&reply).as_deref(), Some("bad_request"), "{opts}: {reply}");
+                assert_eq!(
+                    error_kind(&reply).as_deref(),
+                    Some("bad_request"),
+                    "{opts}: {reply}"
+                );
             }
         }
         // A space without parameters is still the tuner's refusal.
@@ -838,7 +907,11 @@ mod tests {
             journal_dir: Some(dir.clone()),
             ..ServerOptions::default()
         });
-        let ask = || parse(&srv.handle_line(r#"{"op":"ask","session":"f"}"#)).get("config").cloned();
+        let ask = || {
+            parse(&srv.handle_line(r#"{"op":"ask","session":"f"}"#))
+                .get("config")
+                .cloned()
+        };
         let report = |cfg: &Json| {
             srv.handle_line(&format!(
                 r#"{{"op":"report","session":"f","config":{},"value":2.5}}"#,
@@ -846,7 +919,9 @@ mod tests {
             ))
         };
         let resume = create_line("f", 8, 5).replace(r#""seed""#, r#""resume":true,"seed""#);
-        assert!(srv.handle_line(&create_line("f", 8, 5)).contains(r#""ok":true"#));
+        assert!(srv
+            .handle_line(&create_line("f", 8, 5))
+            .contains(r#""ok":true"#));
         // A healthy live session is not replaced by a resuming create.
         let dup = srv.handle_line(&resume);
         assert_eq!(error_kind(&dup).as_deref(), Some("session_exists"), "{dup}");
@@ -860,7 +935,11 @@ mod tests {
         let reply = srv.handle_line(r#"{"op":"ask","session":"f"}"#);
         assert_eq!(error_kind(&reply).as_deref(), Some("io"), "{reply}");
         let status = || srv.handle_line(r#"{"op":"status","session":"f"}"#);
-        assert!(status().contains(r#""journal_closed":true"#), "{}", status());
+        assert!(
+            status().contains(r#""journal_closed":true"#),
+            "{}",
+            status()
+        );
 
         // Only a resuming create replaces the closed session.
         let dup = srv.handle_line(&create_line("f", 8, 5));
@@ -868,7 +947,11 @@ mod tests {
         let created = parse(&srv.handle_line(&resume));
         assert_eq!(created.get("resumed"), Some(&Json::Bool(true)));
         assert_eq!(created.get("len").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(ask().as_ref(), Some(&cfg), "the lost trial's proposal is asked again");
+        assert_eq!(
+            ask().as_ref(),
+            Some(&cfg),
+            "the lost trial's proposal is asked again"
+        );
         assert!(report(&cfg).contains(r#""len":5"#));
         assert!(!status().contains("journal_closed"), "{}", status());
         assert_eq!(srv.session_count(), 1);
@@ -936,7 +1019,11 @@ mod tests {
         }
         // Either way the connection is closed afterwards.
         let mut rest = String::new();
-        assert_eq!(r.read_line(&mut rest).unwrap_or(0), 0, "connection must be closed");
+        assert_eq!(
+            r.read_line(&mut rest).unwrap_or(0),
+            0,
+            "connection must be closed"
+        );
         tcp.stop();
     }
 }

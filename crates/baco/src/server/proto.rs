@@ -98,7 +98,10 @@ pub struct WireError {
 impl WireError {
     /// A [`ErrorKind::BadRequest`] error.
     pub fn bad_request(msg: impl Into<String>) -> WireError {
-        WireError { kind: ErrorKind::BadRequest, msg: msg.into() }
+        WireError {
+            kind: ErrorKind::BadRequest,
+            msg: msg.into(),
+        }
     }
 
     /// The [`ErrorKind::Overloaded`] load-shedding error.
@@ -123,7 +126,10 @@ impl WireError {
             Error::JournalCorrupt { .. } => ErrorKind::JournalCorrupt,
             _ => ErrorKind::Tuner,
         };
-        WireError { kind, msg: e.to_string() }
+        WireError {
+            kind,
+            msg: e.to_string(),
+        }
     }
 }
 
@@ -212,7 +218,9 @@ fn opt_usize(j: &Json, key: &str) -> Result<Option<usize>, WireError> {
         Some(Json::Num(v)) if v.fract() == 0.0 && *v >= 0.0 && *v <= (1u64 << 53) as f64 => {
             Ok(Some(*v as usize))
         }
-        Some(_) => Err(WireError::bad_request(format!("`{key}` must be a non-negative integer"))),
+        Some(_) => Err(WireError::bad_request(format!(
+            "`{key}` must be a non-negative integer"
+        ))),
     }
 }
 
@@ -267,7 +275,10 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
     let req = match op.as_str() {
         "create_session" => {
             let members = j.as_obj().unwrap_or_default();
-            if let Some((key, _)) = members.iter().find(|(k, _)| !CREATE_MEMBERS.contains(&&**k)) {
+            if let Some((key, _)) = members
+                .iter()
+                .find(|(k, _)| !CREATE_MEMBERS.contains(&&**k))
+            {
                 let msg = format!("unknown `create_session` member `{key}`");
                 return Err(WireError::bad_request(msg));
             }
@@ -291,7 +302,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                     Some(Json::Str(s)) if s == "gp" => SurrogateKind::GaussianProcess,
                     Some(Json::Str(s)) if s == "rf" => SurrogateKind::RandomForest,
                     Some(_) => {
-                        return Err(WireError::bad_request("`surrogate` must be \"gp\" or \"rf\""))
+                        return Err(WireError::bad_request(
+                            "`surrogate` must be \"gp\" or \"rf\"",
+                        ))
                     }
                 },
                 hidden_constraints: opt_bool(&j, "hidden_constraints")?
@@ -318,7 +331,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                             .iter()
                             .map(|it| {
                                 it.as_f64().ok_or_else(|| {
-                                    WireError::bad_request("`reference_point` entries must be numbers")
+                                    WireError::bad_request(
+                                        "`reference_point` entries must be numbers",
+                                    )
                                 })
                             })
                             .collect::<Result<_, _>>()?,
@@ -331,9 +346,16 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                 ..d
             });
             let transfer = opt_bool(&j, "transfer")?.unwrap_or(false);
-            Request::Create { session, space, opts, transfer }
+            Request::Create {
+                session,
+                space,
+                opts,
+                transfer,
+            }
         }
-        "ask" => Request::Ask { session: need_str(&j, "session")? },
+        "ask" => Request::Ask {
+            session: need_str(&j, "session")?,
+        },
         "suggest_batch" => Request::SuggestBatch {
             session: need_str(&j, "session")?,
             q: need_usize(&j, "q")?,
@@ -390,9 +412,16 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                 Some(f) => f,
                 None => finite,
             };
-            Request::Report { session, config, values, feasible }
+            Request::Report {
+                session,
+                config,
+                values,
+                feasible,
+            }
         }
-        "best" => Request::Best { session: need_str(&j, "session")? },
+        "best" => Request::Best {
+            session: need_str(&j, "session")?,
+        },
         "status" => Request::Status {
             session: match j.get("session") {
                 None | Some(Json::Null) => None,
@@ -400,7 +429,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
                 Some(_) => return Err(WireError::bad_request("`session` must be a string")),
             },
         },
-        "close" => Request::Close { session: need_str(&j, "session")? },
+        "close" => Request::Close {
+            session: need_str(&j, "session")?,
+        },
         other => return Err(WireError::bad_request(format!("unknown op `{other}`"))),
     };
     Ok(Envelope { id, req })
@@ -481,14 +512,25 @@ mod tests {
             ))
         };
         // Omitted → unset (exact surrogates).
-        let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse("") else {
+        let Ok(Envelope {
+            req: Request::Create { opts, .. },
+            ..
+        }) = parse("")
+        else {
             panic!("plain create must parse");
         };
         assert_eq!(opts.surrogate_budget, None);
         // Set → plumbed through; the floor is the tuner's to check at create
         // (see the server's `options_out_of_range_are_bad_requests_at_create`).
-        for (extra, want) in [(r#","surrogate_budget":64"#, 64), (r#","surrogate_budget":4"#, 4)] {
-            let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse(extra) else {
+        for (extra, want) in [
+            (r#","surrogate_budget":64"#, 64),
+            (r#","surrogate_budget":4"#, 4),
+        ] {
+            let Ok(Envelope {
+                req: Request::Create { opts, .. },
+                ..
+            }) = parse(extra)
+            else {
                 panic!("budgeted create must parse: {extra}");
             };
             assert_eq!(opts.surrogate_budget, Some(want));
@@ -508,7 +550,11 @@ mod tests {
             ))
         };
         // Omitted → the library default, EHVI.
-        let Ok(Envelope { req: Request::Create { opts, .. }, .. }) = parse("") else {
+        let Ok(Envelope {
+            req: Request::Create { opts, .. },
+            ..
+        }) = parse("")
+        else {
             panic!("plain create must parse");
         };
         assert_eq!(opts.mo_strategy, MultiObjectiveStrategy::Ehvi);
@@ -516,8 +562,10 @@ mod tests {
             ("ehvi", MultiObjectiveStrategy::Ehvi),
             ("parego", MultiObjectiveStrategy::ParEgo),
         ] {
-            let Ok(Envelope { req: Request::Create { opts, .. }, .. }) =
-                parse(&format!(r#","objectives":2,"mo_strategy":"{tag}""#))
+            let Ok(Envelope {
+                req: Request::Create { opts, .. },
+                ..
+            }) = parse(&format!(r#","objectives":2,"mo_strategy":"{tag}""#))
             else {
                 panic!("{tag} create must parse");
             };
@@ -536,12 +584,23 @@ mod tests {
             ))
         };
         // Omitted → off (cold start, the historical behavior).
-        let Ok(Envelope { req: Request::Create { transfer, .. }, .. }) = parse("") else {
+        let Ok(Envelope {
+            req: Request::Create { transfer, .. },
+            ..
+        }) = parse("")
+        else {
             panic!("plain create must parse");
         };
         assert!(!transfer);
-        for (extra, want) in [(r#","transfer":true"#, true), (r#","transfer":false"#, false)] {
-            let Ok(Envelope { req: Request::Create { transfer, .. }, .. }) = parse(extra) else {
+        for (extra, want) in [
+            (r#","transfer":true"#, true),
+            (r#","transfer":false"#, false),
+        ] {
+            let Ok(Envelope {
+                req: Request::Create { transfer, .. },
+                ..
+            }) = parse(extra)
+            else {
                 panic!("transfer create must parse: {extra}");
             };
             assert_eq!(transfer, want, "{extra}");
@@ -560,20 +619,34 @@ mod tests {
             ))
         };
         // Omitted value → infeasible.
-        let Ok(Envelope { req: Request::Report { values, feasible, .. }, .. }) = parse("") else {
+        let Ok(Envelope {
+            req: Request::Report {
+                values, feasible, ..
+            },
+            ..
+        }) = parse("")
+        else {
             panic!("omitted value must parse");
         };
         assert_eq!((values, feasible), (None, false));
         // Tagged non-finite values parse but never count as feasible
         // measurements — they would poison the surrogate.
-        let Ok(Envelope { req: Request::Report { values, feasible, .. }, .. }) =
-            parse(r#","value":"inf""#)
+        let Ok(Envelope {
+            req: Request::Report {
+                values, feasible, ..
+            },
+            ..
+        }) = parse(r#","value":"inf""#)
         else {
             panic!("inf must parse");
         };
         assert_eq!((values, feasible), (Some(vec![f64::INFINITY]), false));
-        let Ok(Envelope { req: Request::Report { values, feasible, .. }, .. }) =
-            parse(r#","value":"NaN""#)
+        let Ok(Envelope {
+            req: Request::Report {
+                values, feasible, ..
+            },
+            ..
+        }) = parse(r#","value":"NaN""#)
         else {
             panic!("NaN must parse");
         };
@@ -585,14 +658,19 @@ mod tests {
             "claiming a NaN measurement feasible is malformed"
         );
         // Explicit feasible:false keeps a present value out of the model.
-        let Ok(Envelope { req: Request::Report { feasible, .. }, .. }) =
-            parse(r#","value":3,"feasible":false"#)
+        let Ok(Envelope {
+            req: Request::Report { feasible, .. },
+            ..
+        }) = parse(r#","value":3,"feasible":false"#)
         else {
             panic!("explicit infeasible must parse");
         };
         assert!(!feasible);
         // feasible:true without a value is contradictory.
-        assert_eq!(parse(r#","feasible":true"#).unwrap_err().kind, ErrorKind::BadRequest);
+        assert_eq!(
+            parse(r#","feasible":true"#).unwrap_err().kind,
+            ErrorKind::BadRequest
+        );
     }
 
     #[test]
@@ -603,16 +681,22 @@ mod tests {
             ))
         };
         // A clean vector is a feasible multi-objective measurement.
-        let Ok(Envelope { req: Request::Report { values, feasible, .. }, .. }) =
-            parse(r#","values":[1.5,2.5]"#)
+        let Ok(Envelope {
+            req: Request::Report {
+                values, feasible, ..
+            },
+            ..
+        }) = parse(r#","values":[1.5,2.5]"#)
         else {
             panic!("vector must parse");
         };
         assert_eq!(values, Some(vec![1.5, 2.5]));
         assert!(feasible);
         // Any non-finite component demotes the whole measurement …
-        let Ok(Envelope { req: Request::Report { feasible, .. }, .. }) =
-            parse(r#","values":[1.5,"NaN"]"#)
+        let Ok(Envelope {
+            req: Request::Report { feasible, .. },
+            ..
+        }) = parse(r#","values":[1.5,"NaN"]"#)
         else {
             panic!("NaN component must parse");
         };
@@ -669,7 +753,10 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::UnknownSession);
         let e = WireError::from_error(&Error::SessionExists("s".into()));
         assert_eq!(e.kind, ErrorKind::SessionExists);
-        let e = WireError::from_error(&Error::JournalCorrupt { line: 1, msg: "x".into() });
+        let e = WireError::from_error(&Error::JournalCorrupt {
+            line: 1,
+            msg: "x".into(),
+        });
         assert_eq!(e.kind, ErrorKind::JournalCorrupt);
     }
 }

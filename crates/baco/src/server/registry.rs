@@ -40,7 +40,9 @@ pub(crate) struct Registry<T> {
 impl<T> Registry<T> {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        Registry { map: RwLock::new(HashMap::new()) }
+        Registry {
+            map: RwLock::new(HashMap::new()),
+        }
     }
 
     fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Slot<T>>> {

@@ -98,8 +98,12 @@ pub mod epoll {
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut epoll_event, maxevents: c_int, timeout: c_int)
-            -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut epoll_event,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
         fn close(fd: c_int) -> c_int;
     }
 
@@ -111,7 +115,10 @@ pub mod epoll {
 
     impl Epoll {
         fn ctl(&self, op: c_int, fd: i32, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = epoll_event { events, data: token };
+            let mut ev = epoll_event {
+                events,
+                data: token,
+            };
             // SAFETY: `ev` outlives the call; the kernel copies it. For
             // EPOLL_CTL_DEL the pointer is ignored on any kernel ≥ 2.6.9
             // but passing a valid one is always allowed.
@@ -123,7 +130,9 @@ pub mod epoll {
         fn new() -> io::Result<Epoll> {
             // SAFETY: epoll_create1 takes no pointers; a negative return is
             // the only failure mode and is checked by `cvt`.
-            Ok(Epoll { epfd: cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })? })
+            Ok(Epoll {
+                epfd: cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?,
+            })
         }
 
         fn add(&mut self, fd: i32, events: u32, token: u64) -> io::Result<()> {
@@ -145,7 +154,12 @@ pub mod epoll {
             // SAFETY: the buffer pointer/capacity pair is valid for the
             // call's duration; the kernel writes at most MAX_EVENTS entries.
             let n = ready(unsafe {
-                epoll_wait(self.epfd, events.as_mut_ptr(), MAX_EVENTS as c_int, timeout_ms)
+                epoll_wait(
+                    self.epfd,
+                    events.as_mut_ptr(),
+                    MAX_EVENTS as c_int,
+                    timeout_ms,
+                )
             })?;
             // `|&e|` copies out of the (packed) struct before the fields
             // are read.
@@ -213,7 +227,11 @@ pub mod poll {
         }
 
         fn add(&mut self, fd: i32, events: u32, token: u64) -> io::Result<()> {
-            self.fds.push(pollfd { fd, events: 0, revents: 0 });
+            self.fds.push(pollfd {
+                fd,
+                events: 0,
+                revents: 0,
+            });
             self.tokens.push((fd, token));
             self.modify(fd, events, token)
         }
@@ -226,7 +244,11 @@ pub mod poll {
             let i = self.entry(fd)?;
             let events = events & (EPOLLIN | EPOLLOUT);
             let polled = if events == 0 { -1 } else { fd };
-            self.fds[i] = pollfd { fd: polled, events: events as c_short, revents: 0 };
+            self.fds[i] = pollfd {
+                fd: polled,
+                events: events as c_short,
+                revents: 0,
+            };
             self.tokens[i] = (fd, token);
             Ok(())
         }
@@ -293,13 +315,19 @@ extern "C" {
 /// typical default soft limits; callers scale their connection counts to
 /// whatever this returns rather than failing outright.
 pub fn raise_nofile_limit(want: u64) -> u64 {
-    let mut lim = rlimit { rlim_cur: 0, rlim_max: 0 };
+    let mut lim = rlimit {
+        rlim_cur: 0,
+        rlim_max: 0,
+    };
     // SAFETY: `lim` is a valid out-pointer for the duration of the call.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 1024; // POSIX-conservative guess when even getrlimit fails
     }
     // Raise the soft limit; root may raise the hard limit with it.
-    let new = rlimit { rlim_cur: want.max(lim.rlim_cur), rlim_max: lim.rlim_max.max(want) };
+    let new = rlimit {
+        rlim_cur: want.max(lim.rlim_cur),
+        rlim_max: lim.rlim_max.max(want),
+    };
     // SAFETY: `new` is a valid in-pointer for the duration of the call.
     if lim.rlim_cur >= want || unsafe { setrlimit(RLIMIT_NOFILE, &new) } == 0 {
         return new.rlim_cur;
@@ -308,7 +336,10 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     // past a per-process cap (macOS's `kern.maxfilesperproc`).
     let mut cur = want.min(lim.rlim_max);
     while cur > lim.rlim_cur {
-        let capped = rlimit { rlim_cur: cur, rlim_max: lim.rlim_max };
+        let capped = rlimit {
+            rlim_cur: cur,
+            rlim_max: lim.rlim_max,
+        };
         // SAFETY: as above.
         if unsafe { setrlimit(RLIMIT_NOFILE, &capped) } == 0 {
             return cur;
@@ -348,7 +379,9 @@ mod tests {
         b.read_exact(&mut byte).unwrap();
         poller.modify(b.as_raw_fd(), EPOLLOUT, 7).unwrap();
         poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|&(ev, tok)| tok == 7 && ev & EPOLLOUT != 0));
+        assert!(events
+            .iter()
+            .any(|&(ev, tok)| tok == 7 && ev & EPOLLOUT != 0));
 
         poller.delete(b.as_raw_fd()).unwrap();
         poller.wait(&mut events, 0).unwrap();

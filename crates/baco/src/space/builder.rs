@@ -157,7 +157,10 @@ impl SearchSpaceBuilder {
                 return Err(Error::InvalidSpace("empty parameter name".into()));
             }
             if by_name.insert(p.name.clone(), i).is_some() {
-                return Err(Error::InvalidSpace(format!("duplicate parameter `{}`", p.name)));
+                return Err(Error::InvalidSpace(format!(
+                    "duplicate parameter `{}`",
+                    p.name
+                )));
             }
             validate_param(p)?;
         }
@@ -190,7 +193,12 @@ impl SearchSpaceBuilder {
 }
 
 fn validate_param(p: &Parameter) -> Result<()> {
-    let bad = |msg: String| Err(Error::InvalidSpace(format!("parameter `{}`: {msg}", p.name)));
+    let bad = |msg: String| {
+        Err(Error::InvalidSpace(format!(
+            "parameter `{}`: {msg}",
+            p.name
+        )))
+    };
     match &p.kind {
         ParamKind::Real { lo, hi } => {
             if !(lo.is_finite() && hi.is_finite() && lo < hi) {
@@ -261,16 +269,28 @@ mod tests {
         assert!(SearchSpace::builder().real("x", 1.0, 0.0).build().is_err());
         assert!(SearchSpace::builder().integer("x", 5, 2).build().is_err());
         assert!(SearchSpace::builder().ordinal("x", vec![]).build().is_err());
-        assert!(SearchSpace::builder().ordinal("x", vec![2.0, 1.0]).build().is_err());
-        assert!(SearchSpace::builder().categorical("x", vec!["a", "a"]).build().is_err());
+        assert!(SearchSpace::builder()
+            .ordinal("x", vec![2.0, 1.0])
+            .build()
+            .is_err());
+        assert!(SearchSpace::builder()
+            .categorical("x", vec!["a", "a"])
+            .build()
+            .is_err());
         assert!(SearchSpace::builder().permutation("x", 0).build().is_err());
         assert!(SearchSpace::builder().permutation("x", 13).build().is_err());
     }
 
     #[test]
     fn rejects_log_scale_on_nonpositive() {
-        assert!(SearchSpace::builder().integer_log("x", 0, 8).build().is_err());
-        assert!(SearchSpace::builder().ordinal_log("x", vec![0.0, 1.0]).build().is_err());
+        assert!(SearchSpace::builder()
+            .integer_log("x", 0, 8)
+            .build()
+            .is_err());
+        assert!(SearchSpace::builder()
+            .ordinal_log("x", vec![0.0, 1.0])
+            .build()
+            .is_err());
     }
 
     #[test]
@@ -290,8 +310,12 @@ mod tests {
             .known_constraint_fn("even_a", &["a"], |cfg| cfg.value("a").as_i64() % 2 == 0)
             .build()
             .unwrap();
-        let c0 = s.configuration(&[("a", crate::space::ParamValue::Int(0))]).unwrap();
-        let c1 = s.configuration(&[("a", crate::space::ParamValue::Int(1))]).unwrap();
+        let c0 = s
+            .configuration(&[("a", crate::space::ParamValue::Int(0))])
+            .unwrap();
+        let c1 = s
+            .configuration(&[("a", crate::space::ParamValue::Int(1))])
+            .unwrap();
         assert!(s.satisfies_known(&c0).unwrap());
         assert!(!s.satisfies_known(&c1).unwrap());
     }

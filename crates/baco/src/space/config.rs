@@ -38,10 +38,7 @@ impl ParamValue {
         match self {
             ParamValue::Int(v) => *v,
             ParamValue::Real(v) | ParamValue::Ordinal(v) => {
-                assert!(
-                    v.fract() == 0.0,
-                    "as_i64 on non-integral value {v}"
-                );
+                assert!(v.fract() == 0.0, "as_i64 on non-integral value {v}");
                 *v as i64
             }
             v => panic!("as_i64 on non-numeric value {v:?}"),
@@ -164,7 +161,10 @@ impl Configuration {
     /// # Panics
     /// Panics if `idx` is out of range.
     pub fn value_at(&self, idx: usize) -> ParamValue {
-        crate::space::SearchSpace { inner: Arc::clone(&self.space) }.decode(idx, self.vals[idx])
+        crate::space::SearchSpace {
+            inner: Arc::clone(&self.space),
+        }
+        .decode(idx, self.vals[idx])
     }
 
     /// All `(name, value)` pairs in declaration order.
@@ -191,7 +191,6 @@ impl Configuration {
         vals[idx] = v;
         Configuration::new(Arc::clone(&self.space), vals)
     }
-
 }
 
 impl PartialEq for Configuration {
@@ -245,7 +244,10 @@ mod tests {
         let s = space();
         let cfg = s.default_configuration();
         let txt = cfg.to_string();
-        assert!(txt.contains("a=0") && txt.contains("c=x") && txt.contains("p=[0,1,2]"), "{txt}");
+        assert!(
+            txt.contains("a=0") && txt.contains("c=x") && txt.contains("p=[0,1,2]"),
+            "{txt}"
+        );
     }
 
     #[test]

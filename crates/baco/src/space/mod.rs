@@ -209,7 +209,9 @@ impl SearchSpace {
                 .param_index(name)
                 .ok_or_else(|| Error::UnknownParameter((*name).into()))?;
             if cvals[idx].is_some() {
-                return Err(Error::InvalidValue(format!("parameter `{name}` given twice")));
+                return Err(Error::InvalidValue(format!(
+                    "parameter `{name}` given twice"
+                )));
             }
             cvals[idx] = Some(self.encode(idx, v)?);
         }
@@ -272,7 +274,9 @@ impl SearchSpace {
         match (p.kind(), v) {
             (ParamKind::Real { .. }, CVal::Real(x)) => ParamValue::Real(x),
             (ParamKind::Integer { lo, .. }, CVal::Idx(i)) => ParamValue::Int(lo + i as i64),
-            (ParamKind::Ordinal { values }, CVal::Idx(i)) => ParamValue::Ordinal(values[i as usize]),
+            (ParamKind::Ordinal { values }, CVal::Idx(i)) => {
+                ParamValue::Ordinal(values[i as usize])
+            }
             (ParamKind::Categorical { values }, CVal::Idx(i)) => {
                 ParamValue::Categorical(values[i as usize].clone())
             }
@@ -348,7 +352,9 @@ mod tests {
     #[test]
     fn configuration_rejects_bad_values() {
         let s = demo_space();
-        assert!(s.configuration(&[("tile", ParamValue::Ordinal(3.0))]).is_err());
+        assert!(s
+            .configuration(&[("tile", ParamValue::Ordinal(3.0))])
+            .is_err());
         let full = [
             ("tile", ParamValue::Ordinal(4.0)),
             ("unroll", ParamValue::Int(9)),
@@ -361,7 +367,9 @@ mod tests {
     #[test]
     fn configuration_missing_param_rejected() {
         let s = demo_space();
-        let e = s.configuration(&[("tile", ParamValue::Ordinal(1.0))]).unwrap_err();
+        let e = s
+            .configuration(&[("tile", ParamValue::Ordinal(1.0))])
+            .unwrap_err();
         assert!(e.to_string().contains("missing"));
     }
 

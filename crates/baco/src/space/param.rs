@@ -215,18 +215,38 @@ mod tests {
 
     #[test]
     fn domain_sizes() {
-        assert_eq!(p(ParamKind::Integer { lo: 1, hi: 4 }, Scale::Linear).domain_size(), Some(4));
         assert_eq!(
-            p(ParamKind::Ordinal { values: vec![1.0, 2.0, 4.0] }, Scale::Linear).domain_size(),
+            p(ParamKind::Integer { lo: 1, hi: 4 }, Scale::Linear).domain_size(),
+            Some(4)
+        );
+        assert_eq!(
+            p(
+                ParamKind::Ordinal {
+                    values: vec![1.0, 2.0, 4.0]
+                },
+                Scale::Linear
+            )
+            .domain_size(),
             Some(3)
         );
         assert_eq!(
-            p(ParamKind::Categorical { values: vec!["a".into(), "b".into()] }, Scale::Linear)
-                .domain_size(),
+            p(
+                ParamKind::Categorical {
+                    values: vec!["a".into(), "b".into()]
+                },
+                Scale::Linear
+            )
+            .domain_size(),
             Some(2)
         );
-        assert_eq!(p(ParamKind::Permutation { len: 4 }, Scale::Linear).domain_size(), Some(24));
-        assert_eq!(p(ParamKind::Real { lo: 0.0, hi: 1.0 }, Scale::Linear).domain_size(), None);
+        assert_eq!(
+            p(ParamKind::Permutation { len: 4 }, Scale::Linear).domain_size(),
+            Some(24)
+        );
+        assert_eq!(
+            p(ParamKind::Real { lo: 0.0, hi: 1.0 }, Scale::Linear).domain_size(),
+            None
+        );
     }
 
     #[test]

@@ -232,8 +232,12 @@ mod tests {
     #[test]
     fn semimetric_axioms_hold_for_m4() {
         let perms: Vec<Vec<u8>> = (0..factorial(4)).map(|r| unrank(r, 4)).collect();
-        for m in [PermMetric::Kendall, PermMetric::Spearman, PermMetric::Hamming, PermMetric::Naive]
-        {
+        for m in [
+            PermMetric::Kendall,
+            PermMetric::Spearman,
+            PermMetric::Hamming,
+            PermMetric::Naive,
+        ] {
             for p in &perms {
                 assert_eq!(distance(m, p, p), 0.0, "d(p,p) != 0 for {m:?}");
                 for q in &perms {

@@ -90,7 +90,10 @@ impl ActiveSet {
     ) -> ActiveSet {
         let n = values.len();
         debug_assert_eq!(cfgs.len(), n);
-        debug_assert!(budget < n, "select() called although history fits the budget");
+        debug_assert!(
+            budget < n,
+            "select() called although history fits the budget"
+        );
         let k_best = (budget / 4).max(1);
         let k_recent = (budget / 2).max(1);
         let mut chosen: Vec<usize> = Vec::with_capacity(budget);
@@ -407,7 +410,10 @@ mod tests {
         let b = select();
         assert_eq!(a.indices(), b.indices());
         assert_eq!(a.len(), 32);
-        assert!(a.indices().windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+        assert!(
+            a.indices().windows(2).all(|w| w[0] < w[1]),
+            "sorted, unique"
+        );
         assert!(a.indices().iter().all(|&i| i < 200));
     }
 
@@ -467,14 +473,19 @@ mod tests {
         let improving: Vec<Option<f64>> = (0..6).map(|i| Some(100.0 - i as f64)).collect();
         let tr =
             TrustRegion::from_scalars(&s, &refs, &improving, PermMetric::Spearman, true).unwrap();
-        assert!(tr.radii().iter().all(|&r| r == MAX_RADIUS), "{:?}", tr.radii());
+        assert!(
+            tr.radii().iter().all(|&r| r == MAX_RADIUS),
+            "{:?}",
+            tr.radii()
+        );
 
         // One improvement then a failure streak: shrinks.
         let mut scalars: Vec<Option<f64>> = vec![Some(1.0)];
         scalars.extend(std::iter::repeat_n(Some(50.0), FAIL_TOL));
         let cfgs: Vec<Configuration> = (0..scalars.len()).map(|i| cfg(&s, i as i64, 0)).collect();
         let refs: Vec<&Configuration> = cfgs.iter().collect();
-        let tr = TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
+        let tr =
+            TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
         assert!(
             tr.radii().iter().all(|&r| r == INIT_RADIUS * SHRINK),
             "{:?}",
@@ -494,7 +505,8 @@ mod tests {
         scalars.extend(std::iter::repeat_n(None, n - 1));
         let cfgs: Vec<Configuration> = (0..n).map(|i| cfg(&s, (i % 31) as i64, 0)).collect();
         let refs: Vec<&Configuration> = cfgs.iter().collect();
-        let tr = TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
+        let tr =
+            TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
         assert!(tr.restarts() >= 1, "guard never fired");
         let step = 1.0 / 30.0;
         assert!(
@@ -523,16 +535,18 @@ mod tests {
         let cfgs = [cfg(&s, 15, 15), cfg(&s, 16, 15)];
         let refs: Vec<&Configuration> = cfgs.iter().collect();
         let scalars = vec![Some(2.0), Some(1.0)];
-        let tr = TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
+        let tr =
+            TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
         // Center is (16, 15); radius 0.8 covers |Δ| ≤ 24 steps of 30.
         assert!(tr.contains(&s, &cfg(&s, 16, 15), true));
         assert!(tr.contains(&s, &cfg(&s, 0, 15), true)); // 16 steps away
-        // After a shrink the box tightens to |Δ| ≤ 12 steps.
+                                                         // After a shrink the box tightens to |Δ| ≤ 12 steps.
         let mut scalars: Vec<Option<f64>> = vec![Some(1.0)];
         scalars.extend(std::iter::repeat_n(None, FAIL_TOL));
         let cfgs: Vec<Configuration> = (0..scalars.len()).map(|_| cfg(&s, 15, 15)).collect();
         let refs: Vec<&Configuration> = cfgs.iter().collect();
-        let tr = TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
+        let tr =
+            TrustRegion::from_scalars(&s, &refs, &scalars, PermMetric::Spearman, true).unwrap();
         // Radii now 0.4: |Δ| ≤ 12 steps.
         assert!(tr.contains(&s, &cfg(&s, 15 + 12, 15), true));
         assert!(!tr.contains(&s, &cfg(&s, 15 + 13, 15), true));

@@ -287,7 +287,9 @@ mod tests {
     }
 
     fn featurize(s: &SearchSpace, cfgs: &[Configuration], transforms: bool) -> Vec<ModelInput> {
-        cfgs.iter().map(|c| ModelInput::from_config(s, c, transforms)).collect()
+        cfgs.iter()
+            .map(|c| ModelInput::from_config(s, c, transforms))
+            .collect()
     }
 
     /// The `n × n` tables the level tables replace: every ordered pair
@@ -387,7 +389,11 @@ mod tests {
             shuffled.swap(0, 5);
             cache.sync_distances(&shuffled, d, metric, true);
             assert_eq!(cache.len(), shuffled.len());
-            assert_tables(&cache, &reference_d2(&shuffled, metric), &format!("{metric:?}"));
+            assert_tables(
+                &cache,
+                &reference_d2(&shuffled, metric),
+                &format!("{metric:?}"),
+            );
         }
     }
 
@@ -445,8 +451,20 @@ mod tests {
     /// replaces.
     #[test]
     fn level_tables_are_small_for_discrete_spaces() {
-        let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| f64::from(1u32 << e)).collect() };
-        let domains = [(4, 8), (4, 8), (2, 6), (0, 4), (0, 4), (0, 8), (0, 8), (0, 3), (0, 3), (0, 3)];
+        let po2 =
+            |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| f64::from(1u32 << e)).collect() };
+        let domains = [
+            (4, 8),
+            (4, 8),
+            (2, 6),
+            (0, 4),
+            (0, 4),
+            (0, 8),
+            (0, 8),
+            (0, 3),
+            (0, 3),
+            (0, 3),
+        ];
         let mut b = SearchSpace::builder();
         for (k, &(lo, hi)) in domains.iter().enumerate() {
             b = b.ordinal_log(&format!("p{k}"), po2(lo, hi));
@@ -458,6 +476,9 @@ mod tests {
         cache.sync_distances(&inputs, s.len(), PermMetric::Spearman, true);
         let dense = s.len() * n * n * std::mem::size_of::<f64>();
         let bytes = cache.memory_bytes();
-        assert!(bytes * 20 <= dense, "{bytes} bytes vs {dense} for n × n tables");
+        assert!(
+            bytes * 20 <= dense,
+            "{bytes} bytes vs {dense} for n × n tables"
+        );
     }
 }

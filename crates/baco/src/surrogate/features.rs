@@ -1,5 +1,5 @@
-use crate::space::{ParamKind, PermMetric, Scale};
 use crate::space::{Configuration, SearchSpace};
+use crate::space::{ParamKind, PermMetric, Scale};
 
 /// One parameter's model-facing representation.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,9 @@ impl ModelInput {
     /// With `use_transforms == false` (the `BaCO--` ablation of Fig. 8/9),
     /// log-scaled parameters are normalized linearly instead.
     pub fn from_config(space: &SearchSpace, cfg: &Configuration, use_transforms: bool) -> Self {
-        let feats = (0..space.len()).map(|i| Feature::of(space, cfg, i, use_transforms)).collect();
+        let feats = (0..space.len())
+            .map(|i| Feature::of(space, cfg, i, use_transforms))
+            .collect();
         ModelInput { feats }
     }
 
@@ -139,7 +141,11 @@ impl Feature {
     /// Parameter `i` of `cfg` in its model representation.
     fn of(space: &SearchSpace, cfg: &Configuration, i: usize, use_transforms: bool) -> Self {
         let p = &space.params()[i];
-        let scale = if use_transforms { p.scale() } else { Scale::Linear };
+        let scale = if use_transforms {
+            p.scale()
+        } else {
+            Scale::Linear
+        };
         match p.kind() {
             ParamKind::Real { .. } => {
                 Feature::Num(p.normalized_real_with(cfg.value_at(i).as_f64(), scale))
@@ -376,7 +382,7 @@ mod tests {
         // 1 numeric + 1 categorical + 3 permutation positions.
         assert_eq!(f.len(), 5);
         assert_eq!(f[1], 1.0); // category "b" has index 1
-        // element 0 sits at position 1, element 1 at 2, element 2 at 0.
+                               // element 0 sits at position 1, element 1 at 2, element 2 at 0.
         assert_eq!(&f[2..], &[1.0 / 3.0, 2.0 / 3.0, 0.0]);
     }
 }

@@ -101,7 +101,10 @@ pub struct GammaPrior {
 impl Default for GammaPrior {
     fn default() -> Self {
         // Mode at (α−1)/β = 1 on normalized inputs; long tails both ways.
-        GammaPrior { alpha: 2.0, beta: 1.0 }
+        GammaPrior {
+            alpha: 2.0,
+            beta: 1.0,
+        }
     }
 }
 
@@ -305,7 +308,8 @@ impl GaussianProcess {
         // or rebuild from scratch if the history is not a prefix of the
         // current data (restarted tuner, changed options, …).
         cache.sync_distances(&inputs, d, opts.perm_metric, opts.input_transforms);
-        let (lengthscales, outputscale, noise, chol, alpha) = Self::full_fit(&ys, opts, rng, cache)?;
+        let (lengthscales, outputscale, noise, chol, alpha) =
+            Self::full_fit(&ys, opts, rng, cache)?;
         let train_views = (0..d).map(|k| ModelInput::dim_view(&inputs, k)).collect();
         Ok(GaussianProcess {
             space: space.clone(),
@@ -406,7 +410,9 @@ impl GaussianProcess {
             let len = theta.len();
             let (nll, state) =
                 neg_log_posterior_impl(theta, levels, ys, prior.as_ref(), true, Some(&best_eval));
-            (nll, move || state.map_or_else(|| vec![0.0; len], NllState::gradient))
+            (nll, move || {
+                state.map_or_else(|| vec![0.0; len], NllState::gradient)
+            })
         };
 
         let sample_theta = |rng: &mut R| -> Vec<f64> {
@@ -439,7 +445,10 @@ impl GaussianProcess {
             t.push((1e-3f64).ln());
             t
         };
-        let lengthscales: Vec<f64> = theta[..d].iter().map(|t| t.exp().clamp(1e-3, 1e3)).collect();
+        let lengthscales: Vec<f64> = theta[..d]
+            .iter()
+            .map(|t| t.exp().clamp(1e-3, 1e3))
+            .collect();
         let outputscale = theta[d].exp().clamp(1e-4, 1e4);
         let noise = theta[d + 1].exp().clamp(1e-9, 1e2);
 
@@ -786,9 +795,8 @@ fn neg_log_posterior_impl<'a>(
     };
     let alpha = chol.solve(ys);
     let data_fit: f64 = dot(ys, &alpha);
-    let mut nll = 0.5 * data_fit
-        + 0.5 * chol.log_det()
-        + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+    let mut nll =
+        0.5 * data_fit + 0.5 * chol.log_det() + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
     if let Some(p) = prior {
         for l in &ls {
             nll -= p.log_pdf(*l);
@@ -1371,9 +1379,10 @@ mod tests {
     #[test]
     fn variance_grows_away_from_data() {
         let s = SearchSpace::builder().integer("x", 0, 100).build().unwrap();
-        let configs: Vec<_> = [0i64, 2, 4, 6, 8, 10].iter().map(|&x| {
-            s.configuration(&[("x", ParamValue::Int(x))]).unwrap()
-        }).collect();
+        let configs: Vec<_> = [0i64, 2, 4, 6, 8, 10]
+            .iter()
+            .map(|&x| s.configuration(&[("x", ParamValue::Int(x))]).unwrap())
+            .collect();
         let y = vec![1.0, 1.1, 0.9, 1.05, 0.95, 1.0];
         let mut rng = StdRng::seed_from_u64(3);
         let gp = GaussianProcess::fit(&s, &configs, &y, &GpOptions::default(), &mut rng).unwrap();
@@ -1432,7 +1441,11 @@ mod tests {
             let cfg = s.sample_dense(&mut rng);
             // Synthetic objective touching every type.
             let t = cfg.value("tile").as_f64().log2();
-            let c = if cfg.value("m").as_str() == "a" { 0.0 } else { 1.0 };
+            let c = if cfg.value("m").as_str() == "a" {
+                0.0
+            } else {
+                1.0
+            };
             let p0 = cfg.value("p").as_permutation()[0] as f64;
             y.push(t + c + 0.5 * p0 + (i as f64) * 0.01);
             configs.push(cfg);
@@ -1474,7 +1487,10 @@ mod tests {
             let (sm, sv) = gp.predict(p);
             // The means are bit-identical (see `predict_batch_configs`).
             assert_eq!(sm.to_bits(), bm.to_bits(), "mean {sm} vs {bm}");
-            assert!((sv - bv).abs() <= 1e-10 * (1.0 + sv.abs()), "var {sv} vs {bv}");
+            assert!(
+                (sv - bv).abs() <= 1e-10 * (1.0 + sv.abs()),
+                "var {sv} vs {bv}"
+            );
         }
     }
 
@@ -1482,7 +1498,10 @@ mod tests {
     fn batch_results_independent_of_batch_size() {
         let s = space_1d();
         let configs: Vec<_> = (0..=20).step_by(3).map(|x| cfg_x(&s, x)).collect();
-        let y: Vec<f64> = configs.iter().map(|c| c.value("x").as_f64().sin()).collect();
+        let y: Vec<f64> = configs
+            .iter()
+            .map(|c| c.value("x").as_f64().sin())
+            .collect();
         let mut rng = StdRng::seed_from_u64(12);
         let gp = GaussianProcess::fit(&s, &configs, &y, &GpOptions::default(), &mut rng).unwrap();
         let probes: Vec<_> = (0..=20).map(|x| cfg_x(&s, x)).collect();
@@ -1500,21 +1519,33 @@ mod tests {
         let s = space_1d();
         let opts = GpOptions::default();
         let all: Vec<_> = (0..=20).step_by(2).map(|x| cfg_x(&s, x)).collect();
-        let y: Vec<f64> = all.iter().map(|c| (c.value("x").as_f64() / 3.0).cos()).collect();
+        let y: Vec<f64> = all
+            .iter()
+            .map(|c| (c.value("x").as_f64() / 3.0).cos())
+            .collect();
 
         let mut cache = GpCache::new();
         for n in 3..=all.len() {
             let mut rng_a = StdRng::seed_from_u64(100 + n as u64);
             let mut rng_b = rng_a.clone();
-            let cached =
-                GaussianProcess::fit_with_cache(&s, &all[..n], &y[..n], &opts, &mut rng_a, &mut cache)
-                    .unwrap();
+            let cached = GaussianProcess::fit_with_cache(
+                &s,
+                &all[..n],
+                &y[..n],
+                &opts,
+                &mut rng_a,
+                &mut cache,
+            )
+            .unwrap();
             let fresh = GaussianProcess::fit(&s, &all[..n], &y[..n], &opts, &mut rng_b).unwrap();
             assert_eq!(rng_a, rng_b, "cached fit must consume the same RNG stream");
             for (a, b) in cached.lengthscales().iter().zip(fresh.lengthscales()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            assert_eq!(cached.outputscale().to_bits(), fresh.outputscale().to_bits());
+            assert_eq!(
+                cached.outputscale().to_bits(),
+                fresh.outputscale().to_bits()
+            );
             assert_eq!(cached.noise().to_bits(), fresh.noise().to_bits());
             let probe = cfg_x(&s, 7);
             let (ma, va) = cached.predict(&probe);
@@ -1562,8 +1593,8 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = rng_a.clone();
         let a = GaussianProcess::fit(&s, &configs, &y, &with_mean, &mut rng_a).unwrap();
-        let b = GaussianProcess::fit(&s, &configs, &resid, &GpOptions::default(), &mut rng_b)
-            .unwrap();
+        let b =
+            GaussianProcess::fit(&s, &configs, &resid, &GpOptions::default(), &mut rng_b).unwrap();
         assert_eq!(rng_a, rng_b, "mean-fn fit must consume the same RNG stream");
         for (la, lb) in a.lengthscales().iter().zip(b.lengthscales()) {
             assert_eq!(la.to_bits(), lb.to_bits());

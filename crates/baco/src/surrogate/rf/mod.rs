@@ -165,7 +165,10 @@ impl RandomForestClassifier {
         rng: &mut R,
     ) -> Result<Self> {
         let x = encode_rows(space, configs);
-        let y: Vec<f64> = feasible.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
+        let y: Vec<f64> = feasible
+            .iter()
+            .map(|&b| if b { 1.0 } else { 0.0 })
+            .collect();
         Ok(RandomForestClassifier {
             trees: fit_forest(&x, &y, opts, rng)?,
         })
@@ -210,8 +213,11 @@ mod tests {
     }
 
     fn cfg(s: &SearchSpace, x: i64, m: &str) -> Configuration {
-        s.configuration(&[("x", ParamValue::Int(x)), ("m", ParamValue::Categorical(m.into()))])
-            .unwrap()
+        s.configuration(&[
+            ("x", ParamValue::Int(x)),
+            ("m", ParamValue::Categorical(m.into())),
+        ])
+        .unwrap()
     }
 
     #[test]
@@ -259,8 +265,9 @@ mod tests {
             configs.push(c);
             labels.push(x < 20); // feasible below 20
         }
-        let rf = RandomForestClassifier::fit(&s, &configs, &labels, &RfOptions::default(), &mut rng)
-            .unwrap();
+        let rf =
+            RandomForestClassifier::fit(&s, &configs, &labels, &RfOptions::default(), &mut rng)
+                .unwrap();
         assert!(rf.predict_proba(&s, &cfg(&s, 5, "a")) > 0.8);
         assert!(rf.predict_proba(&s, &cfg(&s, 29, "a")) < 0.2);
     }
@@ -286,7 +293,10 @@ mod tests {
             let reference = ModelInput::from_config(&s, c, true).flat_features();
             assert_eq!(bits(&f[1..]), bits(&reference), "{c:?}");
         }
-        let labels: Vec<bool> = configs.iter().map(|c| c.value("x").as_f64() < 12.0).collect();
+        let labels: Vec<bool> = configs
+            .iter()
+            .map(|c| c.value("x").as_f64() < 12.0)
+            .collect();
         let (train, cands) = configs.split_at(30);
         let clf =
             RandomForestClassifier::fit(&s, train, &labels[..30], &RfOptions::default(), &mut rng)
@@ -319,14 +329,9 @@ mod tests {
         let s = space();
         let mut rng = StdRng::seed_from_u64(5);
         let configs: Vec<_> = (0..6).map(|x| cfg(&s, x, "a")).collect();
-        let rf = RandomForestClassifier::fit(
-            &s,
-            &configs,
-            &[true; 6],
-            &RfOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let rf =
+            RandomForestClassifier::fit(&s, &configs, &[true; 6], &RfOptions::default(), &mut rng)
+                .unwrap();
         assert_eq!(rf.predict_proba(&s, &cfg(&s, 31, "b")), 1.0);
     }
 }

@@ -161,11 +161,8 @@ impl AcquisitionContext {
         space: &SearchSpace,
         cfg: &Configuration,
     ) -> (Vec<f64>, Vec<f64>) {
-        let (means, vars): (Vec<f64>, Vec<f64>) = self
-            .models
-            .iter()
-            .map(|m| m.predict(space, cfg))
-            .unzip();
+        let (means, vars): (Vec<f64>, Vec<f64>) =
+            self.models.iter().map(|m| m.predict(space, cfg)).unzip();
         self.condition(cfg, |k, _, y| {
             let lo = y.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -334,8 +331,11 @@ mod tests {
                 report.best_value()
             );
             // No configuration is ever evaluated twice.
-            let uniq: HashSet<String> =
-                report.trials().iter().map(|t| t.config.to_string()).collect();
+            let uniq: HashSet<String> = report
+                .trials()
+                .iter()
+                .map(|t| t.config.to_string())
+                .collect();
             assert_eq!(uniq.len(), report.len(), "{strategy:?}");
         }
     }
@@ -352,7 +352,10 @@ mod tests {
             let sequential = tuner.run(&bb()).unwrap();
             let batched = tuner.run_batched(&bb()).unwrap();
             let cfgs = |r: &TuningReport| {
-                r.trials().iter().map(|t| t.config.to_string()).collect::<Vec<_>>()
+                r.trials()
+                    .iter()
+                    .map(|t| t.config.to_string())
+                    .collect::<Vec<_>>()
             };
             assert_eq!(cfgs(&sequential), cfgs(&batched), "seed {seed}");
             for (a, b) in sequential.trials().iter().zip(batched.trials()) {
@@ -404,7 +407,10 @@ mod tests {
         }
         // q = 0 proposes nothing and leaves the RNG untouched.
         let before = rng.clone();
-        assert!(tuner.recommend_batch(&mut rng, &report, &seen, &mut cache, 0).unwrap().is_empty());
+        assert!(tuner
+            .recommend_batch(&mut rng, &report, &seen, &mut cache, 0)
+            .unwrap()
+            .is_empty());
         assert_eq!(rng, before);
     }
 

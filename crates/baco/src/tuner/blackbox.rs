@@ -229,9 +229,15 @@ mod tests {
         assert_eq!(e.n_objectives(), 2);
         assert_eq!(e.to_string(), "[2, 3.5]");
         // The 1-vector case is exactly the single-objective constructor.
-        assert_eq!(Evaluation::feasible_multi(vec![1.5]), Evaluation::feasible(1.5));
+        assert_eq!(
+            Evaluation::feasible_multi(vec![1.5]),
+            Evaluation::feasible(1.5)
+        );
         // An empty vector is a failed evaluation.
-        assert_eq!(Evaluation::feasible_multi(Vec::new()), Evaluation::infeasible());
+        assert_eq!(
+            Evaluation::feasible_multi(Vec::new()),
+            Evaluation::infeasible()
+        );
     }
 
     #[test]

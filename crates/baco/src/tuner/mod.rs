@@ -494,7 +494,9 @@ impl BacoBuilder {
             ));
         }
         if self.space.is_empty() {
-            return Err(Error::InvalidConfig("search space has no parameters".into()));
+            return Err(Error::InvalidConfig(
+                "search space has no parameters".into(),
+            ));
         }
         let sampler = FeasibleSampler::new(&self.space)?;
         Ok(Baco {
@@ -590,9 +592,9 @@ impl Baco {
         &'a self,
         ctx: &'a AcquisitionContext,
     ) -> Option<impl Fn(&Configuration) -> bool + 'a> {
-        ctx.region
-            .as_ref()
-            .map(|r| move |c: &Configuration| r.contains(&self.space, c, self.opts.gp.input_transforms))
+        ctx.region.as_ref().map(|r| {
+            move |c: &Configuration| r.contains(&self.space, c, self.opts.gp.input_transforms)
+        })
     }
 
     /// One acquisition maximization over the configurations outside
@@ -607,9 +609,18 @@ impl Baco {
     ) -> Option<Configuration> {
         let score_batch = ctx.score_batch(&self.space, self.opts.optimum_prior.as_ref());
         let inside = self.region_predicate(ctx);
-        let region = inside.as_ref().map(|f| f as &dyn Fn(&Configuration) -> bool);
+        let region = inside
+            .as_ref()
+            .map(|f| f as &dyn Fn(&Configuration) -> bool);
         if self.opts.local_search {
-            local_search_in(&self.sampler, rng, score_batch, &self.opts.ls, excluded, region)
+            local_search_in(
+                &self.sampler,
+                rng,
+                score_batch,
+                &self.opts.ls,
+                excluded,
+                region,
+            )
         } else {
             random_search_in(
                 &self.sampler,
@@ -727,7 +738,11 @@ impl Baco {
                 let ys: Vec<Vec<f64>> = ys_full.iter().map(|y| active.gather(y)).collect();
                 (cfgs, ys, region)
             }
-            None => (feas.iter().map(|t| t.config.clone()).collect(), ys_full, None),
+            None => (
+                feas.iter().map(|t| t.config.clone()).collect(),
+                ys_full,
+                None,
+            ),
         };
 
         // Every objective trains on `feas_cfgs`, so one set of distance
@@ -803,9 +818,7 @@ impl Baco {
                     (objs.len() == m && objs.iter().all(|v| v.is_finite()))
                         .then(|| objs.iter().map(|&v| self.transform(v)).sum())
                 } else {
-                    t.value
-                        .filter(|v| v.is_finite())
-                        .map(|v| self.transform(v))
+                    t.value.filter(|v| v.is_finite()).map(|v| self.transform(v))
                 }
             })
             .collect();
@@ -894,7 +907,6 @@ impl Baco {
             0.0
         }
     }
-
 }
 
 /// The scalar of observation `j` of the objective-major values `ys`: this
@@ -972,7 +984,10 @@ impl AcquisitionContext {
                 .iter()
                 .map(|mo| mo.predict_batch(space, cfgs))
                 .collect();
-            let feasible = self.classifier.as_ref().map(|c| c.predict_proba_batch(space, cfgs));
+            let feasible = self
+                .classifier
+                .as_ref()
+                .map(|c| c.predict_proba_batch(space, cfgs));
             let m = self.models.len();
             let mut means = vec![0.0; m];
             let mut vars = vec![0.0; m];
@@ -1219,15 +1234,24 @@ mod tests {
                 evaluate(cfg, &mut report, &mut seen);
             }
             while report.len() < tuner.options().budget {
-                let round = tuner.recommend_batch(&mut rng, &report, &seen, &mut tuner.new_cache(), 1);
+                let round =
+                    tuner.recommend_batch(&mut rng, &report, &seen, &mut tuner.new_cache(), 1);
                 let Some(cfg) = round.unwrap().pop() else {
                     break;
                 };
                 evaluate(cfg, &mut report, &mut seen);
             }
 
-            let a: Vec<_> = cached.trials().iter().map(|t| t.config.to_string()).collect();
-            let b: Vec<_> = report.trials().iter().map(|t| t.config.to_string()).collect();
+            let a: Vec<_> = cached
+                .trials()
+                .iter()
+                .map(|t| t.config.to_string())
+                .collect();
+            let b: Vec<_> = report
+                .trials()
+                .iter()
+                .map(|t| t.config.to_string())
+                .collect();
             assert_eq!(a, b, "seed {seed}, hidden {hidden}");
         }
     }
@@ -1270,7 +1294,9 @@ mod tests {
         let seen: HashSet<Configuration> =
             report.trials().iter().map(|t| t.config.clone()).collect();
         let mut cache = tuner.new_cache();
-        let round = tuner.recommend_batch(&mut rng, &report, &seen, &mut cache, 1).unwrap();
+        let round = tuner
+            .recommend_batch(&mut rng, &report, &seen, &mut cache, 1)
+            .unwrap();
         assert_eq!(round.len(), 1);
         assert_eq!(cache.len(), n);
         // One level table per dimension, exactly what one sync over the
@@ -1296,9 +1322,8 @@ mod tests {
     #[test]
     fn budget_larger_than_space_terminates() {
         let space = SearchSpace::builder().integer("x", 0, 4).build().unwrap();
-        let bb = FnBlackBox::new(|c: &Configuration| {
-            Evaluation::feasible(c.value("x").as_f64() + 1.0)
-        });
+        let bb =
+            FnBlackBox::new(|c: &Configuration| Evaluation::feasible(c.value("x").as_f64() + 1.0));
         let tuner = || {
             Baco::builder(space.clone())
                 .budget(50)
@@ -1424,7 +1449,12 @@ mod tests {
         });
         let space = SearchSpace::builder().integer("x", 0, 15).build().unwrap();
         // The budget covers the whole space, so x = 5 is certainly proposed.
-        let tuner = Baco::builder(space).budget(16).doe_samples(4).seed(2).build().unwrap();
+        let tuner = Baco::builder(space)
+            .budget(16)
+            .doe_samples(4)
+            .seed(2)
+            .build()
+            .unwrap();
         let report = tuner.run(&bb).unwrap();
         assert_eq!(report.len(), 16);
         assert_eq!(calls.get(), 16);
@@ -1497,7 +1527,13 @@ mod tests {
             if let Some(p) = prior {
                 builder = builder.optimum_prior(p);
             }
-            builder.build().unwrap().run(&bb).unwrap().best_value().unwrap()
+            builder
+                .build()
+                .unwrap()
+                .run(&bb)
+                .unwrap()
+                .best_value()
+                .unwrap()
         };
         let _ = &space;
         let mut with = 0.0;
@@ -1553,8 +1589,7 @@ mod tests {
             for y in &front {
                 let (xo, yo) = (x.objectives().unwrap(), y.objectives().unwrap());
                 assert!(
-                    std::ptr::eq(*x, *y)
-                        || xo.iter().zip(&yo).any(|(a, b)| a > b),
+                    std::ptr::eq(*x, *y) || xo.iter().zip(&yo).any(|(a, b)| a > b),
                     "dominated point on the front"
                 );
             }
@@ -1566,7 +1601,13 @@ mod tests {
         let sig = |r: &TuningReport| {
             r.trials()
                 .iter()
-                .map(|t| (t.config.to_string(), t.objectives().map(|o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>())))
+                .map(|t| {
+                    (
+                        t.config.to_string(),
+                        t.objectives()
+                            .map(|o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>()),
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(sig(&report), sig(&again));

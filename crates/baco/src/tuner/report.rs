@@ -116,14 +116,18 @@ impl TuningReport {
         if t.measured() {
             let objs = t.objectives().expect("measured trials have objectives");
             let dominated = self.front.iter().any(|&i| {
-                let fo = self.trials[i].objectives().expect("front trials are measured");
+                let fo = self.trials[i]
+                    .objectives()
+                    .expect("front trials are measured");
                 // Weak domination: an exact duplicate keeps the first-seen
                 // front member and drops the newcomer.
                 fo.len() == objs.len() && fo.iter().zip(&objs).all(|(x, y)| x <= y)
             });
             if !dominated {
                 self.front.retain(|&i| {
-                    let fo = self.trials[i].objectives().expect("front trials are measured");
+                    let fo = self.trials[i]
+                        .objectives()
+                        .expect("front trials are measured");
                     !dominates(&objs, &fo)
                 });
                 self.front.push(idx);
@@ -436,8 +440,14 @@ mod tests {
         let mut t = trial(Some(1.0));
         t.extra = vec![f64::INFINITY];
         r.push(t);
-        assert!(r.trials().iter().all(|t| !t.feasible), "demoted to infeasible");
-        assert!(r.best().is_none(), "non-finite values never become the incumbent");
+        assert!(
+            r.trials().iter().all(|t| !t.feasible),
+            "demoted to infeasible"
+        );
+        assert!(
+            r.best().is_none(),
+            "non-finite values never become the incumbent"
+        );
         assert!(r.pareto_front().is_empty());
         // The raw values are kept for diagnostics.
         assert!(r.trials()[0].value.unwrap().is_nan());
@@ -521,7 +531,11 @@ mod tests {
         r.push(trial_multi(0, &[1.0, 3.5])); // interior: (4-1)*(4-3.5) = 1.5
         r.push(trial_multi(1, &[0.5, 6.0])); // outside in obj 2
         r.push(trial_multi(2, &[4.0, 0.5])); // exactly on the boundary in obj 1
-        assert_eq!(r.pareto_front().len(), 3, "all three are mutually non-dominated");
+        assert_eq!(
+            r.pareto_front().len(),
+            3,
+            "all three are mutually non-dominated"
+        );
         assert!((r.hypervolume(&[4.0, 4.0]) - 1.5).abs() < 1e-12);
 
         // A front made *only* of boundary/outside points has zero volume …

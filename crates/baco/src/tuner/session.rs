@@ -129,7 +129,9 @@ impl Session {
         // what has a reported outcome is left out, so in-flight DoE
         // casualties return to the queue in draw order.
         let doe_n = tuner.options().doe_samples.min(tuner.options().budget);
-        let initial = tuner.sampler().sample_batch(&mut engine.rng, doe_n, &HashSet::new());
+        let initial = tuner
+            .sampler()
+            .sample_batch(&mut engine.rng, doe_n, &HashSet::new());
         let mut doe_queue: Vec<Configuration> = tuner
             .transfer_rerank(initial)
             .into_iter()
@@ -219,8 +221,11 @@ impl Session {
         let e = &mut self.engine;
         let rng_before = e.rng.state();
         let doe_k = q.min(self.doe_queue.len());
-        let mut round: Vec<Configuration> =
-            self.doe_queue.drain(self.doe_queue.len() - doe_k..).rev().collect();
+        let mut round: Vec<Configuration> = self
+            .doe_queue
+            .drain(self.doe_queue.len() - doe_k..)
+            .rev()
+            .collect();
         if round.len() < q {
             // DoE picks handed out in this same round are excluded too; an
             // `ask` after the DoE borrows the seen set instead of copying it.
@@ -229,7 +234,10 @@ impl Session {
                 excluded.to_mut().extend(round.iter().cloned());
             }
             let want = q - round.len();
-            match self.tuner.recommend_batch(&mut e.rng, &e.report, &excluded, &mut e.cache, want) {
+            match self
+                .tuner
+                .recommend_batch(&mut e.rng, &e.report, &excluded, &mut e.cache, want)
+            {
                 Ok(more) => round.extend(more),
                 Err(err) => {
                     // Return the drawn DoE configurations to the queue (in
@@ -354,12 +362,21 @@ mod tests {
         assert_eq!(n, 25);
         let report = s.into_report();
         assert_eq!(report.len(), 25);
-        assert!(report.best_value().unwrap() <= 5.0, "{:?}", report.best_value());
+        assert!(
+            report.best_value().unwrap() <= 5.0,
+            "{:?}",
+            report.best_value()
+        );
     }
 
     #[test]
     fn session_never_repeats_configurations() {
-        let tuner = Baco::builder(space()).budget(30).doe_samples(8).seed(5).build().unwrap();
+        let tuner = Baco::builder(space())
+            .budget(30)
+            .doe_samples(8)
+            .seed(5)
+            .build()
+            .unwrap();
         let mut s = Session::new(tuner).unwrap();
         let mut seen = HashSet::new();
         while let Some(cfg) = s.ask().unwrap() {
@@ -371,7 +388,12 @@ mod tests {
     #[test]
     fn tell_accepts_foreign_configurations() {
         let sp = space();
-        let tuner = Baco::builder(sp.clone()).budget(10).doe_samples(2).seed(1).build().unwrap();
+        let tuner = Baco::builder(sp.clone())
+            .budget(10)
+            .doe_samples(2)
+            .seed(1)
+            .build()
+            .unwrap();
         let mut s = Session::new(tuner).unwrap();
         let foreign = sp
             .configuration(&[("a", ParamValue::Int(7)), ("b", ParamValue::Int(7))])
@@ -385,14 +407,20 @@ mod tests {
 
     #[test]
     fn infeasible_tells_feed_the_classifier() {
-        let tuner = Baco::builder(space()).budget(20).doe_samples(5).seed(2).build().unwrap();
+        let tuner = Baco::builder(space())
+            .budget(20)
+            .doe_samples(5)
+            .seed(2)
+            .build()
+            .unwrap();
         let mut s = Session::new(tuner).unwrap();
         while let Some(cfg) = s.ask().unwrap() {
             let a = cfg.value("a").as_i64();
             if a > 7 {
                 s.try_report(cfg, Evaluation::infeasible()).unwrap();
             } else {
-                s.try_report(cfg, Evaluation::feasible(1.0 + (7 - a) as f64)).unwrap();
+                s.try_report(cfg, Evaluation::feasible(1.0 + (7 - a) as f64))
+                    .unwrap();
             }
         }
         let r = s.into_report();
@@ -411,15 +439,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("session.jsonl");
         let builder = || Baco::builder(space()).budget(10).doe_samples(3).seed(6);
-        let tuner = |resume: bool| builder().journal_path(&path).resume(resume).build().unwrap();
+        let tuner = |resume: bool| {
+            builder()
+                .journal_path(&path)
+                .resume(resume)
+                .build()
+                .unwrap()
+        };
         let mut s = Session::new(tuner(false)).unwrap();
         let cfg = s.ask().unwrap().unwrap();
 
         // try_report: immediate typed rejection, nothing recorded, the
         // proposal stays pending for a corrected report.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = s.try_report(cfg.clone(), Evaluation::feasible(bad)).unwrap_err();
-            assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{bad}: {err}");
+            let err = s
+                .try_report(cfg.clone(), Evaluation::feasible(bad))
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::Error::NonFiniteObjective(_)),
+                "{bad}: {err}"
+            );
         }
         // A 2-vector on this single-objective session trips the width guard
         // (checked before finiteness).
@@ -428,9 +467,15 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            crate::Error::ObjectiveCountMismatch { got: 2, expected: 1 }
+            crate::Error::ObjectiveCountMismatch {
+                got: 2,
+                expected: 1
+            }
         ));
-        assert!(s.history().is_empty(), "rejected reports must not enter the history");
+        assert!(
+            s.history().is_empty(),
+            "rejected reports must not enter the history"
+        );
         assert_eq!(s.pending(), vec![cfg.clone()]);
 
         // Every later ask succeeds and proposes what a session that never
@@ -444,7 +489,9 @@ mod tests {
             assert_eq!(clean.ask().unwrap().as_ref(), Some(&c));
             let n = s.history().len();
             if n >= 3 {
-                let err = s.try_report(c.clone(), Evaluation::feasible(f64::NAN)).unwrap_err();
+                let err = s
+                    .try_report(c.clone(), Evaluation::feasible(f64::NAN))
+                    .unwrap_err();
                 assert!(matches!(err, crate::Error::NonFiniteObjective(_)), "{err}");
             }
             let eval = if n == 5 {
@@ -494,7 +541,10 @@ mod tests {
         ] {
             let err = s.try_report(cfg.clone(), bad).unwrap_err();
             assert!(
-                matches!(err, crate::Error::ObjectiveCountMismatch { expected: 2, .. }),
+                matches!(
+                    err,
+                    crate::Error::ObjectiveCountMismatch { expected: 2, .. }
+                ),
                 "{err}"
             );
         }
@@ -508,7 +558,8 @@ mod tests {
         assert_eq!(s.pending(), vec![cfg.clone()]);
         // The right width goes through; infeasible reports carry no vector
         // and are always accepted.
-        s.try_report(cfg, Evaluation::feasible_multi(vec![1.0, 2.0])).unwrap();
+        s.try_report(cfg, Evaluation::feasible_multi(vec![1.0, 2.0]))
+            .unwrap();
         let cfg2 = s.ask().unwrap().unwrap();
         s.try_report(cfg2, Evaluation::infeasible()).unwrap();
         assert_eq!(s.history().len(), 2);
@@ -556,7 +607,11 @@ mod tests {
 
         // Faults during the DoE (one designed sample still queued) and in
         // the model phase.
-        let cases = [(Fault::ShortWrite, 5), (Fault::FailedSync, 5), (Fault::FailedSync, 2)];
+        let cases = [
+            (Fault::ShortWrite, 5),
+            (Fault::FailedSync, 5),
+            (Fault::FailedSync, 2),
+        ];
         for (k, (f, at)) in cases.into_iter().enumerate() {
             let path = dir.join(format!("s{k}.jsonl"));
             let mut s = Session::new(tuner(&path, false)).unwrap();
@@ -568,7 +623,9 @@ mod tests {
             let cfg = s.ask().unwrap().unwrap();
             let acknowledged = std::fs::read(&path).unwrap();
             fault::arm(f);
-            let err = s.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap_err();
+            let err = s
+                .try_report(cfg.clone(), Evaluation::feasible(obj(&cfg)))
+                .unwrap_err();
             assert!(matches!(err, Error::Io(_)), "{f:?}: {err}");
             assert_eq!(s.history().len(), at + 1, "the trial stays in memory");
             assert!(s.journal_closed());
@@ -586,10 +643,15 @@ mod tests {
             let before = state(&s);
             assert_eq!(before.2.is_empty(), at >= 4, "{f:?} at {at}");
             for _ in 0..2 {
-                assert!(matches!(s.suggest_batch(2).unwrap_err(), Error::Io(_)), "{f:?}");
+                assert!(
+                    matches!(s.suggest_batch(2).unwrap_err(), Error::Io(_)),
+                    "{f:?}"
+                );
                 assert!(state(&s) == before, "{f:?} at {at}: the refused round drew");
             }
-            let err = s.try_report(cfg.clone(), Evaluation::infeasible()).unwrap_err();
+            let err = s
+                .try_report(cfg.clone(), Evaluation::infeasible())
+                .unwrap_err();
             assert!(err.to_string().contains("resume"), "{err}");
             assert_eq!(std::fs::read(&path).unwrap(), acknowledged);
 
@@ -600,9 +662,15 @@ mod tests {
             assert!(!resumed.journal_closed());
             assert_eq!(resumed.history().len(), at);
             assert_eq!(resumed.ask().unwrap(), Some(cfg.clone()));
-            resumed.try_report(cfg.clone(), Evaluation::feasible(obj(&cfg))).unwrap();
+            resumed
+                .try_report(cfg.clone(), Evaluation::feasible(obj(&cfg)))
+                .unwrap();
             drive(&mut resumed);
-            assert_eq!(sig(resumed.history()), sig(reference.history()), "{f:?} at {at}");
+            assert_eq!(
+                sig(resumed.history()),
+                sig(reference.history()),
+                "{f:?} at {at}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -611,7 +679,12 @@ mod tests {
     fn suggest_batch_of_one_matches_ask_exactly() {
         let mk = || {
             Session::new(
-                Baco::builder(space()).budget(16).doe_samples(5).seed(9).build().unwrap(),
+                Baco::builder(space())
+                    .budget(16)
+                    .doe_samples(5)
+                    .seed(9)
+                    .build()
+                    .unwrap(),
             )
             .unwrap()
         };
@@ -634,7 +707,11 @@ mod tests {
             batched.try_report(b, Evaluation::feasible(v)).unwrap();
         }
         let seq = |s: &Session| {
-            s.history().trials().iter().map(|t| t.config.to_string()).collect::<Vec<_>>()
+            s.history()
+                .trials()
+                .iter()
+                .map(|t| t.config.to_string())
+                .collect::<Vec<_>>()
         };
         assert_eq!(seq(&asked), seq(&batched));
     }
@@ -686,7 +763,12 @@ mod tests {
 
     #[test]
     fn suggest_batch_respects_budget_and_pending() {
-        let tuner = Baco::builder(space()).budget(6).doe_samples(2).seed(4).build().unwrap();
+        let tuner = Baco::builder(space())
+            .budget(6)
+            .doe_samples(2)
+            .seed(4)
+            .build()
+            .unwrap();
         let mut s = Session::new(tuner).unwrap();
         let round = s.suggest_batch(4).unwrap();
         assert_eq!(round.len(), 4);
@@ -703,7 +785,12 @@ mod tests {
 
     #[test]
     fn remaining_budget_counts_pending_asks() {
-        let tuner = Baco::builder(space()).budget(5).doe_samples(2).seed(0).build().unwrap();
+        let tuner = Baco::builder(space())
+            .budget(5)
+            .doe_samples(2)
+            .seed(0)
+            .build()
+            .unwrap();
         let mut s = Session::new(tuner).unwrap();
         assert_eq!(s.remaining_budget(), 5);
         let c = s.ask().unwrap().unwrap();

@@ -76,7 +76,7 @@
 use super::{Baco, BlackBox, Trial, TuningReport};
 use crate::eval::pool::{with_pool, Completion, EvalPool};
 use crate::journal::{
-    AnchorRec, Header, Journal, JournalWriter, Mode, ProposeRec, Record, ReconcileRec, TrialRec,
+    AnchorRec, Header, Journal, JournalWriter, Mode, ProposeRec, ReconcileRec, Record, TrialRec,
 };
 use crate::space::Configuration;
 use crate::surrogate::GpCache;
@@ -273,7 +273,8 @@ impl Engine {
         let index = self.report.len();
         self.report.push(trial);
         if let Some(w) = self.writer.as_mut() {
-            let rec = TrialRec::from_trial(index, self.report.trials().last().expect("just pushed"));
+            let rec =
+                TrialRec::from_trial(index, self.report.trials().last().expect("just pushed"));
             w.append(&Record::Trial(rec))?;
         }
         Ok(())
@@ -429,11 +430,9 @@ impl Baco {
 
         match bb {
             Evaluator::Inline(bb) => self.drive(e, &mut EvalPool::inline(bb)),
-            Evaluator::Shared(bb) => {
-                with_pool(bb, self.opts.eval_threads, e.capacity, |pool| {
-                    self.drive(e, pool)
-                })
-            }
+            Evaluator::Shared(bb) => with_pool(bb, self.opts.eval_threads, e.capacity, |pool| {
+                self.drive(e, pool)
+            }),
         }
     }
 
@@ -511,7 +510,11 @@ impl Baco {
                 // entry) proposal order — the order the journal replays.
                 let mut anchors: Vec<AnchorRec> = Vec::new();
                 for r in e.rounds.iter().filter(|r| !r.flushed) {
-                    for en in r.entries.iter().filter(|en| en.state == EntryState::Pending) {
+                    for en in r
+                        .entries
+                        .iter()
+                        .filter(|en| en.state == EntryState::Pending)
+                    {
                         let (means, vars) = ctx.fantasize_anchored(&self.space, &en.config);
                         anchors.push(AnchorRec {
                             config: en.config.clone(),
@@ -559,8 +562,8 @@ impl Baco {
         // returning NaN/±inf can never poison the surrogate. A vector of the
         // wrong width is demoted here for the same reason — it would corrupt
         // Pareto bookkeeping while being invisible to the models.
-        let feasible = done.evaluation.is_feasible()
-            && done.evaluation.n_objectives() == self.opts.objectives;
+        let feasible =
+            done.evaluation.is_feasible() && done.evaluation.n_objectives() == self.opts.objectives;
         e.record(Trial {
             config: done.config,
             value: done.evaluation.value(),
@@ -656,16 +659,13 @@ impl Baco {
                 a.surprising = match &realized {
                     None => true, // the draft assumed a value; none exists
                     Some(v) if v.len() != a.means.len() => true,
-                    Some(v) => v
-                        .iter()
-                        .zip(&a.means)
-                        .zip(&a.vars)
-                        .enumerate()
-                        .any(|(i, ((&x, &mean), &var))| {
+                    Some(v) => v.iter().zip(&a.means).zip(&a.vars).enumerate().any(
+                        |(i, ((&x, &mean), &var))| {
                             let sigma = var.max(0.0).sqrt().max(MIN_ANCHOR_SIGMA);
                             let tol = (TOLERANCE_SIGMAS * sigma).max(floor[i]);
                             (x - mean).abs() > tol
-                        }),
+                        },
+                    ),
                 };
             }
         }
@@ -678,9 +678,9 @@ impl Baco {
         loop {
             let next = e.rounds.iter().position(|r| {
                 !r.flushed
-                    && r.anchors.iter().any(|a| {
-                        a.surprising || (!a.landed && withdrawn.contains(&a.config))
-                    })
+                    && r.anchors
+                        .iter()
+                        .any(|a| a.surprising || (!a.landed && withdrawn.contains(&a.config)))
             });
             let Some(ri) = next else { break };
             let round = &mut e.rounds[ri];
@@ -762,7 +762,13 @@ impl Baco {
         let (lo, hi) = self.landed_range(report);
         lo.iter()
             .zip(&hi)
-            .map(|(&lo, &hi)| if hi > lo { SPREAD_TOLERANCE * (hi - lo) } else { 0.0 })
+            .map(|(&lo, &hi)| {
+                if hi > lo {
+                    SPREAD_TOLERANCE * (hi - lo)
+                } else {
+                    0.0
+                }
+            })
             .collect()
     }
 

@@ -125,8 +125,7 @@ impl TransferContext {
             let (content, journal) = corpus::load_donor(corpus_dir, session, &tuner.space)?;
             loaded.push((session.clone(), content, journal));
         }
-        let pairs: Vec<(String, u64)> =
-            loaded.iter().map(|(s, c, _)| (s.clone(), *c)).collect();
+        let pairs: Vec<(String, u64)> = loaded.iter().map(|(s, c, _)| (s.clone(), *c)).collect();
         if snapshot_of(&pairs) != digest.snapshot {
             return Err(corrupt(
                 "transfer corpus snapshot mismatch: a donor journal changed since this run \
@@ -171,8 +170,7 @@ impl TransferContext {
                 warm_bests.push(c.clone());
             }
         }
-        let pairs: Vec<(String, u64)> =
-            loaded.iter().map(|(s, c, _)| (s.clone(), *c)).collect();
+        let pairs: Vec<(String, u64)> = loaded.iter().map(|(s, c, _)| (s.clone(), *c)).collect();
         let digest = TransferDigest {
             fingerprint,
             snapshot: snapshot_of(&pairs),
@@ -184,8 +182,13 @@ impl TransferContext {
             // touches the session's own stream, so enabling transfer on an
             // empty corpus perturbs nothing.
             let mut prior_rng = StdRng::seed_from_u64(digest.snapshot ^ digest.fingerprint);
-            match RandomForestRegressor::fit(space, &pooled_cfgs, &pooled_y, &opts.rf, &mut prior_rng)
-            {
+            match RandomForestRegressor::fit(
+                space,
+                &pooled_cfgs,
+                &pooled_y,
+                &opts.rf,
+                &mut prior_rng,
+            ) {
                 Ok(model) => Some(Arc::new(RfPriorMean { model })),
                 Err(_) => None,
             }
@@ -368,7 +371,10 @@ mod tests {
 
         let journal = Journal::load(&journal_path, &space()).unwrap();
         let digest = journal.header.transfer.clone().expect("digest recorded");
-        assert_eq!(digest.donors, vec!["donor-a".to_string(), "donor-b".to_string()]);
+        assert_eq!(
+            digest.donors,
+            vec!["donor-a".to_string(), "donor-b".to_string()]
+        );
 
         // Truncate to mid-run, grow the corpus, resume: the continued
         // trajectory adopts the recorded donors and matches bitwise.

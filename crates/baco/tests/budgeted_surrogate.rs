@@ -36,7 +36,11 @@ fn objective(cfg: &Configuration) -> Evaluation {
     if a > 13.0 {
         return Evaluation::infeasible();
     }
-    let par_bonus = if cfg.value("mode").as_str() == "par" { 0.0 } else { 1.5 };
+    let par_bonus = if cfg.value("mode").as_str() == "par" {
+        0.0
+    } else {
+        1.5
+    };
     Evaluation::feasible(
         (1.0 + (a - 9.0).powi(2) + (b - 4.0).powi(2)) / 3.0 + (t.log2() - 1.0).abs() + par_bonus,
     )
@@ -75,7 +79,8 @@ fn signature(r: &TuningReport) -> Vec<(String, Option<Vec<u64>>, bool)> {
         .map(|t| {
             (
                 t.config.to_string(),
-                t.objectives().map(|o| o.iter().map(|v| v.to_bits()).collect()),
+                t.objectives()
+                    .map(|o| o.iter().map(|v| v.to_bits()).collect()),
                 t.feasible,
             )
         })
@@ -171,7 +176,13 @@ fn budgeted_resume_at_every_boundary_matches_uninterrupted() {
     for q in [1usize, 4] {
         let seed = 5u64;
         let full_path = dir.join(format!("full-q{q}.jsonl"));
-        let mk_run = |t: &Baco| if q == 1 { t.run(&Obj).unwrap() } else { t.run_batched(&Obj).unwrap() };
+        let mk_run = |t: &Baco| {
+            if q == 1 {
+                t.run(&Obj).unwrap()
+            } else {
+                t.run_batched(&Obj).unwrap()
+            }
+        };
         let reference = mk_run(&budgeted_tuner(seed, q, None, false));
         let journaled = mk_run(&budgeted_tuner(seed, q, Some(&full_path), false));
         assert_eq!(
@@ -189,7 +200,11 @@ fn budgeted_resume_at_every_boundary_matches_uninterrupted() {
         assert!(boundaries.len() > 18, "journal should have many records");
         let crash_path = dir.join(format!("crash-q{q}.jsonl"));
         let mut cuts = boundaries.clone();
-        cuts.extend(boundaries.iter().filter_map(|&b| (b + 5 < bytes.len()).then_some(b + 5)));
+        cuts.extend(
+            boundaries
+                .iter()
+                .filter_map(|&b| (b + 5 < bytes.len()).then_some(b + 5)),
+        );
         for cut in cuts {
             std::fs::write(&crash_path, &bytes[..cut]).unwrap();
             let resumed = mk_run(&budgeted_tuner(seed, q, Some(&crash_path), true));
@@ -223,7 +238,11 @@ fn budgeted_run_exhausts_small_space_without_starving() {
         }))
         .unwrap();
     assert_eq!(report.len(), 12, "all 12 configs must be evaluated");
-    let uniq: HashSet<String> = report.trials().iter().map(|t| t.config.to_string()).collect();
+    let uniq: HashSet<String> = report
+        .trials()
+        .iter()
+        .map(|t| t.config.to_string())
+        .collect();
     assert_eq!(uniq.len(), 12, "no configuration may repeat");
 }
 
@@ -233,7 +252,11 @@ fn budgeted_run_exhausts_small_space_without_starving() {
 /// run must still cover its whole budget with distinct points.
 #[test]
 fn shrinking_region_under_constant_objective_keeps_proposing() {
-    let space = SearchSpace::builder().integer("x", 0, 40).integer("y", 0, 40).build().unwrap();
+    let space = SearchSpace::builder()
+        .integer("x", 0, 40)
+        .integer("y", 0, 40)
+        .build()
+        .unwrap();
     let report = Baco::builder(space)
         .budget(30)
         .doe_samples(4)
@@ -241,10 +264,16 @@ fn shrinking_region_under_constant_objective_keeps_proposing() {
         .surrogate_budget(8)
         .build()
         .unwrap()
-        .run(&FnBlackBox::new(|_: &Configuration| Evaluation::feasible(1.0)))
+        .run(&FnBlackBox::new(|_: &Configuration| {
+            Evaluation::feasible(1.0)
+        }))
         .unwrap();
     assert_eq!(report.len(), 30);
-    let uniq: HashSet<String> = report.trials().iter().map(|t| t.config.to_string()).collect();
+    let uniq: HashSet<String> = report
+        .trials()
+        .iter()
+        .map(|t| t.config.to_string())
+        .collect();
     assert_eq!(uniq.len(), 30, "no configuration may repeat");
 }
 
@@ -261,7 +290,10 @@ fn shrinking_region_under_constant_objective_keeps_proposing() {
 fn budgeted_cache_memory_is_bounded() {
     let space = mixed_space();
     let grow = |surrogate_budget: Option<usize>| -> Vec<usize> {
-        let mut b = Baco::builder(space.clone()).budget(200).doe_samples(4).seed(3);
+        let mut b = Baco::builder(space.clone())
+            .budget(200)
+            .doe_samples(4)
+            .seed(3);
         if let Some(s) = surrogate_budget {
             b = b.surrogate_budget(s);
         }
@@ -311,7 +343,10 @@ fn budgeted_cache_memory_is_bounded() {
             .map(|l| l * l * std::mem::size_of::<f64>() + l * LEVEL_VALUE_BYTES)
             .sum::<usize>();
     for (n, bytes) in [40, 120].into_iter().zip(&budgeted) {
-        assert!(*bytes <= cap, "budgeted cache at n={n}: {bytes} bytes, cap {cap}");
+        assert!(
+            *bytes <= cap,
+            "budgeted cache at n={n}: {bytes} bytes, cap {cap}"
+        );
     }
     let exact = grow(None);
     assert!(

@@ -28,7 +28,9 @@ pub fn int_space_spec_line() -> String {
 /// Splitmix-style LCG: cheap, seeded, good enough to scramble a schedule or
 /// mutate bytes reproducibly.
 pub fn next_rand(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     *state >> 33
 }
 
@@ -66,7 +68,10 @@ pub struct TcpDriver {
 impl TcpDriver {
     /// A driver for the server listening on `addr`.
     pub fn new(addr: SocketAddr) -> TcpDriver {
-        TcpDriver { addr, pool: Mutex::new(Vec::new()) }
+        TcpDriver {
+            addr,
+            pool: Mutex::new(Vec::new()),
+        }
     }
 }
 
@@ -89,7 +94,10 @@ impl Driver for TcpDriver {
             .expect("write request line");
         let mut reply = String::new();
         conn.read_line(&mut reply).expect("read reply line");
-        assert!(!reply.is_empty(), "server closed the connection instead of replying to {line:?}");
+        assert!(
+            !reply.is_empty(),
+            "server closed the connection instead of replying to {line:?}"
+        );
         self.pool.lock().unwrap().push(conn);
         reply.trim_end_matches(['\n', '\r']).to_string()
     }
@@ -99,6 +107,10 @@ impl Driver for TcpDriver {
 pub fn expect_ok<D: Driver + ?Sized>(drv: &D, line: &str) -> Json {
     let reply = drv.request(line);
     let j = parse_reply(&reply);
-    assert_eq!(j.get("ok"), Some(&Json::Bool(true)), "request failed: {reply}\n  for: {line}");
+    assert_eq!(
+        j.get("ok"),
+        Some(&Json::Bool(true)),
+        "request failed: {reply}\n  for: {line}"
+    );
     j
 }

@@ -49,8 +49,8 @@ fn objectives(m: usize, cfg: &Configuration) -> Evaluation {
         return Evaluation::infeasible();
     }
     let mut v = vec![
-        1.0 + (15.0 - a) + b / 3.0,       // falls with a
-        1.0 + 2.0 * a + (t - 2.0).abs(),  // rises with a
+        1.0 + (15.0 - a) + b / 3.0,      // falls with a
+        1.0 + 2.0 * a + (t - 2.0).abs(), // rises with a
     ];
     if m == 3 {
         v.push(1.0 + (b - 7.0).powi(2) / 5.0 + t.log2()); // pulls b inward
@@ -71,7 +71,8 @@ fn signature(r: &TuningReport) -> Vec<(String, Option<Vec<u64>>, bool)> {
         .map(|t| {
             (
                 t.config.to_string(),
-                t.objectives().map(|o| o.iter().map(|v| v.to_bits()).collect()),
+                t.objectives()
+                    .map(|o| o.iter().map(|v| v.to_bits()).collect()),
                 t.feasible,
             )
         })

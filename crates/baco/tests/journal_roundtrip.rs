@@ -40,8 +40,16 @@ fn objective(cfg: &Configuration) -> Evaluation {
     }
     let p = cfg.value("order");
     let p = p.as_permutation();
-    let perm_cost = p.iter().enumerate().map(|(i, &e)| (i as f64 - e as f64).abs()).sum::<f64>();
-    let par_bonus = if cfg.value("mode").as_str() == "par" { 0.0 } else { 1.5 };
+    let perm_cost = p
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| (i as f64 - e as f64).abs())
+        .sum::<f64>();
+    let par_bonus = if cfg.value("mode").as_str() == "par" {
+        0.0
+    } else {
+        1.5
+    };
     Evaluation::feasible(
         (1.0 + (a - 9.0).powi(2) + (b - 4.0).powi(2)) / 3.0
             + (t.log2() - 1.0).abs()
@@ -77,7 +85,8 @@ fn signature(r: &TuningReport) -> Vec<(String, Option<Vec<u64>>, bool)> {
         .map(|t| {
             (
                 t.config.to_string(),
-                t.objectives().map(|o| o.iter().map(|v| v.to_bits()).collect()),
+                t.objectives()
+                    .map(|o| o.iter().map(|v| v.to_bits()).collect()),
                 t.feasible,
             )
         })
@@ -209,9 +218,11 @@ fn resume_at_every_boundary_matches_uninterrupted() {
             // a full header has nothing to resume.
             let mut cuts: Vec<usize> = boundaries.clone();
             // Torn cuts: a few bytes into the line after each boundary.
-            cuts.extend(boundaries.iter().filter_map(|&b| {
-                (b + 5 < bytes.len()).then_some(b + 5)
-            }));
+            cuts.extend(
+                boundaries
+                    .iter()
+                    .filter_map(|&b| (b + 5 < bytes.len()).then_some(b + 5)),
+            );
             for cut in cuts {
                 std::fs::write(&crash_path, &bytes[..cut]).unwrap();
                 let resumed = run(&tuner(seed, q, Some(&crash_path), true), q);
@@ -340,7 +351,11 @@ fn session_batch_crash_resume_is_lossless_and_duplicate_free() {
     drop(s); // crash
 
     let mut resumed = Session::new(mk(true)).unwrap();
-    assert_eq!(signature(resumed.history()), reported_so_far, "no reported result lost");
+    assert_eq!(
+        signature(resumed.history()),
+        reported_so_far,
+        "no reported result lost"
+    );
     loop {
         let round = resumed.suggest_batch(4).unwrap();
         if round.is_empty() {
@@ -353,8 +368,11 @@ fn session_batch_crash_resume_is_lossless_and_duplicate_free() {
     }
     let finished = resumed.into_report();
     assert_eq!(finished.len(), 16);
-    let uniq: std::collections::HashSet<String> =
-        finished.trials().iter().map(|t| t.config.to_string()).collect();
+    let uniq: std::collections::HashSet<String> = finished
+        .trials()
+        .iter()
+        .map(|t| t.config.to_string())
+        .collect();
     assert_eq!(uniq.len(), 16, "resume must not re-evaluate configurations");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -421,7 +439,10 @@ fn torn_and_corrupt_journal_regressions() {
     // Torn final record: cut mid-way through the last line.
     let torn = &bytes[..bytes.len() - 7];
     let j = Journal::from_bytes(torn, &space).unwrap();
-    assert!(j.torn_tail, "mid-line cut must be recognized as a torn tail");
+    assert!(
+        j.torn_tail,
+        "mid-line cut must be recognized as a torn tail"
+    );
     assert!(j.trials.len() + 1 >= full.trials.len());
     assert!(j.clean_len < torn.len() as u64);
 
@@ -521,7 +542,10 @@ fn v1_journal_loads_and_resumes_bitwise() {
     // single-objective runs, so the file stays consistent).
     let boundaries = line_boundaries(v1.as_bytes());
     let crash = dir.join("crash.jsonl");
-    for cut in [boundaries[boundaries.len() / 2], *boundaries.last().unwrap()] {
+    for cut in [
+        boundaries[boundaries.len() / 2],
+        *boundaries.last().unwrap(),
+    ] {
         std::fs::write(&crash, &v1.as_bytes()[..cut]).unwrap();
         let resumed = run(&tuner(4, 1, Some(&crash), true), 1);
         assert_eq!(
@@ -643,7 +667,10 @@ fn resume_rejects_envelope_mismatches() {
         .resume(true)
         .build()
         .unwrap();
-    assert!(matches!(t.run(&Obj), Err(Error::JournalCorrupt { line: 1, .. })));
+    assert!(matches!(
+        t.run(&Obj),
+        Err(Error::JournalCorrupt { line: 1, .. })
+    ));
 
     // An archived journal written with the (since removed) warm-start fit
     // path enabled: no tuner writes that envelope any more.

@@ -98,16 +98,25 @@ fn drive_one_round(drv: &dyn Driver, i: usize, traj: &Mutex<Trajectory>) -> bool
     let name = format!("s{i}");
     let round = expect_ok(
         drv,
-        &format!(r#"{{"op":"suggest_batch","session":"{name}","q":{}}}"#, q_of(i)),
+        &format!(
+            r#"{{"op":"suggest_batch","session":"{name}","q":{}}}"#,
+            q_of(i)
+        ),
     );
-    let configs = round.get("configs").and_then(Json::as_arr).unwrap().to_vec();
+    let configs = round
+        .get("configs")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .to_vec();
     if configs.is_empty() {
         return false;
     }
     for cfg_json in configs {
         let cfg = baco::journal::decode_config(&space(), &cfg_json).unwrap();
         let eval = evaluate(i, &cfg);
-        traj.lock().unwrap().push((cfg_json.to_line(), eval.value()));
+        traj.lock()
+            .unwrap()
+            .push((cfg_json.to_line(), eval.value()));
         let report = match eval.value() {
             Some(v) => format!(
                 r#"{{"op":"report","session":"{name}","config":{},"value":{}}}"#,
@@ -158,17 +167,21 @@ fn stress_bitwise(srv: &ServerHandle, drv: &dyn Driver) {
     }
 
     for i in 0..SESSIONS {
-        expect_ok(drv, &format!(
-            r#"{{"op":"create_session","session":"s{i}","budget":{BUDGET},"doe_samples":{DOE},"seed":{},"space":{}}}"#,
-            seed_of(i),
-            space_spec_line()
-        ));
+        expect_ok(
+            drv,
+            &format!(
+                r#"{{"op":"create_session","session":"s{i}","budget":{BUDGET},"doe_samples":{DOE},"seed":{},"space":{}}}"#,
+                seed_of(i),
+                space_spec_line()
+            ),
+        );
     }
     assert_eq!(srv.session_count(), SESSIONS);
 
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..SESSIONS).collect());
-    let trajectories: Vec<Mutex<Trajectory>> =
-        (0..SESSIONS).map(|_| Mutex::new(Trajectory::new())).collect();
+    let trajectories: Vec<Mutex<Trajectory>> = (0..SESSIONS)
+        .map(|_| Mutex::new(Trajectory::new()))
+        .collect();
     let finished = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
@@ -215,7 +228,10 @@ fn stress_bitwise(srv: &ServerHandle, drv: &dyn Driver) {
                 expect_ok(drv, &format!(r#"{{"op":"status","session":"s{i}"}}"#));
                 expect_ok(drv, &format!(r#"{{"op":"best","session":"s{i}"}}"#));
                 let all = expect_ok(drv, r#"{"op":"status"}"#);
-                assert_eq!(all.get("sessions").and_then(Json::as_f64), Some(SESSIONS as f64));
+                assert_eq!(
+                    all.get("sessions").and_then(Json::as_f64),
+                    Some(SESSIONS as f64)
+                );
                 std::thread::yield_now();
             }
         });
@@ -224,9 +240,21 @@ fn stress_bitwise(srv: &ServerHandle, drv: &dyn Driver) {
     // Every session ran to its full budget …
     for i in 0..SESSIONS {
         let status = expect_ok(drv, &format!(r#"{{"op":"status","session":"s{i}"}}"#));
-        assert_eq!(status.get("len").and_then(Json::as_f64), Some(BUDGET as f64), "session {i}");
-        assert_eq!(status.get("remaining").and_then(Json::as_f64), Some(0.0), "session {i}");
-        assert_eq!(status.get("pending").and_then(Json::as_f64), Some(0.0), "session {i}");
+        assert_eq!(
+            status.get("len").and_then(Json::as_f64),
+            Some(BUDGET as f64),
+            "session {i}"
+        );
+        assert_eq!(
+            status.get("remaining").and_then(Json::as_f64),
+            Some(0.0),
+            "session {i}"
+        );
+        assert_eq!(
+            status.get("pending").and_then(Json::as_f64),
+            Some(0.0),
+            "session {i}"
+        );
     }
 
     // … and produced, under an adversarial interleaving, exactly the
@@ -273,10 +301,13 @@ fn concurrent_asks_over_event_tcp_hand_out_distinct_proposals() {
 }
 
 fn distinct_proposals(drv: &dyn Driver) {
-    expect_ok(drv, &format!(
-        r#"{{"op":"create_session","session":"solo","budget":8,"doe_samples":8,"seed":7,"space":{}}}"#,
-        space_spec_line()
-    ));
+    expect_ok(
+        drv,
+        &format!(
+            r#"{{"op":"create_session","session":"solo","budget":8,"doe_samples":8,"seed":7,"space":{}}}"#,
+            space_spec_line()
+        ),
+    );
     let configs: Mutex<Vec<String>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -292,7 +323,11 @@ fn distinct_proposals(drv: &dyn Driver) {
     let mut got = configs.into_inner().unwrap();
     got.sort();
     got.dedup();
-    assert_eq!(got.len(), 8, "all concurrently asked proposals are distinct");
+    assert_eq!(
+        got.len(),
+        8,
+        "all concurrently asked proposals are distinct"
+    );
     let status = expect_ok(drv, r#"{"op":"status","session":"solo"}"#);
     assert_eq!(status.get("pending").and_then(Json::as_f64), Some(8.0));
     assert_eq!(status.get("remaining").and_then(Json::as_f64), Some(0.0));

@@ -107,7 +107,11 @@ fn half_open_connections_still_receive_their_replies() {
     for i in 0..3 {
         let reply = read_reply(&mut r);
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(i as f64), "in order");
+        assert_eq!(
+            reply.get("id").and_then(Json::as_f64),
+            Some(i as f64),
+            "in order"
+        );
     }
     let mut rest = String::new();
     assert_eq!(r.read_line(&mut rest).unwrap(), 0, "then the server closes");
@@ -128,10 +132,13 @@ fn mid_request_disconnects_harm_nobody_else() {
     let (srv, tcp) = serve(ServerOptions::default());
     let addr = tcp.addr();
     let drv = TcpDriver::new(addr);
-    expect_ok(&drv, &format!(
-        r#"{{"op":"create_session","session":"victim","budget":64,"doe_samples":4,"seed":3,"space":{}}}"#,
-        common::int_space_spec_line()
-    ));
+    expect_ok(
+        &drv,
+        &format!(
+            r#"{{"op":"create_session","session":"victim","budget":64,"doe_samples":4,"seed":3,"space":{}}}"#,
+            common::int_space_spec_line()
+        ),
+    );
 
     for round in 0..20 {
         // Partial request, then vanish.
@@ -142,7 +149,8 @@ fn mid_request_disconnects_harm_nobody_else() {
         // reply: the completion must be dropped cleanly (stale generation),
         // not delivered to whoever reuses the slot.
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"{\"op\":\"ask\",\"session\":\"victim\"}\n").unwrap();
+        s.write_all(b"{\"op\":\"ask\",\"session\":\"victim\"}\n")
+            .unwrap();
         drop(s);
         // An unrelated client stays fully served throughout.
         let reply = expect_ok(&drv, &status_line(round));
@@ -165,12 +173,17 @@ fn pipelined_bursts_with_shuffled_ids_answer_in_request_order() {
     let mut ids: Vec<usize> = (0..N).collect();
     let mut state = 0xfeedu64;
     for i in (1..N).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ids.swap(i, (state >> 33) as usize % (i + 1));
     }
 
     let mut s = TcpStream::connect(tcp.addr()).unwrap();
-    let burst: String = ids.iter().map(|id| format!("{}\n", status_line(*id))).collect();
+    let burst: String = ids
+        .iter()
+        .map(|id| format!("{}\n", status_line(*id)))
+        .collect();
     s.write_all(burst.as_bytes()).unwrap();
     let mut r = BufReader::new(s);
     for (pos, id) in ids.iter().enumerate() {
@@ -221,9 +234,10 @@ fn reply_flood_triggers_backpressure_then_shedding_without_loss() {
     for i in 0..N {
         let reply = read_reply(&mut r);
         // Nothing lost, nothing reordered: the echoed id carries the index.
-        let id = reply.get("id").and_then(Json::as_str).unwrap_or_else(|| {
-            panic!("reply {i} lost its id: {reply:?}")
-        });
+        let id = reply
+            .get("id")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("reply {i} lost its id: {reply:?}"));
         assert_eq!(id, format!("{big_id}-{i}"), "reply {i} out of order");
         match reply.get("ok") {
             Some(Json::Bool(true)) => ok += 1,
@@ -232,7 +246,11 @@ fn reply_flood_triggers_backpressure_then_shedding_without_loss() {
                     .get("error")
                     .and_then(|e| e.get("kind"))
                     .and_then(Json::as_str);
-                assert_eq!(kind, Some("overloaded"), "only shed errors allowed: {reply:?}");
+                assert_eq!(
+                    kind,
+                    Some("overloaded"),
+                    "only shed errors allowed: {reply:?}"
+                );
                 shed += 1;
             }
             other => panic!("reply {i} without boolean ok: {other:?}"),
@@ -241,7 +259,10 @@ fn reply_flood_triggers_backpressure_then_shedding_without_loss() {
     writer.join().unwrap();
     assert_eq!(ok + shed, N);
     assert!(ok >= 1, "some requests must be served");
-    assert!(shed >= 1, "a {N}-deep burst against max_outstanding=4 must shed");
+    assert!(
+        shed >= 1,
+        "a {N}-deep burst against max_outstanding=4 must shed"
+    );
     tcp.stop();
 }
 
@@ -268,7 +289,11 @@ fn two_mib_without_newline_is_cut_off_incrementally_at_one_mib() {
     assert!(reply.contains(r#""kind":"bad_request""#), "{reply}");
     // … then the connection closes (the trickled 2nd MiB has nowhere to go).
     let mut rest = String::new();
-    assert_eq!(r.read_line(&mut rest).unwrap_or(0), 0, "must close after the error");
+    assert_eq!(
+        r.read_line(&mut rest).unwrap_or(0),
+        0,
+        "must close after the error"
+    );
     tcp.stop();
 }
 
@@ -290,7 +315,10 @@ fn ten_thousand_idle_connections_fit_in_bounded_memory() {
     // client + server sides plus headroom for the rest of the test binary.
     let limit = raise_nofile_limit(24_000);
     let conns = usize::min(10_000, (limit.saturating_sub(1_000) / 2) as usize);
-    assert!(conns >= 1_000, "fd limit {limit} too low to say anything useful");
+    assert!(
+        conns >= 1_000,
+        "fd limit {limit} too low to say anything useful"
+    );
 
     let (_srv, tcp) = serve(ServerOptions {
         max_connections: conns + 16,
@@ -323,10 +351,15 @@ fn ten_thousand_idle_connections_fit_in_bounded_memory() {
         if i % 100 != 0 {
             continue;
         }
-        s.write_all(format!("{}\n", status_line(i)).as_bytes()).unwrap();
+        s.write_all(format!("{}\n", status_line(i)).as_bytes())
+            .unwrap();
         let mut r = BufReader::new(s.try_clone().unwrap());
         let reply = read_reply(&mut r);
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "conn {i} not served");
+        assert_eq!(
+            reply.get("ok"),
+            Some(&Json::Bool(true)),
+            "conn {i} not served"
+        );
     }
 
     let grown = rss_bytes().saturating_sub(before);
@@ -366,17 +399,25 @@ fn stop_interrupts_an_idle_loop_promptly() {
     let mut r = BufReader::new(s);
     let mut line = String::new();
     let _ = r.read_line(&mut line);
-    assert!(line.is_empty(), "no bytes should materialize after shutdown");
+    assert!(
+        line.is_empty(),
+        "no bytes should materialize after shutdown"
+    );
 }
 
 #[test]
 fn connections_past_the_fd_guard_get_one_overloaded_line() {
-    let (_srv, tcp) = serve(ServerOptions { max_connections: 4, ..ServerOptions::default() });
+    let (_srv, tcp) = serve(ServerOptions {
+        max_connections: 4,
+        ..ServerOptions::default()
+    });
     let addr = tcp.addr();
     let keep: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
     // Make sure all four are accepted before the fifth dials in.
     let mut probe = keep[0].try_clone().unwrap();
-    probe.write_all(format!("{}\n", status_line(0)).as_bytes()).unwrap();
+    probe
+        .write_all(format!("{}\n", status_line(0)).as_bytes())
+        .unwrap();
     let mut r = BufReader::new(probe);
     read_reply(&mut r);
 

@@ -76,17 +76,26 @@ fn pareto_replies_are_typed(drv: &dyn Driver) {
         assert_eq!(point.get("values").and_then(Json::as_arr).unwrap().len(), 2);
     }
     assert_eq!(best.get("hypervolume"), Some(&Json::Null));
-    assert_eq!(best.get("note").and_then(Json::as_str), Some("no_reference_point"));
+    assert_eq!(
+        best.get("note").and_then(Json::as_str),
+        Some("no_reference_point")
+    );
 
     let status = expect_ok(drv, r#"{"op":"status","session":"noref"}"#);
-    assert_eq!(status.get("len").and_then(Json::as_f64), Some(BUDGET as f64));
+    assert_eq!(
+        status.get("len").and_then(Json::as_f64),
+        Some(BUDGET as f64)
+    );
     assert_eq!(
         status.get("front_size").and_then(Json::as_f64),
         Some(front.len() as f64),
         "status and best agree on the front"
     );
     assert_eq!(status.get("hypervolume"), Some(&Json::Null));
-    assert_eq!(status.get("note").and_then(Json::as_str), Some("no_reference_point"));
+    assert_eq!(
+        status.get("note").and_then(Json::as_str),
+        Some("no_reference_point")
+    );
 
     // With a reference point: same shape, but hypervolume is a number and
     // there is no note.
@@ -98,7 +107,11 @@ fn pareto_replies_are_typed(drv: &dyn Driver) {
             reply.get("hypervolume").and_then(Json::as_f64).unwrap() > 0.0,
             "{op}: hypervolume must be numeric with a reference point"
         );
-        assert_eq!(reply.get("note"), None, "{op}: no note when hypervolume is defined");
+        assert_eq!(
+            reply.get("note"),
+            None,
+            "{op}: no note when hypervolume is defined"
+        );
     }
 }
 
@@ -126,7 +139,11 @@ fn mo_strategy_knob_selects_the_acquisition_over_the_wire() {
     use baco::{Baco, Evaluation, MultiObjectiveStrategy};
 
     let srv = ServerHandle::new(ServerOptions::default());
-    for (name, strategy) in [("ehvi", Some("ehvi")), ("parego", Some("parego")), ("dflt", None)] {
+    for (name, strategy) in [
+        ("ehvi", Some("ehvi")),
+        ("parego", Some("parego")),
+        ("dflt", None),
+    ] {
         create_mo(&srv, name, true, strategy);
         exhaust(&srv, name);
     }
@@ -142,7 +159,11 @@ fn mo_strategy_knob_selects_the_acquisition_over_the_wire() {
             .map(Json::to_line)
             .collect()
     };
-    assert_eq!(trajectory("dflt"), trajectory("ehvi"), "omitted knob = EHVI default");
+    assert_eq!(
+        trajectory("dflt"),
+        trajectory("ehvi"),
+        "omitted knob = EHVI default"
+    );
 
     // The explicit-ParEGO wire session reproduces an in-process ParEGO run
     // with the same seed and evaluations, proving the knob reaches the core.
@@ -160,7 +181,9 @@ fn mo_strategy_knob_selects_the_acquisition_over_the_wire() {
         let a = cfg.value("a").as_f64();
         let b = cfg.value("b").as_f64();
         let values = vec![1.0 + (15.0 - a) + b * 0.2, 1.0 + 2.0 * a];
-        session.try_report(cfg, Evaluation::feasible_multi(values)).unwrap();
+        session
+            .try_report(cfg, Evaluation::feasible_multi(values))
+            .unwrap();
     }
     let reference: Vec<String> = session
         .history()
@@ -188,5 +211,8 @@ fn mo_strategy_knob_selects_the_acquisition_over_the_wire() {
             format!("{cfg} -> {vals:?}")
         })
         .collect();
-    assert_eq!(wire, reference, "wire ParEGO must match the in-process builder knob");
+    assert_eq!(
+        wire, reference,
+        "wire ParEGO must match the in-process builder knob"
+    );
 }

@@ -34,8 +34,8 @@ fn create_line(name: &str, budget: usize) -> String {
 fn feed(drv: &dyn Driver, line: &str) -> Json {
     let reply = catch_unwind(AssertUnwindSafe(|| drv.request(line)))
         .unwrap_or_else(|_| panic!("request panicked on {:?}", line));
-    let parsed = json::parse(&reply)
-        .unwrap_or_else(|e| panic!("reply is not valid JSON ({e}): {reply}"));
+    let parsed =
+        json::parse(&reply).unwrap_or_else(|e| panic!("reply is not valid JSON ({e}): {reply}"));
     match parsed.get("ok") {
         Some(Json::Bool(true)) => {}
         Some(Json::Bool(false)) => {
@@ -68,7 +68,11 @@ fn feed(drv: &dyn Driver, line: &str) -> Json {
 /// wedged and returns the proposed config line.
 fn healthy_round(drv: &dyn Driver, session: &str) -> String {
     let reply = feed(drv, &format!(r#"{{"op":"ask","session":"{session}"}}"#));
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "session {session} wedged");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "session {session} wedged"
+    );
     let cfg = reply.get("config").expect("ask reply carries config");
     assert_ne!(*cfg, Json::Null, "session {session} exhausted prematurely");
     let report = format!(
@@ -76,7 +80,11 @@ fn healthy_round(drv: &dyn Driver, session: &str) -> String {
         cfg.to_line()
     );
     let reply = feed(drv, &report);
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "report on {session} failed");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "report on {session} failed"
+    );
     cfg.to_line()
 }
 

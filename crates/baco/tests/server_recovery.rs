@@ -42,7 +42,8 @@ fn evaluate(i: usize, cfg: &Configuration) -> Evaluation {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("baco-server-recovery-{tag}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("baco-server-recovery-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -83,7 +84,14 @@ impl Srv {
     }
 }
 
-fn create(drv: &dyn Driver, name: &str, budget: usize, doe: usize, seed: u64, resume: bool) -> Json {
+fn create(
+    drv: &dyn Driver,
+    name: &str,
+    budget: usize,
+    doe: usize,
+    seed: u64,
+    resume: bool,
+) -> Json {
     expect_ok(
         drv,
         &format!(
@@ -97,11 +105,25 @@ type Trajectory = Vec<(String, f64)>;
 
 /// Drives up to `max_evals` further evaluations of session `i` in rounds of
 /// `q`, reporting in proposal order; records (config, value) pairs.
-fn drive(drv: &dyn Driver, name: &str, i: usize, q: usize, max_evals: usize, traj: &mut Trajectory) {
+fn drive(
+    drv: &dyn Driver,
+    name: &str,
+    i: usize,
+    q: usize,
+    max_evals: usize,
+    traj: &mut Trajectory,
+) {
     let mut evals = 0;
     while evals < max_evals {
-        let round = expect_ok(drv, &format!(r#"{{"op":"suggest_batch","session":"{name}","q":{q}}}"#));
-        let configs = round.get("configs").and_then(Json::as_arr).unwrap().to_vec();
+        let round = expect_ok(
+            drv,
+            &format!(r#"{{"op":"suggest_batch","session":"{name}","q":{q}}}"#),
+        );
+        let configs = round
+            .get("configs")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec();
         if configs.is_empty() {
             break;
         }
@@ -127,7 +149,12 @@ fn drive(drv: &dyn Driver, name: &str, i: usize, q: usize, max_evals: usize, tra
 
 /// The uninterrupted in-process reference trajectory.
 fn reference(i: usize, q: usize, budget: usize, doe: usize, seed: u64) -> Trajectory {
-    let tuner = Baco::builder(space()).budget(budget).doe_samples(doe).seed(seed).build().unwrap();
+    let tuner = Baco::builder(space())
+        .budget(budget)
+        .doe_samples(doe)
+        .seed(seed)
+        .build()
+        .unwrap();
     let mut session = Session::new(tuner).unwrap();
     let mut out = Trajectory::new();
     loop {
@@ -181,16 +208,31 @@ fn killed_server_bitwise(tag: &str, tcp: bool) {
     for (i, &cut) in cuts.iter().enumerate() {
         let name = format!("s{i}");
         let reply = create(srv.drv(), &name, BUDGET, DOE, i as u64, true);
-        assert_eq!(reply.get("resumed"), Some(&Json::Bool(true)), "session {name}");
-        assert_eq!(reply.get("len").and_then(Json::as_f64), Some(cut as f64), "session {name}");
+        assert_eq!(
+            reply.get("resumed"),
+            Some(&Json::Bool(true)),
+            "session {name}"
+        );
+        assert_eq!(
+            reply.get("len").and_then(Json::as_f64),
+            Some(cut as f64),
+            "session {name}"
+        );
         let mut post = pre[i].clone();
         drive(srv.drv(), &name, i, 1, BUDGET, &mut post);
 
         let want = reference(i, 1, BUDGET, DOE, i as u64);
         assert_eq!(post.len(), BUDGET, "session {name} must reach the budget");
         for (r, (g, w)) in post.iter().zip(&want).enumerate() {
-            assert_eq!(g.0, w.0, "session {name} round {r}: config diverged after resume");
-            assert_eq!(g.1.to_bits(), w.1.to_bits(), "session {name} round {r}: value diverged");
+            assert_eq!(
+                g.0, w.0,
+                "session {name} round {r}: config diverged after resume"
+            );
+            assert_eq!(
+                g.1.to_bits(),
+                w.1.to_bits(),
+                "session {name} round {r}: value diverged"
+            );
         }
 
         // The journal records exactly one crash/continuation.
@@ -245,7 +287,11 @@ fn batched_kills(tag: &str, tcp: bool) {
     // the uninterrupted run converge to the same incumbent.
     let reply = create(srv.drv(), "b1", 40, 10, 41, true);
     assert_eq!(reply.get("resumed"), Some(&Json::Bool(true)));
-    assert_eq!(reply.get("len").and_then(Json::as_f64), Some(6.0), "2 of round 2 reported");
+    assert_eq!(
+        reply.get("len").and_then(Json::as_f64),
+        Some(6.0),
+        "2 of round 2 reported"
+    );
     let mut post1 = pre1.clone();
     drive(srv.drv(), "b1", 1, 4, 40, &mut post1);
     assert_eq!(post1.len(), 40, "resumed session runs to the full budget");
@@ -253,17 +299,35 @@ fn batched_kills(tag: &str, tcp: bool) {
     let mut uniq: Vec<&String> = post1.iter().map(|(c, _)| c).collect();
     uniq.sort();
     uniq.dedup();
-    assert_eq!(uniq.len(), post1.len(), "duplicate evaluation across the crash");
+    assert_eq!(
+        uniq.len(),
+        post1.len(),
+        "duplicate evaluation across the crash"
+    );
 
     let want = reference(1, 4, 40, 10, 41);
     let best = |t: &Trajectory| {
-        t.iter().map(|(c, v)| (v.to_bits(), c.clone())).min().unwrap()
+        t.iter()
+            .map(|(c, v)| (v.to_bits(), c.clone()))
+            .min()
+            .unwrap()
     };
     let (got_v, got_c) = best(&post1);
     let (want_v, want_c) = best(&want);
-    assert_eq!(f64::from_bits(got_v), 1.0, "resumed run must find the optimum");
-    assert_eq!(f64::from_bits(want_v), 1.0, "reference run must find the optimum");
-    assert_eq!(got_c, want_c, "incumbent configuration diverged across the crash");
+    assert_eq!(
+        f64::from_bits(got_v),
+        1.0,
+        "resumed run must find the optimum"
+    );
+    assert_eq!(
+        f64::from_bits(want_v),
+        1.0,
+        "reference run must find the optimum"
+    );
+    assert_eq!(
+        got_c, want_c,
+        "incumbent configuration diverged across the crash"
+    );
 }
 
 #[test]
@@ -322,8 +386,12 @@ fn torn_tail(tag: &str, tcp: bool) {
     // A crash can tear the final record mid-write; forge that state.
     use std::io::Write;
     let path = dir.join("torn.jsonl");
-    let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-    f.write_all(br#"{"t":"propose","len":6,"doe_k":0,"rng_bef"#).unwrap();
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    f.write_all(br#"{"t":"propose","len":6,"doe_k":0,"rng_bef"#)
+        .unwrap();
     drop(f);
 
     let srv = Srv::start(&dir, tcp);

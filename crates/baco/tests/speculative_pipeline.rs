@@ -95,7 +95,11 @@ fn speculative_run_handles_hidden_constraints_and_flushes() {
         .unwrap();
     assert_eq!(report.len(), 28);
     assert_eq!(distinct(&report), 28);
-    assert!(report.best_value().unwrap() <= 6.0, "best {:?}", report.best_value());
+    assert!(
+        report.best_value().unwrap() <= 6.0,
+        "best {:?}",
+        report.best_value()
+    );
 
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(
@@ -103,11 +107,13 @@ fn speculative_run_handles_hidden_constraints_and_flushes() {
         "speculative run must record reconciliation verdicts"
     );
     assert!(
-        text.lines().any(|l| l.contains(r#""t":"reconcile""#) && l.contains(r#""keep":false"#)),
+        text.lines()
+            .any(|l| l.contains(r#""t":"reconcile""#) && l.contains(r#""keep":false"#)),
         "the hidden-constraint cliff must force at least one flush"
     );
     assert!(
-        text.lines().any(|l| l.contains(r#""t":"reconcile""#) && l.contains(r#""keep":true"#)),
+        text.lines()
+            .any(|l| l.contains(r#""t":"reconcile""#) && l.contains(r#""keep":true"#)),
         "well-anchored drafts must be confirmed"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -176,7 +176,9 @@ fn resumed_speculative_journal_stays_consistent() {
         panic!("finished journal must not re-evaluate")
     });
     for _ in 0..2 {
-        let replayed = tuner(2, 4, Some(&path), true).run_batched(&panicky).unwrap();
+        let replayed = tuner(2, 4, Some(&path), true)
+            .run_batched(&panicky)
+            .unwrap();
         assert_eq!(signature(&reference), signature(&replayed));
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -84,12 +84,15 @@ fn transfer_resume_at_every_boundary_is_bitwise() {
     grow_corpus(&corpus_dir, "donor-b", 202);
 
     for q in [1usize, 4] {
-        let reference = transfer_tuner(&corpus_dir, q, None, false).run_batched(&bb()).unwrap();
+        let reference = transfer_tuner(&corpus_dir, q, None, false)
+            .run_batched(&bb())
+            .unwrap();
         assert_eq!(reference.len(), 14, "q={q}");
 
         let full_path = dir.join(format!("full-q{q}.jsonl"));
-        let journaled =
-            transfer_tuner(&corpus_dir, q, Some(&full_path), false).run_batched(&bb()).unwrap();
+        let journaled = transfer_tuner(&corpus_dir, q, Some(&full_path), false)
+            .run_batched(&bb())
+            .unwrap();
         assert_eq!(
             signature(&reference),
             signature(&journaled),
@@ -147,7 +150,10 @@ fn transfer_run_uses_the_corpus() {
     // so the counts are visible once the run exists.
     let (donors, pooled) = tuner.transfer_donors().expect("transfer is on");
     assert_eq!(donors, 2);
-    assert_eq!(pooled, scanned.entries.iter().map(|e| e.trials).sum::<usize>());
+    assert_eq!(
+        pooled,
+        scanned.entries.iter().map(|e| e.trials).sum::<usize>()
+    );
 
     let cold = Baco::builder(space())
         .budget(14)
@@ -160,10 +166,14 @@ fn transfer_run_uses_the_corpus() {
         .unwrap();
     // Same evaluation *set* in the DoE phase (re-ranking permutes, never
     // replaces)…
-    let mut cold_doe: Vec<String> =
-        cold.trials()[..4].iter().map(|t| t.config.to_string()).collect();
-    let mut warm_doe: Vec<String> =
-        warm.trials()[..4].iter().map(|t| t.config.to_string()).collect();
+    let mut cold_doe: Vec<String> = cold.trials()[..4]
+        .iter()
+        .map(|t| t.config.to_string())
+        .collect();
+    let mut warm_doe: Vec<String> = warm.trials()[..4]
+        .iter()
+        .map(|t| t.config.to_string())
+        .collect();
     let cold_order: Vec<String> = cold_doe.clone();
     let warm_order: Vec<String> = warm_doe.clone();
     cold_doe.sort();

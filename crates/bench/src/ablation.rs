@@ -100,7 +100,10 @@ pub fn print_matrix(title: &str, checkpoints: &[usize], rows: &[(String, Vec<Opt
         .map(|(name, vals)| {
             [name.clone()]
                 .into_iter()
-                .chain(vals.iter().map(|v| v.map_or("-".into(), |x| format!("{x:.2}x"))))
+                .chain(
+                    vals.iter()
+                        .map(|v| v.map_or("-".into(), |x| format!("{x:.2}x"))),
+                )
                 .collect()
         })
         .collect();

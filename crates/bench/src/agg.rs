@@ -131,7 +131,13 @@ impl Agg {
 mod tests {
     use super::*;
 
-    fn rr(bench: &str, tuner: &str, seed: u64, traj: Vec<Option<f64>>, expert: Option<f64>) -> RunResult {
+    fn rr(
+        bench: &str,
+        tuner: &str,
+        seed: u64,
+        traj: Vec<Option<f64>>,
+        expert: Option<f64>,
+    ) -> RunResult {
         RunResult {
             benchmark: bench.into(),
             group: "TACO".into(),

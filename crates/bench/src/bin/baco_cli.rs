@@ -133,7 +133,9 @@ fn parse(mut args: std::env::Args) -> (String, Opts) {
             "--seed" => o.seed = parse_num("--seed", need("--seed")) as u64,
             "--batch" => o.batch = parse_num("--batch", need("--batch")).max(1),
             "--threads" => o.threads = parse_num("--threads", need("--threads")),
-            "--crash-after" => o.crash_after = Some(parse_num("--crash-after", need("--crash-after"))),
+            "--crash-after" => {
+                o.crash_after = Some(parse_num("--crash-after", need("--crash-after")))
+            }
             "--addr" => o.addr = Some(need("--addr")),
             "--session" => o.session = Some(need("--session")),
             "--journal-dir" => o.journal_dir = Some(PathBuf::from(need("--journal-dir"))),
@@ -216,7 +218,9 @@ fn build_tuner(bench: &Benchmark, o: &Opts) -> Baco {
     // where every session journals into one shared directory.
     let corpus = o.transfer.then(|| {
         o.transfer_from.clone().unwrap_or_else(|| {
-            let parent = journal.parent().unwrap_or_else(|| std::path::Path::new("."));
+            let parent = journal
+                .parent()
+                .unwrap_or_else(|| std::path::Path::new("."));
             if parent.as_os_str().is_empty() {
                 PathBuf::from(".")
             } else {
@@ -239,12 +243,10 @@ fn build_tuner(bench: &Benchmark, o: &Opts) -> Baco {
     if let Some(r) = bench.reference_point.clone() {
         builder = builder.reference_point(r);
     }
-    builder
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("tuner construction failed: {e}");
-            std::process::exit(1);
-        })
+    builder.build().unwrap_or_else(|e| {
+        eprintln!("tuner construction failed: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Lists the journal corpus at `dir`: one line per healthy archived session,
@@ -289,7 +291,11 @@ fn print_best(report: &baco::TuningReport) {
             println!("no feasible evaluation in {} trials", report.len());
             return;
         }
-        println!("pareto front of {} points after {} evaluations", front.len(), report.len());
+        println!(
+            "pareto front of {} points after {} evaluations",
+            front.len(),
+            report.len()
+        );
         for t in front {
             let objs = t.objectives().expect("front trials are measured");
             let rendered: Vec<String> = objs.iter().map(|v| v.to_string()).collect();
@@ -326,7 +332,11 @@ const OVERLOAD_RETRIES: u32 = 10;
 /// True when a reply is the server's typed load-shed error — the one wire
 /// error that means "try again", not "give up".
 fn is_overloaded(reply: &Json) -> bool {
-    reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str) == Some("overloaded")
+    reply
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str)
+        == Some("overloaded")
 }
 
 /// Full-jitter exponential backoff: attempt `n` sleeps a uniform-random
@@ -334,7 +344,9 @@ fn is_overloaded(reply: &Json) -> bool {
 /// thundering herd of shed clients decorrelates instead of re-stampeding.
 fn backoff_delay(attempt: u32, rng: &mut u64) -> std::time::Duration {
     let base_ms = 25u64.saturating_mul(1 << attempt.min(8)).min(2_000);
-    *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *rng = rng
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     let jitter = (*rng >> 33) % (base_ms / 2 + 1);
     std::time::Duration::from_millis(base_ms / 2 + jitter)
 }
@@ -351,7 +363,10 @@ impl Conn {
             }
             std::thread::sleep(std::time::Duration::from_millis(250));
         }
-        eprintln!("cannot connect to {addr}: {}", last.expect("at least one attempt"));
+        eprintln!(
+            "cannot connect to {addr}: {}",
+            last.expect("at least one attempt")
+        );
         std::process::exit(1);
     }
 
@@ -367,7 +382,11 @@ impl Conn {
             eprintln!("cannot clone stream: {e}");
             std::process::exit(1);
         }));
-        Conn { reader, writer: s, rng: seed }
+        Conn {
+            reader,
+            writer: s,
+            rng: seed,
+        }
     }
 
     /// One request line out, one reply line in. `overloaded` replies — the
@@ -422,7 +441,12 @@ impl Conn {
 }
 
 fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Json::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn run_serve(o: &Opts) {
@@ -496,7 +520,10 @@ fn run_client(o: &Opts) {
     let created = conn.request(&obj(create_fields));
     let mut len = created.get("len").and_then(Json::as_f64).unwrap_or(0.0) as usize;
     if let Some(donors) = created.get("transfer_donors").and_then(Json::as_f64) {
-        let trials = created.get("donor_trials").and_then(Json::as_f64).unwrap_or(0.0);
+        let trials = created
+            .get("donor_trials")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
         println!(
             "transfer: {donors} donor session(s), {trials} archived trial(s) seeding session {session}"
         );
@@ -519,7 +546,11 @@ fn run_client(o: &Opts) {
             ("session", Json::Str(session.into())),
             ("q", Json::Num(o.batch as f64)),
         ]));
-        let configs = round.get("configs").and_then(Json::as_arr).unwrap_or(&[]).to_vec();
+        let configs = round
+            .get("configs")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .to_vec();
         if configs.is_empty() {
             break;
         }
@@ -542,12 +573,19 @@ fn run_client(o: &Opts) {
                 Some([v]) => fields.push(("value", baco::journal::encode_value(Some(*v)))),
                 Some(vs) => fields.push((
                     "values",
-                    Json::Arr(vs.iter().map(|&v| baco::journal::encode_value(Some(v))).collect()),
+                    Json::Arr(
+                        vs.iter()
+                            .map(|&v| baco::journal::encode_value(Some(v)))
+                            .collect(),
+                    ),
                 )),
                 None => fields.push(("feasible", Json::Bool(false))),
             }
             let reply = conn.request(&obj(fields));
-            len = reply.get("len").and_then(Json::as_f64).unwrap_or(len as f64) as usize;
+            len = reply
+                .get("len")
+                .and_then(Json::as_f64)
+                .unwrap_or(len as f64) as usize;
             if o.evals.is_some_and(|k| len >= k) {
                 println!("pausing session {session} after {len} evaluations");
                 break 'drive;
@@ -560,7 +598,10 @@ fn run_client(o: &Opts) {
         ("session", Json::Str(session.into())),
     ]));
     if let Some(front) = best.get("front").and_then(Json::as_arr) {
-        println!("pareto front of {} points after {len} evaluations", front.len());
+        println!(
+            "pareto front of {} points after {len} evaluations",
+            front.len()
+        );
         for point in front {
             let values = point.get("values").map(Json::to_line).unwrap_or_default();
             let config = point.get("config").map(Json::to_line).unwrap_or_default();
@@ -571,7 +612,10 @@ fn run_client(o: &Opts) {
         }
         return;
     }
-    let value = best.get("value").and_then(|v| baco::journal::decode_value(v).ok()).flatten();
+    let value = best
+        .get("value")
+        .and_then(|v| baco::journal::decode_value(v).ok())
+        .flatten();
     match (value, best.get("config")) {
         (Some(v), Some(cfg)) if *cfg != Json::Null => {
             println!("best {v} after {len} evaluations at {}", cfg.to_line());
@@ -695,7 +739,11 @@ mod tests {
         // caller only ever sees the eventual success.
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
         drop(conn);
-        assert_eq!(server.join().unwrap(), 4, "three retries plus the served attempt");
+        assert_eq!(
+            server.join().unwrap(),
+            4,
+            "three retries plus the served attempt"
+        );
     }
 
     #[test]
@@ -714,14 +762,23 @@ mod tests {
         for attempt in 0..12 {
             let base = 25u64.saturating_mul(1 << attempt.min(8)).min(2_000);
             let d = backoff_delay(attempt, &mut rng).as_millis() as u64;
-            assert!(d >= base / 2 && d <= base, "attempt {attempt}: {d}ms outside [{}, {base}]", base / 2);
+            assert!(
+                d >= base / 2 && d <= base,
+                "attempt {attempt}: {d}ms outside [{}, {base}]",
+                base / 2
+            );
         }
         // Jitter actually varies across states.
         let (mut a, mut b) = (1u64, 2u64);
-        let draws: Vec<u64> =
-            (0..8).map(|_| backoff_delay(6, &mut a).as_millis() as u64).collect();
-        let other: Vec<u64> =
-            (0..8).map(|_| backoff_delay(6, &mut b).as_millis() as u64).collect();
-        assert_ne!(draws, other, "two clients must not share a backoff schedule");
+        let draws: Vec<u64> = (0..8)
+            .map(|_| backoff_delay(6, &mut a).as_millis() as u64)
+            .collect();
+        let other: Vec<u64> = (0..8)
+            .map(|_| backoff_delay(6, &mut b).as_millis() as u64)
+            .collect();
+        assert_ne!(
+            draws, other,
+            "two clients must not share a backoff schedule"
+        );
     }
 }

@@ -52,7 +52,8 @@ fn main() {
     let budget: usize = flag(&args, "--budget").map_or(48, |v| v.parse().expect("--budget N"));
     let seeds: u64 = flag(&args, "--seeds").map_or(2, |v| v.parse().expect("--seeds N"));
 
-    let bench = baco_bench::benchmark_by_name("SpMM scircuit", taco_sim::benchmarks::TacoScale::Test);
+    let bench =
+        baco_bench::benchmark_by_name("SpMM scircuit", taco_sim::benchmarks::TacoScale::Test);
     let bb = &*bench.blackbox;
     println!(
         "batch-scaling benchmark: {} | budget {budget} | {seeds} seed(s) | q in {BATCH_SIZES:?}\n",
@@ -69,11 +70,17 @@ fn main() {
         let memo = MemoBlackBox::new(bb);
         let tuner = build(&bench, 1, 7, budget.min(20));
         let cfgs = |r: &TuningReport| {
-            r.trials().iter().map(|t| t.config.to_string()).collect::<Vec<_>>()
+            r.trials()
+                .iter()
+                .map(|t| t.config.to_string())
+                .collect::<Vec<_>>()
         };
         cfgs(&tuner.run(&memo).unwrap()) == cfgs(&tuner.run_batched(&memo).unwrap())
     };
-    assert!(identical, "q=1 batched trajectory diverged from the sequential loop");
+    assert!(
+        identical,
+        "q=1 batched trajectory diverged from the sequential loop"
+    );
     println!("q=1 trajectory identity vs sequential loop: OK\n");
 
     let mut arms: Vec<Arm> = Vec::new();
@@ -90,7 +97,12 @@ fn main() {
         }
         let best = bests.iter().copied().fold(f64::INFINITY, f64::min);
         let mean_best = bests.iter().sum::<f64>() / bests.len() as f64;
-        let arm = Arm { q, wall_s: wall / seeds as f64, best, mean_best };
+        let arm = Arm {
+            q,
+            wall_s: wall / seeds as f64,
+            best,
+            mean_best,
+        };
         println!(
             "q={q:>2}  wall {:>7.2} s/run   best {:>8.4} ms   mean best {:>8.4} ms",
             arm.wall_s, arm.best, arm.mean_best
@@ -106,7 +118,9 @@ fn main() {
         "  \"workload\": \"{}\",\n  \"budget\": {budget},\n  \"seeds\": {seeds},\n",
         bench.name
     ));
-    json.push_str(&format!("  \"q1_trajectory_identical\": {identical},\n  \"arms\": [\n"));
+    json.push_str(&format!(
+        "  \"q1_trajectory_identical\": {identical},\n  \"arms\": [\n"
+    ));
     for (i, a) in arms.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"q\": {}, \"wall_s\": {:.3}, \"speedup_vs_q1\": {:.2}, \"best_ms\": {:.4}, \"mean_best_ms\": {:.4}}}{}\n",

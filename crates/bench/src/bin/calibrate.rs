@@ -19,8 +19,7 @@ fn main() {
         }
         let mut best: Option<(f64, baco::Configuration)> = None;
         for seed in [7u64, 8] {
-            let mut atf =
-                AtfTuner::with_budget(&bench.space, budget, seed).expect("tuner builds");
+            let mut atf = AtfTuner::with_budget(&bench.space, budget, seed).expect("tuner builds");
             let r = atf.run(&bench.blackbox).expect("atf run");
             if let Some(t) = r.best() {
                 let v = t.value.expect("feasible best");
@@ -40,17 +39,23 @@ fn main() {
         }
         let (v, cfg) = best.expect("at least one feasible point");
         let current = bench.expert_value().unwrap_or(f64::NAN);
-        println!("## {}  (search best {v:.4} ms, current expert {current:.4} ms)", bench.name);
+        println!(
+            "## {}  (search best {v:.4} ms, current expert {current:.4} ms)",
+            bench.name
+        );
         for (name, val) in cfg.values() {
-            println!("    (\"{name}\", {}),", match val {
-                baco::ParamValue::Ordinal(x) => format!("ParamValue::Ordinal({x:.1})"),
-                baco::ParamValue::Int(x) => format!("ParamValue::Int({x})"),
-                baco::ParamValue::Real(x) => format!("ParamValue::Real({x})"),
-                baco::ParamValue::Categorical(s) => {
-                    format!("ParamValue::Categorical(\"{s}\".into())")
+            println!(
+                "    (\"{name}\", {}),",
+                match val {
+                    baco::ParamValue::Ordinal(x) => format!("ParamValue::Ordinal({x:.1})"),
+                    baco::ParamValue::Int(x) => format!("ParamValue::Int({x})"),
+                    baco::ParamValue::Real(x) => format!("ParamValue::Real({x})"),
+                    baco::ParamValue::Categorical(s) => {
+                        format!("ParamValue::Categorical(\"{s}\".into())")
+                    }
+                    baco::ParamValue::Permutation(p) => format!("perm(&{p:?})"),
                 }
-                baco::ParamValue::Permutation(p) => format!("perm(&{p:?})"),
-            });
+            );
         }
         println!();
     }

@@ -9,7 +9,10 @@ use baco_bench::cli;
 
 fn main() {
     let args = cli::parse();
-    let benches = vec![gpu_sim::benchmarks::mm_gpu(), gpu_sim::benchmarks::scal_gpu()];
+    let benches = vec![
+        gpu_sim::benchmarks::mm_gpu(),
+        gpu_sim::benchmarks::scal_gpu(),
+    ];
     let variants = vec![
         Variant::Baco(
             "BaCO",

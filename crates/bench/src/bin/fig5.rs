@@ -34,9 +34,7 @@ fn main() {
                         agg.rel_perf(b, kind.name(), budget.max(1))
                     })
                     .collect();
-                row.push(
-                    stats::mean(&perfs).map_or("-".into(), |m| format!("{m:.2}x")),
-                );
+                row.push(stats::mean(&perfs).map_or("-".into(), |m| format!("{m:.2}x")));
             }
             rows.push(row);
         }

@@ -17,7 +17,10 @@ fn main() {
         }
         println!("== Fig. 6 — {bench}: mean best runtime [ms] per evaluation ==");
         if let Some(e) = agg.expert_ref(bench) {
-            println!("expert = {e:.4} ms, default = {:?} ms", agg.default_ref(bench));
+            println!(
+                "expert = {e:.4} ms, default = {:?} ms",
+                agg.default_ref(bench)
+            );
         }
         let budget = agg.budget(bench);
         let step = (budget / 12).max(1);

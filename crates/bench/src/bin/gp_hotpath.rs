@@ -78,8 +78,14 @@ fn bench_predict(sp: &SearchSpace) -> Vec<PredictRow> {
         let batch_res = gp.predict_batch_configs(&probes);
         for (p, (bm, bv)) in probes.iter().zip(&batch_res) {
             let (sm, sv) = gp.predict(p);
-            assert!((sm - bm).abs() <= 1e-9 * (1.0 + sm.abs()), "n={n}: {sm} vs {bm}");
-            assert!((sv - bv).abs() <= 1e-9 * (1.0 + sv.abs()), "n={n}: {sv} vs {bv}");
+            assert!(
+                (sm - bm).abs() <= 1e-9 * (1.0 + sm.abs()),
+                "n={n}: {sm} vs {bm}"
+            );
+            assert!(
+                (sv - bv).abs() <= 1e-9 * (1.0 + sv.abs()),
+                "n={n}: {sv} vs {bv}"
+            );
         }
 
         let row = PredictRow {

@@ -85,12 +85,7 @@ fn synthetic_history(sp: &SearchSpace, n: usize) -> (TuningReport, HashSet<Confi
 /// Median seconds of `reps` timed runs of `f`.
 /// One full budgeted round — active-set selection, surrogate fit and the
 /// acquisition search — on an n-point history, median over `reps`.
-fn budgeted_round_secs(
-    sp: &SearchSpace,
-    n: usize,
-    surrogate_budget: usize,
-    reps: usize,
-) -> f64 {
+fn budgeted_round_secs(sp: &SearchSpace, n: usize, surrogate_budget: usize, reps: usize) -> f64 {
     let (report, seen) = synthetic_history(sp, n);
     let tuner = Baco::builder(sp.clone())
         .budget(n + 1)
@@ -145,7 +140,10 @@ fn quality_sweep(budget: usize, seeds: u64) -> SweepOutcome {
                 if let Some(s) = surrogate_budget {
                     b = b.surrogate_budget(s);
                 }
-                b.build().expect("valid tuner").run(&bb).expect("tuning run")
+                b.build()
+                    .expect("valid tuner")
+                    .run(&bb)
+                    .expect("tuning run")
             };
             let exact = run(None);
             let budgeted = run(Some(DEFAULT_SURROGATE_BUDGET));
@@ -199,7 +197,10 @@ fn main() {
     let mut rounds: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
         let secs = budgeted_round_secs(&sp, n, budget, reps);
-        println!("round    n={n:>6}  budget {budget:>4}  {:>9.1} ms", secs * 1e3);
+        println!(
+            "round    n={n:>6}  budget {budget:>4}  {:>9.1} ms",
+            secs * 1e3
+        );
         rounds.push((n, secs));
     }
     let (n_min, t_min) = *rounds.iter().min_by_key(|(n, _)| *n).unwrap();
@@ -234,7 +235,9 @@ fn main() {
 
     // ── quality sweep: the default budget must be inert at small n ──────────
     let sweep = (!skip_sweep).then(|| {
-        println!("quality sweep: 25 benchmarks | eval budget {sweep_budget} | {sweep_seeds} seed(s)");
+        println!(
+            "quality sweep: 25 benchmarks | eval budget {sweep_budget} | {sweep_seeds} seed(s)"
+        );
         let o = quality_sweep(sweep_budget, sweep_seeds);
         println!(
             "sweep: {} runs | bitwise identical: {} | mean best regression {:+.3}%\n",
@@ -266,7 +269,9 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"gp_scaling\",\n");
-    json.push_str(&format!("  \"surrogate_budget\": {budget},\n  \"reps\": {reps},\n"));
+    json.push_str(&format!(
+        "  \"surrogate_budget\": {budget},\n  \"reps\": {reps},\n"
+    ));
     json.push_str("  \"rounds\": [\n");
     for (i, (n, secs)) in rounds.iter().enumerate() {
         json.push_str(&format!(
@@ -295,5 +300,8 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap();
     println!("wrote {out_path}");
     emit::print_criteria(&checks);
-    assert!(emit::all_pass(&checks), "gp_scaling acceptance criteria failed");
+    assert!(
+        emit::all_pass(&checks),
+        "gp_scaling acceptance criteria failed"
+    );
 }

@@ -90,8 +90,7 @@ fn main() {
         Some(other) => panic!("--strategy {other}: expected ehvi, parego or both"),
     };
 
-    let bench =
-        baco_bench::benchmark_by_name(&bench_name, taco_sim::benchmarks::TacoScale::Test);
+    let bench = baco_bench::benchmark_by_name(&bench_name, taco_sim::benchmarks::TacoScale::Test);
     assert!(
         bench.n_objectives() > 1,
         "{bench_name} is single-objective; pick a *-pareto benchmark"
@@ -148,8 +147,9 @@ fn main() {
         let mut union: Vec<Vec<f64>> = reports.iter().flat_map(front_points).collect();
         union.extend(front_points(&random));
         let m = bench.n_objectives();
-        let columns: Vec<Vec<f64>> =
-            (0..m).map(|k| union.iter().map(|p| p[k]).collect()).collect();
+        let columns: Vec<Vec<f64>> = (0..m)
+            .map(|k| union.iter().map(|p| p[k]).collect())
+            .collect();
         let contested = inferred_reference(&columns);
 
         let o = SeedOutcome {

@@ -58,7 +58,8 @@ impl BlockingServer {
                 };
                 if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
                     active.fetch_sub(1, Ordering::SeqCst);
-                    let busy = r#"{"ok":false,"error":{"kind":"busy","msg":"connection limit reached"}}"#;
+                    let busy =
+                        r#"{"ok":false,"error":{"kind":"busy","msg":"connection limit reached"}}"#;
                     let _ = writeln!(stream, "{busy}");
                     continue; // dropped → closed
                 }
@@ -85,7 +86,9 @@ impl BlockingServer {
 /// One baseline connection: request line in, reply line out, until EOF or
 /// an I/O error.
 fn serve_connection(handle: &ServerHandle, stream: TcpStream) {
-    let Ok(mut writer) = stream.try_clone() else { return };
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     loop {
@@ -95,7 +98,10 @@ fn serve_connection(handle: &ServerHandle, stream: TcpStream) {
         }
         let line = String::from_utf8_lossy(&buf);
         let reply = handle.handle_line(line.trim_end_matches(['\n', '\r']));
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+        if writeln!(writer, "{reply}")
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
             break;
         }
     }
@@ -111,7 +117,9 @@ struct Args {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
     let val = |flag: &str| -> Option<String> {
-        argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1).cloned())
+        argv.iter()
+            .position(|a| a == flag)
+            .and_then(|i| argv.get(i + 1).cloned())
     };
     let clients = val("--clients")
         .map(|v| {
@@ -122,8 +130,12 @@ fn parse_args() -> Args {
         .unwrap_or_else(|| vec![1_000, 10_000]);
     Args {
         clients,
-        baseline: val("--baseline").map(|v| v.parse().expect("--baseline N")).unwrap_or(1_000),
-        sweeps: val("--sweeps").map(|v| v.parse().expect("--sweeps N")).unwrap_or(5),
+        baseline: val("--baseline")
+            .map(|v| v.parse().expect("--baseline N"))
+            .unwrap_or(1_000),
+        sweeps: val("--sweeps")
+            .map(|v| v.parse().expect("--sweeps N"))
+            .unwrap_or(5),
         out: val("--out").unwrap_or_else(|| "BENCH_server_throughput.json".to_string()),
     }
 }
@@ -149,8 +161,8 @@ impl Fleet {
     fn connect(addr: SocketAddr, n: usize) -> Fleet {
         let mut conns = Vec::with_capacity(n);
         for i in 0..n {
-            let s = TcpStream::connect(addr)
-                .unwrap_or_else(|e| panic!("connect {i}/{n} failed: {e}"));
+            let s =
+                TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i}/{n} failed: {e}"));
             let _ = s.set_nodelay(true);
             conns.push(BufReader::new(s));
             if i % 512 == 511 {
@@ -266,10 +278,20 @@ fn main() {
 
     // Both connection ends live in this process: clamp stages to the fd
     // budget we can actually obtain.
-    let top = args.clients.iter().copied().max().unwrap_or(0).max(args.baseline);
+    let top = args
+        .clients
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0)
+        .max(args.baseline);
     let limit = raise_nofile_limit(2 * top as u64 + 2_000);
     let cap = (limit.saturating_sub(1_000) / 2) as usize;
-    for n in args.clients.iter_mut().chain(std::iter::once(&mut args.baseline)) {
+    for n in args
+        .clients
+        .iter_mut()
+        .chain(std::iter::once(&mut args.baseline))
+    {
         if *n > cap {
             println!("note: fd limit {limit} caps a {n}-connection stage to {cap}");
             *n = cap;
@@ -311,7 +333,10 @@ fn main() {
     }
 
     let mut json = String::from("{\n  \"benchmark\": \"server_throughput\",\n");
-    json.push_str(&format!("  \"sweeps\": {},\n  \"stages\": [\n", args.sweeps));
+    json.push_str(&format!(
+        "  \"sweeps\": {},\n  \"stages\": [\n",
+        args.sweeps
+    ));
     let all: Vec<&StageResult> = std::iter::once(&baseline).chain(stages.iter()).collect();
     for (i, s) in all.iter().enumerate() {
         json.push_str(&format!(

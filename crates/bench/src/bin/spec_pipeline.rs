@@ -95,11 +95,18 @@ fn main() {
     // evaluation thread (completion order == submission order) the same seed
     // must reproduce the same trajectory, draft for draft.
     let deterministic = {
-        let a = build(&space, DEPTH, 1, 11, budget.min(16)).run_batched(&bb).unwrap();
-        let b = build(&space, DEPTH, 1, 11, budget.min(16)).run_batched(&bb).unwrap();
+        let a = build(&space, DEPTH, 1, 11, budget.min(16))
+            .run_batched(&bb)
+            .unwrap();
+        let b = build(&space, DEPTH, 1, 11, budget.min(16))
+            .run_batched(&bb)
+            .unwrap();
         configs(&a) == configs(&b)
     };
-    assert!(deterministic, "speculative trajectory is not deterministic at eval_threads=1");
+    assert!(
+        deterministic,
+        "speculative trajectory is not deterministic at eval_threads=1"
+    );
     println!("single-thread determinism guard: OK\n");
 
     let mut arms: Vec<Arm> = Vec::new();
@@ -118,7 +125,14 @@ fn main() {
         let mean_best = bests.iter().sum::<f64>() / bests.len() as f64;
         bests.sort_by(f64::total_cmp);
         let median_best = bests[bests.len() / 2];
-        let arm = Arm { mode, depth, wall_s: wall / seeds as f64, best, mean_best, median_best };
+        let arm = Arm {
+            mode,
+            depth,
+            wall_s: wall / seeds as f64,
+            best,
+            mean_best,
+            median_best,
+        };
         println!(
             "{mode:>11} (depth {depth})  wall {:>7.2} s/run   best {:>8.4} ms   median best {:>8.4} ms",
             arm.wall_s, arm.best, arm.median_best
@@ -144,7 +158,9 @@ fn main() {
         "  \"budget\": {budget},\n  \"seeds\": {seeds},\n  \"q\": {Q},\n  \
          \"eval_threads\": {EVAL_THREADS},\n  \"speculation_depth\": {DEPTH},\n"
     ));
-    json.push_str(&format!("  \"deterministic_at_single_thread\": {deterministic},\n"));
+    json.push_str(&format!(
+        "  \"deterministic_at_single_thread\": {deterministic},\n"
+    ));
     json.push_str("  \"arms\": [\n");
     for (i, a) in arms.iter().enumerate() {
         json.push_str(&format!(
@@ -168,7 +184,11 @@ fn main() {
         emit::Check::ge("best_quality_ratio", quality_ratio, 0.85),
         // Bitwise single-thread determinism, encoded numerically so the
         // check shape stays uniform across artifacts (1 = deterministic).
-        emit::Check::ge("deterministic_at_single_thread", deterministic as u8 as f64, 1.0),
+        emit::Check::ge(
+            "deterministic_at_single_thread",
+            deterministic as u8 as f64,
+            1.0,
+        ),
     ];
     json.push_str("  ],\n");
     json.push_str(&emit::criteria_block(&checks));

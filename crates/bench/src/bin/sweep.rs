@@ -46,7 +46,10 @@ fn main() {
             }
         }
     }
-    let path = args.out.clone().unwrap_or_else(|| store::DEFAULT_PATH.to_string());
+    let path = args
+        .out
+        .clone()
+        .unwrap_or_else(|| store::DEFAULT_PATH.to_string());
     store::save(Path::new(&path), &results).expect("write results");
     println!(
         "wrote {} runs to {path} in {:.0?}",

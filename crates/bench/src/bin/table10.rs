@@ -2,9 +2,9 @@
 //! black-box evaluation and tuner overhead, for the TACO SpMM and SDDMM
 //! benchmarks (one full-budget run per tuner).
 
+use baco_bench::cli;
 use baco_bench::runner::{run_one, TunerKind};
 use baco_bench::stats::render_table;
-use baco_bench::cli;
 use taco_sim::benchmarks::{sddmm_benchmark, spmm_benchmark};
 
 fn main() {
@@ -29,7 +29,10 @@ fn main() {
     }
     println!(
         "{}",
-        render_table(&["benchmark", "tuner", "black-box s", "tuner s", "total s"], &rows)
+        render_table(
+            &["benchmark", "tuner", "black-box s", "tuner s", "total s"],
+            &rows
+        )
     );
     println!(
         "note: the paper's absolute seconds come from full-size tensors on a 32-core node; \

@@ -29,7 +29,13 @@ fn main() {
         .into_iter()
         .map(|r| {
             let y = |b: bool| if b { "✓" } else { "" }.to_string();
-            vec![r.name.to_string(), y(r.rioc), y(r.permutation), y(r.hidden), y(r.known)]
+            vec![
+                r.name.to_string(),
+                y(r.rioc),
+                y(r.permutation),
+                y(r.hidden),
+                y(r.known),
+            ]
         })
         .collect();
     println!(

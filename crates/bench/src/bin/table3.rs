@@ -38,7 +38,16 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["group", "benchmark", "dim", "params", "constr", "space size", "feasible", "budget"],
+            &[
+                "group",
+                "benchmark",
+                "dim",
+                "params",
+                "constr",
+                "space size",
+                "feasible",
+                "budget"
+            ],
             &rows
         )
     );

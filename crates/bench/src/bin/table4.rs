@@ -1,8 +1,8 @@
 //! Table 4: the tensor inventory — paper dimensions and nonzero counts plus
 //! the generated synthetic stand-in's actual statistics at the chosen scale.
 
-use baco_bench::stats::render_table;
 use baco_bench::cli;
+use baco_bench::stats::render_table;
 use taco_sim::generate::{matrix, paper_tensors, tensor3, tensor4};
 
 fn main() {
@@ -26,7 +26,10 @@ fn main() {
             }
             3 => {
                 let t = tensor3(&spec, factor);
-                (format!("{}×{}×{}", t.dims[0], t.dims[1], t.dims[2]), t.nnz())
+                (
+                    format!("{}×{}×{}", t.dims[0], t.dims[1], t.dims[2]),
+                    t.nnz(),
+                )
             }
             _ => {
                 let t = tensor4(&spec, factor);
@@ -49,7 +52,15 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["tensor", "paper dims", "paper nnz", "dataset", "family", "generated dims", "generated nnz"],
+            &[
+                "tensor",
+                "paper dims",
+                "paper nnz",
+                "dataset",
+                "family",
+                "generated dims",
+                "generated nnz"
+            ],
             &rows
         )
     );

@@ -9,7 +9,11 @@ use baco_bench::{cli, stats, store};
 fn main() {
     let args = cli::parse();
     let agg = Agg::new(store::load_or_exit(args.out.as_deref()));
-    for (label, num) in [("Table 6 — tiny budget", 1), ("Table 7 — small budget", 2), ("Table 8 — full budget", 3)] {
+    for (label, num) in [
+        ("Table 6 — tiny budget", 1),
+        ("Table 7 — small budget", 2),
+        ("Table 8 — full budget", 3),
+    ] {
         println!("== {label} (relative performance vs expert) ==");
         let mut rows = Vec::new();
         let mut group_acc: Vec<(String, Vec<Vec<f64>>)> = Vec::new();
@@ -34,8 +38,7 @@ fn main() {
             all.extend(acc.iter().cloned());
             let mut row = vec![group.clone(), "(mean)".into()];
             for t in 0..TunerKind::all().len() {
-                let col: Vec<f64> =
-                    acc.iter().map(|v| v[t]).filter(|x| x.is_finite()).collect();
+                let col: Vec<f64> = acc.iter().map(|v| v[t]).filter(|x| x.is_finite()).collect();
                 row.push(stats::mean(&col).map_or("-".into(), |x| format!("{x:.2}")));
             }
             rows.push(row);

@@ -9,7 +9,12 @@ use baco_bench::{cli, stats, store};
 fn main() {
     let args = cli::parse();
     let agg = Agg::new(store::load_or_exit(args.out.as_deref()));
-    let baselines = [TunerKind::Atf, TunerKind::Ytopt, TunerKind::Uniform, TunerKind::Cot];
+    let baselines = [
+        TunerKind::Atf,
+        TunerKind::Ytopt,
+        TunerKind::Uniform,
+        TunerKind::Cot,
+    ];
 
     println!("== Table 9 — evaluations-to-match factors (BaCO vs baselines) ==");
     let mut rows = Vec::new();

@@ -42,7 +42,10 @@ use std::path::{Path, PathBuf};
 const DOE: usize = 10;
 
 fn build(space: &SearchSpace, seed: u64, budget: usize, corpus: Option<&Path>) -> Baco {
-    let mut b = Baco::builder(space.clone()).budget(budget).doe_samples(DOE).seed(seed);
+    let mut b = Baco::builder(space.clone())
+        .budget(budget)
+        .doe_samples(DOE)
+        .seed(seed);
     if let Some(dir) = corpus {
         b = b.transfer(dir);
     }
@@ -115,8 +118,9 @@ fn main() {
 
         let warm_tuner = build(&space, seed, budget, Some(&corpus));
         let warm = warm_tuner.run(bb).expect("transfer run");
-        donors_found &=
-            warm_tuner.transfer_donors().is_some_and(|(n, _)| n as u64 == donors);
+        donors_found &= warm_tuner
+            .transfer_donors()
+            .is_some_and(|(n, _)| n as u64 == donors);
         // Frozen corpus + same seed must reproduce the trajectory exactly:
         // the transfer digest is the whole point of the determinism envelope.
         deterministic &=
@@ -152,7 +156,9 @@ fn main() {
     json.push_str(&format!(
         "  \"budget\": {budget},\n  \"seeds\": {seeds},\n  \"donors_per_corpus\": {donors},\n"
     ));
-    json.push_str(&format!("  \"median_ratio\": {median:.4},\n  \"mean_ratio\": {mean:.4},\n"));
+    json.push_str(&format!(
+        "  \"median_ratio\": {median:.4},\n  \"mean_ratio\": {mean:.4},\n"
+    ));
     json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
     json.push_str(&format!("  \"donors_found\": {donors_found},\n"));
     json.push_str("  \"per_seed\": [\n");
@@ -162,7 +168,11 @@ fn main() {
         // The headline gate: fleet experience must buy the cold incumbent
         // for at most 60% of the budget the cold run spent, median-of-seeds.
         emit::Check::le("median_budget_ratio", median, 0.6),
-        emit::Check::ge("deterministic_with_frozen_corpus", deterministic as u8 as f64, 1.0),
+        emit::Check::ge(
+            "deterministic_with_frozen_corpus",
+            deterministic as u8 as f64,
+            1.0,
+        ),
         emit::Check::ge("all_donors_discovered", donors_found as u8 as f64, 1.0),
     ];
     json.push_str(&emit::criteria_block(&checks));

@@ -86,7 +86,9 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Args {
 /// The value after `name` in `args` (`--budget 48` → `"48"`), if present:
 /// the one-flag lookup of the bench binaries that take their own flags.
 pub fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 #[cfg(test)]
@@ -96,9 +98,17 @@ mod tests {
     #[test]
     fn parses_flags_and_positional() {
         let a = parse_from(
-            ["--reps", "7", "--scale", "test", "--seed", "9", "SpMM scircuit"]
-                .into_iter()
-                .map(String::from),
+            [
+                "--reps",
+                "7",
+                "--scale",
+                "test",
+                "--seed",
+                "9",
+                "SpMM scircuit",
+            ]
+            .into_iter()
+            .map(String::from),
         );
         assert_eq!(a.reps, 7);
         assert_eq!(a.scale, TacoScale::Test);

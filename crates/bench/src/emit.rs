@@ -48,12 +48,22 @@ pub struct Check {
 impl Check {
     /// A `value >= target` check.
     pub fn ge(name: impl Into<String>, value: f64, target: f64) -> Self {
-        Check { name: name.into(), value, op: Op::Ge, target }
+        Check {
+            name: name.into(),
+            value,
+            op: Op::Ge,
+            target,
+        }
     }
 
     /// A `value <= target` check.
     pub fn le(name: impl Into<String>, value: f64, target: f64) -> Self {
-        Check { name: name.into(), value, op: Op::Le, target }
+        Check {
+            name: name.into(),
+            value,
+            op: Op::Le,
+            target,
+        }
     }
 
     /// Whether the check holds. A non-finite measurement always fails — it
@@ -101,7 +111,10 @@ pub fn criteria_block(checks: &[Check]) -> String {
             if i + 1 < checks.len() { "," } else { "" }
         ));
     }
-    s.push_str(&format!("    ],\n    \"pass\": {}\n  }}\n", all_pass(checks)));
+    s.push_str(&format!(
+        "    ],\n    \"pass\": {}\n  }}\n",
+        all_pass(checks)
+    ));
     s
 }
 
@@ -135,7 +148,10 @@ mod tests {
 
     #[test]
     fn block_is_uniform_and_valid_shaped() {
-        let checks = [Check::ge("speedup", 6.61, 2.5), Check::le("ratio", 3.0, 2.0)];
+        let checks = [
+            Check::ge("speedup", 6.61, 2.5),
+            Check::le("ratio", 3.0, 2.0),
+        ];
         let block = criteria_block(&checks);
         assert!(block.starts_with("  \"criteria\": {"));
         assert!(block.contains(
@@ -153,7 +169,10 @@ mod tests {
 
     #[test]
     fn non_finite_values_serialize_as_null_and_fail() {
-        let checks = [Check::ge("inf", f64::INFINITY, 1.0), Check::ge("nan", f64::NAN, 1.0)];
+        let checks = [
+            Check::ge("inf", f64::INFINITY, 1.0),
+            Check::ge("nan", f64::NAN, 1.0),
+        ];
         let block = criteria_block(&checks);
         assert!(block.contains("\"value\": null, \"op\": \">=\", \"target\": 1, \"pass\": false"));
         // +inf >= 1.0 is arguably true, but a non-finite measurement is

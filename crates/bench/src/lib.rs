@@ -62,7 +62,9 @@ pub fn pareto_benchmarks(scale: TacoScale) -> Vec<Benchmark> {
     let mut v = fpga_sim::benchmarks::hpvm_pareto_benchmarks();
     v.push(gpu_sim::benchmarks::mm_gpu_pareto());
     v.push(gpu_sim::benchmarks::mm_gpu_pareto3());
-    v.push(taco_sim::benchmarks::spmm_pareto_benchmark("scircuit", scale));
+    v.push(taco_sim::benchmarks::spmm_pareto_benchmark(
+        "scircuit", scale,
+    ));
     v
 }
 

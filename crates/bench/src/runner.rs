@@ -50,12 +50,7 @@ impl TunerKind {
     ///
     /// # Errors
     /// Propagates Chain-of-Trees construction failures.
-    pub fn build(
-        self,
-        bench: &Benchmark,
-        budget: usize,
-        seed: u64,
-    ) -> Result<Box<dyn Tuner>> {
+    pub fn build(self, bench: &Benchmark, budget: usize, seed: u64) -> Result<Box<dyn Tuner>> {
         Ok(match self {
             TunerKind::Baco => Box::new(
                 Baco::builder(bench.space.clone())
@@ -73,7 +68,9 @@ impl TunerKind {
 
     /// Parses a display name.
     pub fn from_name(s: &str) -> Option<TunerKind> {
-        Self::all().into_iter().find(|t| t.name().eq_ignore_ascii_case(s))
+        Self::all()
+            .into_iter()
+            .find(|t| t.name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -169,7 +166,10 @@ pub struct MemoBlackBox<B> {
 impl<B: BlackBox> MemoBlackBox<B> {
     /// Memoizes `inner`.
     pub fn new(inner: B) -> Self {
-        MemoBlackBox { inner, cache: Mutex::new(HashMap::new()) }
+        MemoBlackBox {
+            inner,
+            cache: Mutex::new(HashMap::new()),
+        }
     }
 }
 

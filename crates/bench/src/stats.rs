@@ -96,7 +96,10 @@ mod tests {
     fn table_renders_aligned() {
         let t = render_table(
             &["name", "v"],
-            &[vec!["a".into(), "1.0".into()], vec!["long-name".into(), "2".into()]],
+            &[
+                vec!["a".into(), "1.0".into()],
+                vec!["long-name".into(), "2".into()],
+            ],
         );
         assert!(t.contains("long-name"));
         assert!(t.lines().count() == 4);

@@ -22,7 +22,10 @@ pub fn save(path: &Path, results: &[RunResult]) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "benchmark|group|tuner|seed|expert|default|eval_secs|tuner_secs|trajectory")?;
+    writeln!(
+        f,
+        "benchmark|group|tuner|seed|expert|default|eval_secs|tuner_secs|trajectory"
+    )?;
     for r in results {
         let traj: Vec<String> = r
             .trajectory

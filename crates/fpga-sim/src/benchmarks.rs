@@ -6,9 +6,9 @@
 
 use crate::device::{arria10, config_jitter, Resources};
 use baco::benchmark::{Benchmark, Group};
-use baco::{BlackBox, Configuration, Evaluation, SearchSpace};
 #[cfg(test)]
 use baco::ParamValue;
+use baco::{BlackBox, Configuration, Evaluation, SearchSpace};
 
 /// One pipelined loop nest of a benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -93,8 +93,17 @@ fn estimate(
     base: Resources,
     bram_per_priv: f64,
 ) -> Option<f64> {
-    estimate_design(cfg, loops, unrolls, banking, fusion_level, privatization, base, bram_per_priv)
-        .map(|(ms, _)| ms)
+    estimate_design(
+        cfg,
+        loops,
+        unrolls,
+        banking,
+        fusion_level,
+        privatization,
+        base,
+        bram_per_priv,
+    )
+    .map(|(ms, _)| ms)
 }
 
 // ───────────────────────────── BFS ─────────────────────────────
@@ -112,8 +121,20 @@ pub fn bfs_space() -> SearchSpace {
 
 fn bfs_design(cfg: &Configuration) -> Option<(f64, Resources)> {
     let loops = [
-        Loop { trips: 1.0e6, base_ii: 2.2, alms: 5_000.0, dsps: 4.0, mem_bound: 0.85 },
-        Loop { trips: 6.0e5, base_ii: 1.4, alms: 3_200.0, dsps: 2.0, mem_bound: 0.55 },
+        Loop {
+            trips: 1.0e6,
+            base_ii: 2.2,
+            alms: 5_000.0,
+            dsps: 4.0,
+            mem_bound: 0.85,
+        },
+        Loop {
+            trips: 6.0e5,
+            base_ii: 1.4,
+            alms: 3_200.0,
+            dsps: 2.0,
+            mem_bound: 0.55,
+        },
     ];
     let u = unroll_of(cfg, "unroll_exp");
     let b = unroll_of(cfg, "banking_exp");
@@ -125,7 +146,11 @@ fn bfs_design(cfg: &Configuration) -> Option<(f64, Resources)> {
         .iter()
         .position(|s| *s == cfg.value("privatize").as_str())
         .expect("valid category");
-    let base = Resources { alms: 30_000.0, dsps: 16.0, bram_bytes: 4.0e5 };
+    let base = Resources {
+        alms: 30_000.0,
+        dsps: 16.0,
+        bram_bytes: 4.0e5,
+    };
     estimate_design(cfg, &loops, &[u, u], b, fusion, privatize, base, 9e5)
 }
 
@@ -167,10 +192,34 @@ fn audio_eval(cfg: &Configuration) -> Option<f64> {
     let loops = [
         // HRTF convolution (DSP heavy), ambisonic rotation, psychoacoustic
         // zoom, and the final mix.
-        Loop { trips: 2.6e6, base_ii: 1.8, alms: 7_500.0, dsps: 48.0, mem_bound: 0.35 },
-        Loop { trips: 9.0e5, base_ii: 1.2, alms: 4_200.0, dsps: 24.0, mem_bound: 0.45 },
-        Loop { trips: 6.0e5, base_ii: 1.5, alms: 3_800.0, dsps: 12.0, mem_bound: 0.6 },
-        Loop { trips: 1.2e6, base_ii: 1.0, alms: 2_500.0, dsps: 8.0, mem_bound: 0.7 },
+        Loop {
+            trips: 2.6e6,
+            base_ii: 1.8,
+            alms: 7_500.0,
+            dsps: 48.0,
+            mem_bound: 0.35,
+        },
+        Loop {
+            trips: 9.0e5,
+            base_ii: 1.2,
+            alms: 4_200.0,
+            dsps: 24.0,
+            mem_bound: 0.45,
+        },
+        Loop {
+            trips: 6.0e5,
+            base_ii: 1.5,
+            alms: 3_800.0,
+            dsps: 12.0,
+            mem_bound: 0.6,
+        },
+        Loop {
+            trips: 1.2e6,
+            base_ii: 1.0,
+            alms: 2_500.0,
+            dsps: 8.0,
+            mem_bound: 0.7,
+        },
     ];
     let u1 = (1u64 << cfg.value("unroll_hrtf").as_i64() as u32) as f64;
     let u2 = (1u64 << cfg.value("unroll_mix").as_i64() as u32) as f64;
@@ -189,28 +238,31 @@ fn audio_eval(cfg: &Configuration) -> Option<f64> {
         .count();
     let ii_relax = cfg.value("ii_relax").as_i64() as f64;
 
-    let mut base = Resources { alms: 60_000.0, dsps: 120.0, bram_bytes: 1.2e6 };
+    let mut base = Resources {
+        alms: 60_000.0,
+        dsps: 120.0,
+        bram_bytes: 1.2e6,
+    };
     if cfg.value("stream_buffers").as_bool() {
         base.bram_bytes += 8.0e5;
     }
     if cfg.value("double_buffer").as_bool() {
         base.bram_bytes += 1.1e6;
     }
-    let t = estimate(
-        cfg,
-        &loops,
-        &[u1, u1, u2, u2],
-        b,
-        fused,
-        privd,
-        base,
-        1.4e6,
-    )?;
+    let t = estimate(cfg, &loops, &[u1, u1, u2, u2], b, fused, privd, base, 1.4e6)?;
     // Coalescing and streaming help memory-bound stages; relaxing II saves
     // area but costs time.
-    let stream_gain = if cfg.value("stream_buffers").as_bool() { 0.88 } else { 1.0 };
+    let stream_gain = if cfg.value("stream_buffers").as_bool() {
+        0.88
+    } else {
+        1.0
+    };
     let coal_gain = 1.0 - 0.06 * coalesced as f64;
-    let db_gain = if cfg.value("double_buffer").as_bool() { 0.92 } else { 1.0 };
+    let db_gain = if cfg.value("double_buffer").as_bool() {
+        0.92
+    } else {
+        1.0
+    };
     Some(t * stream_gain * coal_gain * db_gain * (1.0 + 0.08 * ii_relax))
 }
 
@@ -232,26 +284,60 @@ pub fn preeuler_space() -> SearchSpace {
 
 fn preeuler_design(cfg: &Configuration) -> Option<(f64, Resources)> {
     let loops = [
-        Loop { trips: 1.6e6, base_ii: 2.0, alms: 9_000.0, dsps: 80.0, mem_bound: 0.5 },
-        Loop { trips: 1.6e6, base_ii: 1.6, alms: 6_000.0, dsps: 55.0, mem_bound: 0.6 },
-        Loop { trips: 8.0e5, base_ii: 1.2, alms: 3_000.0, dsps: 25.0, mem_bound: 0.75 },
+        Loop {
+            trips: 1.6e6,
+            base_ii: 2.0,
+            alms: 9_000.0,
+            dsps: 80.0,
+            mem_bound: 0.5,
+        },
+        Loop {
+            trips: 1.6e6,
+            base_ii: 1.6,
+            alms: 6_000.0,
+            dsps: 55.0,
+            mem_bound: 0.6,
+        },
+        Loop {
+            trips: 8.0e5,
+            base_ii: 1.2,
+            alms: 3_000.0,
+            dsps: 25.0,
+            mem_bound: 0.75,
+        },
     ];
     // Linear (not power-of-two) unrolls: HPVM2FPGA explores raw factors.
     let u1 = (cfg.value("unroll_cell").as_i64() + 1) as f64;
     let u2 = (cfg.value("unroll_face").as_i64() + 1) as f64;
     let b = cfg.value("banking").as_i64() as f64;
-    let fusion = cfg.value("fuse_flux").as_bool() as usize
-        + cfg.value("fuse_update").as_bool() as usize;
+    let fusion =
+        cfg.value("fuse_flux").as_bool() as usize + cfg.value("fuse_update").as_bool() as usize;
     // Hidden: fully fused flux+update pipelines with wide combined unrolls
     // fail placement (the failed-build region the tuner must learn).
     if fusion == 2 && u1 * u2 >= 50.0 {
         return None;
     }
     let privatize = cfg.value("priv_fluxes").as_bool() as usize * 2;
-    let base = Resources { alms: 45_000.0, dsps: 60.0, bram_bytes: 9.0e5 };
-    let (t, res) =
-        estimate_design(cfg, &loops, &[u1, u1, u2], b, fusion, privatize, base, 1.1e6)?;
-    let coal_gain = if cfg.value("coalesce").as_bool() { 0.9 } else { 1.0 };
+    let base = Resources {
+        alms: 45_000.0,
+        dsps: 60.0,
+        bram_bytes: 9.0e5,
+    };
+    let (t, res) = estimate_design(
+        cfg,
+        &loops,
+        &[u1, u1, u2],
+        b,
+        fusion,
+        privatize,
+        base,
+        1.1e6,
+    )?;
+    let coal_gain = if cfg.value("coalesce").as_bool() {
+        0.9
+    } else {
+        1.0
+    };
     Some((t * coal_gain, res))
 }
 
@@ -372,12 +458,24 @@ pub fn hpvm_benchmarks() -> Vec<Benchmark> {
 /// feasible design (the device holds ~427 kALMs; BFS runtimes stay well
 /// under 40 ms).
 pub fn bfs_pareto() -> Benchmark {
-    build_pareto("BFS-pareto", bfs_space(), bfs_eval_pareto, 30, [40.0, 450.0])
+    build_pareto(
+        "BFS-pareto",
+        bfs_space(),
+        bfs_eval_pareto,
+        30,
+        [40.0, 450.0],
+    )
 }
 
 /// The PreEuler latency-vs-area variant (see [`bfs_pareto`]).
 pub fn preeuler_pareto() -> Benchmark {
-    build_pareto("PreEuler-pareto", preeuler_space(), preeuler_eval_pareto, 60, [60.0, 450.0])
+    build_pareto(
+        "PreEuler-pareto",
+        preeuler_space(),
+        preeuler_eval_pareto,
+        60,
+        [60.0, 450.0],
+    )
 }
 
 /// The multi-objective HPVM2FPGA variants.
@@ -483,7 +581,10 @@ mod tests {
             .unwrap();
         let (t_def, a_def) = bfs_eval_pareto(&s.default_configuration()).unwrap();
         let (t_tuned, a_tuned) = bfs_eval_pareto(&tuned).unwrap();
-        assert!(t_tuned < t_def && a_tuned > a_def, "no latency/area trade-off");
+        assert!(
+            t_tuned < t_def && a_tuned > a_def,
+            "no latency/area trade-off"
+        );
     }
 
     #[test]

@@ -44,11 +44,20 @@ fn preeuler_cfg(fuse_flux: bool, fuse_update: bool, cell: i64, face: i64) -> Con
 fn bfs_hidden_constraint_boundary() {
     let bench = bfs();
     // unroll 8 (exp 3) + full fusion: infeasible.
-    assert!(!bench.blackbox.evaluate(&bfs_cfg(3, 0, "full", "off")).is_feasible());
+    assert!(!bench
+        .blackbox
+        .evaluate(&bfs_cfg(3, 0, "full", "off"))
+        .is_feasible());
     // One step narrower (unroll 4): feasible.
-    assert!(bench.blackbox.evaluate(&bfs_cfg(2, 0, "full", "off")).is_feasible());
+    assert!(bench
+        .blackbox
+        .evaluate(&bfs_cfg(2, 0, "full", "off"))
+        .is_feasible());
     // One fusion level lower at unroll 8: feasible.
-    assert!(bench.blackbox.evaluate(&bfs_cfg(3, 0, "most", "off")).is_feasible());
+    assert!(bench
+        .blackbox
+        .evaluate(&bfs_cfg(3, 0, "most", "off"))
+        .is_feasible());
     // The failure is *hidden*: every one of these satisfies the declared
     // space (no known constraints to reject them up front).
     assert!(bench.space.known_constraints().is_empty());
@@ -61,11 +70,20 @@ fn bfs_hidden_constraint_boundary() {
 fn preeuler_hidden_constraint_boundary() {
     let bench = preeuler();
     // u1 = 5, u2 = 10 → product 50, both fused: infeasible.
-    assert!(!bench.blackbox.evaluate(&preeuler_cfg(true, true, 4, 9)).is_feasible());
+    assert!(!bench
+        .blackbox
+        .evaluate(&preeuler_cfg(true, true, 4, 9))
+        .is_feasible());
     // Product 45 (u2 = 9), both fused: feasible.
-    assert!(bench.blackbox.evaluate(&preeuler_cfg(true, true, 4, 8)).is_feasible());
+    assert!(bench
+        .blackbox
+        .evaluate(&preeuler_cfg(true, true, 4, 8))
+        .is_feasible());
     // Product 50 with only one fusion: feasible.
-    assert!(bench.blackbox.evaluate(&preeuler_cfg(true, false, 4, 9)).is_feasible());
+    assert!(bench
+        .blackbox
+        .evaluate(&preeuler_cfg(true, false, 4, 9))
+        .is_feasible());
 }
 
 /// Resource overflow is the other doesn't-fit boundary: `fits` flips exactly
@@ -74,13 +92,27 @@ fn preeuler_hidden_constraint_boundary() {
 #[test]
 fn device_fit_flips_exactly_at_full_utilization() {
     let dev = arria10();
-    let at = |frac: f64| Resources { alms: dev.alms * frac, dsps: 0.0, bram_bytes: 0.0 };
+    let at = |frac: f64| Resources {
+        alms: dev.alms * frac,
+        dsps: 0.0,
+        bram_bytes: 0.0,
+    };
     assert!(dev.fits(&at(1.0)), "exactly-full designs fit");
     assert!(!dev.fits(&at(1.0 + 1e-9)), "anything past full does not");
     assert!((at(1.0).max_utilization(&dev) - 1.0).abs() < 1e-12);
-    let (c25, c50, c99) = (dev.clock_mhz(&at(0.25)), dev.clock_mhz(&at(0.5)), dev.clock_mhz(&at(0.99)));
-    assert!(c25 > c50 && c50 > c99, "clock must degrade with utilization");
-    assert!(c99 >= 0.65 * dev.fmax_mhz, "degradation is bounded (0.35·u² model)");
+    let (c25, c50, c99) = (
+        dev.clock_mhz(&at(0.25)),
+        dev.clock_mhz(&at(0.5)),
+        dev.clock_mhz(&at(0.99)),
+    );
+    assert!(
+        c25 > c50 && c50 > c99,
+        "clock must degrade with utilization"
+    );
+    assert!(
+        c99 >= 0.65 * dev.fmax_mhz,
+        "degradation is bounded (0.35·u² model)"
+    );
 }
 
 /// The estimator is a pure function: re-evaluating any configuration gives
@@ -119,7 +151,11 @@ fn config_jitter_is_bounded_and_deterministic() {
         assert_eq!(j.to_bits(), config_jitter(&cfg, 0.04).to_bits());
         distinct.insert(j.to_bits());
     }
-    assert!(distinct.len() > 50, "jitter barely varies: {} distinct", distinct.len());
+    assert!(
+        distinct.len() > 50,
+        "jitter barely varies: {} distinct",
+        distinct.len()
+    );
 }
 
 /// `Benchmark` packaging: the suite the harness (and `baco-cli`) looks up by
@@ -137,12 +173,20 @@ fn benchmark_wiring_defaults_and_metadata() {
         assert_eq!(b.blackbox.name(), b.name);
         // Default configurations evaluate and are feasible …
         let default = b.default_value();
-        assert!(default.is_some_and(|v| v > 0.0), "{} default must evaluate", b.name);
+        assert!(
+            default.is_some_and(|v| v > 0.0),
+            "{} default must evaluate",
+            b.name
+        );
         // … and there is no expert configuration to compare against.
         assert!(b.expert_config.is_none(), "{}", b.name);
         assert_eq!(b.expert_value(), None, "{}", b.name);
         // Budget splits stay usable for the tiny/small sweeps.
-        assert!(b.tiny_budget() >= 1 && b.tiny_budget() < b.budget, "{}", b.name);
+        assert!(
+            b.tiny_budget() >= 1 && b.tiny_budget() < b.budget,
+            "{}",
+            b.name
+        );
     }
     assert_eq!(
         benches.iter().map(|b| b.budget).collect::<Vec<_>>(),

@@ -58,8 +58,7 @@ fn build(
 /// but monotone — exactly what a runtime-vs-energy trade-off needs.
 fn mm_gpu_power_w(cfg: &Configuration) -> f64 {
     let threads = cfg.value("ls_x").as_f64() * cfg.value("ls_y").as_f64();
-    55.0 + 0.09 * threads + 4.0 * cfg.value("vec").as_f64()
-        + 1.5 * cfg.value("unroll").as_f64()
+    55.0 + 0.09 * threads + 4.0 * cfg.value("vec").as_f64() + 1.5 * cfg.value("unroll").as_f64()
 }
 
 struct MmGpuParetoBench;
@@ -113,11 +112,9 @@ struct MmGpuPareto3Bench;
 impl BlackBox for MmGpuPareto3Bench {
     fn evaluate(&self, cfg: &Configuration) -> Evaluation {
         match kernels::mm_gpu::evaluate(cfg) {
-            Some(ms) => Evaluation::feasible_multi(vec![
-                ms,
-                ms * mm_gpu_power_w(cfg),
-                mm_gpu_idle_pct(cfg),
-            ]),
+            Some(ms) => {
+                Evaluation::feasible_multi(vec![ms, ms * mm_gpu_power_w(cfg), mm_gpu_idle_pct(cfg)])
+            }
             None => Evaluation::infeasible(),
         }
     }
@@ -154,43 +151,99 @@ pub fn mm_gpu_pareto3() -> Benchmark {
 /// The MM_CPU benchmark (budget 100, K/H).
 pub fn mm_cpu() -> Benchmark {
     use kernels::mm_cpu as k;
-    build("MM_CPU", k::space(), k::evaluate, k::default_config, k::expert_config, 100, true)
+    build(
+        "MM_CPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        100,
+        true,
+    )
 }
 
 /// The MM_GPU benchmark (budget 120, K/H) — the paper's hardest space.
 pub fn mm_gpu() -> Benchmark {
     use kernels::mm_gpu as k;
-    build("MM_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 120, true)
+    build(
+        "MM_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        120,
+        true,
+    )
 }
 
 /// The Asum_GPU benchmark (budget 60, K).
 pub fn asum_gpu() -> Benchmark {
     use kernels::asum as k;
-    build("Asum_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 60, false)
+    build(
+        "Asum_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        60,
+        false,
+    )
 }
 
 /// The Scal_GPU benchmark (budget 60, K/H).
 pub fn scal_gpu() -> Benchmark {
     use kernels::scal as k;
-    build("Scal_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 60, true)
+    build(
+        "Scal_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        60,
+        true,
+    )
 }
 
 /// The K-means_GPU benchmark (budget 60, K/H).
 pub fn kmeans_gpu() -> Benchmark {
     use kernels::kmeans as k;
-    build("K-means_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 60, true)
+    build(
+        "K-means_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        60,
+        true,
+    )
 }
 
 /// The Harris_GPU benchmark (budget 100, K).
 pub fn harris_gpu() -> Benchmark {
     use kernels::harris as k;
-    build("Harris_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 100, false)
+    build(
+        "Harris_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        100,
+        false,
+    )
 }
 
 /// The Stencil_GPU benchmark (budget 60, K).
 pub fn stencil_gpu() -> Benchmark {
     use kernels::stencil as k;
-    build("Stencil_GPU", k::space(), k::evaluate, k::default_config, k::expert_config, 60, false)
+    build(
+        "Stencil_GPU",
+        k::space(),
+        k::evaluate,
+        k::default_config,
+        k::expert_config,
+        60,
+        false,
+    )
 }
 
 /// The full RISE & ELEVATE suite in Table 3 order.
@@ -248,7 +301,10 @@ mod tests {
         let reference = b.reference_point.as_ref().unwrap();
         assert_eq!(objs.len(), 3);
         for (o, r) in objs.iter().zip(reference) {
-            assert!(o.is_finite() && *o >= 0.0 && o < r, "{objs:?} vs {reference:?}");
+            assert!(
+                o.is_finite() && *o >= 0.0 && o < r,
+                "{objs:?} vs {reference:?}"
+            );
         }
         // Widest workgroup: zero shortfall but the highest power draw;
         // narrowest: near-total shortfall with the lowest draw — occupancy

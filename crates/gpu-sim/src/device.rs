@@ -206,7 +206,10 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_noise_is_bounded() {
-        let s = baco::SearchSpace::builder().integer("x", 0, 3).build().unwrap();
+        let s = baco::SearchSpace::builder()
+            .integer("x", 0, 3)
+            .build()
+            .unwrap();
         let c = s.default_configuration();
         assert_eq!(config_jitter(&c, 0.05), config_jitter(&c, 0.05));
         for _ in 0..100 {

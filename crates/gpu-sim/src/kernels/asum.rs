@@ -12,15 +12,13 @@ pub const N: usize = 1 << 24;
 
 /// The Asum_GPU search space (5 ordinal parameters, known constraints only).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
-        .ordinal_log("wg", po2(5, 10))        // workgroup 32..1024
-        .ordinal_log("num_wgs", po2(4, 13))   // workgroups 16..8192
-        .ordinal_log("elems", po2(0, 10))     // sequential elems/thread
+        .ordinal_log("wg", po2(5, 10)) // workgroup 32..1024
+        .ordinal_log("num_wgs", po2(4, 13)) // workgroups 16..8192
+        .ordinal_log("elems", po2(0, 10)) // sequential elems/thread
         .ordinal_log("vec", po2(0, 3))
-        .ordinal_log("stride", po2(0, 5))     // access stride between threads
+        .ordinal_log("stride", po2(0, 5)) // access stride between threads
         // The grid must cover the input exactly (RISE collects this from the
         // split sizes): wg × num_wgs × elems × vec == N.
         .known_constraint("wg * num_wgs * elems * vec == 16777216")
@@ -39,8 +37,8 @@ pub fn evaluate(cfg: &Configuration) -> Option<f64> {
     let bytes = (N * 4) as f64;
     let t_read = d.mem_time(bytes, coal * (0.4 + 0.6 * occ));
     // Tree reduction inside the workgroup: log2(wg) barrier steps.
-    let barrier = (wg as f64).log2() * 40e-9 * (N as f64 / (wg * elems * vec) as f64)
-        / num_wgs as f64;
+    let barrier =
+        (wg as f64).log2() * 40e-9 * (N as f64 / (wg * elems * vec) as f64) / num_wgs as f64;
     // Grid quantization across SMs.
     let waves = (num_wgs as f64 / d.sm_count as f64).ceil()
         / (num_wgs as f64 / d.sm_count as f64).max(1e-9);

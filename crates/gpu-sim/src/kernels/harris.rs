@@ -14,12 +14,10 @@ pub const HEIGHT: usize = 1080;
 
 /// The Harris_GPU search space (7 parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
-        .ordinal_log("tile_x", po2(3, 8))  // 8..256 pixels
-        .ordinal_log("tile_y", po2(0, 6))  // 1..64 rows
+        .ordinal_log("tile_x", po2(3, 8)) // 8..256 pixels
+        .ordinal_log("tile_y", po2(0, 6)) // 1..64 rows
         .ordinal_log("wg_x", po2(3, 8))
         .ordinal_log("wg_y", po2(0, 5))
         .ordinal_log("vec", po2(0, 3))

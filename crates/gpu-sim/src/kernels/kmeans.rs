@@ -15,9 +15,7 @@ pub const DIMS: usize = 34;
 
 /// The K-means_GPU search space (4 parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
         .ordinal_log("wg", po2(5, 10))
         .ordinal_log("pts_per_thread", po2(0, 6))

@@ -17,9 +17,7 @@ const DRAM_GBPS: f64 = 35.0;
 
 /// The MM_CPU search space (5 parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
         .ordinal_log("ti", po2(2, 9)) // i tile 4..512
         .ordinal_log("tj", po2(2, 9))

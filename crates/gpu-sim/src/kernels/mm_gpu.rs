@@ -16,18 +16,16 @@ pub const K: usize = 1024;
 
 /// The MM_GPU search space (10 ordinal parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
-        .ordinal_log("m_wg", po2(4, 8))   // workgroup tile rows 16..256
-        .ordinal_log("n_wg", po2(4, 8))   // workgroup tile cols
+        .ordinal_log("m_wg", po2(4, 8)) // workgroup tile rows 16..256
+        .ordinal_log("n_wg", po2(4, 8)) // workgroup tile cols
         .ordinal_log("k_tile", po2(2, 6)) // shared-memory k strip 4..64
-        .ordinal_log("m_th", po2(0, 4))   // per-thread tile rows 1..16
-        .ordinal_log("n_th", po2(0, 4))   // per-thread tile cols
-        .ordinal_log("ls_x", po2(0, 8))   // workgroup threads x
-        .ordinal_log("ls_y", po2(0, 8))   // workgroup threads y
-        .ordinal_log("vec", po2(0, 3))    // vector width 1..8
+        .ordinal_log("m_th", po2(0, 4)) // per-thread tile rows 1..16
+        .ordinal_log("n_th", po2(0, 4)) // per-thread tile cols
+        .ordinal_log("ls_x", po2(0, 8)) // workgroup threads x
+        .ordinal_log("ls_y", po2(0, 8)) // workgroup threads y
+        .ordinal_log("vec", po2(0, 3)) // vector width 1..8
         .ordinal_log("unroll", po2(0, 3)) // k unroll
         .ordinal_log("k_split", po2(0, 3)) // grid-level k split
         // RISE collects these from the rewritten expression: the workgroup
@@ -78,7 +76,8 @@ pub fn evaluate(cfg: &Configuration) -> Option<f64> {
 
     // Grid-level balance: workgroups vs SMs (quantization).
     let wgs = (M / m_wg) * (N / n_wg) * k_split;
-    let waves = (wgs as f64 / d.sm_count as f64).ceil() / (wgs as f64 / d.sm_count as f64).max(1e-9);
+    let waves =
+        (wgs as f64 / d.sm_count as f64).ceil() / (wgs as f64 / d.sm_count as f64).max(1e-9);
     let t = t_compute.max(t_mem) * waves + d.launch_overhead * k_split as f64;
     Some(t * 1e3 * config_jitter(cfg, 0.06) * run_noise(0.015))
 }

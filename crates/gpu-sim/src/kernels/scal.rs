@@ -11,9 +11,7 @@ pub const N: usize = 1 << 23;
 
 /// The Scal_GPU search space (7 ordinal parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
         .ordinal_log("wg", po2(5, 10))
         .ordinal_log("num_wgs", po2(4, 12))

@@ -10,9 +10,7 @@ pub const SIZE: usize = 4096;
 
 /// The Stencil_GPU search space (4 parameters).
 pub fn space() -> SearchSpace {
-    let po2 = |lo: u32, hi: u32| -> Vec<f64> {
-        (lo..=hi).map(|e| (1u64 << e) as f64).collect()
-    };
+    let po2 = |lo: u32, hi: u32| -> Vec<f64> { (lo..=hi).map(|e| (1u64 << e) as f64).collect() };
     SearchSpace::builder()
         .ordinal_log("wg_x", po2(3, 8))
         .ordinal_log("wg_y", po2(0, 5))

@@ -44,8 +44,18 @@ const MTTKRP_RANK: usize = 16;
 pub fn spmv_space() -> SearchSpace {
     SearchSpace::builder()
         .permutation("order", 3)
-        .ordinal_log("block", vec![16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0])
-        .ordinal_log("chunk", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0])
+        .ordinal_log(
+            "block",
+            vec![
+                16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
+            ],
+        )
+        .ordinal_log(
+            "chunk",
+            vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
+            ],
+        )
         .ordinal_log("threads", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         .categorical("scheme", vec!["static", "dynamic"])
         .ordinal_log("unroll", vec![1.0, 2.0, 4.0, 8.0])
@@ -63,7 +73,12 @@ pub fn spmm_space() -> SearchSpace {
     SearchSpace::builder()
         .permutation("order", 3)
         .ordinal_log("j_tile", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-        .ordinal_log("chunk", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0])
+        .ordinal_log(
+            "chunk",
+            vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
+            ],
+        )
         .ordinal_log("threads", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         .categorical("scheme", vec!["static", "dynamic"])
         .ordinal_log("unroll", vec![1.0, 2.0, 4.0, 8.0])
@@ -79,7 +94,12 @@ pub fn sddmm_space() -> SearchSpace {
     SearchSpace::builder()
         .permutation("order", 3)
         .ordinal_log("k_tile", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-        .ordinal_log("chunk", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0])
+        .ordinal_log(
+            "chunk",
+            vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
+            ],
+        )
         .ordinal_log("threads", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         .categorical("scheme", vec!["static", "dynamic"])
         .ordinal_log("unroll", vec![1.0, 2.0, 4.0, 8.0])
@@ -95,11 +115,19 @@ pub fn ttv_space() -> SearchSpace {
     SearchSpace::builder()
         .permutation("order", 3)
         .categorical("workspace", vec!["direct", "dense"])
-        .ordinal_log("chunk", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0])
+        .ordinal_log(
+            "chunk",
+            vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+            ],
+        )
         .ordinal_log("threads", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         .categorical("scheme", vec!["static", "dynamic"])
         .ordinal_log("unroll", vec![1.0, 2.0, 4.0, 8.0])
-        .ordinal_log("block", vec![16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0])
+        .ordinal_log(
+            "block",
+            vec![16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0],
+        )
         .known_constraint("pos(order, 0) < pos(order, 1)")
         .known_constraint("block >= chunk")
         .build()
@@ -111,7 +139,12 @@ pub fn mttkrp_space() -> SearchSpace {
     SearchSpace::builder()
         .permutation("order", 3)
         .ordinal_log("j_tile", vec![1.0, 2.0, 4.0, 8.0, 16.0])
-        .ordinal_log("chunk", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0])
+        .ordinal_log(
+            "chunk",
+            vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+            ],
+        )
         .ordinal_log("threads", vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         .categorical("scheme", vec!["static", "dynamic"])
         .ordinal_log("unroll", vec![1.0, 2.0, 4.0])
@@ -222,7 +255,9 @@ fn perm(v: &[u8]) -> ParamValue {
 }
 
 fn cfg(space: &SearchSpace, pairs: &[(&str, ParamValue)]) -> Configuration {
-    space.configuration(pairs).expect("valid reference configuration")
+    space
+        .configuration(pairs)
+        .expect("valid reference configuration")
 }
 
 fn spmv_default(space: &SearchSpace) -> Configuration {
@@ -520,7 +555,9 @@ pub fn sddmm_benchmark(tensor: &str, scale: TacoScale) -> Benchmark {
 /// Builds one TTV instance.
 pub fn ttv_benchmark(tensor: &str, scale: TacoScale) -> Benchmark {
     let b = Arc::new(tensor3(&spec(tensor), scale.factor()));
-    let c: Vec<f64> = (0..b.dims[2]).map(|k| 0.2 + (k % 7) as f64 * 0.05).collect();
+    let c: Vec<f64> = (0..b.dims[2])
+        .map(|k| 0.2 + (k % 7) as f64 * 0.05)
+        .collect();
     let space = ttv_space();
     Benchmark {
         name: format!("TTV {tensor}"),
@@ -599,7 +636,11 @@ mod tests {
         for b in &benches {
             assert_eq!(b.group, Group::Taco);
             assert!(b.space.len() >= 6 && b.space.len() <= 7, "{}", b.name);
-            assert!(b.param_kinds().contains('P'), "{} lacks permutation", b.name);
+            assert!(
+                b.param_kinds().contains('P'),
+                "{} lacks permutation",
+                b.name
+            );
             assert!(!b.space.known_constraints().is_empty(), "{}", b.name);
         }
         // TTV carries the hidden constraint.
@@ -611,16 +652,26 @@ mod tests {
         for b in taco_benchmarks(TacoScale::Test) {
             let dv = b.default_value().unwrap();
             let ev = b.expert_value().unwrap();
-            assert!(dv > 0.0 && ev > 0.0, "{}: default {dv}, expert {ev}", b.name);
+            assert!(
+                dv > 0.0 && ev > 0.0,
+                "{}: default {dv}, expert {ev}",
+                b.name
+            );
         }
     }
 
     #[test]
     fn reference_configs_satisfy_known_constraints() {
         for b in taco_benchmarks(TacoScale::Test) {
-            assert!(b.space.satisfies_known(&b.default_config).unwrap(), "{}", b.name);
             assert!(
-                b.space.satisfies_known(b.expert_config.as_ref().unwrap()).unwrap(),
+                b.space.satisfies_known(&b.default_config).unwrap(),
+                "{}",
+                b.name
+            );
+            assert!(
+                b.space
+                    .satisfies_known(b.expert_config.as_ref().unwrap())
+                    .unwrap(),
                 "{}",
                 b.name
             );

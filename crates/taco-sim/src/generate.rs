@@ -54,19 +54,96 @@ pub fn paper_tensors() -> Vec<TensorSpec> {
         dataset,
     };
     vec![
-        t("ACTIVSg10K", [20_000, 20_000, 0, 0], 2, 135_888, PowerLaw, "SS"),
-        t("email-Enron", [36_692, 36_692, 0, 0], 2, 367_662, PowerLaw, "SS"),
-        t("Goodwin_040", [17_922, 17_922, 0, 0], 2, 561_677, Banded, "SS"),
-        t("scircuit", [170_998, 170_998, 0, 0], 2, 958_936, PowerLaw, "SS"),
-        t("filter3D", [106_437, 106_437, 0, 0], 2, 2_707_179, Banded, "SS"),
-        t("laminar_duct3D", [67_173, 67_173, 0, 0], 2, 3_788_857, Banded, "SS"),
-        t("cage12", [130_228, 130_228, 0, 0], 2, 2_032_536, Banded, "SS"),
+        t(
+            "ACTIVSg10K",
+            [20_000, 20_000, 0, 0],
+            2,
+            135_888,
+            PowerLaw,
+            "SS",
+        ),
+        t(
+            "email-Enron",
+            [36_692, 36_692, 0, 0],
+            2,
+            367_662,
+            PowerLaw,
+            "SS",
+        ),
+        t(
+            "Goodwin_040",
+            [17_922, 17_922, 0, 0],
+            2,
+            561_677,
+            Banded,
+            "SS",
+        ),
+        t(
+            "scircuit",
+            [170_998, 170_998, 0, 0],
+            2,
+            958_936,
+            PowerLaw,
+            "SS",
+        ),
+        t(
+            "filter3D",
+            [106_437, 106_437, 0, 0],
+            2,
+            2_707_179,
+            Banded,
+            "SS",
+        ),
+        t(
+            "laminar_duct3D",
+            [67_173, 67_173, 0, 0],
+            2,
+            3_788_857,
+            Banded,
+            "SS",
+        ),
+        t(
+            "cage12",
+            [130_228, 130_228, 0, 0],
+            2,
+            2_032_536,
+            Banded,
+            "SS",
+        ),
         t("smt", [25_710, 25_710, 0, 0], 2, 3_749_582, Block, "SS"),
-        t("random2", [10_000, 10_000, 0, 0], 2, 5_000_000, Uniform, "Rand"),
-        t("random1", [1000, 500, 100, 0], 3, 5_000_000, Uniform, "Rand"),
-        t("facebook", [1504, 42_390, 39_986, 0], 3, 737_934, PowerLaw, "FB"),
+        t(
+            "random2",
+            [10_000, 10_000, 0, 0],
+            2,
+            5_000_000,
+            Uniform,
+            "Rand",
+        ),
+        t(
+            "random1",
+            [1000, 500, 100, 0],
+            3,
+            5_000_000,
+            Uniform,
+            "Rand",
+        ),
+        t(
+            "facebook",
+            [1504, 42_390, 39_986, 0],
+            3,
+            737_934,
+            PowerLaw,
+            "FB",
+        ),
         t("uber", [183, 24, 1140, 1717], 4, 3_309_490, Uniform, "FT"),
-        t("nips", [2482, 2482, 14_036, 17], 4, 3_101_609, PowerLaw, "FT"),
+        t(
+            "nips",
+            [2482, 2482, 14_036, 17],
+            4,
+            3_101_609,
+            PowerLaw,
+            "FT",
+        ),
         t("chicago", [6186, 24, 77, 32], 4, 5_330_673, Uniform, "FT"),
         t("uber3", [183, 1140, 1717, 0], 3, 1_117_629, Uniform, "FT*"),
     ]
@@ -153,7 +230,9 @@ pub fn matrix(spec: &TensorSpec, scale: f64) -> CsrMatrix {
             for i in (1..perm.len()).rev() {
                 perm.swap(i, rng.gen_range(0..=i));
             }
-            let weights: Vec<f64> = (0..nrows).map(|i| 1.0 / (i as f64 + 1.0).powf(0.9)).collect();
+            let weights: Vec<f64> = (0..nrows)
+                .map(|i| 1.0 / (i as f64 + 1.0).powf(0.9))
+                .collect();
             let total: f64 = weights.iter().sum();
             let mut cum = 0.0;
             let mut acc: Vec<f64> = Vec::with_capacity(nrows);
@@ -271,15 +350,20 @@ mod tests {
         assert_eq!(a, b);
         let target = (s.nnz as f64 * 0.02) as usize;
         // Duplicate collapsing loses a little; stay within 25 %.
-        assert!(a.nnz() > target * 3 / 4, "nnz {} vs target {target}", a.nnz());
+        assert!(
+            a.nnz() > target * 3 / 4,
+            "nnz {} vs target {target}",
+            a.nnz()
+        );
         assert!(a.nrows > 0 && a.ncols > 0);
     }
 
     #[test]
     fn power_law_rows_are_skewed() {
         let a = matrix(&spec("scircuit"), 0.02);
-        let mut degrees: Vec<usize> =
-            (0..a.nrows).map(|i| a.row_ptr[i + 1] - a.row_ptr[i]).collect();
+        let mut degrees: Vec<usize> = (0..a.nrows)
+            .map(|i| a.row_ptr[i + 1] - a.row_ptr[i])
+            .collect();
         degrees.sort_unstable_by(|x, y| y.cmp(x));
         let top = degrees.iter().take(a.nrows / 100 + 1).sum::<usize>();
         // Top 1 % of rows should hold well above 1 % of nonzeros.

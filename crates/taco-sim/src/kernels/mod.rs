@@ -47,5 +47,8 @@ pub(crate) fn order3(cfg: &baco::Configuration, name: &str) -> [u8; 3] {
 
 /// Position of `elem` in a length-3 order.
 pub(crate) fn pos(order: [u8; 3], elem: u8) -> usize {
-    order.iter().position(|&e| e == elem).expect("valid permutation")
+    order
+        .iter()
+        .position(|&e| e == elem)
+        .expect("valid permutation")
 }

@@ -61,7 +61,10 @@ pub fn mttkrp(
     assert_eq!(c.nrows, b.dims[1], "mttkrp: C rows");
     assert_eq!(d.nrows, b.dims[2], "mttkrp: D rows");
     assert_eq!(e.nrows, b.dims[3], "mttkrp: E rows");
-    assert!(c.ncols == d.ncols && d.ncols == e.ncols, "mttkrp: rank mismatch");
+    assert!(
+        c.ncols == d.ncols && d.ncols == e.ncols,
+        "mttkrp: rank mismatch"
+    );
     let rank = c.ncols;
     let mut a = DenseMatrix::zeros(b.dims[0], rank);
 
@@ -72,8 +75,10 @@ pub fn mttkrp(
     };
 
     let slices = b.slices_i();
-    let slice_work: Vec<f64> =
-        slices.iter().map(|(_, r)| r.len() as f64 * rank as f64 + 1.0).collect();
+    let slice_work: Vec<f64> = slices
+        .iter()
+        .map(|(_, r)| r.len() as f64 * rank as f64 + 1.0)
+        .collect();
     let chunks = chunk_work(&slice_work, sched.chunk);
     let time = parallel_time(
         serial,
@@ -144,20 +149,13 @@ fn cached_form(
 }
 
 /// Reference implementation for correctness tests.
-pub fn reference(
-    b: &CooTensor4,
-    c: &DenseMatrix,
-    d: &DenseMatrix,
-    e: &DenseMatrix,
-) -> DenseMatrix {
+pub fn reference(b: &CooTensor4, c: &DenseMatrix, d: &DenseMatrix, e: &DenseMatrix) -> DenseMatrix {
     let rank = c.ncols;
     let mut a = DenseMatrix::zeros(b.dims[0], rank);
     for (p, [i, k, l, m]) in b.coords.iter().copied().enumerate() {
         for j in 0..rank {
-            a.data[i as usize * rank + j] += b.vals[p]
-                * c.get(k as usize, j)
-                * d.get(l as usize, j)
-                * e.get(m as usize, j);
+            a.data[i as usize * rank + j] +=
+                b.vals[p] * c.get(k as usize, j) * d.get(l as usize, j) * e.get(m as usize, j);
         }
     }
     a

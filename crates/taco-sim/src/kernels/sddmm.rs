@@ -198,7 +198,9 @@ pub fn reference(b: &CsrMatrix, c: &DenseMatrix, d: &DenseMatrix) -> Vec<f64> {
         let (cols, vals) = b.row(i);
         let base = b.row_ptr[i];
         for (p, (&j, &bv)) in cols.iter().zip(vals).enumerate() {
-            let dot: f64 = (0..c.ncols).map(|k| c.get(i, k) * d.get(j as usize, k)).sum();
+            let dot: f64 = (0..c.ncols)
+                .map(|k| c.get(i, k) * d.get(j as usize, k))
+                .sum();
             out[base + p] = bv * dot;
         }
     }

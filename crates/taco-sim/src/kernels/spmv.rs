@@ -196,7 +196,11 @@ pub fn reference(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; a.nrows];
     for i in 0..a.nrows {
         let (cols, vals) = a.row(i);
-        y[i] = cols.iter().zip(vals).map(|(&c, &v)| v * x[c as usize]).sum();
+        y[i] = cols
+            .iter()
+            .zip(vals)
+            .map(|(&c, &v)| v * x[c as usize])
+            .sum();
     }
     y
 }

@@ -109,8 +109,22 @@ mod tests {
     #[test]
     fn balanced_work_scales_nearly_linearly() {
         let chunks = vec![1.0; 64];
-        let t1 = parallel_time(1.0, &chunks, Policy { threads: 1, scheme: Scheme::Static });
-        let t4 = parallel_time(1.0, &chunks, Policy { threads: 4, scheme: Scheme::Static });
+        let t1 = parallel_time(
+            1.0,
+            &chunks,
+            Policy {
+                threads: 1,
+                scheme: Scheme::Static,
+            },
+        );
+        let t4 = parallel_time(
+            1.0,
+            &chunks,
+            Policy {
+                threads: 4,
+                scheme: Scheme::Static,
+            },
+        );
         assert!(t4 < t1 / 3.0, "t1 {t1} t4 {t4}");
     }
 
@@ -119,7 +133,14 @@ mod tests {
         // One giant chunk dominates: static or dynamic, makespan ≈ big chunk.
         let mut chunks = vec![0.01; 63];
         chunks.push(10.0);
-        let t4 = parallel_time(1.0, &chunks, Policy { threads: 4, scheme: Scheme::Static });
+        let t4 = parallel_time(
+            1.0,
+            &chunks,
+            Policy {
+                threads: 4,
+                scheme: Scheme::Static,
+            },
+        );
         // The big chunk is ~94 % of the work → hardly any speedup.
         assert!(t4 > 0.9, "t4 {t4}");
     }
@@ -132,8 +153,22 @@ mod tests {
         for i in 0..32 {
             chunks.push(if i % 4 == 0 { 1.0 } else { 0.01 });
         }
-        let st = parallel_time(1.0, &chunks, Policy { threads: 4, scheme: Scheme::Static });
-        let dy = parallel_time(1.0, &chunks, Policy { threads: 4, scheme: Scheme::Dynamic });
+        let st = parallel_time(
+            1.0,
+            &chunks,
+            Policy {
+                threads: 4,
+                scheme: Scheme::Static,
+            },
+        );
+        let dy = parallel_time(
+            1.0,
+            &chunks,
+            Policy {
+                threads: 4,
+                scheme: Scheme::Dynamic,
+            },
+        );
         assert!(dy < st, "dynamic {dy} vs static {st}");
     }
 
@@ -141,14 +176,35 @@ mod tests {
     fn tiny_chunks_pay_overhead() {
         let many = vec![0.001; 10_000];
         let few = vec![1.0; 10];
-        let t_many = parallel_time(0.001, &many, Policy { threads: 2, scheme: Scheme::Dynamic });
-        let t_few = parallel_time(0.001, &few, Policy { threads: 2, scheme: Scheme::Dynamic });
+        let t_many = parallel_time(
+            0.001,
+            &many,
+            Policy {
+                threads: 2,
+                scheme: Scheme::Dynamic,
+            },
+        );
+        let t_few = parallel_time(
+            0.001,
+            &few,
+            Policy {
+                threads: 2,
+                scheme: Scheme::Dynamic,
+            },
+        );
         assert!(t_many > t_few * 2.0, "many {t_many} few {t_few}");
     }
 
     #[test]
     fn empty_work_is_overhead_only() {
-        let t = parallel_time(0.5, &[], Policy { threads: 2, scheme: Scheme::Static });
+        let t = parallel_time(
+            0.5,
+            &[],
+            Policy {
+                threads: 2,
+                scheme: Scheme::Static,
+            },
+        );
         assert!(t >= 0.5);
     }
 }

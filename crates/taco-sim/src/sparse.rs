@@ -72,13 +72,12 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if an index is out of bounds.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        mut triplets: Vec<(u32, u32, f64)>,
-    ) -> Self {
+    pub fn from_triplets(nrows: usize, ncols: usize, mut triplets: Vec<(u32, u32, f64)>) -> Self {
         for &(r, c, _) in &triplets {
-            assert!((r as usize) < nrows && (c as usize) < ncols, "triplet out of bounds");
+            assert!(
+                (r as usize) < nrows && (c as usize) < ncols,
+                "triplet out of bounds"
+            );
         }
         triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
         // Sum duplicates.
@@ -319,10 +318,8 @@ mod tests {
 
     #[test]
     fn coo4_roundtrip() {
-        let t = CooTensor4::from_coords(
-            [2, 2, 2, 2],
-            vec![([1, 1, 1, 1], 1.0), ([0, 0, 0, 0], 2.0)],
-        );
+        let t =
+            CooTensor4::from_coords([2, 2, 2, 2], vec![([1, 1, 1, 1], 1.0), ([0, 0, 0, 0], 2.0)]);
         assert_eq!(t.nnz(), 2);
         assert_eq!(t.coords[0], [0, 0, 0, 0]);
         assert_eq!(t.slices_i().len(), 2);

@@ -39,7 +39,11 @@ impl BlackBox for MockJit {
         let t = 1.0
             + (vec_width.log2() - 2.0).powi(2) * 0.25
             + (inline_depth - 3.0).abs() * 0.2
-            + if regalloc.as_str() == "linear-scan" { 0.3 } else { 0.0 }
+            + if regalloc.as_str() == "linear-scan" {
+                0.3
+            } else {
+                0.0
+            }
             + phase_penalty;
         Evaluation::feasible(t)
     }

@@ -26,7 +26,11 @@ fn main() -> Result<(), baco::Error> {
             default / best,
             report.trials().iter().filter(|t| !t.feasible).count()
         );
-        assert!(best <= default, "{}: tuning must not lose to the default", bench.name);
+        assert!(
+            best <= default,
+            "{}: tuning must not lose to the default",
+            bench.name
+        );
     }
     Ok(())
 }

@@ -35,7 +35,11 @@ fn main() -> Result<(), baco::Error> {
         report.len() - feasible
     );
     let best = report.best().expect("found a buildable kernel");
-    println!("best kernel time: {:.3} ms ({:.2}x vs expert)", best.value.unwrap(), expert / best.value.unwrap());
+    println!(
+        "best kernel time: {:.3} ms ({:.2}x vs expert)",
+        best.value.unwrap(),
+        expert / best.value.unwrap()
+    );
     println!("best schedule: {}", best.config);
 
     // The feasibility model should keep most post-DoE proposals buildable.

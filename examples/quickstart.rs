@@ -59,6 +59,9 @@ fn main() -> Result<(), baco::Error> {
             .map(|v| v.map(|x| (x * 100.0).round() / 100.0))
             .collect::<Vec<_>>()
     );
-    assert!(best.value.unwrap() < 1.6, "BaCO should get close to the optimum (1.0)");
+    assert!(
+        best.value.unwrap() < 1.6,
+        "BaCO should get close to the optimum (1.0)"
+    );
     Ok(())
 }

@@ -34,10 +34,19 @@ fn main() -> Result<(), baco::Error> {
 
     // Uniform random with the same budget.
     let mut uni = UniformSampler::new(&bench.space, bench.budget, 1)?;
-    let uni_best = uni.run(&bench.blackbox)?.best_value().expect("feasible best");
+    let uni_best = uni
+        .run(&bench.blackbox)?
+        .best_value()
+        .expect("feasible best");
 
-    println!("BaCO best:        {baco_best:.3} ms  ({:.2}x vs expert)", expert / baco_best);
-    println!("Uniform best:     {uni_best:.3} ms  ({:.2}x vs expert)", expert / uni_best);
+    println!(
+        "BaCO best:        {baco_best:.3} ms  ({:.2}x vs expert)",
+        expert / baco_best
+    );
+    println!(
+        "Uniform best:     {uni_best:.3} ms  ({:.2}x vs expert)",
+        expert / uni_best
+    );
     println!("best schedule: {}", report.best().unwrap().config);
 
     assert!(baco_best < default, "tuning must beat the default");

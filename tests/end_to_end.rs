@@ -24,7 +24,11 @@ fn baco_beats_uniform_on_mm_gpu() {
             .unwrap();
         baco_total += r.best_value().expect("feasible best");
         let mut u = UniformSampler::new(&bench.space, budget, seed).unwrap();
-        uni_total += u.run(&bench.blackbox).unwrap().best_value().expect("feasible best");
+        uni_total += u
+            .run(&bench.blackbox)
+            .unwrap()
+            .best_value()
+            .expect("feasible best");
     }
     assert!(
         baco_total < uni_total,
@@ -49,7 +53,11 @@ fn baco_tunes_real_spmm_execution() {
     assert!(best < default, "tuned {best} vs default {default}");
     // Every proposed configuration satisfied the known constraints.
     for t in r.trials() {
-        assert!(bench.space.satisfies_known(&t.config).unwrap(), "{}", t.config);
+        assert!(
+            bench.space.satisfies_known(&t.config).unwrap(),
+            "{}",
+            t.config
+        );
     }
 }
 
@@ -105,7 +113,11 @@ fn benchmark_inventory_is_consistent() {
         assert!(names.insert(b.name.clone()), "duplicate {}", b.name);
         assert!(b.budget >= 20);
         assert!(b.space.len() >= 4);
-        assert!(b.space.satisfies_known(&b.default_config).unwrap(), "{}", b.name);
+        assert!(
+            b.space.satisfies_known(&b.default_config).unwrap(),
+            "{}",
+            b.name
+        );
         if let Some(e) = &b.expert_config {
             assert!(b.space.satisfies_known(e).unwrap(), "{}", b.name);
         }

@@ -81,7 +81,8 @@ fn signature(r: &TuningReport) -> Vec<(String, Option<Vec<u64>>, bool)> {
         .map(|t| {
             (
                 t.config.to_string(),
-                t.objectives().map(|o| o.iter().map(|v| v.to_bits()).collect()),
+                t.objectives()
+                    .map(|o| o.iter().map(|v| v.to_bits()).collect()),
                 t.feasible,
             )
         })
@@ -129,7 +130,11 @@ impl Golden {
         let tuner = self.builder().build().unwrap();
         // The fixture must have been generated under exactly the options the
         // test reconstructs — `validate` cross-checks the envelope.
-        let mode = if self.batch > 1 { Mode::Batched } else { Mode::Run };
+        let mode = if self.batch > 1 {
+            Mode::Batched
+        } else {
+            Mode::Run
+        };
         journal
             .header
             .validate(mode, tuner.options(), &self.bench.space)
@@ -166,7 +171,12 @@ impl Golden {
     /// reproduce the fixture bitwise.
     fn assert_replay(&self) {
         let (journal, tuner, replay) = self.load();
-        assert_eq!(journal.trials.len(), self.budget, "{}: fixture incomplete", self.fixture);
+        assert_eq!(
+            journal.trials.len(),
+            self.budget,
+            "{}: fixture incomplete",
+            self.fixture
+        );
         let report = if self.batch > 1 {
             tuner.run_batched(&replay).unwrap()
         } else {
@@ -227,15 +237,19 @@ impl Golden {
             .file_stem()
             .expect("fixture has a file name")
             .to_string_lossy();
-        let dir =
-            std::env::temp_dir().join(format!("baco-golden-{}-{stem}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("baco-golden-{}-{stem}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let crash = dir.join("crash.jsonl");
         // Every 3rd boundary keeps runtime modest while still covering
         // mid-DoE, mid-round and late interruption points.
         for &cut in boundaries.iter().step_by(3) {
             std::fs::write(&crash, &bytes[..cut]).unwrap();
-            let tuner = self.builder().journal_path(&crash).resume(true).build().unwrap();
+            let tuner = self
+                .builder()
+                .journal_path(&crash)
+                .resume(true)
+                .build()
+                .unwrap();
             let report = if self.batch > 1 {
                 tuner.run_batched(&replay).unwrap()
             } else {
@@ -423,13 +437,24 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
     let journal = Journal::load(&fixture, &bench.space).unwrap();
     journal
         .header
-        .validate(Mode::Session, session_tuner(&fixture, false).options(), &bench.space)
+        .validate(
+            Mode::Session,
+            session_tuner(&fixture, false).options(),
+            &bench.space,
+        )
         .unwrap_or_else(|e| panic!("{SESSION_FIXTURE}: fixture/test option drift: {e}"));
     // The shape the fixture was chosen for.
     assert_eq!(journal.trials.len(), 20, "fixture incomplete");
     let second = &journal.proposes[1];
-    assert_eq!((second.doe_k, second.configs.len()), (2, 4), "round 2 mixes DoE and model picks");
-    assert!(journal.trials.iter().any(|t| !t.feasible), "no infeasible report");
+    assert_eq!(
+        (second.doe_k, second.configs.len()),
+        (2, 4),
+        "round 2 mixes DoE and model picks"
+    );
+    assert!(
+        journal.trials.iter().any(|t| !t.feasible),
+        "no infeasible report"
+    );
     let replay = ReplayBox {
         name: SESSION_FIXTURE,
         recorded: journal
@@ -453,11 +478,20 @@ fn gpu_mm_session_golden_journal_replays_and_resumes_bitwise() {
 
     let crash = dir.join("crash.jsonl");
     let mut cuts = 0;
-    for cut in bytes.iter().enumerate().filter_map(|(i, &b)| (b == b'\n').then_some(i + 1)) {
+    for cut in bytes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &b)| (b == b'\n').then_some(i + 1))
+    {
         let prefix = Journal::from_bytes(&bytes[..cut], &bench.space).unwrap();
         let reported: std::collections::HashSet<&Configuration> =
             prefix.trials.iter().map(|t| &t.config).collect();
-        if !prefix.proposes.iter().flat_map(|p| &p.configs).all(|c| reported.contains(c)) {
+        if !prefix
+            .proposes
+            .iter()
+            .flat_map(|p| &p.configs)
+            .all(|c| reported.contains(c))
+        {
             continue; // a round is still out
         }
         std::fs::write(&crash, &bytes[..cut]).unwrap();
