@@ -6,7 +6,7 @@
 //! its distance work — at thousands of trials per session every round still
 //! pays the fit. Under a budget the cache covers at most `b` points, so it
 //! holds level codes for `b` points and, per dimension, a table over at
-//! most `min(b, |dom_k|)` levels.
+//! most `min(b, |dom_k|)` levels (`b × b` for a real dimension).
 //! With [`BacoOptions::surrogate_budget`] set to `b`, once the feasible
 //! history exceeds `b` points the tuner fits on an [`ActiveSet`] of exactly
 //! `b` points instead, chosen deterministically off the journaled RNG
@@ -540,7 +540,8 @@ mod tests {
         // Center is (16, 15); radius 0.8 covers |Δ| ≤ 24 steps of 30.
         assert!(tr.contains(&s, &cfg(&s, 16, 15), true));
         assert!(tr.contains(&s, &cfg(&s, 0, 15), true)); // 16 steps away
-                                                         // After a shrink the box tightens to |Δ| ≤ 12 steps.
+
+        // After a shrink the box tightens to |Δ| ≤ 12 steps.
         let mut scalars: Vec<Option<f64>> = vec![Some(1.0)];
         scalars.extend(std::iter::repeat_n(None, FAIL_TOL));
         let cfgs: Vec<Configuration> = (0..scalars.len()).map(|_| cfg(&s, 15, 15)).collect();

@@ -16,10 +16,13 @@
 //! take only a handful of distinct feature values. Each distinct value is a
 //! *level*; every point stores one `u32` level code per dimension, and each
 //! dimension keeps an `L × L` table of squared distances between its levels
-//! (the per-dimension distance of the kernel). A repeated value only appends its code; a
-//! real dimension gets one level per distinct value, so one representation
-//! covers every parameter kind. A cache over `n` points holds
-//! `O(n·d + Σ_k L_k²)` numbers instead of `d` full `n × n` tables. The
+//! (the per-dimension distance of the kernel). A repeated value only
+//! appends its code; a real dimension gets one level per distinct value, so
+//! one representation covers every parameter kind. A cache over `n` points
+//! holds `O(n·d + Σ_k L_k²)` numbers instead of `d` full `n × n` tables.
+//! That is small only where values repeat: along a real or wide integer
+//! dimension whose points all differ `L_k = n`, and its table is as large
+//! as the `n × n` table it replaces. The
 //! tables cover exactly the points of the last fit; a budgeted tuner never
 //! fits more than its `surrogate_budget` `b`, which bounds them to codes for
 //! `b` points and `min(b, |dom_k|)` levels per dimension.
@@ -93,6 +96,12 @@ impl LevelTable {
     /// Each cached point's level, in history order.
     pub(crate) fn codes(&self) -> &[u32] {
         &self.codes
+    }
+
+    /// Whether every cached point holds its own level. Levels are numbered
+    /// in order of first appearance, so the codes are then `0..n`.
+    pub(crate) fn all_distinct(&self) -> bool {
+        self.levels() == self.codes.len()
     }
 
     /// Squared distances from level `a` to every level.

@@ -36,13 +36,21 @@
 //!   new observations. The hyperparameters are refitted by the full
 //!   multistart every time, so a cached fit is bit-identical to a fresh one.
 //! * **Per-level quotient rows** — each NLL evaluation divides the level
-//!   tables by `ℓ_k²` once, into rows
-//!   `rows_k[a][j] = dist2_k[a][code_k[j]] / ℓ_k²` (`Σ_k L_k·n` divisions).
-//!   The kernel build adds point `i`'s row `rows_k[code_k[i]]` over the
-//!   later points, and the gradient takes the whole row as its lengthscale
-//!   terms, so it divides nothing. The level tables are symmetric to the
-//!   bit and each pair sums its quotients in ascending `k` from `0.0`, so
-//!   every number equals a per-pair `Σ_k d²_k/ℓ_k²`.
+//!   tables by `ℓ_k²` into rows `rows_k[a][j] = dist2_k[a][code_k[j]] / ℓ_k²`,
+//!   one per level that two or more points share. The kernel build adds
+//!   point `i`'s row `rows_k[code_k[i]]` over the later points, and the
+//!   gradient takes the whole row as its lengthscale terms, so a shared
+//!   level is divided once for all its points. A level that one point holds
+//!   keeps no row; its quotients are divided where they are used, as often
+//!   as per-pair tables were. So neither step divides more than per-pair
+//!   tables would, and the rows hold `n` numbers per shared level. The
+//!   limit: along a real or wide integer dimension whose points all differ,
+//!   every level is a single point's, so that dimension still costs `n²`
+//!   divisions per gradient and an `n × n` level table in the cache, and
+//!   its quotients are gathered through the codes rather than read in a
+//!   row. The level tables are symmetric to the bit and each pair sums its
+//!   quotients in ascending `k` from `0.0`, so every number equals a
+//!   per-pair `Σ_k d²_k/ℓ_k²`.
 //! * **Fantasy conditioning** — [`GaussianProcess::condition_on`] folds a
 //!   hallucinated observation into a fitted model in `O(n²)` (frozen
 //!   hyperparameters, extended factorization), the primitive behind the
@@ -673,45 +681,169 @@ fn kernel_matrix(levels: &[LevelTable], ls: &[f64], sigma: f64, noise: f64) -> M
     kernel_terms(&ScaledRows::new(levels, ls), sigma, noise, false).0
 }
 
-/// One NLL evaluation's lengthscale-scaled squared distances, level-coded:
-/// for each dimension `k` an `L_k × n` block whose row `a` holds
-/// `dist2_k[a][code_k[j]] / ℓ_k²` for every training point `j`. Point `i`'s
-/// scaled distances along `k` are row `code_k[i]`, shared by the kernel
-/// build and the gradient.
+/// A level without a stored quotient row: one point holds it.
+const NO_ROW: u32 = u32::MAX;
+
+/// One NLL evaluation's lengthscale-scaled squared distances, level-coded.
+///
+/// A level that two or more points hold gets a stored quotient row
+/// `dist2_k[a][code_k[j]] / ℓ_k²` over every training point `j`, shared by
+/// all its points in the kernel build and the gradient. A level that one
+/// point holds — as a rule every level of a real or wide integer dimension
+/// — stores nothing: its quotients are divided where they are used, once
+/// per pair in the kernel build and once per gradient row, as often as
+/// per-pair `n × n` tables were divided. The value step fills a stored row
+/// only past its level's first point and the gradient completes it, so
+/// neither step divides more often than per-pair tables would. The rows
+/// hold `Σ_k R_k·n` numbers for the `R_k ≤ min(L_k, n/2)` shared levels.
 struct ScaledRows<'a> {
     levels: &'a [LevelTable],
+    ls2: Vec<f64>,
     n: usize,
+    /// Per dimension, each level's row in `rows`, or [`NO_ROW`].
+    slots: Vec<Vec<u32>>,
+    /// Per dimension, the stored rows, `n` numbers each.
     rows: Vec<Vec<f64>>,
 }
 
 impl<'a> ScaledRows<'a> {
-    /// Divides every level table by `ℓ_k·ℓ_k`: a division, not a multiply
-    /// by the reciprocal, so each quotient equals the per-pair one bit for
-    /// bit.
+    /// Stores a row for every shared level, filled past the level's first
+    /// point. Every quotient is a division by `ℓ_k·ℓ_k`, not a multiply by
+    /// the reciprocal, so it equals the per-pair one bit for bit.
     fn new(levels: &'a [LevelTable], ls: &[f64]) -> Self {
         let n = levels.first().map_or(0, |t| t.codes().len());
-        let rows = levels
-            .iter()
-            .zip(ls)
-            .map(|(t, l)| {
-                let l2 = l * l;
-                let codes = t.codes();
-                let mut rows = Vec::with_capacity(t.levels() * n);
-                for a in 0..t.levels() {
-                    let dist2 = t.row(a);
-                    rows.extend(codes.iter().map(|&c| dist2[c as usize] / l2));
+        let ls2: Vec<f64> = ls.iter().map(|l| l * l).collect();
+        let mut slots = Vec::with_capacity(levels.len());
+        let mut rows = Vec::with_capacity(levels.len());
+        for (t, &l2) in levels.iter().zip(&ls2) {
+            let codes = t.codes();
+            let mut held = vec![0u32; t.levels()];
+            for &c in codes {
+                held[c as usize] += 1;
+            }
+            let shared = held.iter().filter(|&&h| h > 1).count();
+            let mut slot = vec![NO_ROW; t.levels()];
+            let mut block = Vec::with_capacity(shared * n);
+            for (i, &c) in codes.iter().enumerate() {
+                let a = c as usize;
+                if held[a] < 2 || slot[a] != NO_ROW {
+                    continue;
                 }
-                rows
-            })
-            .collect();
-        ScaledRows { levels, n, rows }
+                let start = block.len();
+                slot[a] = (start / n) as u32;
+                block.resize(start + n, 0.0);
+                let row = &mut block[start + i + 1..];
+                divide_level_row(row, t, a, i + 1, l2, |q, v| *q = v);
+            }
+            slots.push(slot);
+            rows.push(block);
+        }
+        ScaledRows {
+            levels,
+            ls2,
+            n,
+            slots,
+            rows,
+        }
+    }
+
+    /// Adds point `i`'s scaled squared distances along dimension `k` to the
+    /// later points `i + 1..n` onto `acc`.
+    fn add_later(&self, k: usize, i: usize, acc: &mut [f64]) {
+        let t = &self.levels[k];
+        let a = t.codes()[i] as usize;
+        match self.slots[k][a] {
+            NO_ROW => divide_level_row(acc, t, a, i + 1, self.ls2[k], |s, v| *s += v),
+            r => {
+                let row = &self.rows[k][r as usize * self.n..(r as usize + 1) * self.n];
+                for (s, &v) in acc.iter_mut().zip(&row[i + 1..]) {
+                    *s += v;
+                }
+            }
+        }
+    }
+
+    /// Fills every stored row up to and including its level's first point,
+    /// the part the value step leaves out.
+    fn complete(&mut self) {
+        let n = self.n;
+        for ((t, slot), (block, &l2)) in self
+            .levels
+            .iter()
+            .zip(&self.slots)
+            .zip(self.rows.iter_mut().zip(&self.ls2))
+        {
+            // Rows are numbered in order of their levels' first points, so
+            // row `next` is met first exactly when its level's first point is.
+            let mut next = 0;
+            let codes = t.codes();
+            for (i, &c) in codes.iter().enumerate() {
+                let a = c as usize;
+                if slot[a] != next {
+                    continue;
+                }
+                next += 1;
+                let r = slot[a] as usize;
+                let row = &mut block[r * n..r * n + i + 1];
+                divide_level_row(row, t, a, 0, l2, |q, v| *q = v);
+            }
+        }
     }
 
     /// Point `i`'s scaled squared distances to every point along dimension
-    /// `k` (zero at `i` itself).
-    fn row(&self, k: usize, i: usize) -> &[f64] {
-        let a = self.levels[k].codes()[i] as usize;
-        &self.rows[k][a * self.n..(a + 1) * self.n]
+    /// `k` (zero at `i` itself): its level's stored row, or divided into
+    /// `scratch` (length `n`) when the level has none. Needs
+    /// [`ScaledRows::complete`] first.
+    fn row<'s>(&'s self, k: usize, i: usize, scratch: &'s mut [f64]) -> &'s [f64] {
+        let t = &self.levels[k];
+        let a = t.codes()[i] as usize;
+        match self.slots[k][a] {
+            NO_ROW => {
+                divide_level_row(scratch, t, a, 0, self.ls2[k], |q, v| *q = v);
+                scratch
+            }
+            r => &self.rows[k][r as usize * self.n..(r as usize + 1) * self.n],
+        }
+    }
+}
+
+/// Calls `f(&mut out[j], dist2_k[a][code_k[lo + j]] / l2)` for every `j`
+/// of `out`, for the level table `t` of dimension `k`. When every point
+/// holds its own level the codes are `0..n` and level `a`'s row is read in
+/// place; otherwise the loads go four at a time, so the divisions vectorize
+/// despite the gather.
+#[inline(always)]
+fn divide_level_row(
+    out: &mut [f64],
+    t: &LevelTable,
+    a: usize,
+    lo: usize,
+    l2: f64,
+    f: impl Fn(&mut f64, f64),
+) {
+    let dist2 = t.row(a);
+    if t.all_distinct() {
+        for (o, &v) in out.iter_mut().zip(&dist2[lo..]) {
+            f(o, v / l2);
+        }
+        return;
+    }
+    let codes = &t.codes()[lo..lo + out.len()];
+    let mut out4 = out.chunks_exact_mut(4);
+    let mut codes4 = codes.chunks_exact(4);
+    for (o, c) in (&mut out4).zip(&mut codes4) {
+        let v = [
+            dist2[c[0] as usize],
+            dist2[c[1] as usize],
+            dist2[c[2] as usize],
+            dist2[c[3] as usize],
+        ];
+        for r in 0..4 {
+            f(&mut o[r], v[r] / l2);
+        }
+    }
+    for (o, &c) in out4.into_remainder().iter_mut().zip(codes4.remainder()) {
+        f(o, dist2[c as usize] / l2);
     }
 }
 
@@ -719,8 +851,8 @@ impl<'a> ScaledRows<'a> {
 /// of Matérn gradient factors `C_ij` (see [`matern52_terms`]; zero diagonal).
 ///
 /// Row `i`'s scaled distances to the later points accumulate one dimension
-/// at a time over a unit-stride slice of its quotient row, so every
-/// `Σ_k d²_k/ℓ_k²` is still summed in ascending `k` from `0.0`.
+/// at a time (see [`ScaledRows::add_later`]), so every `Σ_k d²_k/ℓ_k²` is
+/// still summed in ascending `k` from `0.0`.
 fn kernel_terms(
     scaled: &ScaledRows,
     sigma: f64,
@@ -728,7 +860,7 @@ fn kernel_terms(
     want_factor: bool,
 ) -> (Matrix, Option<Matrix>) {
     let n = scaled.n;
-    let d = scaled.rows.len();
+    let d = scaled.levels.len();
     let mut k = Matrix::zeros(n, n);
     let mut c = want_factor.then(|| Matrix::zeros(n, n));
     let mut dist2 = vec![0.0; n];
@@ -737,9 +869,7 @@ fn kernel_terms(
         let s = &mut dist2[i + 1..];
         s.fill(0.0);
         for kk in 0..d {
-            for (acc, &v) in s.iter_mut().zip(&scaled.row(kk, i)[i + 1..]) {
-                *acc += v;
-            }
+            scaled.add_later(kk, i, s);
         }
         for (j, &sij) in (i + 1..n).zip(s.iter()) {
             let (v, cij) = matern52_terms(sij.sqrt(), sigma);
@@ -854,7 +984,7 @@ impl NllState<'_> {
     /// `L⁻¹`), against `n³/6` for the value step's factorization.
     fn gradient(self) -> Vec<f64> {
         let NllState {
-            scaled,
+            mut scaled,
             prior,
             ls,
             sigma,
@@ -864,12 +994,14 @@ impl NllState<'_> {
             chol,
             alpha,
         } = self;
-        let d = scaled.rows.len();
+        scaled.complete();
+        let d = scaled.levels.len();
         let n = alpha.len();
         // ∂NLL/∂θ = ½ Σ_ij B_ij ∂K_ij/∂θ with B = K⁻¹ − α αᵀ, formed one row
         // at a time. Off the diagonal ∂k_ij/∂log σ = k_ij and ∂k_ij/∂log ℓ_k
         // = C_ij r²_k; k_ij and C_ij come from the kernel build and r²_k =
-        // d²_k/ℓ_k² is point i's quotient row, so nothing is recomputed.
+        // d²_k/ℓ_k² is point i's quotient row, divided here only for a level
+        // that no other point holds.
         // Each grad entry is one chain of `weight · term` additions over the
         // ordered pairs in row-major order.
         let kinv = chol.inverse();
@@ -877,6 +1009,7 @@ impl NllState<'_> {
         let mut half_b = vec![0.0; n];
         let mut weighted = vec![0.0; n];
         let zeros = vec![0.0; n];
+        let mut scratch = vec![0.0; GRAD_CHAINS * n];
         for i in 0..n {
             let ai = alpha[i];
             let rows = kinv.row(i).iter().zip(&alpha).zip(factors.row(i));
@@ -894,9 +1027,11 @@ impl NllState<'_> {
                 let live = |r: usize| k0 + r < d;
                 let mut acc: [f64; GRAD_CHAINS] =
                     std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
+                let mut scratch = scratch.chunks_exact_mut(n);
                 let terms = std::array::from_fn(|r| {
+                    let scratch = scratch.next().expect("one scratch row per chain");
                     if live(r) {
-                        scaled.row(k0 + r, i)
+                        scaled.row(k0 + r, i, scratch)
                     } else {
                         &zeros[..]
                     }
@@ -1294,6 +1429,26 @@ mod tests {
             "no failed-factorization case exercised"
         );
         assert!(finite > 50, "too few finite evaluations: {finite}");
+    }
+
+    #[test]
+    fn quotient_rows_are_stored_only_for_shared_levels() {
+        // A real dimension whose points all differ, one whose values are
+        // each held twice, and a categorical one with three values.
+        let n = 40;
+        let inputs: Vec<ModelInput> = (0..n)
+            .map(|i| ModelInput {
+                feats: vec![
+                    Feature::Num(i as f64 / n as f64),
+                    Feature::Num((i / 2) as f64),
+                    Feature::Cat((i % 3) as u32),
+                ],
+            })
+            .collect();
+        let cache = level_cache(&inputs);
+        let scaled = ScaledRows::new(cache.levels(), &[0.5, 1.5, 0.7]);
+        let stored: Vec<usize> = scaled.rows.iter().map(|r| r.len() / n).collect();
+        assert_eq!(stored, [0, n / 2, 3]);
     }
 
     #[test]
