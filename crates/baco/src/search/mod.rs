@@ -181,8 +181,6 @@ const REGION_ATTEMPTS: usize = 8;
 /// climb accepts exactly the neighbor the sequential scan would accept, so
 /// the picked configuration is identical to the historical one-at-a-time
 /// implementation whenever `score_batch` agrees with the scalar score.
-/// `score_batch` must be pure — a candidate's score depends on nothing but
-/// the candidate — so a start the pool drew more than once is climbed once.
 ///
 /// With a `region`, pool sampling retries a few times per slot for a
 /// configuration inside the region (falling back to a global draw, so
@@ -214,15 +212,9 @@ where
 
     let mut best: Option<(f64, Configuration)> = None;
     let mut nbs: Vec<Configuration> = Vec::new();
-    for (t, (s0, start)) in scored.iter().enumerate() {
-        // The pool may draw one configuration more than once. `score_batch`
-        // is pure, so a repeated start repeats an earlier climb exactly, and
-        // its result cannot beat that climb's under the strict `>` below.
-        if scored[..t].iter().any(|(_, c)| c == start) {
-            continue;
-        }
-        let mut cur = start.clone();
-        let mut cur_score = *s0;
+    for (s0, start) in scored {
+        let mut cur = start;
+        let mut cur_score = s0;
         for _ in 0..opts.max_steps {
             nbs.clear();
             nbs.extend(neighbors(&space, &cur).into_iter().filter(|nb| {
@@ -410,104 +402,6 @@ mod tests {
         .unwrap();
         assert_eq!(best.value("a").as_i64(), 12);
         assert_eq!(best.value("b").as_i64(), 7);
-    }
-
-    /// The climb loop with every start climbed, repeats included: the
-    /// picked configuration and each start with the number of batches its
-    /// climb scored.
-    fn climb_every_start(
-        sampler: &FeasibleSampler,
-        rng: &mut StdRng,
-        score: &dyn Fn(&Configuration) -> f64,
-        opts: &LocalSearchOptions,
-    ) -> (Option<Configuration>, Vec<(Configuration, usize)>) {
-        let space = sampler.space().clone();
-        let pool = sample_pool(sampler, rng, opts.n_candidates, &HashSet::new(), None);
-        let mut scored: Vec<(f64, Configuration)> =
-            pool.into_iter().map(|c| (score(&c), c)).collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-        scored.truncate(opts.n_starts);
-        let mut best: Option<(f64, Configuration)> = None;
-        let mut climbs = Vec::new();
-        for (s0, start) in scored {
-            let (mut cur, mut cur_score, mut calls) = (start.clone(), s0, 0);
-            for _ in 0..opts.max_steps {
-                let nbs: Vec<_> = neighbors(&space, &cur)
-                    .into_iter()
-                    .filter(|nb| sampler.contains(nb))
-                    .collect();
-                if nbs.is_empty() {
-                    break;
-                }
-                calls += 1;
-                let mut accepted = None;
-                for (i, nb) in nbs.iter().enumerate() {
-                    let s = score(nb);
-                    if s > cur_score {
-                        accepted = Some(i);
-                        cur_score = s;
-                    }
-                }
-                match accepted {
-                    Some(i) => cur = nbs[i].clone(),
-                    None => break,
-                }
-            }
-            climbs.push((start, calls));
-            if best.as_ref().is_none_or(|(b, _)| cur_score > *b) {
-                best = Some((cur_score, cur));
-            }
-        }
-        (best.map(|(_, c)| c), climbs)
-    }
-
-    #[test]
-    fn repeated_starts_are_climbed_once() {
-        // Nine configurations and a pool of 40 draws: the eight best-scored
-        // draws must repeat some configurations.
-        let s = SearchSpace::builder()
-            .integer("a", 0, 2)
-            .integer("b", 0, 2)
-            .build()
-            .unwrap();
-        let sampler = FeasibleSampler::new(&s).unwrap();
-        let score = |c: &Configuration| {
-            let a = c.value("a").as_f64();
-            let b = c.value("b").as_f64();
-            -(a - 1.0).powi(2) - 0.5 * (b - 2.0).powi(2) + 0.1 * a
-        };
-        let opts = LocalSearchOptions {
-            n_candidates: 40,
-            n_starts: 8,
-            max_steps: 10,
-        };
-        for seed in 0..20 {
-            let (want, climbs) =
-                climb_every_start(&sampler, &mut StdRng::seed_from_u64(seed), &score, &opts);
-            let mut distinct: Vec<&Configuration> = Vec::new();
-            let mut distinct_calls = 0;
-            for (start, calls) in &climbs {
-                if !distinct.contains(&start) {
-                    distinct.push(start);
-                    distinct_calls += calls;
-                }
-            }
-            assert!(
-                distinct.len() < climbs.len(),
-                "seed {seed}: no start repeats"
-            );
-
-            let batches = std::cell::Cell::new(0);
-            let counted = |cfgs: &[Configuration]| {
-                batches.set(batches.get() + 1);
-                cfgs.iter().map(score).collect()
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = local_search_in(&sampler, &mut rng, counted, &opts, &HashSet::new(), None);
-            assert_eq!(got, want, "seed {seed}");
-            // The pool, then each distinct start's climb once.
-            assert_eq!(batches.get(), 1 + distinct_calls, "seed {seed}");
-        }
     }
 
     #[test]
