@@ -433,7 +433,8 @@ mod tests {
         assert!(stripe_part(1.0, f64::NEG_INFINITY, 1e9, 1e9).is_finite());
         assert!(stripe_part(1.0, f64::NEG_INFINITY, -1e9, 1e-30).is_finite());
         assert_eq!(stripe_part(1.0, 2.0, 0.0, 1.0), 0.0); // inverted bounds
-                                                          // Deterministic limits.
+
+        // Deterministic limits.
         assert!((stripe_part(1.0, 0.0, 0.5, 0.0) - 0.5).abs() < 1e-12);
         assert!((stripe_part(1.0, 0.7, 0.5, 0.0) - 0.3).abs() < 1e-12);
         assert_eq!(stripe_part(1.0, 0.0, 2.0, 0.0), 0.0);

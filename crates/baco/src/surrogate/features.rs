@@ -382,7 +382,8 @@ mod tests {
         // 1 numeric + 1 categorical + 3 permutation positions.
         assert_eq!(f.len(), 5);
         assert_eq!(f[1], 1.0); // category "b" has index 1
-                               // element 0 sits at position 1, element 1 at 2, element 2 at 0.
+
+        // element 0 sits at position 1, element 1 at 2, element 2 at 0.
         assert_eq!(&f[2..], &[1.0 / 3.0, 2.0 / 3.0, 0.0]);
     }
 }

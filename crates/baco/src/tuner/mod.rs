@@ -578,10 +578,11 @@ impl Baco {
 
     /// A fresh surrogate cache for [`Baco::recommend_batch`]. Custom loops
     /// should create it here and keep it across rounds; a fresh cache per
-    /// round proposes the same configurations, only slower. Its tables
-    /// cover the round's training points, which a
-    /// [`surrogate_budget`](BacoBuilder::surrogate_budget) caps, so budgeted
-    /// loops hold O(budget²·d) of cache memory instead of O(n²·d).
+    /// round proposes the same configurations, only slower. Its level
+    /// tables cover the round's training points, which a
+    /// [`surrogate_budget`](BacoBuilder::surrogate_budget) `b` caps: codes
+    /// for at most `b` points plus, per dimension, an `L_k × L_k` table with
+    /// `L_k ≤ min(b, |dom_k|)` levels.
     pub fn new_cache(&self) -> GpCache {
         GpCache::new()
     }
