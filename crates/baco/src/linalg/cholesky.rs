@@ -1,12 +1,9 @@
-use super::Matrix;
+use super::{sweep_strip, with_simd, Matrix, SWEEP_COLS};
 use crate::{Error, Result};
 
 /// Rows of one column that [`Cholesky::new`] reduces together, so their
 /// independent dot products overlap instead of waiting on one add chain.
 const FACTOR_ROWS: usize = 4;
-/// Entries of a solution row that [`Cholesky::inverse`] keeps in registers
-/// while the rows it depends on stream past.
-const SWEEP_COLS: usize = 16;
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix.
 ///
@@ -181,12 +178,28 @@ impl Cholesky {
     /// 16 entries of a row in registers while every contributing row
     /// streams past it, so the inner loops are unit-stride over columns
     /// and each entry still subtracts its terms in the per-column solve's
-    /// order. The forward sweep skips the structural zeros of `L⁻¹e_j` (its
-    /// entries above `j`) for every strip right of them, and subtracts them
-    /// inside the strip that holds the diagonal. Both are exact: those terms
-    /// are signed zeros taken from a partial sum that is still `+0` or `1`,
-    /// which never changes it.
+    /// order. The coefficients come from one contiguous slice: row `i` of
+    /// `L` in the forward sweep, and column `i` of `L`, gathered once per
+    /// row, in the back sweep. The forward sweep skips the structural zeros
+    /// of `L⁻¹e_j` (its entries above `j`) for every strip right of them,
+    /// and subtracts them inside the strip that holds the diagonal. Both are
+    /// exact: those terms are signed zeros taken from a partial sum that is
+    /// still `+0` or `1`, which never changes it.
+    ///
+    /// The sweeps run from the AVX2 copy when the CPU has AVX2 (see
+    /// [`with_simd`]): the sixteen chains of a strip are four 4-lane
+    /// registers there, against eight 2-lane ones in the baseline copy, and
+    /// every entry is the same sequence of IEEE `mul`, `sub` and `div`.
     pub(crate) fn inverse(&self) -> Matrix {
+        with_simd(
+            #[inline(always)]
+            || self.inverse_body(),
+        )
+    }
+
+    /// [`Cholesky::inverse`]'s kernel, compiled into each copy.
+    #[inline(always)]
+    fn inverse_body(&self) -> Matrix {
         let n = self.dim();
         let l = &self.l;
         let mut x = vec![0.0; n * n];
@@ -199,7 +212,11 @@ impl Cholesky {
             for c0 in (0..=i).step_by(SWEEP_COLS) {
                 let c1 = (c0 + SWEEP_COLS).min(i + 1);
                 // Rows above c0 are zero throughout this strip.
-                let terms = (c0..i).map(|k| (li[k], &done[k * n + c0..k * n + c1]));
+                let rows = done.chunks_exact(n).skip(c0);
+                let terms = li[c0..i]
+                    .iter()
+                    .zip(rows)
+                    .map(|(&c, row)| (c, &row[c0..c1]));
                 sweep_strip(&mut cur[c0..c1], terms);
             }
             let diag = li[i];
@@ -208,15 +225,16 @@ impl Cholesky {
             }
         }
         // Back: overwrite Y with X from the last row up.
+        let mut col = Vec::with_capacity(n);
         for i in (0..n).rev() {
+            col.clear();
+            col.extend((i + 1..n).map(|k| l[(k, i)]));
             let (head, tail) = x.split_at_mut((i + 1) * n);
             let cur = &mut head[i * n..];
             for c0 in (0..n).step_by(SWEEP_COLS) {
                 let c1 = (c0 + SWEEP_COLS).min(n);
-                let terms = tail
-                    .chunks_exact(n)
-                    .enumerate()
-                    .map(|(k, row)| (l[(i + 1 + k, i)], &row[c0..c1]));
+                let rows = tail.chunks_exact(n);
+                let terms = col.iter().zip(rows).map(|(&c, row)| (c, &row[c0..c1]));
                 sweep_strip(&mut cur[c0..c1], terms);
             }
             let diag = l[(i, i)];
@@ -225,6 +243,51 @@ impl Cholesky {
             }
         }
         Matrix::from_row_major(n, n, x)
+    }
+
+    /// Solves `L Y = B` for the `m` right-hand sides in the columns of the
+    /// row-major `n × m` block `b`, returning `Y` in the same layout.
+    ///
+    /// Each strip of 16 right-hand sides stays in registers while the
+    /// solved rows stream past it, so the lanes are independent chains. A
+    /// zero coefficient of `L` is skipped, not subtracted as a signed zero.
+    /// Runs from the AVX2 copy when the CPU has AVX2 (see [`with_simd`]),
+    /// with the same bits as the baseline copy.
+    ///
+    /// # Panics
+    /// Panics if `b.len() != self.dim() · m`.
+    pub(crate) fn solve_lower_block(&self, b: &[f64], m: usize) -> Vec<f64> {
+        with_simd(
+            #[inline(always)]
+            || self.solve_lower_block_body(b, m),
+        )
+    }
+
+    /// [`Cholesky::solve_lower_block`]'s kernel, compiled into each copy.
+    #[inline(always)]
+    fn solve_lower_block_body(&self, b: &[f64], m: usize) -> Vec<f64> {
+        let n = self.dim();
+        assert_eq!(b.len(), n * m, "solve_lower_block: dimension mismatch");
+        let mut y = b.to_vec();
+        for i in 0..n {
+            let li = self.l.row(i);
+            let (done, rest) = y.split_at_mut(i * m);
+            let cur = &mut rest[..m];
+            for j0 in (0..m).step_by(SWEEP_COLS) {
+                let j1 = (j0 + SWEEP_COLS).min(m);
+                let terms = li[..i]
+                    .iter()
+                    .zip(done.chunks_exact(m))
+                    .filter(|&(&c, _)| c != 0.0)
+                    .map(|(&c, row)| (c, &row[j0..j1]));
+                sweep_strip(&mut cur[j0..j1], terms);
+            }
+            let diag = li[i];
+            for v in cur.iter_mut() {
+                *v /= diag;
+            }
+        }
+        y
     }
 
     /// `log |A| = 2 Σ log L_ii`.
@@ -310,30 +373,6 @@ impl Cholesky {
     pub fn reconstruct(&self) -> Matrix {
         self.l.matmul(&self.l.transpose())
     }
-}
-
-/// `strip[w] −= c · row[w]` for every `(c, row)` of `terms` in order, with
-/// the strip (at most [`SWEEP_COLS`] long, like every row) held in registers.
-#[inline(always)]
-fn sweep_strip<'a>(strip: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
-    let m = strip.len();
-    let mut acc = [0.0; SWEEP_COLS];
-    acc[..m].copy_from_slice(strip);
-    if m == SWEEP_COLS {
-        for (c, row) in terms {
-            let row: &[f64; SWEEP_COLS] = row.try_into().expect("full-width row");
-            for (a, &v) in acc.iter_mut().zip(row) {
-                *a -= c * v;
-            }
-        }
-    } else {
-        for (c, row) in terms {
-            for (a, &v) in acc[..m].iter_mut().zip(row) {
-                *a -= c * v;
-            }
-        }
-    }
-    strip.copy_from_slice(&acc[..m]);
 }
 
 #[cfg(test)]
@@ -577,6 +616,98 @@ mod tests {
                 assert_bits_eq(&ch.inverse(), &want, &format!("{kind} n={n}"));
             }
         }
+    }
+
+    /// Sizes at which the plain kernel bodies are compared with the
+    /// dispatched entry points: around the 16-wide strips, and past them.
+    const PATH_SIZES: [usize; 8] = [0, 1, 15, 16, 17, 33, 65, 120];
+
+    #[test]
+    fn inverse_paths_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(44);
+        for n in PATH_SIZES {
+            for (kind, a) in [
+                ("spd", random_spd(n, &mut rng)),
+                ("kernel", random_kernel(n, &mut rng)),
+            ] {
+                let Ok(ch) = Cholesky::new(&a) else { continue };
+                let what = format!("{kind} n={n} ({} copy)", crate::linalg::kernel_isa());
+                assert_bits_eq(&ch.inverse(), &ch.inverse_body(), &what);
+            }
+        }
+    }
+
+    /// An SPD matrix of two uncoupled diagonal blocks, so its factor holds
+    /// exact zeros below the diagonal.
+    fn block_diagonal_spd(n: usize, rng: &mut StdRng) -> Matrix {
+        let mut a = random_spd(n, rng);
+        let h = n / 2;
+        for i in 0..n {
+            for j in 0..n {
+                if (i < h) != (j < h) {
+                    a[(i, j)] = 0.0;
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn solve_lower_block_paths_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut skipped_zeros = 0;
+        for n in PATH_SIZES {
+            for m in [1, 15, 16, 17, 64, 130] {
+                for (kind, a) in [
+                    ("spd", random_spd(n, &mut rng)),
+                    ("kernel", random_kernel(n, &mut rng)),
+                    ("block", block_diagonal_spd(n, &mut rng)),
+                ] {
+                    let Ok(ch) = Cholesky::new(&a) else { continue };
+                    let l = ch.factor();
+                    // Signed zeros among the right-hand sides, so a zero
+                    // coefficient that were subtracted would show.
+                    let b: Vec<f64> = (0..n * m)
+                        .map(|_| match rng.gen_range(0..10) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-1.0..1.0),
+                        })
+                        .collect();
+                    let got = ch.solve_lower_block(&b, m);
+                    let plain = ch.solve_lower_block_body(&b, m);
+                    // Column by column, zero coefficients skipped.
+                    let mut want = b.clone();
+                    for j in 0..m {
+                        for i in 0..n {
+                            let mut s = b[i * m + j];
+                            for t in 0..i {
+                                if l[(i, t)] == 0.0 {
+                                    skipped_zeros += 1;
+                                    continue;
+                                }
+                                s -= l[(i, t)] * want[t * m + j];
+                            }
+                            want[i * m + j] = s / l[(i, i)];
+                        }
+                    }
+                    let what = format!("{kind} n={n} m={m} ({} copy)", crate::linalg::kernel_isa());
+                    for (idx, ((g, p), w)) in got.iter().zip(&plain).zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            p.to_bits(),
+                            "{what}: entry {idx} {g} vs plain {p}"
+                        );
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{what}: entry {idx} {g} vs reference {w}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(skipped_zeros > 0, "no zero coefficient exercised");
     }
 
     #[test]

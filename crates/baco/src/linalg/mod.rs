@@ -28,6 +28,70 @@ mod matrix;
 pub use cholesky::Cholesky;
 pub use matrix::Matrix;
 
+/// Entries of a row that [`sweep_strip`] keeps in registers while the rows
+/// it depends on stream past.
+pub(crate) const SWEEP_COLS: usize = 16;
+
+/// Runs `body` from a copy compiled for AVX2 when the CPU has it, and from
+/// the baseline copy otherwise; non-x86-64 targets build only the baseline.
+/// The standard library reads CPUID once per process and caches the answer,
+/// so each call costs one load and a branch.
+///
+/// `body` must be an `#[inline(always)]` closure over `#[inline(always)]`
+/// kernels, so that each copy inlines, and compiles, the whole kernel. The
+/// two copies compute the same bits: an AVX2 lane does the IEEE `mul`,
+/// `sub` or `div` of one element, Rust never contracts to FMA (and `fma`
+/// is not enabled), and library calls such as `exp` are the same calls.
+#[inline(always)]
+pub(crate) fn with_simd<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: `avx2` runs only once `is_x86_feature_detected!` has found
+        // AVX2 in this CPU's CPUID.
+        return unsafe { avx2(body) };
+    }
+    body()
+}
+
+/// Which copy of the GP's dense kernels this CPU runs: `"avx2"`, or
+/// `"baseline"` where AVX2 is missing or the target is not x86-64.
+pub fn kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// `strip[w] −= c · row[w]` for every `(c, row)` of `terms` in order, with
+/// the strip (at most [`SWEEP_COLS`] long, like every row) held in registers
+/// so each of its entries is an independent chain.
+#[inline(always)]
+pub(crate) fn sweep_strip<'a>(strip: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
+    let m = strip.len();
+    let mut acc = [0.0; SWEEP_COLS];
+    acc[..m].copy_from_slice(strip);
+    if m == SWEEP_COLS {
+        for (c, row) in terms {
+            let row: &[f64; SWEEP_COLS] = row.try_into().expect("full-width row");
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a -= c * v;
+            }
+        }
+    } else {
+        for (c, row) in terms {
+            for (a, &v) in acc[..m].iter_mut().zip(row) {
+                *a -= c * v;
+            }
+        }
+    }
+    strip.copy_from_slice(&acc[..m]);
+}
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics

@@ -19,14 +19,18 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Resolves a thread-count request: `0` means "use the available
 /// parallelism", anything else is taken literally. The result is clamped to
 /// `work_items` so short inputs don't spawn idle threads.
+///
+/// The available parallelism is read once per process: the query reads
+/// cgroup files, and every GP fit asks twice.
 pub fn effective_threads(requested: usize, work_items: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     } else {
         requested
     };

@@ -23,6 +23,19 @@
 //!   all right-hand sides, bit-identical to per-column solves, and the
 //!   gradient loop reuses the kernel build's Matérn terms instead of
 //!   recomputing a `sqrt` and an `exp` per pair.
+//! * **AVX2 copies, bit for bit** — `Cholesky::inverse`, the batched
+//!   posterior's forward substitution (`Cholesky::solve_lower_block`) and
+//!   the gradient's pair loop each run through `linalg::with_simd`: one
+//!   `#[inline(always)]` body compiled as it is and again for AVX2, the
+//!   copy chosen from CPUID, which is read once per process, on x86-64
+//!   (other targets build only the plain copy). Their loops keep independent
+//!   chains in adjacent lanes — 16 right-hand sides of a row held in
+//!   registers over contiguous coefficients, and the σ chain folded into
+//!   the gradient's first lengthscale pass — so the AVX2 copy runs them
+//!   four lanes wide. The copies agree to the bit: each lane does one
+//!   element's IEEE `mul`/`sub`/`div` in the same order, Rust never
+//!   contracts to FMA, and `exp` and `sqrt` are the same calls. The
+//!   kernel build keeps one copy: its per-pair `exp` call sets its speed.
 //! * **Lazy line-search gradients** — an NLL evaluation is split in two.
 //!   The value step builds the kernel (with its Matérn gradient factors),
 //!   factorizes it, solves for α, scores the NLL and updates the memo; the
@@ -79,7 +92,7 @@
 use super::cache::{GpCache, LevelTable};
 use super::features::{accumulate_scaled_dist2, DimView, ModelInput};
 use super::mean::MeanFn;
-use crate::linalg::{dot, mean, std_dev, Cholesky, Matrix};
+use crate::linalg::{dot, mean, std_dev, with_simd, Cholesky, Matrix};
 use crate::opt::{multistart_minimize, LbfgsOptions};
 use crate::space::{Configuration, PermMetric, SearchSpace};
 use crate::{Error, Result};
@@ -553,28 +566,23 @@ impl GaussianProcess {
     ///
     /// The cross-kernel is built as an `n × m` block and all `m` triangular
     /// systems are forward-substituted together (`var = σ − ‖L⁻¹k*‖²`, so
-    /// only the lower solve is needed), giving a unit-stride inner loop over
-    /// candidates that vectorizes — unlike the scalar path's per-candidate
-    /// dependent dot-product chains.
+    /// only the lower solve is needed) by [`Cholesky::solve_lower_block`],
+    /// whose lanes are independent candidates — unlike the scalar path's
+    /// per-candidate dependent dot-product chains.
     fn predict_residual_batch(&self, xs: &[ModelInput]) -> Vec<(f64, f64)> {
         let n = self.inputs.len();
-        let l = self.chol.factor();
         let mut out = Vec::with_capacity(xs.len());
 
         // Same per-dimension divisors as the scalar path (ℓ·ℓ, divided, not
         // multiplied by a reciprocal): the cross-kernel — and therefore the
         // posterior mean — is bit-identical to `predict`'s.
         let ls2: Vec<f64> = self.lengthscales.iter().map(|l| l * l).collect();
-        let block_len = xs.len().min(PREDICT_BLOCK);
-        let mut kstar = Vec::with_capacity(n * block_len);
-        let mut solved = Vec::with_capacity(n * block_len);
+        let mut kstar = Vec::with_capacity(n * xs.len().min(PREDICT_BLOCK));
 
         for block in xs.chunks(PREDICT_BLOCK) {
             let m = block.len();
             kstar.clear();
             kstar.resize(n * m, 0.0);
-            solved.clear();
-            solved.resize(n * m, 0.0);
 
             // Cross-kernel block K* (train-major, candidate-minor layout):
             // accumulate the lengthscale-weighted squared distance one
@@ -594,27 +602,8 @@ impl GaussianProcess {
             }
 
             // Blocked forward substitution: solve L · Y = K* for all m
-            // candidates at once. The inner loops run over the candidate
-            // index with unit stride.
-            for i in 0..n {
-                let li = l.row(i);
-                let (done, rest) = solved.split_at_mut(i * m);
-                let cur = &mut rest[..m];
-                cur.copy_from_slice(&kstar[i * m..(i + 1) * m]);
-                for (t, &c) in li.iter().enumerate().take(i) {
-                    if c == 0.0 {
-                        continue;
-                    }
-                    let yt = &done[t * m..(t + 1) * m];
-                    for (cj, yj) in cur.iter_mut().zip(yt) {
-                        *cj -= c * yj;
-                    }
-                }
-                let diag = li[i];
-                for cj in cur.iter_mut() {
-                    *cj /= diag;
-                }
-            }
+            // candidates at once, unit stride over the candidates.
+            let solved = self.chol.solve_lower_block(&kstar, m);
 
             // Reduce: mean = k*ᵀ α, variance = σ − ‖L⁻¹ k*‖².
             let mut mean_acc = vec![0.0; m];
@@ -852,7 +841,8 @@ fn divide_level_row(
 ///
 /// Row `i`'s scaled distances to the later points accumulate one dimension
 /// at a time (see [`ScaledRows::add_later`]), so every `Σ_k d²_k/ℓ_k²` is
-/// still summed in ascending `k` from `0.0`.
+/// still summed in ascending `k` from `0.0`. It has no AVX2 copy: one
+/// `exp` call per pair sets its speed, and the copy measured no faster.
 fn kernel_terms(
     scaled: &ScaledRows,
     sigma: f64,
@@ -981,8 +971,21 @@ struct NllState<'a> {
 impl NllState<'_> {
     /// The gradient of the NLL w.r.t. θ. Forming `K⁻¹` dominates: about
     /// `n³` multiply–adds (`2n³/3` after skipping the structural zeros of
-    /// `L⁻¹`), against `n³/6` for the value step's factorization.
+    /// `L⁻¹`), against `n³/6` for the value step's factorization. The pair
+    /// loop runs from the AVX2 copy when the CPU has AVX2 (see
+    /// [`crate::linalg::with_simd`]).
     fn gradient(self) -> Vec<f64> {
+        let kinv = self.chol.inverse();
+        with_simd(
+            #[inline(always)]
+            move || self.gradient_body(&kinv),
+        )
+    }
+
+    /// [`NllState::gradient`]'s pair loop over `kinv = K⁻¹`, compiled into
+    /// each copy.
+    #[inline(always)]
+    fn gradient_body(self, kinv: &Matrix) -> Vec<f64> {
         let NllState {
             mut scaled,
             prior,
@@ -991,7 +994,7 @@ impl NllState<'_> {
             noise,
             kmat,
             factors,
-            chol,
+            chol: _,
             alpha,
         } = self;
         scaled.complete();
@@ -1004,7 +1007,6 @@ impl NllState<'_> {
         // that no other point holds.
         // Each grad entry is one chain of `weight · term` additions over the
         // ordered pairs in row-major order.
-        let kinv = chol.inverse();
         let mut grad = vec![0.0; d + 2];
         let mut half_b = vec![0.0; n];
         let mut weighted = vec![0.0; n];
@@ -1018,17 +1020,16 @@ impl NllState<'_> {
                 *hb = 0.5 * (kinv_ij - ai * aj);
                 *w = *hb * cij;
             }
-            let mut acc = [grad[d]];
-            accumulate_pairs(&mut acc, &half_b, [kmat.row(i)], i);
-            grad[d] = acc[0];
             // The lengthscale chains share their weights and advance
             // GRAD_CHAINS at a time, padded with discarded all-zero chains.
-            for k0 in (0..d).step_by(GRAD_CHAINS) {
+            // The σ chain rides in front of the first group, so no pass
+            // waits on one lone addition chain.
+            for k0 in (0..d.max(1)).step_by(GRAD_CHAINS) {
                 let live = |r: usize| k0 + r < d;
                 let mut acc: [f64; GRAD_CHAINS] =
                     std::array::from_fn(|r| if live(r) { grad[k0 + r] } else { 0.0 });
                 let mut scratch = scratch.chunks_exact_mut(n);
-                let terms = std::array::from_fn(|r| {
+                let terms: [&[f64]; GRAD_CHAINS] = std::array::from_fn(|r| {
                     let scratch = scratch.next().expect("one scratch row per chain");
                     if live(r) {
                         scaled.row(k0 + r, i, scratch)
@@ -1036,7 +1037,19 @@ impl NllState<'_> {
                         &zeros[..]
                     }
                 });
-                accumulate_pairs(&mut acc, &weighted, terms, i);
+                if k0 == 0 {
+                    let mut lead = [grad[d]; GRAD_CHAINS + 1];
+                    lead[1..].copy_from_slice(&acc);
+                    let weights =
+                        std::array::from_fn(|r| if r == 0 { &half_b[..] } else { &weighted[..] });
+                    let terms =
+                        std::array::from_fn(|r| if r == 0 { kmat.row(i) } else { terms[r - 1] });
+                    accumulate_pairs(&mut lead, weights, terms, i);
+                    grad[d] = lead[0];
+                    acc.copy_from_slice(&lead[1..]);
+                } else {
+                    accumulate_pairs(&mut acc, [&weighted[..]; GRAD_CHAINS], terms, i);
+                }
                 for (r, a) in acc.into_iter().enumerate().filter(|&(r, _)| live(r)) {
                     grad[k0 + r] = a;
                 }
@@ -1059,22 +1072,23 @@ impl NllState<'_> {
     }
 }
 
-/// `acc[r] += weights[j] · terms[r][j]` for every `j ≠ skip`, one term at a
-/// time in ascending `j`: `R` independent addition chains whose latencies
+/// `acc[r] += weights[r][j] · terms[r][j]` for every `j ≠ skip`, one term at
+/// a time in ascending `j`: `R` independent addition chains whose latencies
 /// overlap. All rows have the same length.
 #[inline(always)]
 fn accumulate_pairs<const R: usize>(
     acc: &mut [f64; R],
-    weights: &[f64],
+    weights: [&[f64]; R],
     terms: [&[f64]; R],
     skip: usize,
 ) {
-    let n = weights.len();
+    let n = terms.first().map_or(0, |t| t.len());
     for (lo, hi) in [(0, skip), (skip + 1, n)] {
+        let weights = weights.map(|w| &w[lo..hi]);
         let terms = terms.map(|t| &t[lo..hi]);
-        for (j, &w) in weights[lo..hi].iter().enumerate() {
+        for j in 0..hi - lo {
             for r in 0..R {
-                acc[r] += w * terms[r][j];
+                acc[r] += weights[r][j] * terms[r][j];
             }
         }
     }
@@ -1337,7 +1351,9 @@ mod tests {
                     .collect(),
             })
             .collect();
-        (d2, level_cache(&inputs))
+        let mut cache = GpCache::new();
+        cache.sync_distances(&inputs, d, PermMetric::Spearman, true);
+        (d2, cache)
     }
 
     fn assert_same_bits(a: (f64, &[f64]), b: (f64, &[f64]), what: &str) {
@@ -1429,6 +1445,42 @@ mod tests {
             "no failed-factorization case exercised"
         );
         assert!(finite > 50, "too few finite evaluations: {finite}");
+    }
+
+    /// Sizes at which the plain kernel bodies are compared with the
+    /// dispatched entry points.
+    const PATH_SIZES: [usize; 8] = [0, 1, 15, 16, 17, 33, 65, 120];
+
+    #[test]
+    fn gradient_paths_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(80);
+        let prior = GammaPrior::default();
+        let mut compared = 0;
+        for n in PATH_SIZES {
+            for d in [1, 5, 6, 11] {
+                let (_, cache) = random_d2(n, d, &mut rng);
+                let levels = cache.levels();
+                let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                for trial in 0..2 {
+                    let mut theta: Vec<f64> = (0..d).map(|_| rng.gen_range(-3.0..1.2)).collect();
+                    theta.push(rng.gen_range(-1.6..0.7));
+                    theta.push(rng.gen_range(-14.0..-4.0));
+                    let p = (trial == 0).then_some(&prior);
+                    let state = || neg_log_posterior_impl(&theta, levels, &ys, p, true, None).1;
+                    let (Some(a), Some(b)) = (state(), state()) else {
+                        continue;
+                    };
+                    let kinv = b.chol.inverse();
+                    let what = format!(
+                        "n={n} d={d} θ={theta:?} ({} copy)",
+                        crate::linalg::kernel_isa()
+                    );
+                    assert_same_bits((0.0, &a.gradient()), (0.0, &b.gradient_body(&kinv)), &what);
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 40, "too few gradients compared: {compared}");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! whole probe slice, so featurization is counted on both sides.
 //!
 //! Writes a machine-readable summary to `BENCH_gp_hotpath.json` (override
-//! with `--out PATH`); the JSON carries per-size medians plus the headline
-//! ratio the batched posterior targets: ≥5× candidate scoring at n = 150.
+//! with `--out PATH`); the JSON carries per-size medians, the copy of the
+//! dense GP kernels that ran (`"simd"`: `"avx2"` or `"baseline"`), and the
+//! headline ratio the batched posterior targets: ≥5× candidate scoring at
+//! n = 150.
 //!
 //! Run with: `cargo run --release -p baco-bench --bin gp_hotpath`
 
@@ -158,6 +160,11 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"gp_hotpath\",\n");
+    // Which copy of the dense GP kernels ran: "avx2" or "baseline".
+    json.push_str(&format!(
+        "  \"simd\": \"{}\",\n",
+        baco::linalg::kernel_isa()
+    ));
     json.push_str(&format!(
         "  \"probes_per_batch\": {N_PROBES},\n  \"predict\": [\n"
     ));
