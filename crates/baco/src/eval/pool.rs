@@ -7,9 +7,9 @@
 //! condvar-fed queue and stream results back through a channel, so a tuning
 //! loop observes evaluations exactly as a real build farm would deliver
 //! them: out of order, fastest first. `rayon` is unavailable in the offline
-//! build, so the pool is built on `std::thread::scope` like
-//! [`crate::parallel`]. The closed-loop engine ([`crate::tuner::speculate`])
-//! drives it for [`Baco::run`](crate::tuner::Baco::run) and
+//! build, so the pool is built on `std::thread::scope`. The closed-loop
+//! engine ([`crate::tuner::speculate`]) drives it for
+//! [`Baco::run`](crate::tuner::Baco::run) and
 //! [`Baco::run_batched`](crate::tuner::Baco::run_batched) alike: at
 //! speculation depth 0 it submits one round and drains it before proposing
 //! the next; deeper pipelines keep submitting while earlier work is in
@@ -56,12 +56,11 @@
 //! # Ok::<(), baco::Error>(())
 //! ```
 
-use crate::parallel::effective_threads;
 use crate::space::Configuration;
 use crate::tuner::{BlackBox, Evaluation};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Evaluates one configuration with panic containment: a black box that
@@ -304,6 +303,22 @@ impl<'a> EvalPool<'a> {
     }
 }
 
+/// Resolves a thread-count request: `0` means "use the available
+/// parallelism", anything else is taken literally. The result is clamped to
+/// `work_items` so short inputs don't spawn idle threads.
+///
+/// The available parallelism is read once per process: the query reads
+/// cgroup files.
+fn effective_threads(requested: usize, work_items: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let t = if requested == 0 {
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    } else {
+        requested
+    };
+    t.clamp(1, work_items.max(1))
+}
+
 /// Runs `f` with a persistent [`EvalPool`] of `threads` workers (`0` = one
 /// per expected in-flight evaluation, capped at the available parallelism;
 /// `capacity` is the expected number of simultaneously in-flight
@@ -424,6 +439,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn effective_threads_clamps() {
+        assert_eq!(effective_threads(4, 2), 2);
+        assert_eq!(effective_threads(4, 100), 4);
+        assert!(effective_threads(0, 100) >= 1);
+        assert_eq!(effective_threads(3, 0), 1);
     }
 
     #[test]

@@ -103,7 +103,6 @@ pub mod eval;
 pub mod journal;
 pub mod linalg;
 pub mod opt;
-pub mod parallel;
 pub mod search;
 pub mod server;
 pub mod space;

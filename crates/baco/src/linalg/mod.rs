@@ -69,27 +69,36 @@ pub fn kernel_isa() -> &'static str {
 
 /// `strip[w] −= c · row[w]` for every `(c, row)` of `terms` in order, with
 /// the strip (at most [`SWEEP_COLS`] long, like every row) held in registers
-/// so each of its entries is an independent chain.
+/// so each of its entries is an independent chain. Each width has its own
+/// fixed-length copy, so a partial strip (the last of a row whose length is
+/// not a multiple of [`SWEEP_COLS`]) stays in registers too.
 #[inline(always)]
 pub(crate) fn sweep_strip<'a>(strip: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
-    let m = strip.len();
-    let mut acc = [0.0; SWEEP_COLS];
-    acc[..m].copy_from_slice(strip);
-    if m == SWEEP_COLS {
-        for (c, row) in terms {
-            let row: &[f64; SWEEP_COLS] = row.try_into().expect("full-width row");
-            for (a, &v) in acc.iter_mut().zip(row) {
-                *a -= c * v;
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match strip.len() {
+                $($w => sweep_fixed::<$w>(strip.try_into().expect("width checked"), terms),)*
+                m => unreachable!("strip of {m} columns"),
             }
-        }
-    } else {
-        for (c, row) in terms {
-            for (a, &v) in acc[..m].iter_mut().zip(row) {
-                *a -= c * v;
-            }
+        };
+    }
+    by_width!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+}
+
+/// [`sweep_strip`] at one width `W`.
+#[inline(always)]
+fn sweep_fixed<'a, const W: usize>(
+    strip: &mut [f64; W],
+    terms: impl Iterator<Item = (f64, &'a [f64])>,
+) {
+    let mut acc = *strip;
+    for (c, row) in terms {
+        let row: &[f64; W] = row.try_into().expect("strip-width row");
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a -= c * v;
         }
     }
-    strip.copy_from_slice(&acc[..m]);
+    *strip = acc;
 }
 
 /// Dot product of two equal-length slices.

@@ -11,10 +11,11 @@
 //!   and the two are the only prediction entry points.
 //! * **Cheap multistart** — raw hyperparameter draws are ranked with a
 //!   value-only negative log posterior (the gradient is discarded during
-//!   ranking), draws and L-BFGS refinements run across threads, and the
-//!   factorization computed by the best objective evaluation is memoized so
-//!   [`GaussianProcess::fit`] never refactorizes the kernel at the chosen
-//!   hyperparameters.
+//!   ranking), draws and L-BFGS refinements run in order on the caller's
+//!   thread (a per-fit thread fan-out cost more CPU than it saved; see
+//!   [`crate::opt`]), and the factorization computed by the best objective
+//!   evaluation is memoized so [`GaussianProcess::fit`] never refactorizes
+//!   the kernel at the chosen hyperparameters.
 //! * **Exact batched gradient** — the gradient needs the explicit `K⁻¹`,
 //!   which costs ≈ `n³` multiply–adds (`2n³/3` once the structural zeros of
 //!   `L⁻¹` are skipped) against `n³/6` for the factorization, so `K⁻¹`, not
@@ -97,7 +98,8 @@ use crate::opt::{multistart_minimize, LbfgsOptions};
 use crate::space::{Configuration, PermMetric, SearchSpace};
 use crate::{Error, Result};
 use rand::Rng;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 const SQRT5: f64 = 2.236_067_977_499_79;
 /// Jitter always added to the kernel diagonal for numerical stability.
@@ -157,8 +159,10 @@ pub struct GpOptions {
     pub multistart_keep: usize,
     /// L-BFGS settings for the refinement.
     pub lbfgs: LbfgsOptions,
-    /// Threads for the multistart ranking/refinement (`0` = auto). The fitted
-    /// model is bit-identical for every thread count.
+    /// Ignored: the multistart runs on the fitting thread (see
+    /// [`crate::opt::multistart_minimize`]). Kept, defaulting to `1`, only
+    /// because the repository benchmark still reports it; it is deleted
+    /// with the next change to that benchmark.
     pub threads: usize,
     /// Prior mean function `m(x)`: the GP fits the residuals `y − m(x)` and
     /// adds `m(x)` back at prediction time. `None` (default) is the zero
@@ -178,7 +182,7 @@ impl Default for GpOptions {
                 max_iters: 60,
                 ..Default::default()
             },
-            threads: 0,
+            threads: 1,
             mean_fn: None,
         }
     }
@@ -199,7 +203,7 @@ impl GpOptions {
                 max_iters: 10,
                 ..Default::default()
             },
-            threads: 0,
+            threads: 1,
             mean_fn: None,
         }
     }
@@ -420,7 +424,7 @@ impl GaussianProcess {
         let levels = cache.levels();
         let d = levels.len();
         let prior = opts.lengthscale_prior;
-        let best_eval: Mutex<Option<BestEval>> = Mutex::new(None);
+        let best_eval: RefCell<Option<BestEval>> = RefCell::new(None);
 
         let value = |theta: &[f64]| -> f64 {
             neg_log_posterior_impl(theta, levels, ys, prior.as_ref(), false, Some(&best_eval)).0
@@ -454,7 +458,6 @@ impl GaussianProcess {
             &value,
             &value_grad,
             &opts.lbfgs,
-            opts.threads,
         );
         // Decode hyperparameters; fall back to a safe default if the
         // optimizer diverged.
@@ -482,10 +485,7 @@ impl GaussianProcess {
             .all(|(l, t)| *l == t.exp())
             && outputscale == theta[d].exp()
             && noise == theta[d + 1].exp();
-        let memo = best_eval
-            .into_inner()
-            .expect("NLL memo poisoned: a multistart worker panicked mid-update");
-        let (chol, alpha) = match memo {
+        let (chol, alpha) = match best_eval.into_inner() {
             Some(m) if clamps_free && m.theta == theta => (m.chol, m.alpha),
             _ => {
                 let kmat = kernel_matrix(levels, &lengthscales, outputscale, noise);
@@ -897,7 +897,7 @@ fn neg_log_posterior_impl<'a>(
     ys: &[f64],
     prior: Option<&'a GammaPrior>,
     want_grad: bool,
-    memo: Option<&Mutex<Option<BestEval>>>,
+    memo: Option<&RefCell<Option<BestEval>>>,
 ) -> (f64, Option<NllState<'a>>) {
     let d = levels.len();
     let n = ys.len();
@@ -925,9 +925,7 @@ fn neg_log_posterior_impl<'a>(
 
     if let Some(memo) = memo {
         if nll.is_finite() {
-            let mut slot = memo
-                .lock()
-                .expect("NLL memo poisoned: a multistart worker panicked mid-update");
+            let mut slot = memo.borrow_mut();
             if slot.as_ref().is_none_or(|b| nll < b.value) {
                 *slot = Some(BestEval {
                     value: nll,
@@ -1530,8 +1528,8 @@ mod tests {
         // The value step does the same work with or without a gradient to
         // come: equal values, and the memo (the fit's reused factorization)
         // ends up bit-identical whether or not any gradient was forced.
-        let memo_value = Mutex::new(None);
-        let memo_grad = Mutex::new(None);
+        let memo_value = RefCell::new(None);
+        let memo_grad = RefCell::new(None);
         for (k, theta) in thetas.iter().enumerate() {
             let (v_only, none) =
                 neg_log_posterior_impl(theta, levels, &ys, Some(&prior), false, Some(&memo_value));
@@ -1548,8 +1546,8 @@ mod tests {
             }
         }
         let (a, b) = (
-            memo_value.into_inner().unwrap().unwrap(),
-            memo_grad.into_inner().unwrap().unwrap(),
+            memo_value.into_inner().unwrap(),
+            memo_grad.into_inner().unwrap(),
         );
         assert_eq!(a.value.to_bits(), b.value.to_bits());
         assert_eq!(a.theta, b.theta);
